@@ -132,6 +132,14 @@ def _emit(report: dict, args, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
+def _oracle_stats(result) -> dict:
+    return {"base_atoms": result.base_atoms, "instances": result.instances, "rounds": result.rounds}
+
+
+def _oracle_stats_line(stats: dict) -> str:
+    return "stats: " + " ".join(f"{k}={v}" for k, v in stats.items())
+
+
 def _proof_str(term, args) -> str:
     return format_proof(term, unicode=args.unicode)
 
@@ -312,6 +320,7 @@ def _cmd_model(src: SourceProgram, args) -> int:
         "bounded-base computation; out-of-base body atoms treated as "
         + ("present (optimistic)" if policy is herbrand.Policy.OPTIMISTIC else "absent (pessimistic)")
     )
+    stats = _oracle_stats(interp)
     report = {
         "command": "model",
         "program": args.program,
@@ -320,6 +329,7 @@ def _cmd_model(src: SourceProgram, args) -> int:
         "policy": policy.value if args.semantics == "greatest" else "pessimistic",
         "converged": interp.converged,
         "note": note,
+        "stats": stats,
         "atoms": atoms,
         "exit_code": EX_OK,
     }
@@ -331,6 +341,7 @@ def _cmd_model(src: SourceProgram, args) -> int:
         f"policy: {report['policy']}",
         f"note: {note}",
         f"converged: {str(interp.converged).lower()}",
+        _oracle_stats_line(stats),
         f"atoms ({len(atoms)}):",
     ]
     lines.extend(f"  {a}" for a in atoms)
@@ -345,6 +356,7 @@ def _cmd_certify(src: SourceProgram, args) -> int:
     )
     found = cert is not None
     code = EX_OK if found else EX_REJECTED
+    stats = _oracle_stats(cert) if cert else None
     report = {
         "command": "certify",
         "program": args.program,
@@ -352,6 +364,7 @@ def _cmd_certify(src: SourceProgram, args) -> int:
         "depth": args.depth,
         "found": found,
         "exact": cert.exact if cert else None,
+        "stats": stats,
         "support": [str(a) for a in cert.sorted_support()] if cert else [],
         "frontier": [str(a) for a in cert.sorted_frontier()] if cert else [],
         "exit_code": code,
@@ -367,6 +380,7 @@ def _cmd_certify(src: SourceProgram, args) -> int:
     else:
         kind = "exact post-fixed point" if cert.exact else "optimistic (leans on out-of-base atoms)"
         lines.append(f"result: certificate found ({kind})")
+        lines.append(_oracle_stats_line(stats))
         lines.append(f"support ({len(cert.support)}):")
         lines.extend(f"  {a}" for a in cert.sorted_support())
         if cert.frontier:

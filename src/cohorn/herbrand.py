@@ -21,11 +21,22 @@ Guarantees, relative to the true models:
     true operator and therefore a sound membership witness; a non-empty
     frontier means the support leans on out-of-base atoms and certifies
     membership in the bounded optimistic model only.
+
+Cost model.  Grounding is head-driven: each clause head is matched against
+the base atoms of its predicate, and since clauses have no existential
+variables the match grounds the whole clause, so grounding costs
+O(|base| * clauses) matches and yields one instance per (clause, head).
+The fixpoints then propagate counters in the style of Dowling and Gallier's
+linear-time Horn satisfiability: the least fixed point counts, per
+instance, the body atoms still missing, and the greatest counts, per head,
+the instances still alive.  Each counter moves at most once per body atom,
+so a fixpoint costs O(instances * body) on top of the grounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -42,6 +53,7 @@ from .terms import (
     clause_vars,
     enumerate_ground_terms,
     is_ground_atom,
+    match,
     signature_of_atom,
     signature_of_clause,
 )
@@ -93,9 +105,16 @@ def herbrand_base(
 
 @dataclass(frozen=True)
 class Interpretation:
+    """A set of base atoms.  When an oracle computation returns one, the
+    counters say how much work it did: the size of the base, the number of
+    ground clause instances, and the rounds of the operator applied."""
+
     atoms: frozenset[Atom]
     base: HerbrandBase
     converged: bool = True
+    base_atoms: int = field(default=0, compare=False)
+    instances: int = field(default=0, compare=False)
+    rounds: int = field(default=0, compare=False)
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return tuple(sorted(self.atoms, key=atom_sort_key))
@@ -122,17 +141,20 @@ class _GroundInstance:
 
 
 def _ground_program(program: Program, base: HerbrandBase) -> list[_GroundInstance]:
-    """All clause instances with an in-base head, bodies split by the base."""
+    """All clause instances with an in-base head, bodies split by the base.
+
+    Instances come clause by clause, and each clause has at most one
+    instance per head (the head match binds every variable), so the
+    instances of one head appear in clause order.
+    """
+    by_predicate: dict[str, list[Atom]] = {}
+    for atom in base.atoms:
+        by_predicate.setdefault(atom.predicate, []).append(atom)
     out: list[_GroundInstance] = []
     for clause in program.clauses:
-        names = clause_vars(clause)
-        assignments = (
-            product(base.universe, repeat=len(names)) if names else iter(((),))
-        )
-        for combo in assignments:
-            s = dict(zip(names, combo))
-            head = apply_atom(s, clause.head)
-            if head not in base.atoms:
+        for head in by_predicate.get(clause.head.predicate, ()):
+            s = match(clause.head, head)
+            if s is None:
                 continue
             body = tuple(apply_atom(s, b) for b in clause.body)
             inside = tuple(b for b in body if b in base.atoms)
@@ -161,21 +183,76 @@ def tp_step(
     return Interpretation(_step(instances, interp.atoms, policy), interp.base)
 
 
-def _iterate(
-    program: Program,
+def _fixpoint(
+    instances: Sequence[_GroundInstance],
     base: HerbrandBase,
     start: frozenset[Atom],
     policy: Policy,
     max_iters: int,
 ) -> Interpretation:
-    instances = _ground_program(program, base)
-    current = start
-    for _ in range(max_iters):
-        nxt = _step(instances, current, policy)
-        if nxt == current:
-            return Interpretation(current, base, converged=True)
-        current = nxt
-    return Interpretation(current, base, converged=False)
+    """Iterate the bounded operator from `start` until it stops changing.
+
+    `start` is empty for the least fixed point, where the iterates grow, or
+    the whole base for the greatest, where they shrink.  Each round is one
+    application of the operator, so after `max_iters` rounds the result is
+    the same iterate, with the same `converged` flag, as re-applying the
+    operator naively; but a round only visits the instances whose body
+    holds an atom that the previous round added or removed.
+    """
+    if start and start != base.atoms:
+        raise ValueError("a fixpoint starts from the empty set or the whole base")
+    watchers: dict[Atom, list[int]] = {}
+    for k, inst in enumerate(instances):
+        for b in inst.in_base:
+            watchers.setdefault(b, []).append(k)
+    # Under the pessimistic policy an instance with an out-of-base body atom
+    # never fires.
+    mute = [policy is Policy.PESSIMISTIC and bool(inst.out_of_base) for inst in instances]
+    current = set(start)
+    rounds = 0
+    converged = False
+    if not start:
+        # changed: atoms the next application adds.
+        missing = [len(inst.in_base) for inst in instances]
+        changed = {
+            inst.head for inst, m, muted in zip(instances, missing, mute) if not m and not muted
+        }
+        while rounds < max_iters:
+            rounds += 1
+            if not changed:
+                converged = True
+                break
+            current |= changed
+            fresh, changed = changed, set()
+            for atom in fresh:
+                for k in watchers.get(atom, ()):
+                    missing[k] -= 1
+                    if not missing[k] and not mute[k] and instances[k].head not in current:
+                        changed.add(instances[k].head)
+    else:
+        # changed: atoms the next application removes.
+        alive = [not muted for muted in mute]
+        support = Counter(inst.head for inst, live in zip(instances, alive) if live)
+        changed = {atom for atom in current if not support[atom]}
+        while rounds < max_iters:
+            rounds += 1
+            if not changed:
+                converged = True
+                break
+            current -= changed
+            gone, changed = changed, set()
+            for atom in gone:
+                for k in watchers.get(atom, ()):
+                    if alive[k]:
+                        alive[k] = False
+                        head = instances[k].head
+                        support[head] -= 1
+                        if not support[head]:
+                            changed.add(head)
+    return Interpretation(
+        frozenset(current), base, converged,
+        base_atoms=len(base.atoms), instances=len(instances), rounds=rounds,
+    )
 
 
 def lfp(
@@ -187,7 +264,8 @@ def lfp(
 ) -> Interpretation:
     """Least fixed point of the bounded operator, iterated up from empty."""
     base = herbrand_base(program.signature, depth, extra_constants)
-    return _iterate(program, base, frozenset(), Policy.PESSIMISTIC, max_iters)
+    instances = _ground_program(program, base)
+    return _fixpoint(instances, base, frozenset(), Policy.PESSIMISTIC, max_iters)
 
 
 def gfp_bounded(
@@ -200,7 +278,8 @@ def gfp_bounded(
 ) -> Interpretation:
     """Greatest fixed point of the bounded operator, iterated down from full."""
     base = herbrand_base(program.signature, depth, extra_constants)
-    return _iterate(program, base, base.atoms, policy, max_iters)
+    instances = _ground_program(program, base)
+    return _fixpoint(instances, base, base.atoms, policy, max_iters)
 
 
 def tp_monotone_check(
@@ -233,6 +312,9 @@ class Certificate:
     support: frozenset[Atom]
     frontier: frozenset[Atom]
     depth: int
+    base_atoms: int = field(default=0, compare=False)
+    instances: int = field(default=0, compare=False)
+    rounds: int = field(default=0, compare=False)  # of the optimistic gfp
 
     @property
     def exact(self) -> bool:
@@ -269,7 +351,7 @@ def certify_gfp(
     if target not in base.atoms:
         return None
     instances = _ground_program(program, base)
-    model = _iterate(program, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    model = _fixpoint(instances, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
     if target not in model.atoms:
         return None
     by_head: dict[Atom, list[_GroundInstance]] = {}
@@ -277,9 +359,9 @@ def certify_gfp(
         by_head.setdefault(inst.head, []).append(inst)
     support: set[Atom] = set()
     frontier: set[Atom] = set()
-    queue = [target]
+    queue = deque([target])
     while queue:
-        atom = queue.pop(0)
+        atom = queue.popleft()
         if atom in support:
             continue
         support.add(atom)
@@ -294,7 +376,10 @@ def certify_gfp(
         for b in chosen.in_base:
             if b not in support:
                 queue.append(b)
-    cert = Certificate(target, frozenset(support), frozenset(frontier), search_depth)
+    cert = Certificate(
+        target, frozenset(support), frozenset(frontier), search_depth,
+        base_atoms=model.base_atoms, instances=model.instances, rounds=model.rounds,
+    )
     revalidated = _step(instances, cert.support, Policy.OPTIMISTIC)
     if not cert.support <= revalidated:
         raise CertificateInvariantError("support is not a post-fixed point")
@@ -356,12 +441,10 @@ def valid(
     """
     sig = program.signature.merged(signature_of_clause(formula))
     base = herbrand_base(sig, depth, extra_constants)
-    if semantics is Semantics.IND:
-        sure = _iterate(program, base, frozenset(), Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
-        maybe = _iterate(program, base, frozenset(), Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
-    else:
-        sure = _iterate(program, base, base.atoms, Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
-        maybe = _iterate(program, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    instances = _ground_program(program, base)
+    start = frozenset() if semantics is Semantics.IND else base.atoms
+    sure = _fixpoint(instances, base, start, Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
+    maybe = _fixpoint(instances, base, start, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
     names = clause_vars(formula)
     checked = 0
     undecided = False
@@ -424,11 +507,11 @@ def preserves_model(
     extended = program.extended(formula)
     base = herbrand_base(extended.signature, depth, extra_constants)
     if semantics is Semantics.IND:
-        before = _iterate(program, base, frozenset(), Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
-        after = _iterate(extended, base, frozenset(), Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
+        start, policy = frozenset(), Policy.PESSIMISTIC
     else:
-        before = _iterate(program, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
-        after = _iterate(extended, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+        start, policy = base.atoms, Policy.OPTIMISTIC
+    before = _fixpoint(_ground_program(program, base), base, start, policy, DEFAULT_MAX_ITERS)
+    after = _fixpoint(_ground_program(extended, base), base, start, policy, DEFAULT_MAX_ITERS)
     removed = tuple(sorted(before.atoms - after.atoms, key=atom_sort_key))
     added = tuple(sorted(after.atoms - before.atoms, key=atom_sort_key))
     certs: list[tuple[Atom, bool, bool]] = []

@@ -10,7 +10,9 @@ variables when they occur in term position.  Predicate names may use any
 case (the classic counterexample programs use A, B, D as predicates).
 
 Everything here is a frozen dataclass and every operation is a pure
-function, so values can be shared freely across threads.
+function, so values can be shared freely across threads.  App and Atom
+fill their hash and sort-key caches on first use; each write stores the
+value any thread would compute, so the sharing stays safe.
 """
 
 from __future__ import annotations
@@ -71,10 +73,36 @@ class Var:
         return self.name
 
 
+# App and Atom cache their hash on first use: set lookups hash ground atoms
+# over and over, and a frozen dataclass would re-hash the whole tree each
+# time.  The caches are plain attributes, not fields, so `==` and `repr`
+# ignore them.  `str` hashes differ from process to process, so pickles and
+# copies leave the caches out.
+
+
+def _state_without_caches(self) -> dict:
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    state.pop("_sort_key", None)
+    return state
+
+
 @dataclass(frozen=True)
 class App:
     functor: str
     args: tuple["Term", ...] = ()
+
+    _hash = None
+    _sort_key = None  # filled by term_sort_key
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.functor, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_caches
 
     def __str__(self) -> str:
         if not self.args:
@@ -89,6 +117,17 @@ Term = Union[Var, App]
 class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.predicate, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_caches
 
     def __str__(self) -> str:
         if not self.args:
@@ -183,7 +222,12 @@ def term_sort_key(t: Term):
     """Deterministic order: depth first, then name, then arguments."""
     if isinstance(t, Var):
         return (1, t.name, ())
-    return (term_depth(t), t.functor, tuple(term_sort_key(a) for a in t.args))
+    key = t._sort_key
+    if key is None:
+        args = tuple(term_sort_key(a) for a in t.args)
+        key = (1 + max((k[0] for k in args), default=0), t.functor, args)
+        object.__setattr__(t, "_sort_key", key)
+    return key
 
 
 def atom_sort_key(a: Atom):
@@ -487,7 +531,10 @@ def enumerate_ground_terms(
 
 
 def ground_instances(clause: HornClause, universe: Sequence[Term]) -> list[HornClause]:
-    """All instantiations of the clause's variables over the universe."""
+    """All instantiations of the clause's variables over the universe.
+
+    Brute force: the reference that the oracle's head-driven grounding is
+    tested against."""
     names = clause_vars(clause)
     if not names:
         return [clause]

@@ -124,6 +124,13 @@ class TestModelCommand:
         )
         assert "out-of-base body atoms treated as present" in out
 
+    def test_oracle_stats(self):
+        argv = ["model", hc("pair"), "--semantics", "least", "--depth", "2"]
+        _, out, _ = run(argv)
+        assert "stats: base_atoms=2 instances=2 rounds=3" in out
+        _, out, _ = run(argv + ["--json"])
+        assert json.loads(out)["stats"] == {"base_atoms": 2, "instances": 2, "rounds": 3}
+
 
 class TestCertifyCommand:
     def test_found(self):
@@ -142,6 +149,15 @@ class TestCertifyCommand:
         assert code == 0
         assert "exact post-fixed point" in out
 
+    def test_oracle_stats(self):
+        argv = ["certify", hc("evenodd"), "--atom", "eq(evenList(int))", "--depth", "3"]
+        _, out, _ = run(argv)
+        assert "stats: base_atoms=7 instances=7 rounds=1" in out
+        _, out, _ = run(argv + ["--json"])
+        assert json.loads(out)["stats"] == {"base_atoms": 7, "instances": 7, "rounds": 1}
+        _, out, _ = run(["certify", hc("loop"), "--atom", "p(g)", "--depth", "5", "--json"])
+        assert json.loads(out)["stats"] is None
+
 
 class TestVerifySoundness:
     def test_proved_and_valid(self):
@@ -153,6 +169,28 @@ class TestVerifySoundness:
         )
         assert code == 0
         assert "soundness: ok" in out
+
+    def test_oracle_stats_only_in_model_and_certify(self):
+        reports = {
+            name: json.loads(run(argv + ["--json"])[1])
+            for name, argv in (
+                ("resolve", ["resolve", hc("pair"), "--query", "eq(int)", "--mode", "ind"]),
+                ("verify-soundness", ["verify-soundness", hc("pair"), "--query", "eq(int)",
+                                      "--mode", "ind", "--base-depth", "2"]),
+                ("model", ["model", hc("pair"), "--semantics", "least", "--depth", "2"]),
+                ("certify", ["certify", hc("pair"), "--atom", "eq(int)", "--depth", "2"]),
+            )
+        }
+        assert "stats" not in reports["resolve"]
+        assert "stats" not in reports["verify-soundness"]
+        assert list(reports["model"]) == [
+            "command", "program", "semantics", "depth", "policy", "converged", "note",
+            "stats", "atoms", "exit_code",
+        ]
+        assert list(reports["certify"]) == [
+            "command", "program", "atom", "depth", "found", "exact", "stats", "support",
+            "frontier", "exit_code",
+        ]
 
     def test_not_proved_is_not_a_violation(self):
         code, out, _ = run(

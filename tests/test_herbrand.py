@@ -20,9 +20,17 @@ from cohorn import (
     tp_step,
     valid,
 )
-from cohorn.herbrand import empty_interpretation, full_interpretation
+from cohorn.herbrand import (
+    DEFAULT_MAX_ITERS,
+    _fixpoint,
+    _ground_program,
+    _GroundInstance,
+    empty_interpretation,
+    full_interpretation,
+)
+from cohorn.terms import ground_instances
 
-from helpers import load, random_program
+from helpers import load, random_clause, random_program
 
 
 def atoms(interp_or_set):
@@ -306,3 +314,127 @@ class TestMonotonicity:
                     Interpretation(big, base),
                     policy,
                 )
+
+
+# ---------------------------------------------------------------------------
+# The oracle against its naive references
+# ---------------------------------------------------------------------------
+
+
+def brute_force_grounding(program, base):
+    """Every instantiation over the universe with an in-base head."""
+    out = []
+    for clause in program.clauses:
+        for inst in ground_instances(clause, base.universe):
+            if inst.head not in base.atoms:
+                continue
+            inside = tuple(b for b in inst.body if b in base.atoms)
+            outside = tuple(b for b in inst.body if b not in base.atoms)
+            out.append(_GroundInstance(inst.head, inside, outside))
+    return out
+
+
+def by_head(instances):
+    out = {}
+    for inst in instances:
+        out.setdefault(inst.head, []).append(inst)
+    return out
+
+
+def naive_iterate(program, base, start, policy, max_iters):
+    """The fixpoint loop as the definition states it: re-apply T_P."""
+    current = Interpretation(start, base)
+    for _ in range(max_iters):
+        nxt = tp_step(program, current, policy)
+        if nxt.atoms == current.atoms:
+            return current.atoms, True
+        current = nxt
+    return current.atoms, False
+
+
+def seeded_programs(seed, count):
+    """Random programs; every other one gains an added (lemma) clause, which
+    is exempt from the overlap check, so some heads get two instances."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        program = random_program(rng)
+        out.append(program.extended(random_clause(rng)) if k % 2 else program)
+    return out
+
+
+class TestOracleAgainstReferences:
+    def test_head_driven_grounding_matches_brute_force(self):
+        for k, program in enumerate(seeded_programs(61, 200)):
+            base = herbrand_base(program.signature, 1 + k % 3)
+            fast = _ground_program(program, base)
+            slow = brute_force_grounding(program, base)
+            # Same instances, and each head keeps its clause order, which
+            # certify_gfp relies on when it picks a supporting instance.
+            assert by_head(fast) == by_head(slow)
+            assert len(fast) == len(slow)
+
+    def test_fixpoints_match_naive_iteration(self):
+        for k, program in enumerate(seeded_programs(62, 200)):
+            depth = 1 + k % 3
+            base = herbrand_base(program.signature, depth)
+            for max_iters in (1, 2, 3, DEFAULT_MAX_ITERS):
+                got = lfp(program, depth, max_iters=max_iters)
+                want = naive_iterate(program, base, frozenset(), Policy.PESSIMISTIC, max_iters)
+                assert (got.atoms, got.converged) == want
+                for policy in Policy:
+                    got = gfp_bounded(program, depth, policy, max_iters=max_iters)
+                    want = naive_iterate(program, base, base.atoms, policy, max_iters)
+                    assert (got.atoms, got.converged) == want
+
+    def test_fixpoint_starts_only_from_empty_or_full(self):
+        src = load("pair")
+        base = herbrand_base(src.program.signature, 2)
+        instances = _ground_program(src.program, base)
+        with pytest.raises(ValueError):
+            _fixpoint(instances, base, frozenset({parse_atom("eq(int)")}), Policy.OPTIMISTIC, 10)
+
+
+class TestOracleScale:
+    """The bounded base of pair at depth 5 has u_5 = 677 terms.  Grounding
+    over universe^vars made this lfp take seconds."""
+
+    def test_pair_lfp_depth_five(self):
+        src = load("pair")
+        m = lfp(src.program, 5)
+        assert m.converged
+        assert len(m.atoms) == 677
+        assert all(a.predicate == "eq" for a in m.atoms)
+
+    def test_p11_certificate_depth_seven(self):
+        src = load("p11")
+        cert = certify_gfp(src.program, parse_atom("D(z,z)"), 7)
+        assert cert is not None
+        assert parse_atom("D(z,z)") in cert.support
+
+
+class TestOracleCounters:
+    def test_lfp_counters(self):
+        src = load("pair")
+        m = lfp(src.program, 2)
+        # base {eq(int), eq(pair(int,int))}; one instance per head; the third
+        # round finds nothing new.
+        assert (m.base_atoms, m.instances, m.rounds) == (2, 2, 3)
+
+    def test_counters_ignored_by_equality(self):
+        src = load("pair")
+        m = lfp(src.program, 2)
+        assert m == Interpretation(m.atoms, m.base)
+
+    def test_iteration_cap_bounds_rounds(self):
+        src = load("pair")
+        assert lfp(src.program, 2, max_iters=1).rounds == 1
+
+    def test_certificate_counters(self):
+        src = load("evenodd")
+        cert = certify_gfp(src.program, parse_atom("eq(evenList(int))"), 3)
+        model = gfp_bounded(src.program, 3, Policy.OPTIMISTIC)
+        assert (cert.base_atoms, cert.instances, cert.rounds) == (
+            model.base_atoms, model.instances, model.rounds,
+        )
+        assert cert.instances > 0

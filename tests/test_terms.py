@@ -1,5 +1,6 @@
 """Tests for the first-order term algebra."""
 
+import pickle
 import random
 
 import pytest
@@ -213,3 +214,32 @@ class TestProgramRestrictions:
         assert term_depth(App("int")) == 1
         assert term_depth(Var("X")) == 1
         assert term_depth(App("f", (App("g", (Var("X"), App("c"))),))) == 3
+
+
+class TestCachedHashes:
+    def test_pickle_drops_the_cache(self):
+        term = App("f", (App("c"), App("g", (App("c"), App("d")))))
+        a = Atom("q", (term, App("c")))
+        hash(a)  # fill the caches of the atom and its terms
+        restored = pickle.loads(pickle.dumps(a))
+        assert "_hash" not in restored.__dict__
+        assert "_hash" not in restored.args[0].__dict__
+        fresh = {Atom("q", (App("f", (App("c"), App("g", (App("c"), App("d"))))), App("c")))}
+        assert restored in fresh
+        assert restored.args[0] in {App("f", (App("c"), App("g", (App("c"), App("d")))))}
+
+    def test_equality_and_repr_ignore_the_cache(self):
+        hashed, plain = App("f", (App("c"),)), App("f", (App("c"),))
+        hash(hashed)
+        assert hashed == plain
+        assert repr(hashed) == repr(plain) == "App(functor='f', args=(App(functor='c', args=()),))"
+        ha, pa = Atom("p", (hashed,)), Atom("p", (plain,))
+        hash(ha)
+        assert ha == pa and repr(ha) == repr(pa)
+
+    def test_hash_agrees_with_equality(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            t = random_term(rng, 4)
+            copy = pickle.loads(pickle.dumps(t))
+            assert t == copy and hash(t) == hash(copy)
