@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (resolve: proved), 1 failed/rejected/no certificate,
 2 search exhausted, 3 soundness violation (verify-soundness only), 64 usage
-errors, 65 malformed input, 66 unreadable files.  Reports are byte-stable
-for fixed inputs; timings are printed only on request because they would
-break that.
+errors, 65 malformed input, 66 unreadable files, 70 internal errors (input
+nested too deep to process, or a broken engine or certificate invariant).
+Reports are byte-stable for fixed inputs; timings are printed only on
+request because they would break that.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from typing import Optional, Sequence
 from . import engine, herbrand
 from .proofs import (
     CheckError,
-    ConstSym,
-    ProofVar,
     check,
     env_for_program,
     format_derivation,
     format_proof,
-    spine,
 )
 from .syntax import (
     ParseError,
@@ -45,6 +43,7 @@ EX_UNSOUND = 3
 EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
+EX_SOFTWARE = 70
 
 _OUTCOME_CODES = {
     engine.Outcome.PROVED: EX_OK,
@@ -149,15 +148,11 @@ def _formula_str(clause, args) -> str:
 
 
 def _derivation_json(d) -> dict:
-    entry = None
-    if d.matcher is not None:
-        head, _ = spine(d.judgement.evidence)
-        entry = head.name if isinstance(head, (ConstSym, ProofVar)) else "lemma"
     return {
         "rule": d.rule.value,
         "formula": format_formula(d.judgement.formula),
         "evidence": format_proof(d.judgement.evidence),
-        "entry": entry,
+        "entry": d.entry_name,
         "matcher": {v: str(t) for v, t in sorted(d.matcher.items())} if d.matcher is not None else None,
         "children": [_derivation_json(c) for c in d.children],
     }
@@ -262,7 +257,11 @@ def _cmd_check(src: SourceProgram, args) -> int:
         if sub.outcome is not engine.Outcome.PROVED:
             print(f"error: lemma {text} could not be proved", file=sys.stderr)
             return EX_REJECTED
-        env = engine.register_lemma(env, sub.evidence, lf, engine.Mode.EXTENDED)
+        try:
+            env = engine.register_lemma(env, sub.evidence, lf, engine.Mode.EXTENDED)
+        except engine.RegistrationError as err:
+            print(f"error: lemma {text} could not be registered ({err.code})", file=sys.stderr)
+            return EX_REJECTED
         lemma_reports.append((lf, sub.evidence))
     try:
         derivation = check(env, proof, formula)
@@ -465,18 +464,16 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EX_USAGE
     try:
-        src = _load_program(args.program)
+        return _COMMANDS[args.command](_load_program(args.program), args)
     except FileNotFoundError as err:
         print(f"file error: {err}", file=sys.stderr)
         return EX_NOINPUT
-    except (ParseError, ProgramLoadError, SignatureError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EX_DATA
-    try:
-        return _COMMANDS[args.command](src, args)
     except (ParseError, ProgramLoadError, SignatureError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EX_DATA
+    except (RecursionError, engine.EngineInvariantError, herbrand.CertificateInvariantError) as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def main() -> None:

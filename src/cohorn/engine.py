@@ -3,20 +3,24 @@
 Matching-only resolution never instantiates a goal, so the subgoals produced
 by a clause step are fixed the moment the head matches; conjuncts are solved
 independently and no bindings flow between them.  The search is a plain
-depth-bounded DFS over a fixed option order:
+depth-bounded DFS over one environment of `proofs.EnvEntry` values, the
+checker's own: the axioms and registered lemmata of the `AxiomEnv` that the
+result is re-checked against, plus the hypotheses of the current path, added
+as the checker adds them under Lam (rigid lambda-facts) and Nu (nu-hyps).
+Every goal walks those entries in one fixed option order:
 
-  1. coinductive (nu) hypotheses, oldest first,
+  1. nu-hyps, oldest first,
   2. registered lemmata, registration order,
   3. axioms, source order (at most one can match, by non-overlap),
-  4. lambda-fact hypotheses, oldest first.
+  4. rigid lambda-facts, oldest first.
 
-A nu hypothesis is usable only after the goal that introduced it has been
-expanded by an axiom step on the current path ("armed").  That is the
+A nu-hyp is usable only while its name is armed: the goal that introduced it
+has been expanded by an axiom step on the current path.  That is the
 operational form of the head-normal-form side condition: the binder's body
 is then necessarily headed by a proof-term constant, so every emitted
-nu-wrap satisfies HNF by construction (asserted anyway).  Nu hypotheses
-resolve any instance of their head; lambda-fact hypotheses are monomorphic
-and resolve only their literal atom, mirroring the checker.
+nu-wrap satisfies HNF by construction (asserted anyway).  Nu-hyps resolve
+any instance of their head; rigid entries are monomorphic and resolve only
+their literal atom, mirroring the checker.
 
 Depth counts resolution (Lp-m) nodes on the current path; Lam and Nu steps
 are free.  FAILED means the whole finite tree below the limit closed with
@@ -28,7 +32,7 @@ trace); distinct runs may share Program and AxiomEnv values freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -37,6 +41,8 @@ from .proofs import (
     CheckError,
     ConstSym,
     Derivation,
+    EntryKind,
+    EnvEntry,
     Lambda,
     Nu,
     ProofTerm,
@@ -187,16 +193,11 @@ def propose_lemma(goal: Atom, ancestor: Atom) -> Optional[HornClause]:
     Only unary predicates are generalized; everything ambiguous yields None,
     which is a normal result.
     """
-    if goal.predicate != ancestor.predicate:
-        return None
-    if len(goal.args) != 1 or len(ancestor.args) != 1:
-        return None
-    g, a = goal.args[0], ancestor.args[0]
-    if g == a or a not in set(subterms(g)):
+    if not _embeds(goal, ancestor):
         return None
     memo: dict = {}
     counter = [0]
-    head_arg = _generalize(g, a, memo, counter)
+    head_arg = _generalize(goal.args[0], ancestor.args[0], memo, counter)
     if isinstance(head_arg, Var):
         return None
     body = tuple(Atom(goal.predicate, (v,)) for v in memo.values())
@@ -219,29 +220,29 @@ def _embeds(goal: Atom, ancestor: Atom) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Hyp:
-    var: str
-    clause: HornClause
-    armed: bool = False
+def _nu_wrap(binder: Optional[str], body: ProofTerm) -> ProofTerm:
+    """Close `body` under `nu binder` when it uses that hypothesis."""
+    if binder is None or binder not in free_proof_vars(body):
+        return body
+    if not is_hnf(body):
+        raise EngineInvariantError("nu body not in HNF despite guard")
+    return Nu(binder, body)
 
 
 class _Search:
-    def __init__(
-        self,
-        axioms: Sequence[tuple[str, HornClause]],
-        lemmas: Sequence[tuple[ProofTerm, HornClause]],
-        mode: Mode,
-        limit: int,
-        trace: list[TraceEvent],
-    ):
-        self.axioms = list(axioms)
-        self.lemmas = list(lemmas)
+    def __init__(self, env: AxiomEnv, mode: Mode, limit: int, trace: list[TraceEvent]):
+        # Lemmas, then axioms: the option order, and a lemma's 1-based
+        # position is its number in the trace.
+        self.entries = env.lemmas() + tuple(
+            e for e in env.entries if e.kind is EntryKind.AXIOM
+        )
         self.mode = mode
         self.limit = limit
         self.trace = trace
-        self.nu_hyps: list[_Hyp] = []
-        self.fact_hyps: list[_Hyp] = []
+        # Hypotheses on the current path, oldest first, as proofs._check adds
+        # them: rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
+        self.hyps: list[EnvEntry] = []
+        self.armed: set[str] = set()
         self.goal_stack: list[Atom] = []
         self.triggers: list[tuple[Atom, Atom]] = []
         self._nu_names = 0
@@ -258,39 +259,53 @@ class _Search:
     def note(self, kind: str, depth: int, goal, entry: str = "", detail: str = "") -> None:
         self.trace.append(TraceEvent(kind, depth, str(goal), entry, detail))
 
+    def _label(self, entry: EnvEntry) -> str:
+        ev = entry.evidence
+        if isinstance(ev, ConstSym):
+            return ev.name
+        if isinstance(ev, ProofVar):
+            return f"fact {ev.name}" if entry.rigid else f"hyp {ev.name}"
+        return f"lemma[{next(i for i, e in enumerate(self.entries, 1) if e is entry)}]"
+
+    def _candidates(self):
+        """Every entry in option order: nu-hyps, lemmas, axioms, lambda-facts.
+        Nested goals restore `self.hyps` before this walk resumes."""
+        for e in self.hyps:
+            if not e.rigid:
+                yield e
+        yield from self.entries
+        for e in self.hyps:
+            if e.rigid:
+                yield e
+
     # -- queries -------------------------------------------------------------
 
     def solve_query(self, goal: HornClause) -> tuple[Optional[ProofTerm], bool]:
         if goal.is_atomic:
-            return self.solve_atomic(goal.head, 0, ())
+            return self.solve_atomic(goal.head, 0)
         if self.mode is Mode.COINDUCTIVE:
             self.note("note", 0, goal, "", "no rule derives a Horn formula in coinductive mode")
             return None, False
         binders = tuple(self.fresh_fact() for _ in goal.body)
-        facts = [_Hyp(b, fact(a)) for b, a in zip(binders, goal.body)]
-        self.fact_hyps.extend(facts)
-        alpha: Optional[_Hyp] = None
-        intro: tuple[_Hyp, ...] = ()
+        mark = len(self.hyps)
+        self.hyps.extend(
+            EnvEntry(ProofVar(b), fact(a), rigid=True) for b, a in zip(binders, goal.body)
+        )
+        alpha: Optional[str] = None
         if self.mode is Mode.EXTENDED:
-            alpha = _Hyp(self.fresh_nu(), goal)
-            self.nu_hyps.append(alpha)
-            intro = (alpha,)
+            alpha = self.fresh_nu()
+            self.hyps.append(EnvEntry(ProofVar(alpha), goal))
         try:
             # The body goal registers no candidate of its own: cycle closure
             # at the root is the job of the Horn hypothesis.
-            ev, exhausted = self.solve_atomic(goal.head, 0, intro, candidate=False)
+            ev, exhausted = self.solve_atomic(
+                goal.head, 0, (alpha,) if alpha else (), candidate=False
+            )
         finally:
-            del self.fact_hyps[len(self.fact_hyps) - len(facts):]
-            if alpha is not None:
-                self.nu_hyps.pop()
+            del self.hyps[mark:]
         if ev is None:
             return None, exhausted
-        term: ProofTerm = Lambda(binders, ev)
-        if alpha is not None and alpha.var in free_proof_vars(ev):
-            if not is_hnf(term):
-                raise EngineInvariantError("nu body not in HNF despite guard")
-            term = Nu(alpha.var, term)
-        return term, exhausted
+        return _nu_wrap(alpha, Lambda(binders, ev)), exhausted
 
     # -- atomic goals ----------------------------------------------------------
 
@@ -298,14 +313,15 @@ class _Search:
         self,
         goal: Atom,
         depth: int,
-        intro_hyps: tuple[_Hyp, ...] = (),
+        intro: tuple[str, ...] = (),
         candidate: bool = True,
     ) -> tuple[Optional[ProofTerm], bool]:
-        cand: Optional[_Hyp] = None
+        mark = len(self.hyps)
+        cand: Optional[str] = None
         if candidate and self.mode is not Mode.INDUCTIVE:
-            cand = _Hyp(self.fresh_nu(), fact(goal))
-            self.nu_hyps.append(cand)
-        intro = intro_hyps + ((cand,) if cand is not None else ())
+            cand = self.fresh_nu()
+            self.hyps.append(EnvEntry(ProofVar(cand), fact(goal)))
+            intro += (cand,)
         for anc in reversed(self.goal_stack):
             if _embeds(goal, anc):
                 self.triggers.append((goal, anc))
@@ -315,104 +331,53 @@ class _Search:
             ev, exhausted = self._options(goal, depth, intro)
         finally:
             self.goal_stack.pop()
-            if cand is not None:
-                self.nu_hyps.pop()
-        if ev is not None and cand is not None and cand.var in free_proof_vars(ev):
-            if not is_hnf(ev):
-                raise EngineInvariantError("nu body not in HNF despite guard")
-            ev = Nu(cand.var, ev)
+            del self.hyps[mark:]
+        if ev is not None:
+            ev = _nu_wrap(cand, ev)
         return ev, exhausted
 
     def _options(
-        self, goal: Atom, depth: int, intro: tuple[_Hyp, ...]
+        self, goal: Atom, depth: int, intro: tuple[str, ...]
     ) -> tuple[Optional[ProofTerm], bool]:
         exhausted = False
         matched_any = False
-
-        for h in list(self.nu_hyps):
-            s = match(h.clause.head, goal)
+        axiom_matched = False
+        for entry in self._candidates():
+            s = match(entry.formula.head, goal)
             if s is None:
                 continue
-            matched_any = True
-            if not h.armed:
-                self.note("guarded", depth, goal, f"hyp {h.var}")
-                continue
-            if depth >= self.limit:
-                exhausted = True
-                self.note("cut", depth, goal, f"hyp {h.var}")
-                continue
-            self.note("try", depth, goal, f"hyp {h.var}", format_subst(s))
-            evs, exh = self.solve_conj(
-                [apply_atom(s, b) for b in h.clause.body], depth + 1
-            )
-            exhausted |= exh
-            if evs is not None:
-                return make_apply(ProofVar(h.var), evs), exhausted
-
-        for i, (lev, lclause) in enumerate(self.lemmas):
-            s = match(lclause.head, goal)
-            if s is None:
-                continue
-            matched_any = True
-            if depth >= self.limit:
-                exhausted = True
-                self.note("cut", depth, goal, f"lemma[{i + 1}]")
-                continue
-            self.note("try", depth, goal, f"lemma[{i + 1}]", format_subst(s))
-            evs, exh = self.solve_conj(
-                [apply_atom(s, b) for b in lclause.body], depth + 1
-            )
-            exhausted |= exh
-            if evs is not None:
-                return make_apply(lev, evs), exhausted
-
-        matches = []
-        for name, clause in self.axioms:
-            s = match(clause.head, goal)
-            if s is not None:
-                matches.append((name, clause, s))
-        if len(matches) > 1:
-            raise EngineInvariantError(
-                f"goal {goal} matched by {len(matches)} axiom heads"
-            )
-        if matches:
-            matched_any = True
-            name, clause, s = matches[0]
-            if depth >= self.limit:
-                exhausted = True
-                self.note("cut", depth, goal, name)
-            else:
-                self.note("try", depth, goal, name, format_subst(s))
-                saved = [(h, h.armed) for h in intro]
-                for h in intro:
-                    h.armed = True
-                try:
-                    evs, exh = self.solve_conj(
-                        [apply_atom(s, b) for b in clause.body], depth + 1
-                    )
-                finally:
-                    for h, was in saved:
-                        h.armed = was
-                exhausted |= exh
-                if evs is not None:
-                    return make_apply(ConstSym(name), evs), exhausted
-
-        for h in list(self.fact_hyps):
-            s = match(h.clause.head, goal)
-            if s is None:
-                continue
-            if s:
+            ev = entry.evidence
+            if entry.rigid and s:
                 # Lambda hypotheses are monomorphic: literal uses only.
-                self.note("guarded", depth, goal, f"fact {h.var}", "monomorphic")
+                self.note("guarded", depth, goal, self._label(entry), "monomorphic")
                 continue
             matched_any = True
+            is_axiom = isinstance(ev, ConstSym)
+            if is_axiom:
+                if axiom_matched:
+                    raise EngineInvariantError(f"goal {goal} matched by two axiom heads")
+                axiom_matched = True
+            elif isinstance(ev, ProofVar) and not entry.rigid and ev.name not in self.armed:
+                self.note("guarded", depth, goal, self._label(entry))
+                continue
+            label = self._label(entry)
             if depth >= self.limit:
                 exhausted = True
-                self.note("cut", depth, goal, f"fact {h.var}")
+                self.note("cut", depth, goal, label)
                 continue
-            self.note("try", depth, goal, f"fact {h.var}", format_subst(s))
-            return ProofVar(h.var), exhausted
-
+            self.note("try", depth, goal, label, format_subst(s))
+            # An axiom step arms the nu-hyps this goal introduced.
+            arm = intro if is_axiom else ()
+            self.armed.update(arm)
+            try:
+                evs, exh = self.solve_conj(
+                    [apply_atom(s, b) for b in entry.formula.body], depth + 1
+                )
+            finally:
+                self.armed.difference_update(arm)
+            exhausted |= exh
+            if evs is not None:
+                return make_apply(ev, evs), exhausted
         if not matched_any:
             self.note("dead-end", depth, goal)
         return None, exhausted
@@ -437,47 +402,40 @@ class _Search:
 
 
 def _attempt(
-    env0: AxiomEnv,
-    axioms: list[tuple[str, HornClause]],
+    env: AxiomEnv,
     query: Query,
     lemma_formulas: Sequence[HornClause],
     trace: list[TraceEvent],
 ) -> tuple[SearchResult, list[tuple[Atom, Atom]]]:
-    env = env0
-    lemma_pairs: list[tuple[ProofTerm, HornClause]] = []
     records: list[LemmaRecord] = []
     triggers: list[tuple[Atom, Atom]] = []
+
+    def search(goal: HornClause) -> tuple[Optional[ProofTerm], Outcome]:
+        searcher = _Search(env, query.mode, query.depth_limit, trace)
+        ev, exhausted = searcher.solve_query(goal)
+        triggers.extend(searcher.triggers)
+        return ev, Outcome.EXHAUSTED if exhausted else Outcome.FAILED
+
+    def finish(
+        outcome: Outcome, ev: Optional[ProofTerm] = None, derivation: Optional[Derivation] = None
+    ) -> tuple[SearchResult, list[tuple[Atom, Atom]]]:
+        return SearchResult(outcome, ev, derivation, tuple(trace), env, tuple(records)), triggers
+
     for lf in lemma_formulas:
         trace.append(TraceEvent("note", 0, str(lf), "", "proving lemma"))
-        search = _Search(axioms, lemma_pairs, query.mode, query.depth_limit, trace)
-        ev, exhausted = search.solve_query(lf)
-        triggers.extend(search.triggers)
+        ev, outcome = search(lf)
         if ev is None:
-            outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
             records.append(LemmaRecord(lf, None, False, "lemma not proved"))
-            return (
-                SearchResult(outcome, None, None, tuple(trace), env, tuple(records)),
-                triggers,
-            )
+            return finish(outcome)
         try:
             env = register_lemma(env, ev, lf, query.mode)
         except RegistrationError as err:
             records.append(LemmaRecord(lf, ev, False, str(err)))
-            return (
-                SearchResult(Outcome.FAILED, None, None, tuple(trace), env, tuple(records)),
-                triggers,
-            )
+            return finish(Outcome.FAILED)
         records.append(LemmaRecord(lf, ev, True))
-        lemma_pairs.append((ev, lf))
-    search = _Search(axioms, lemma_pairs, query.mode, query.depth_limit, trace)
-    ev, exhausted = search.solve_query(query.goal)
-    triggers.extend(search.triggers)
+    ev, outcome = search(query.goal)
     if ev is None:
-        outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
-        return (
-            SearchResult(outcome, None, None, tuple(trace), env, tuple(records)),
-            triggers,
-        )
+        return finish(outcome)
     try:
         derivation = check(env, ev, query.goal)
     except CheckError as err:  # engine bug: emitted evidence must re-check
@@ -488,12 +446,7 @@ def _attempt(
         raise EngineInvariantError(
             f"derivation uses rules outside mode {query.mode.value}"
         )
-    return (
-        SearchResult(
-            Outcome.PROVED, ev, derivation, tuple(trace), env, tuple(records)
-        ),
-        triggers,
-    )
+    return finish(Outcome.PROVED, ev, derivation)
 
 
 def resolve(
@@ -508,12 +461,8 @@ def resolve(
     failed run.
     """
     env0 = env_for_program(program, names)
-    axioms = [
-        (e.evidence.name, e.formula)  # type: ignore[union-attr]
-        for e in env0.entries
-    ]
     trace: list[TraceEvent] = []
-    result, triggers = _attempt(env0, axioms, query, query.lemmas, trace)
+    result, triggers = _attempt(env0, query, query.lemmas, trace)
     if result.outcome is Outcome.PROVED or not query.auto_lemma:
         return result
     for goal_atom, ancestor in triggers:
@@ -529,16 +478,6 @@ def resolve(
                 f"auto-lemma proposed from ancestor {ancestor}: {format_formula(lemma)}",
             )
         ]
-        retried, _ = _attempt(
-            env0, axioms, query, (lemma,) + query.lemmas, retry_trace
-        )
-        return SearchResult(
-            retried.outcome,
-            retried.evidence,
-            retried.derivation,
-            result.trace + retried.trace,
-            retried.env,
-            retried.lemmas,
-            auto_lemma=lemma,
-        )
+        retried, _ = _attempt(env0, query, (lemma,) + query.lemmas, retry_trace)
+        return replace(retried, trace=result.trace + retried.trace, auto_lemma=lemma)
     return result

@@ -287,6 +287,15 @@ class Derivation:
     def depth(self) -> int:
         return 1 + max((c.depth() for c in self.children), default=0)
 
+    @property
+    def entry_name(self) -> Optional[str]:
+        """The entry an Lp-m node resolves with: its constant or variable
+        name, or "lemma" for a compound lemma term; None for other rules."""
+        if self.matcher is None:
+            return None
+        head, _ = spine(self.evidence)
+        return head.name if isinstance(head, (ConstSym, ProofVar)) else "lemma"
+
 
 class CheckReason(Enum):
     UNBOUND_VAR = "UNBOUND_VAR"
@@ -345,6 +354,16 @@ def _resolve_head(
 
 
 def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) -> Derivation:
+    if isinstance(e, Nu):
+        # Nu on a Horn formula, Nu' on an atom: the hypothesis is f itself.
+        if not is_hnf(e.body):
+            raise CheckError(
+                CheckReason.HNF_REQUIRED, "nu body is not in head normal form", path, e, f
+            )
+        hyp = EnvEntry(ProofVar(e.binder), f)
+        child = _check(env.extended(hyp), e.body, f, path + (0,))
+        rule = Rule.NU if f.body else Rule.NU_PRIME
+        return Derivation(rule, Judgement(env, e, f), None, (child,))
     if f.body:
         if isinstance(e, Lambda):
             if len(e.binders) != len(f.body):
@@ -361,18 +380,6 @@ def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) ->
             )
             child = _check(env.extended(*hyps), e.body, fact(f.head), path + (0,))
             return Derivation(Rule.LAM, Judgement(env, e, f), None, (child,))
-        if isinstance(e, Nu):
-            if not is_hnf(e.body):
-                raise CheckError(
-                    CheckReason.HNF_REQUIRED,
-                    "nu body is not in head normal form",
-                    path,
-                    e,
-                    f,
-                )
-            hyp = EnvEntry(ProofVar(e.binder), f)
-            child = _check(env.extended(hyp), e.body, f, path + (0,))
-            return Derivation(Rule.NU, Judgement(env, e, f), None, (child,))
         raise CheckError(
             CheckReason.RULE_SHAPE,
             "a Horn formula needs lambda or nu evidence",
@@ -381,14 +388,6 @@ def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) ->
             f,
         )
     # Atomic formula.
-    if isinstance(e, Nu):
-        if not is_hnf(e.body):
-            raise CheckError(
-                CheckReason.HNF_REQUIRED, "nu body is not in head normal form", path, e, f
-            )
-        hyp = EnvEntry(ProofVar(e.binder), f)
-        child = _check(env.extended(hyp), e.body, f, path + (0,))
-        return Derivation(Rule.NU_PRIME, Judgement(env, e, f), None, (child,))
     if isinstance(e, Lambda):
         raise CheckError(
             CheckReason.RULE_SHAPE,
@@ -514,10 +513,8 @@ def format_derivation(d: Derivation, unicode: bool = False, indent: int = 0) -> 
     pad = "  " * indent
     label = d.rule.value
     if d.matcher is not None:
-        head, _ = spine(d.judgement.evidence)
-        name = head.name if isinstance(head, (ConstSym, ProofVar)) else "lemma"
         sig = format_subst(d.matcher) if d.matcher else "{}"
-        label = f"{label} [{name} {sig}]"
+        label = f"{label} [{d.entry_name} {sig}]"
     line = f"{pad}{label} {format_formula(d.judgement.formula)}"
     parts = [line]
     for c in d.children:

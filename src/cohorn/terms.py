@@ -264,10 +264,10 @@ def compose(s: Mapping[str, Term], t: Mapping[str, Term]) -> Subst:
     out: Subst = {}
     for v, term in t.items():
         mapped = apply_term(s, term)
-        if mapped != Var(v):
+        if not (isinstance(mapped, Var) and mapped.name == v):
             out[v] = mapped
     for v, term in s.items():
-        if v not in t and term != Var(v):
+        if v not in t and not (isinstance(term, Var) and term.name == v):
             out[v] = term
     return out
 
@@ -318,7 +318,7 @@ def match(pattern: Atom, target: Atom) -> Optional[Subst]:
     for p, t in zip(pattern.args, target.args):
         if not _match_term(p, t, bindings):
             return None
-    return {v: t for v, t in bindings.items() if t != Var(v)}
+    return {v: t for v, t in bindings.items() if not (isinstance(t, Var) and t.name == v)}
 
 
 def _walk(t: Term, s: Subst) -> Term:

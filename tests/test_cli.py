@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from cohorn.cli import cli
 
@@ -103,6 +107,14 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "result: valid" in out
+
+    def test_lemma_refused_registration(self):
+        code, out, err = run(
+            ["check", hc("chain"), "--proof", "k1", "--formula", "A", "--lemma", "A => A"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: lemma A => A could not be registered (HNF_REQUIRED)\n"
 
 
 class TestModelCommand:
@@ -249,3 +261,19 @@ class TestErrorChannels:
         code, _, err = run(["model", str(bad), "--semantics", "least", "--depth", "2"])
         assert code == 65
         assert "overlap" in err
+
+    def test_internal_error_exit_70(self, tmp_path):
+        """A query nested 700 terms deep overflows the recursion: exit 70, no traceback."""
+        prog = tmp_path / "nat.hc"
+        prog.write_text("k1 : => eq(z).\nk2 : eq(X) => eq(s(X)).\n")
+        query = "eq(" + "s(" * 700 + "z" + ")" * 700 + ")"
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohorn.cli", "resolve", str(prog), "--query", query,
+             "--mode", "ind", "--depth", "800"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 70
+        assert proc.stderr.startswith("internal error: RecursionError")
+        assert "Traceback" not in proc.stderr

@@ -44,6 +44,10 @@ def assert_proof(result, expected_text):
     )
 
 
+def events(result):
+    return [(t.kind, t.depth, t.goal, t.entry, t.detail) for t in result.trace]
+
+
 class TestGoldenProofs:
     def test_pair_inductive(self):
         assert_proof(run("pair", "eq(pair(int,int))", Mode.INDUCTIVE), "k1 k2 k2")
@@ -154,6 +158,15 @@ class TestRegisterLemma:
         assert out == env
         result = run("pair", "eq(pair(int,int))", Mode.INDUCTIVE, lemmas=["eq(int)"])
         assert result.outcome is Outcome.PROVED
+        # No lemma entry is added, so the search uses the axiom by its own name.
+        assert result.env == env
+        assert events(result) == [
+            ("note", 0, "eq(int)", "", "proving lemma"),
+            ("try", 0, "eq(int)", "k2", "{}"),
+            ("try", 0, "eq(pair(int,int))", "k1", "{X -> int, Y -> int}"),
+            ("try", 1, "eq(int)", "k2", "{}"),
+            ("try", 1, "eq(int)", "k2", "{}"),
+        ]
 
     def test_compound_atomic_lemma_registers(self):
         result = run("pair", "eq(pair(int,int))", Mode.INDUCTIVE, lemmas=["eq(pair(int,int))"])
@@ -198,6 +211,60 @@ class TestMonomorphicFacts:
         q = Query(goal=parse_formula("p(c) => q(c)"), mode=Mode.INDUCTIVE, depth_limit=4)
         result = resolve(src.program, q, names=src.names)
         assert result.outcome is Outcome.PROVED  # b proves p(c); k2 is unused
+
+
+class TestGoldenTraces:
+    """Full trace event lists of small corpus queries, pinned event by event."""
+
+    def test_evenodd_coinductive(self):
+        assert events(run("evenodd", "eq(evenList(int))", Mode.COINDUCTIVE)) == [
+            ("guarded", 0, "eq(evenList(int))", "hyp a1", ""),
+            ("try", 0, "eq(evenList(int))", "k2", "{X -> int}"),
+            ("guarded", 1, "eq(int)", "hyp a2", ""),
+            ("try", 1, "eq(int)", "k3", "{}"),
+            ("guarded", 1, "eq(oddList(int))", "hyp a3", ""),
+            ("try", 1, "eq(oddList(int))", "k1", "{X -> int}"),
+            ("guarded", 2, "eq(int)", "hyp a4", ""),
+            ("try", 2, "eq(int)", "k3", "{}"),
+            ("try", 2, "eq(evenList(int))", "hyp a1", "{}"),
+        ]
+
+    def test_bush_extended_with_lemma(self):
+        result = run("bush", "eq(bush(int))", Mode.EXTENDED, lemmas=["eq(X) => eq(bush(X))"])
+        assert events(result) == [
+            ("note", 0, "eq(X) => eq(bush(X))", "", "proving lemma"),
+            ("guarded", 0, "eq(bush(X))", "hyp a1", ""),
+            ("try", 0, "eq(bush(X))", "k2", "{}"),
+            ("guarded", 1, "eq(X)", "hyp a2", ""),
+            ("try", 1, "eq(X)", "fact b1", "{}"),
+            ("try", 1, "eq(bush(bush(X)))", "hyp a1", "{X -> bush(X)}"),
+            ("try", 2, "eq(bush(X))", "hyp a1", "{}"),
+            ("guarded", 3, "eq(X)", "hyp a5", ""),
+            ("try", 3, "eq(X)", "fact b1", "{}"),
+            ("guarded", 0, "eq(bush(int))", "hyp a1", ""),
+            ("try", 0, "eq(bush(int))", "lemma[1]", "{X -> int}"),
+            ("guarded", 1, "eq(int)", "hyp a2", ""),
+            ("try", 1, "eq(int)", "k1", "{}"),
+        ]
+
+    def test_chain_horn_query_inductive(self):
+        assert events(run("chain", "A => C", Mode.INDUCTIVE)) == [
+            ("try", 0, "C", "k2", "{}"),
+            ("try", 1, "B", "k1", "{}"),
+            ("try", 2, "A", "fact b1", "{}"),
+        ]
+
+    def test_monomorphic_fact_guard(self):
+        from cohorn import parse_program
+
+        src = parse_program(TestMonomorphicFacts.PROGRAM)
+        q = Query(goal=parse_formula("p(X) => q(X)"), mode=Mode.INDUCTIVE, depth_limit=4)
+        assert events(resolve(src.program, q, names=src.names)) == [
+            ("try", 0, "q(X)", "k1", "{Y -> X}"),
+            ("try", 1, "p(X)", "fact b1", "{}"),
+            ("guarded", 1, "p(c)", "fact b1", "monomorphic"),
+            ("dead-end", 1, "p(c)", "", ""),
+        ]
 
 
 class TestProposeLemma:
