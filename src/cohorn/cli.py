@@ -258,7 +258,9 @@ def _cmd_check(src: SourceProgram, args) -> int:
             print(f"error: lemma {text} could not be proved", file=sys.stderr)
             return EX_REJECTED
         try:
-            env = engine.register_lemma(env, sub.evidence, lf, engine.Mode.EXTENDED)
+            # resolve re-checked the proof against the axioms; the earlier
+            # lemmas in `env` cannot invalidate it.
+            env = engine.add_checked_lemma(env, sub.evidence, lf, engine.Mode.EXTENDED)
         except engine.RegistrationError as err:
             print(f"error: lemma {text} could not be registered ({err.code})", file=sys.stderr)
             return EX_REJECTED

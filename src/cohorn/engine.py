@@ -14,6 +14,10 @@ Every goal walks those entries in one fixed option order:
   3. axioms, source order (at most one can match, by non-overlap),
   4. rigid lambda-facts, oldest first.
 
+The static entries (lemmata and axioms) are looked up by `terms.head_key`,
+predicate and functor at argument 0, so a goal skips only the entries whose
+heads cannot match it; the path's hypotheses are walked in full.
+
 A nu-hyp is usable only while its name is armed: the goal that introduced it
 has been expanded by an axiom step on the current path.  That is the
 operational form of the head-normal-form side condition: the binder's body
@@ -66,6 +70,7 @@ from .terms import (
     fact,
     format_formula,
     format_subst,
+    head_key,
     match,
     subterms,
 )
@@ -151,17 +156,24 @@ class SearchResult:
 def register_lemma(
     env: AxiomEnv, evidence: ProofTerm, formula: HornClause, mode: Mode
 ) -> AxiomEnv:
-    """Extend the environment with a proved lemma.
+    """Check a proved lemma against `env`, then add it (`add_checked_lemma`)."""
+    try:
+        check(env, evidence, formula)
+    except CheckError as err:
+        raise RegistrationError("CHECK_FAILED", str(err)) from err
+    return add_checked_lemma(env, evidence, formula, mode)
+
+
+def add_checked_lemma(
+    env: AxiomEnv, evidence: ProofTerm, formula: HornClause, mode: Mode
+) -> AxiomEnv:
+    """Extend the environment with a lemma whose evidence already checks.
 
     Under the coinductive semantics the evidence (under a leading nu, if
     any) must be in head normal form; that side condition is what makes the
     transformation model-preserving, and it is exactly what rules out
     registering the identity proof of A => A.
     """
-    try:
-        check(env, evidence, formula)
-    except CheckError as err:
-        raise RegistrationError("CHECK_FAILED", str(err)) from err
     if mode is not Mode.INDUCTIVE:
         inner = evidence.body if isinstance(evidence, Nu) else evidence
         if not is_hnf(inner):
@@ -230,15 +242,28 @@ def _nu_wrap(binder: Optional[str], body: ProofTerm) -> ProofTerm:
 
 
 class _Search:
-    def __init__(self, env: AxiomEnv, mode: Mode, limit: int, trace: list[TraceEvent]):
+    def __init__(
+        self,
+        env: AxiomEnv,
+        mode: Mode,
+        limit: int,
+        trace: list[TraceEvent],
+        auto_lemma: bool = False,
+    ):
         # Lemmas, then axioms: the option order, and a lemma's 1-based
         # position is its number in the trace.
         self.entries = env.lemmas() + tuple(
             e for e in env.entries if e.kind is EntryKind.AXIOM
         )
+        self.by_pred: dict[str, list[EnvEntry]] = {}
+        for e in self.entries:
+            self.by_pred.setdefault(e.formula.head.predicate, []).append(e)
+        # (head_key, arity) of a goal -> its static candidates; see _static.
+        self.by_key: dict[tuple, tuple[EnvEntry, ...]] = {}
         self.mode = mode
         self.limit = limit
         self.trace = trace
+        self.auto_lemma = auto_lemma
         # Hypotheses on the current path, oldest first, as proofs._check adds
         # them: rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
         self.hyps: list[EnvEntry] = []
@@ -267,13 +292,30 @@ class _Search:
             return f"fact {ev.name}" if entry.rigid else f"hyp {ev.name}"
         return f"lemma[{next(i for i, e in enumerate(self.entries, 1) if e is entry)}]"
 
-    def _candidates(self):
-        """Every entry in option order: nu-hyps, lemmas, axioms, lambda-facts.
-        Nested goals restore `self.hyps` before this walk resumes."""
+    def _static(self, goal: Atom) -> tuple[EnvEntry, ...]:
+        """The lemmas and axioms, in option order, whose heads may match
+        `goal` by `head_key`.  An entry is left out only where `match`
+        returns None without raising, so every arity clash still raises:
+        the predicate's whole list stands unless all its entries have the
+        goal's arity."""
+        key = (head_key(goal), len(goal.args))
+        found = self.by_key.get(key)
+        if found is None:
+            (pred, functor), arity = key
+            entries = self.by_pred.get(pred, ())
+            if all(len(e.formula.head.args) == arity for e in entries):
+                entries = [e for e in entries if head_key(e.formula.head)[1] in (None, functor)]
+            found = self.by_key[key] = tuple(entries)
+        return found
+
+    def _candidates(self, goal: Atom):
+        """The entries that may match `goal`, in option order: nu-hyps,
+        lemmas, axioms, lambda-facts.  Nested goals restore `self.hyps`
+        before this walk resumes."""
         for e in self.hyps:
             if not e.rigid:
                 yield e
-        yield from self.entries
+        yield from self._static(goal)
         for e in self.hyps:
             if e.rigid:
                 yield e
@@ -322,15 +364,17 @@ class _Search:
             cand = self.fresh_nu()
             self.hyps.append(EnvEntry(ProofVar(cand), fact(goal)))
             intro += (cand,)
-        for anc in reversed(self.goal_stack):
-            if _embeds(goal, anc):
-                self.triggers.append((goal, anc))
-                break
-        self.goal_stack.append(goal)
+        if self.auto_lemma:
+            for anc in reversed(self.goal_stack):
+                if _embeds(goal, anc):
+                    self.triggers.append((goal, anc))
+                    break
+            self.goal_stack.append(goal)
         try:
             ev, exhausted = self._options(goal, depth, intro)
         finally:
-            self.goal_stack.pop()
+            if self.auto_lemma:
+                self.goal_stack.pop()
             del self.hyps[mark:]
         if ev is not None:
             ev = _nu_wrap(cand, ev)
@@ -342,7 +386,7 @@ class _Search:
         exhausted = False
         matched_any = False
         axiom_matched = False
-        for entry in self._candidates():
+        for entry in self._candidates(goal):
             s = match(entry.formula.head, goal)
             if s is None:
                 continue
@@ -411,7 +455,7 @@ def _attempt(
     triggers: list[tuple[Atom, Atom]] = []
 
     def search(goal: HornClause) -> tuple[Optional[ProofTerm], Outcome]:
-        searcher = _Search(env, query.mode, query.depth_limit, trace)
+        searcher = _Search(env, query.mode, query.depth_limit, trace, query.auto_lemma)
         ev, exhausted = searcher.solve_query(goal)
         triggers.extend(searcher.triggers)
         return ev, Outcome.EXHAUSTED if exhausted else Outcome.FAILED

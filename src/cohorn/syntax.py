@@ -17,6 +17,8 @@ variable, parentheses group.  `nu` is reserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
 from .proofs import ConstSym, Lambda, Nu, ProofTerm, ProofVar, make_apply
 from .terms import (
     App,
@@ -43,8 +45,7 @@ class ProgramLoadError(Exception):
     """A parsed program violates a load-time restriction."""
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int

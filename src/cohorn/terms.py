@@ -10,13 +10,15 @@ variables when they occur in term position.  Predicate names may use any
 case (the classic counterexample programs use A, B, D as predicates).
 
 Everything here is a frozen dataclass and every operation is a pure
-function, so values can be shared freely across threads.  App and Atom
-fill their hash and sort-key caches on first use; each write stores the
-value any thread would compute, so the sharing stays safe.
+function, so values can be shared freely across threads.  App fills its
+hash, sort-key and rendered-string caches on first use, Atom its hash
+cache; each write stores the value any thread would compute, so the sharing
+stays safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -75,15 +77,17 @@ class Var:
 
 # App and Atom cache their hash on first use: set lookups hash ground atoms
 # over and over, and a frozen dataclass would re-hash the whole tree each
-# time.  The caches are plain attributes, not fields, so `==` and `repr`
-# ignore them.  `str` hashes differ from process to process, so pickles and
-# copies leave the caches out.
+# time.  App also caches its rendered string, because a subterm shared by
+# many atoms is printed once per atom.  The caches are plain attributes, not
+# fields, so `==` and `repr` ignore them.  `str` hashes differ from process
+# to process, so pickles and copies leave the caches out.
 
 
 def _state_without_caches(self) -> dict:
     state = dict(self.__dict__)
     state.pop("_hash", None)
     state.pop("_sort_key", None)
+    state.pop("_str", None)
     return state
 
 
@@ -94,6 +98,7 @@ class App:
 
     _hash = None
     _sort_key = None  # filled by term_sort_key
+    _str = None
 
     def __hash__(self) -> int:
         h = self._hash
@@ -105,9 +110,13 @@ class App:
     __getstate__ = _state_without_caches
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.functor
-        return f"{self.functor}({','.join(str(a) for a in self.args)})"
+        s = self._str
+        if s is None:
+            s = self.functor
+            if self.args:
+                s = f"{s}({','.join(str(a) for a in self.args)})"
+            object.__setattr__(self, "_str", s)
+        return s
 
 
 Term = Union[Var, App]
@@ -380,6 +389,49 @@ def rename_atom(a: Atom, suffix: str) -> Atom:
     return Atom(a.predicate, tuple(rename_term(t, suffix) for t in a.args))
 
 
+def head_key(atom: Atom) -> tuple[str, Optional[str]]:
+    """(predicate, functor at argument 0); None there for a variable or no
+    arguments.  Atoms of one predicate and arity with two different functors
+    at argument 0 neither match nor unify."""
+    if not atom.args or isinstance(atom.args[0], Var):
+        return atom.predicate, None
+    return atom.predicate, atom.args[0].functor
+
+
+def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
+    """The least pair (i, j), i < j, of unifiable heads, or None.
+
+    The heads must agree on every arity.  Head i is tried against the later
+    heads of its predicate that may unify with it by `head_key`: all of them
+    when argument 0 of head i is a variable, else those with its functor or
+    a variable there.  So the cost is near-linear when the heads have
+    distinct principal functors.
+    """
+    by_key: dict[tuple[str, Optional[str]], list[int]] = {}
+    by_pred: dict[str, list[int]] = {}
+    for k, h in enumerate(heads):
+        by_key.setdefault(head_key(h), []).append(k)
+        by_pred.setdefault(h.predicate, []).append(k)
+    renamed: dict[int, Atom] = {}
+
+    def apart(k: int) -> Atom:
+        # One renaming per head; the suffixes `_k` keep any two heads apart.
+        if k not in renamed:
+            renamed[k] = rename_atom(heads[k], f"_{k}")
+        return renamed[k]
+
+    for i, h in enumerate(heads):
+        pred, functor = head_key(h)
+        if functor is None:
+            later = by_pred[pred]
+        else:
+            later = sorted(by_key[pred, functor] + by_key.get((pred, None), []))
+        for j in later[bisect_right(later, i):]:
+            if unifiable(apart(i), apart(j)):
+                return i, j
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Signatures and programs
 # ---------------------------------------------------------------------------
@@ -483,12 +535,10 @@ class Program:
                         seen.append(v)
                 raise ExistentialVariableError(c, seen)
         axioms = self.clauses[: self.axiom_count]
-        for i in range(len(axioms)):
-            for j in range(i + 1, len(axioms)):
-                a = rename_atom(axioms[i].head, "_l")
-                b = rename_atom(axioms[j].head, "_r")
-                if unifiable(a, b):
-                    raise OverlapError(i, j, axioms[i], axioms[j])
+        pair = _first_overlap([c.head for c in axioms])
+        if pair is not None:
+            i, j = pair
+            raise OverlapError(i, j, axioms[i], axioms[j])
 
     def extended(self, *clauses: HornClause) -> "Program":
         """Add clauses exempt from the overlap restriction."""

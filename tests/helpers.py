@@ -12,6 +12,7 @@ from cohorn import (
     OverlapError,
     Program,
     Var,
+    apply_atom,
     fact,
     parse_program,
 )
@@ -110,8 +111,6 @@ def program_queries(rng: random.Random, program: Program) -> list[HornClause]:
     for clause in program.clauses:
         queries.append(fact(clause.head))
         grounding = {v: rng.choice(ground_pool) for v in _clause_var_names(clause)}
-        from cohorn.terms import apply_atom
-
         queries.append(fact(apply_atom(grounding, clause.head)))
     preds = sorted(program.signature.predicates)
     if len(program.clauses) >= 2 and all(
@@ -127,3 +126,26 @@ def _clause_var_names(clause: HornClause) -> list[str]:
     from cohorn.terms import clause_vars
 
     return clause_vars(clause)
+
+
+# ---------------------------------------------------------------------------
+# Random axiom heads for the head index
+# ---------------------------------------------------------------------------
+
+_HEAD_PREDS = (("p", 1), ("q", 2), ("r", 0))
+
+
+def random_heads(rng: random.Random, n: int) -> list[Atom]:
+    """n heads with variable, nested, zero-arity and two-argument shapes.
+
+    About a third of the heads are forced overlaps: an instance of an
+    earlier head (which unifies with it), inserted at a random place."""
+    heads: list[Atom] = []
+    for _ in range(n):
+        if heads and rng.random() < 0.35:
+            copy = apply_atom(random_subst(rng), rng.choice(heads))
+            heads.insert(rng.randint(0, len(heads)), copy)
+            continue
+        pred, arity = rng.choice(_HEAD_PREDS)
+        heads.append(Atom(pred, tuple(random_term(rng, rng.randint(1, 3)) for _ in range(arity))))
+    return heads

@@ -108,6 +108,26 @@ class TestCheckCommand:
         assert code == 0
         assert "result: valid" in out
 
+    def test_lemma_proof_checked_once(self, monkeypatch):
+        from cohorn import engine
+
+        checked = []
+        engine_check = engine.check
+        monkeypatch.setattr(
+            engine, "check", lambda env, ev, f: checked.append(str(f)) or engine_check(env, ev, f)
+        )
+        code, out, _ = run(
+            [
+                "check", hc("bush"),
+                "--proof", "(nu a. \\b -> k2 b (a (a b))) k1",
+                "--formula", "eq(bush(int))",
+                "--lemma", "eq(X) => eq(bush(X))",
+            ]
+        )
+        assert code == 0
+        assert "result: valid" in out
+        assert checked == ["eq(X) => eq(bush(X))"]
+
     def test_lemma_refused_registration(self):
         code, out, err = run(
             ["check", hc("chain"), "--proof", "k1", "--formula", "A", "--lemma", "A => A"]
@@ -277,3 +297,39 @@ class TestErrorChannels:
         assert proc.returncode == 70
         assert proc.stderr.startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
+
+
+class TestHeadIndexBoundaries:
+    """Goals the head index must not filter: arity clashes still exit 65."""
+
+    def resolve(self, query):
+        return run(["resolve", hc("pair"), "--query", query, "--mode", "ind", "--json"])
+
+    def test_signature_clashes_exit_65(self):
+        for query in ("eq(int,int)", "eq", "eq(pair(int))"):
+            code, out, err = self.resolve(query)
+            assert code == 65, query
+            assert out == ""
+            assert err.startswith("input error: ") and "used with arities" in err
+
+    def test_variable_goal_fails(self):
+        code, out, _ = self.resolve("eq(X)")
+        assert code == 1
+        assert json.loads(out)["outcome"] == "FAILED"
+
+    def test_overlap_error_names_the_first_pair(self, tmp_path):
+        bad = tmp_path / "overlaps.hc"
+        bad.write_text(
+            "k1 : => p(c).\n"
+            "k2 : => q(f(X)).\n"
+            "k3 : => p(d).\n"
+            "k4 : => q(f(c)).\n"
+            "k5 : => q(Y).\n"
+            "k6 : => p(c).\n"
+        )
+        code, out, err = run(["resolve", str(bad), "--query", "p(c)", "--mode", "ind"])
+        assert code == 65
+        assert out == ""
+        assert err == (
+            "input error: axiom heads overlap: k1 (=> p(c)) unifies with k6 (=> p(c))\n"
+        )

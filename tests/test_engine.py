@@ -5,15 +5,23 @@ import random
 import pytest
 
 from cohorn import (
+    Atom,
     Mode,
     Outcome,
+    OverlapError,
+    Program,
     Query,
     RegistrationError,
     Rule,
+    SignatureError,
+    Var,
     alpha_equal,
+    apply_atom,
     check,
+    engine,
     env_for_program,
     format_proof,
+    match,
     parse_atom,
     parse_formula,
     parse_proof,
@@ -21,8 +29,17 @@ from cohorn import (
     register_lemma,
     resolve,
 )
+from cohorn.proofs import Apply, ConstSym
+from cohorn.terms import HornClause, atom_vars
 
-from helpers import load, program_queries, random_program
+from helpers import (
+    load,
+    program_queries,
+    random_atom,
+    random_heads,
+    random_program,
+    random_subst,
+)
 
 
 def run(name, query_text, mode, depth=8, lemmas=(), auto=False):
@@ -332,3 +349,105 @@ class TestInvariants:
         assert result.derivation.rules_used() <= {Rule.LP_M, Rule.NU_PRIME}
         result = run("chain", "A => C", Mode.INDUCTIVE)
         assert result.derivation.rules_used() <= {Rule.LP_M, Rule.LAM}
+
+
+def head_index_programs(rng, count):
+    """Programs over `random_heads`: the non-overlapping heads, each with a
+    body p(V) for each of its variables; with goals for each program."""
+    for _ in range(count):
+        clauses = []
+        for h in random_heads(rng, rng.randint(2, 8)):
+            clause = HornClause(tuple(Atom("p", (Var(v),)) for v in atom_vars(h)), h)
+            try:
+                Program(tuple(clauses) + (clause,))
+            except OverlapError:
+                continue
+            clauses.append(clause)
+        goals = [c.head for c in clauses]
+        goals += [apply_atom(random_subst(rng, ground=True), c.head) for c in clauses]
+        goals += [random_atom(rng) for _ in range(3)] + [Atom("r")]
+        yield Program(tuple(clauses)), goals
+
+
+def index_runs(rng):
+    """(program, query) pairs over the corpus, `random_program` and
+    `head_index_programs`, in every mode."""
+    corpus = (
+        ("pair", "eq(pair(int,int))", ()), ("pair", "eq(X)", ()),
+        ("evenodd", "eq(evenList(int))", ()), ("bush", "eq(bush(int))", ("eq(X) => eq(bush(X))",)),
+        ("chain", "A => C", ()), ("p6", "A(X)", ()), ("p7", "B(X) => A(X)", ()),
+        ("p11", "D(z,z)", ()), ("loop", "p(X)", ()),
+    )
+    for name, text, lemmas in corpus:
+        for mode in Mode:
+            for auto in (False, True):
+                yield load(name).program, Query(
+                    parse_formula(text), mode, 6, tuple(parse_formula(t) for t in lemmas), auto
+                )
+    for _ in range(30):
+        program = random_program(rng)
+        for goal in program_queries(rng, program):
+            for mode in Mode:
+                yield program, Query(goal, mode, 4, auto_lemma=True)
+    for program, goals in head_index_programs(rng, 40):
+        for goal in goals:
+            for mode in Mode:
+                yield program, Query(HornClause((), goal), mode, 4)
+
+
+class TestHeadIndex:
+    def test_candidates_are_the_matching_full_walk(self, monkeypatch):
+        walks = []
+        indexed_walk = engine._Search._candidates
+
+        def recording(self, goal):
+            indexed = list(indexed_walk(self, goal))
+            full = (
+                [e for e in self.hyps if not e.rigid]
+                + list(self.entries)
+                + [e for e in self.hyps if e.rigid]
+            )
+            walks.append((goal, indexed, full))
+            return iter(indexed)
+
+        monkeypatch.setattr(engine._Search, "_candidates", recording)
+        for program, query in index_runs(random.Random(31)):
+            resolve(program, query)
+        assert len(walks) > 2000
+        for goal, indexed, full in walks:
+            rest = iter(full)
+            assert all(any(e is f for f in rest) for e in indexed), goal  # in order
+            matching = [e for e in full if match(e.formula.head, goal) is not None]
+            assert [e for e in indexed if match(e.formula.head, goal) is not None] == matching
+
+    def test_results_equal_the_unindexed_search(self, monkeypatch):
+        runs = list(index_runs(random.Random(37)))
+        indexed = [resolve(program, query) for program, query in runs]
+        monkeypatch.setattr(engine._Search, "_static", lambda self, goal: self.entries)
+        for (program, query), expected in zip(runs, indexed):
+            assert resolve(program, query) == expected
+
+    def test_arity_clashes_walk_the_whole_predicate(self):
+        program = load("pair").program
+        env = env_for_program(program)
+        search = engine._Search(env, Mode.INDUCTIVE, 4, [])
+        assert search._static(parse_atom("eq(int)")) == (env.entries[1],)
+        assert search._static(parse_atom("eq(int,int)")) == env.entries
+        assert search._static(parse_atom("eq")) == env.entries
+        assert search._static(parse_atom("ne(int)")) == ()
+        for text in ("eq(int,int)", "eq", "eq(pair(int))"):
+            with pytest.raises(SignatureError):
+                resolve(program, Query(parse_formula(text), Mode.INDUCTIVE))
+        # A lemma of another arity: the entries disagree, so none is dropped.
+        lemma_env = env.add_lemma(Apply(ConstSym("k2"), ConstSym("k2")), parse_formula("eq(int,int)"))
+        search = engine._Search(lemma_env, Mode.INDUCTIVE, 4, [])
+        assert search._static(parse_atom("eq(int)")) == search.entries
+
+    def test_embedding_scan_only_under_auto_lemma(self, monkeypatch):
+        calls = []
+        embeds = engine._embeds
+        monkeypatch.setattr(engine, "_embeds", lambda g, a: calls.append(g) or embeds(g, a))
+        plain = run("bush", "eq(bush(int))", Mode.EXTENDED, depth=6)
+        assert plain.outcome is Outcome.EXHAUSTED and calls == []
+        auto = run("bush", "eq(bush(int))", Mode.EXTENDED, depth=6, auto=True)
+        assert auto.outcome is Outcome.PROVED and calls

@@ -20,7 +20,7 @@ from cohorn import (
     parse_proof,
     parse_program,
 )
-from cohorn.syntax import format_program
+from cohorn.syntax import _tokenize, format_program
 from cohorn.terms import format_formula
 
 from helpers import load, random_program
@@ -58,6 +58,27 @@ class TestProgramParsing:
         with pytest.raises(ParseError) as err:
             parse_program("k1 : => eq(int)\nk2 : => eq(bool).")
         assert err.value.line == 2
+
+    def test_tokens(self):
+        toks = _tokenize("k1 : => eq(X).  % note\n \\b -> nu")
+        assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+            ("name", "k1", 1, 1), ("colon", ":", 1, 4), ("arrow", "=>", 1, 6),
+            ("name", "eq", 1, 9), ("lparen", "(", 1, 11), ("name", "X", 1, 12),
+            ("rparen", ")", 1, 13), ("dot", ".", 1, 14), ("lambda", "\\", 2, 2),
+            ("name", "b", 2, 3), ("to", "->", 2, 5), ("name", "nu", 2, 8), ("eof", "", 2, 10),
+        ]
+
+    def test_error_messages(self):
+        cases = {
+            "k1 : => eq(int)\nk2 : => eq(bool).": "expected '.', found 'k2' (line 2, column 1)",
+            "k1 : => eq(#).": "unexpected character '#' (line 1, column 12)",
+            "k1 => eq(int).": "expected ':', found '=>' (line 1, column 4)",
+            "k1 : => eq(int": "expected ')', found 'end of input' (line 1, column 15)",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse_program(text)
+            assert str(err.value) == message
 
     def test_variables_cannot_take_arguments(self):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 """Tests for the first-order term algebra."""
 
+import copy
 import pickle
 import random
 
@@ -28,9 +29,9 @@ from cohorn import (
     term_depth,
     unifiable,
 )
-from cohorn.terms import atom_vars, is_ground_term
+from cohorn.terms import atom_vars, head_key, is_ground_term, rename_atom
 
-from helpers import load, random_atom, random_subst, random_term
+from helpers import load, random_atom, random_heads, random_subst, random_term
 
 
 def atom(text: str) -> Atom:
@@ -243,3 +244,67 @@ class TestCachedHashes:
             t = random_term(rng, 4)
             copy = pickle.loads(pickle.dumps(t))
             assert t == copy and hash(t) == hash(copy)
+
+    def test_rendered_string_cache_stays_out_of_pickles_and_copies(self):
+        term = App("f", (App("c"), App("g", (Var("X"), App("d")))))
+        assert str(term) == "f(c,g(X,d))"
+        assert "_str" in term.__dict__ and "_str" in term.args[1].__dict__
+        assert "_str" not in copy.copy(term).__dict__  # a shallow copy shares the args
+        for restored in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+            assert "_str" not in restored.__dict__
+            assert "_str" not in restored.args[1].__dict__
+            assert restored == term and str(restored) == "f(c,g(X,d))"
+
+    def test_shared_subterm_renders_once(self):
+        shared = App("g", (App("c"), App("d")))
+        a, b = Atom("p", (App("f", (shared,)),)), Atom("q", (shared, App("c")))
+        assert (str(a), str(b)) == ("p(f(g(c,d)))", "q(g(c,d),c)")
+        assert shared._str == "g(c,d)"
+
+
+def pairwise_first_overlap(heads):
+    """The reference: every pair of heads, renamed apart, in (i, j) order."""
+    for i in range(len(heads)):
+        for j in range(i + 1, len(heads)):
+            if unifiable(rename_atom(heads[i], "_l"), rename_atom(heads[j], "_r")):
+                return i, j
+    return None
+
+
+class TestHeadIndex:
+    def test_head_key(self):
+        assert head_key(atom("eq(pair(X,Y))")) == ("eq", "pair")
+        assert head_key(atom("eq(int)")) == ("eq", "int")
+        assert head_key(atom("eq(X)")) == ("eq", None)
+        assert head_key(atom("q(X,f(c))")) == ("q", None)
+        assert head_key(atom("A")) == ("A", None)
+
+    def test_indexed_overlap_check_agrees_with_pairwise(self):
+        rng = random.Random(4404)
+        outcomes = {"overlap": 0, "clean": 0}
+        for _ in range(600):
+            heads = random_heads(rng, rng.randint(1, 9))
+            expected = pairwise_first_overlap(heads)
+            try:
+                Program(tuple(fact(h) for h in heads))
+                found = None
+            except OverlapError as err:
+                found = (err.index_a, err.index_b)
+            assert found == expected, heads
+            outcomes["overlap" if found else "clean"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_first_overlap_is_least_pair(self):
+        # (1, 3) and (0, 4) both overlap; (0, 4) comes first in (i, j) order.
+        heads = ("p(c)", "q(f(X),c)", "p(d)", "q(f(c),Y)", "p(X)")
+        with pytest.raises(OverlapError) as info:
+            Program(tuple(fact(atom(h)) for h in heads))
+        assert (info.value.index_a, info.value.index_b) == (0, 4)
+
+    def test_extension_keeps_the_axiom_check(self):
+        base = Program((fact(atom("p(f(X))")), fact(atom("p(c)"))))
+        extended = base.extended(fact(atom("p(f(c))")), fact(atom("p(X)")))
+        assert extended.axiom_count == 2
+        with pytest.raises(OverlapError) as info:
+            Program(base.clauses + (fact(atom("p(f(c))")),))
+        assert (info.value.index_a, info.value.index_b) == (0, 2)
