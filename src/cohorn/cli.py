@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 import time
+from itertools import compress
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import engine, herbrand
@@ -23,6 +25,7 @@ from .proofs import (
     env_for_program,
     format_derivation,
     format_proof,
+    shared_nodes,
 )
 from .syntax import (
     ParseError,
@@ -124,9 +127,64 @@ def _load_program(path: str) -> SourceProgram:
     return parse_program(text)
 
 
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for str-keyed dicts,
+    lists, tuples, strings, numbers, booleans and None.  A dict or list met
+    again at the same nesting level is rendered once: the stdlib encoder
+    walks a shared derivation as the tree it unfolds to."""
+    shared = shared_nodes(value, _json_children)
+    memo: dict[tuple[int, int], str] = {}
+
+    def text(v, level: int) -> str:
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if not isinstance(v, (dict, list, tuple)):
+            return json.dumps(v)
+        if not v:
+            return "{}" if isinstance(v, dict) else "[]"
+        if id(v) not in shared:
+            return container(v, level)
+        key = (id(v), level)
+        if key not in memo:
+            memo[key] = container(v, level)
+        return memo[key]
+
+    def container(v, level: int) -> str:
+        # Strings, the common leaves, skip the call to `text`.
+        if isinstance(v, dict):
+            items = [
+                f"{encode_basestring_ascii(k)}: "
+                + (encode_basestring_ascii(x) if type(x) is str else text(x, level + 1))
+                for k, x in v.items()
+            ]
+            ends = "{}"
+        else:
+            items = [
+                encode_basestring_ascii(x) if type(x) is str else text(x, level + 1) for x in v
+            ]
+            ends = "[]"
+        pad = "\n" + "  " * (level + 1)
+        return ends[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + ends[1]
+
+    return text(value, 0)
+
+
+_CONTAINERS = dict.fromkeys((dict, list, tuple), True)
+
+
+def _json_children(v):
+    """The dicts and lists inside a JSON value: only those can be shared.
+    Iterates in C, because reports hold long lists of strings."""
+    if type(v) is dict:
+        v = v.values()
+    elif type(v) not in _CONTAINERS:
+        return ()
+    return compress(v, map(_CONTAINERS.get, map(type, v)))
+
+
 def _emit(report: dict, args, lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print("\n".join(lines))
 
@@ -148,14 +206,24 @@ def _formula_str(clause, args) -> str:
 
 
 def _derivation_json(d) -> dict:
-    return {
-        "rule": d.rule.value,
-        "formula": format_formula(d.judgement.formula),
-        "evidence": format_proof(d.judgement.evidence),
-        "entry": d.entry_name,
-        "matcher": {v: str(t) for v, t in sorted(d.matcher.items())} if d.matcher is not None else None,
-        "children": [_derivation_json(c) for c in d.children],
-    }
+    memo: dict[int, dict] = {}
+
+    def node(d) -> dict:
+        # A shared derivation node becomes one shared dict.
+        if id(d) not in memo:
+            memo[id(d)] = {
+                "rule": d.rule.value,
+                "formula": format_formula(d.judgement.formula),
+                "evidence": format_proof(d.judgement.evidence),
+                "entry": d.entry_name,
+                "matcher": {v: str(t) for v, t in sorted(d.matcher.items())}
+                if d.matcher is not None
+                else None,
+                "children": [node(c) for c in d.children],
+            }
+        return memo[id(d)]
+
+    return node(d)
 
 
 def _trace_json(trace) -> list[dict]:

@@ -30,6 +30,22 @@ Depth counts resolution (Lp-m) nodes on the current path; Lam and Nu steps
 are free.  FAILED means the whole finite tree below the limit closed with
 no depth cut anywhere; EXHAUSTED means at least one branch was cut.
 
+Repeated subgoals are tabled (OLD resolution with tabulation, Tamaki and
+Sato 1986): each search keeps a memo from (goal, depth) to the goal's
+evidence, its exhausted flag and the number of nu-names its subtree used.
+A goal's result is stored only when it cannot depend on the path above it:
+auto-lemma is off (its triggers look at ancestors), no nu-hyp older than
+the goal's own candidate was matched anywhere in its subtree (guarded
+matches included, since arming depends on the path), and no nu-wrap was
+made there (so the evidence holds no fresh binder names).  A hit also needs
+the hypothesis stack under the goal to be the one the entry was stored
+under (the same top entry object): another path may hold nu-hyps that match
+inside the subtree and change its result, so there the goal is solved
+afresh.  A hit advances the nu-name counter by the stored count, records
+one `reuse` event in place of the subtree, and returns the stored evidence
+object itself, so proofs of repeated subgoals are shared DAGs.  Results are
+those of the untabled search; only the trace is shorter.
+
 A single run is single-threaded and fully deterministic (including its
 trace); distinct runs may share Program and AxiomEnv values freely.
 """
@@ -122,7 +138,9 @@ class Query:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    kind: str  # goal | try | guarded | cut | dead-end | note
+    # try | guarded | cut | dead-end | note | reuse (a tabled subgoal: the
+    # stored outcome in `detail` stands for the subtree's events)
+    kind: str
     depth: int
     goal: str
     entry: str = ""
@@ -232,15 +250,6 @@ def _embeds(goal: Atom, ancestor: Atom) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _nu_wrap(binder: Optional[str], body: ProofTerm) -> ProofTerm:
-    """Close `body` under `nu binder` when it uses that hypothesis."""
-    if binder is None or binder not in free_proof_vars(body):
-        return body
-    if not is_hnf(body):
-        raise EngineInvariantError("nu body not in HNF despite guard")
-    return Nu(binder, body)
-
-
 class _Search:
     def __init__(
         self,
@@ -270,6 +279,13 @@ class _Search:
         self.armed: set[str] = set()
         self.goal_stack: list[Atom] = []
         self.triggers: list[tuple[Atom, Atom]] = []
+        # (goal, depth) -> (evidence, exhausted, nu-names the subtree used,
+        # top of the hypothesis stack under the goal); see the module doc.
+        self.memo: dict[tuple[Atom, int], tuple] = {}
+        # Lowest stack index of a nu-hyp matched in the current subtree, and
+        # the number of nu-wraps made so far: what decides a memo store.
+        self._oldest_match = 0
+        self._nu_wraps = 0
         self._nu_names = 0
         self._fact_names = 0
 
@@ -307,6 +323,15 @@ class _Search:
                 entries = [e for e in entries if head_key(e.formula.head)[1] in (None, functor)]
             found = self.by_key[key] = tuple(entries)
         return found
+
+    def _nu_wrap(self, binder: Optional[str], body: ProofTerm) -> ProofTerm:
+        """Close `body` under `nu binder` when it uses that hypothesis."""
+        if binder is None or binder not in free_proof_vars(body):
+            return body
+        if not is_hnf(body):
+            raise EngineInvariantError("nu body not in HNF despite guard")
+        self._nu_wraps += 1
+        return Nu(binder, body)
 
     def _candidates(self, goal: Atom):
         """The entries that may match `goal`, in option order: nu-hyps,
@@ -347,7 +372,7 @@ class _Search:
             del self.hyps[mark:]
         if ev is None:
             return None, exhausted
-        return _nu_wrap(alpha, Lambda(binders, ev)), exhausted
+        return self._nu_wrap(alpha, Lambda(binders, ev)), exhausted
 
     # -- atomic goals ----------------------------------------------------------
 
@@ -358,7 +383,22 @@ class _Search:
         intro: tuple[str, ...] = (),
         candidate: bool = True,
     ) -> tuple[Optional[ProofTerm], bool]:
+        below = self.hyps[-1] if self.hyps else None
+        tabled = candidate and not self.auto_lemma
+        if tabled:
+            hit = self.memo.get((goal, depth))
+            if hit is not None and hit[3] is below:
+                ev, exhausted, names, _ = hit
+                self._nu_names += names
+                if ev is not None:
+                    outcome = Outcome.PROVED
+                else:
+                    outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
+                self.note("reuse", depth, goal, "", outcome.value)
+                return ev, exhausted
         mark = len(self.hyps)
+        names, wraps, oldest = self._nu_names, self._nu_wraps, self._oldest_match
+        self._oldest_match = mark
         cand: Optional[str] = None
         if candidate and self.mode is not Mode.INDUCTIVE:
             cand = self.fresh_nu()
@@ -377,7 +417,10 @@ class _Search:
                 self.goal_stack.pop()
             del self.hyps[mark:]
         if ev is not None:
-            ev = _nu_wrap(cand, ev)
+            ev = self._nu_wrap(cand, ev)
+        if tabled and self._oldest_match >= mark and self._nu_wraps == wraps:
+            self.memo[goal, depth] = (ev, exhausted, self._nu_names - names, below)
+        self._oldest_match = min(oldest, self._oldest_match)
         return ev, exhausted
 
     def _options(
@@ -391,6 +434,9 @@ class _Search:
             if s is None:
                 continue
             ev = entry.evidence
+            if isinstance(ev, ProofVar) and not entry.rigid:
+                position = next(i for i, h in enumerate(self.hyps) if h is entry)
+                self._oldest_match = min(self._oldest_match, position)
             if entry.rigid and s:
                 # Lambda hypotheses are monomorphic: literal uses only.
                 self.note("guarded", depth, goal, self._label(entry), "monomorphic")

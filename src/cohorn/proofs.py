@@ -10,6 +10,14 @@ A judgement env |- e : F is checked against four rules:
 Checking is search-free: the evidence term dictates the derivation shape and
 matchers against a fixed clause head are unique, so for a given judgement the
 derivation (or the rejection) is unique.
+
+Proof terms and derivations may be DAGs: the search shares the evidence of a
+repeated subgoal, and `check` then shares the subgoal's derivation.  Every
+walk here (free variables, rule sets, depth, checking, rendering) visits
+each distinct node once, keyed by object identity, so its cost follows the
+DAG, not the tree it unfolds to.  Checking and rendering keep results only
+for the nodes reached by more than one edge (`shared_nodes`), so a tree
+costs no more memory than before.
 """
 
 from __future__ import annotations
@@ -87,16 +95,49 @@ def make_apply(head: ProofTerm, args: Sequence[ProofTerm]) -> ProofTerm:
     return out
 
 
-def free_proof_vars(e: ProofTerm) -> frozenset[str]:
-    if isinstance(e, ConstSym):
-        return frozenset()
-    if isinstance(e, ProofVar):
-        return frozenset((e.name,))
+def proof_children(e: ProofTerm) -> tuple[ProofTerm, ...]:
     if isinstance(e, Apply):
-        return free_proof_vars(e.fun) | free_proof_vars(e.arg)
-    if isinstance(e, Lambda):
-        return free_proof_vars(e.body) - frozenset(e.binders)
-    return free_proof_vars(e.body) - frozenset((e.binder,))
+        return (e.fun, e.arg)
+    if isinstance(e, (Lambda, Nu)):
+        return (e.body,)
+    return ()
+
+
+def shared_nodes(root, children) -> set[int]:
+    """The ids of the nodes that `root` reaches by more than one edge."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            stack.extend(children(node))
+    return shared
+
+
+def free_proof_vars(e: ProofTerm) -> frozenset[str]:
+    memo: dict[int, frozenset[str]] = {}
+
+    def free(t: ProofTerm) -> frozenset[str]:
+        found = memo.get(id(t))
+        if found is None:
+            if isinstance(t, ConstSym):
+                found = frozenset()
+            elif isinstance(t, ProofVar):
+                found = frozenset((t.name,))
+            elif isinstance(t, Apply):
+                found = free(t.fun) | free(t.arg)
+            elif isinstance(t, Lambda):
+                found = free(t.body) - frozenset(t.binders)
+            else:
+                found = free(t.body) - frozenset((t.binder,))
+            memo[id(t)] = found
+        return found
+
+    return free(e)
 
 
 def is_hnf(e: ProofTerm) -> bool:
@@ -140,7 +181,18 @@ def alpha_equal(a: ProofTerm, b: ProofTerm) -> bool:
 
 
 def format_proof(e: ProofTerm, unicode: bool = False) -> str:
+    shared = shared_nodes(e, proof_children)
+    memo: dict[tuple[int, bool], str] = {}
+
     def fmt(t: ProofTerm, wrap: bool) -> str:
+        if id(t) not in shared:
+            return render(t, wrap)
+        key = (id(t), wrap)
+        if key not in memo:
+            memo[key] = render(t, wrap)
+        return memo[key]
+
+    def render(t: ProofTerm, wrap: bool) -> str:
         if isinstance(t, ConstSym) or isinstance(t, ProofVar):
             return t.name
         if isinstance(t, Apply):
@@ -279,13 +331,26 @@ class Derivation:
         return self.judgement.evidence
 
     def rules_used(self) -> frozenset[Rule]:
-        out = {self.rule}
-        for c in self.children:
-            out |= c.rules_used()
-        return frozenset(out)
+        seen: set[int] = set()
+        rules: set[Rule] = set()
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            if id(d) not in seen:
+                seen.add(id(d))
+                rules.add(d.rule)
+                stack.extend(d.children)
+        return frozenset(rules)
 
     def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
+        depths: dict[int, int] = {}
+
+        def go(d: Derivation) -> int:
+            if id(d) not in depths:
+                depths[id(d)] = 1 + max((go(c) for c in d.children), default=0)
+            return depths[id(d)]
+
+        return go(self)
 
     @property
     def entry_name(self) -> Optional[str]:
@@ -353,7 +418,32 @@ def _resolve_head(
     return entry
 
 
-def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) -> Derivation:
+class _Memo:
+    """Successful checks of the shared subterms of one evidence term, keyed
+    by (id(env), id(subterm), formula).  Each stored derivation holds its
+    env and subterm, so the ids stay those of live objects.  Failures are
+    not stored, so a rejection always names the same deepest-leftmost node."""
+
+    def __init__(self, evidence: ProofTerm):
+        self.shared = shared_nodes(evidence, proof_children)
+        self.found: dict[tuple[int, int, HornClause], Derivation] = {}
+
+
+def _check(
+    env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...], memo: _Memo
+) -> Derivation:
+    if id(e) not in memo.shared:
+        return _check_node(env, e, f, path, memo)
+    key = (id(env), id(e), f)
+    found = memo.found.get(key)
+    if found is None:
+        found = memo.found[key] = _check_node(env, e, f, path, memo)
+    return found
+
+
+def _check_node(
+    env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...], memo: _Memo
+) -> Derivation:
     if isinstance(e, Nu):
         # Nu on a Horn formula, Nu' on an atom: the hypothesis is f itself.
         if not is_hnf(e.body):
@@ -361,7 +451,7 @@ def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) ->
                 CheckReason.HNF_REQUIRED, "nu body is not in head normal form", path, e, f
             )
         hyp = EnvEntry(ProofVar(e.binder), f)
-        child = _check(env.extended(hyp), e.body, f, path + (0,))
+        child = _check(env.extended(hyp), e.body, f, path + (0,), memo)
         rule = Rule.NU if f.body else Rule.NU_PRIME
         return Derivation(rule, Judgement(env, e, f), None, (child,))
     if f.body:
@@ -378,7 +468,7 @@ def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) ->
                 EnvEntry(ProofVar(b), fact(a), rigid=True)
                 for b, a in zip(e.binders, f.body)
             )
-            child = _check(env.extended(*hyps), e.body, fact(f.head), path + (0,))
+            child = _check(env.extended(*hyps), e.body, fact(f.head), path + (0,), memo)
             return Derivation(Rule.LAM, Judgement(env, e, f), None, (child,))
         raise CheckError(
             CheckReason.RULE_SHAPE,
@@ -426,7 +516,7 @@ def _check(env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...]) ->
             f,
         )
     children = tuple(
-        _check(env, arg, fact(apply_atom(sigma, b)), path + (i,))
+        _check(env, arg, fact(apply_atom(sigma, b)), path + (i,), memo)
         for i, (arg, b) in enumerate(zip(args, clause.body))
     )
     return Derivation(Rule.LP_M, Judgement(env, e, f), sigma, children)
@@ -441,9 +531,11 @@ def _entry_label(entry: EnvEntry) -> str:
 def check(env: AxiomEnv, evidence: ProofTerm, formula: HornClause) -> Derivation:
     """Return the unique derivation of env |- evidence : formula.
 
-    Raises CheckError with the deepest-leftmost failure otherwise.
+    Raises CheckError with the deepest-leftmost failure otherwise.  A
+    subterm shared within `evidence` is checked once per environment and
+    formula, and its derivation is shared too.
     """
-    return _check(env, evidence, formula, ())
+    return _check(env, evidence, formula, (), _Memo(evidence))
 
 
 def check_derivation(d: Derivation) -> None:
@@ -454,7 +546,7 @@ def check_derivation(d: Derivation) -> None:
     """
     env, e, f = d.judgement.env, d.judgement.evidence, d.judgement.formula
     if d.rule is Rule.LP_M:
-        again = _check(env, e, f, ())
+        again = _check(env, e, f, (), _Memo(e))
         if again.rule is not Rule.LP_M or again.matcher != d.matcher:
             raise CheckError(
                 CheckReason.RULE_SHAPE, "node does not re-check as Lp-m", (), e, f
@@ -464,7 +556,7 @@ def check_derivation(d: Derivation) -> None:
         return
     if d.rule is Rule.LAM:
         if isinstance(e, Lambda):
-            _check(env, e, f, ())
+            _check(env, e, f, (), _Memo(e))
         else:
             # Zero-binder form from admissibility_view: same judgement below.
             if f.body or len(d.children) != 1:
@@ -510,13 +602,23 @@ def admissibility_view(d: Derivation) -> Derivation:
 
 
 def format_derivation(d: Derivation, unicode: bool = False, indent: int = 0) -> str:
-    pad = "  " * indent
-    label = d.rule.value
-    if d.matcher is not None:
-        sig = format_subst(d.matcher) if d.matcher else "{}"
-        label = f"{label} [{d.entry_name} {sig}]"
-    line = f"{pad}{label} {format_formula(d.judgement.formula)}"
-    parts = [line]
-    for c in d.children:
-        parts.append(format_derivation(c, unicode, indent + 1))
-    return "\n".join(parts)
+    shared = shared_nodes(d, lambda n: n.children)
+    memo: dict[tuple[int, int], str] = {}
+
+    def fmt(d: Derivation, indent: int) -> str:
+        if id(d) not in shared:
+            return render(d, indent)
+        key = (id(d), indent)
+        if key not in memo:
+            memo[key] = render(d, indent)
+        return memo[key]
+
+    def render(d: Derivation, indent: int) -> str:
+        label = d.rule.value
+        if d.matcher is not None:
+            sig = format_subst(d.matcher) if d.matcher else "{}"
+            label = f"{label} [{d.entry_name} {sig}]"
+        line = f"{'  ' * indent}{label} {format_formula(d.judgement.formula)}"
+        return "\n".join([line] + [fmt(c, indent + 1) for c in d.children])
+
+    return fmt(d, indent)

@@ -389,29 +389,40 @@ def rename_atom(a: Atom, suffix: str) -> Atom:
     return Atom(a.predicate, tuple(rename_term(t, suffix) for t in a.args))
 
 
-def head_key(atom: Atom) -> tuple[str, Optional[str]]:
-    """(predicate, functor at argument 0); None there for a variable or no
-    arguments.  Atoms of one predicate and arity with two different functors
-    at argument 0 neither match nor unify."""
-    if not atom.args or isinstance(atom.args[0], Var):
+def head_key(atom: Atom, position: int = 0) -> tuple[str, Optional[str]]:
+    """(predicate, functor at argument `position`); None there for a
+    variable or no such argument.  Atoms of one predicate and arity with two
+    different functors at one argument position neither match nor unify."""
+    if position >= len(atom.args) or isinstance(atom.args[position], Var):
         return atom.predicate, None
-    return atom.predicate, atom.args[0].functor
+    return atom.predicate, atom.args[position].functor
 
 
 def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
     """The least pair (i, j), i < j, of unifiable heads, or None.
 
-    The heads must agree on every arity.  Head i is tried against the later
-    heads of its predicate that may unify with it by `head_key`: all of them
-    when argument 0 of head i is a variable, else those with its functor or
-    a variable there.  So the cost is near-linear when the heads have
-    distinct principal functors.
+    The heads must agree on every arity.  Each predicate is keyed on the
+    argument position where the fewest of its heads have a variable (the
+    lowest such position on a tie).  Head i is tried against the later heads
+    of its predicate that may unify with it by that key: all of them when
+    head i has a variable there, else those with its functor or a variable
+    there.  So the cost is near-linear when, at some argument position, the
+    heads have distinct principal functors.
     """
-    by_key: dict[tuple[str, Optional[str]], list[int]] = {}
     by_pred: dict[str, list[int]] = {}
     for k, h in enumerate(heads):
-        by_key.setdefault(head_key(h), []).append(k)
         by_pred.setdefault(h.predicate, []).append(k)
+    position: dict[str, int] = {}
+    for pred, ks in by_pred.items():
+        position[pred] = min(
+            range(len(heads[ks[0]].args)),
+            key=lambda p: sum(isinstance(heads[k].args[p], Var) for k in ks),
+            default=0,
+        )
+    keys = [head_key(h, position[h.predicate]) for h in heads]
+    by_key: dict[tuple[str, Optional[str]], list[int]] = {}
+    for k, key in enumerate(keys):
+        by_key.setdefault(key, []).append(k)
     renamed: dict[int, Atom] = {}
 
     def apart(k: int) -> Atom:
@@ -420,8 +431,7 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
             renamed[k] = rename_atom(heads[k], f"_{k}")
         return renamed[k]
 
-    for i, h in enumerate(heads):
-        pred, functor = head_key(h)
+    for i, (pred, functor) in enumerate(keys):
         if functor is None:
             later = by_pred[pred]
         else:

@@ -8,7 +8,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from cohorn.cli import cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohorn.cli import _json_text, cli
 
 from helpers import PROGRAMS_DIR
 
@@ -333,3 +336,68 @@ class TestHeadIndexBoundaries:
         assert err == (
             "input error: axiom heads overlap: k1 (=> p(c)) unifies with k6 (=> p(c))\n"
         )
+
+
+# Every --json report of the corpus: all five commands, all modes, lemmas,
+# auto-lemma, rejections and timings.
+CORPUS_REPORTS = [
+    ["resolve", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind"],
+    ["resolve", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind", "--lemma", "eq(int)"],
+    ["resolve", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "coind"],
+    ["resolve", hc("evenodd"), "--query", "eq(oddList(int))", "--mode", "ext", "--depth", "3"],
+    ["resolve", hc("bush"), "--query", "eq(bush(int))", "--mode", "ext", "--lemma", "eq(X) => eq(bush(X))"],
+    ["resolve", hc("bush"), "--query", "eq(bush(int))", "--mode", "ext", "--auto-lemma"],
+    ["resolve", hc("chain"), "--query", "A => C", "--mode", "ind", "--timings"],
+    ["resolve", hc("p6"), "--query", "A(X)", "--mode", "ext"],
+    ["resolve", hc("p7"), "--query", "B(X) => A(X)", "--mode", "ext"],
+    ["resolve", hc("p11"), "--query", "D(z,z)", "--mode", "coind", "--depth", "5"],
+    ["resolve", hc("loop"), "--query", "p(X)", "--mode", "ind"],
+    ["check", hc("evenodd"), "--proof", "nu a. k2 k3 (k1 k3 a)", "--formula", "eq(evenList(int))"],
+    ["check", hc("pair"), "--proof", "k1 k2", "--formula", "eq(pair(int,int))"],
+    ["check", hc("bush"), "--proof", "k2 k1 k1", "--formula", "eq(bush(int))", "--lemma", "eq(X) => eq(bush(X))"],
+    ["model", hc("pair"), "--semantics", "least", "--depth", "3"],
+    ["model", hc("evenodd"), "--semantics", "greatest", "--depth", "3", "--policy", "opt"],
+    ["certify", hc("p11"), "--atom", "D(z,z)", "--depth", "7"],
+    ["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3", "--const", "c"],
+    ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind", "--base-depth", "2"],
+    ["verify-soundness", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "coind", "--base-depth", "2"],
+]
+
+
+class TestJsonWriter:
+    def test_corpus_reports_equal_the_stdlib_encoder(self):
+        for argv in CORPUS_REPORTS:
+            _, out, _ = run(argv + ["--json"])
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+            max_leaves=30,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_stdlib_encoder(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_shared_values_and_control_characters(self):
+        leaf = {"s": "é \x00\n\"\\", "n": [1, -2.5, 1e300, float("nan"), True, None]}
+        shared = [leaf, leaf, [leaf, []], {}, (leaf,)]
+        assert _json_text(shared) == json.dumps(shared, indent=2)
+
+    def test_shared_derivation_report(self, tmp_path):
+        n = 10
+        lines = ["k0 : => eq(c0)."]
+        lines += [f"k{i} : eq(c{i - 1}), eq(c{i - 1}) => eq(c{i})." for i in range(1, n + 1)]
+        program = tmp_path / "diamond.hc"
+        program.write_text("\n".join(lines) + "\n")
+        for mode in ("ind", "coind", "ext"):
+            argv = ["resolve", str(program), "--query", f"eq(c{n})", "--mode", mode]
+            code, out, _ = run(argv + ["--depth", str(n + 1), "--json"])
+            report = json.loads(out)
+            assert code == 0 and out == json.dumps(report, indent=2) + "\n"
+            node = report["derivation"]
+            for _ in range(n):
+                assert node["children"][0] == node["children"][1]
+                node = node["children"][0]

@@ -182,7 +182,8 @@ class TestRegisterLemma:
             ("try", 0, "eq(int)", "k2", "{}"),
             ("try", 0, "eq(pair(int,int))", "k1", "{X -> int, Y -> int}"),
             ("try", 1, "eq(int)", "k2", "{}"),
-            ("try", 1, "eq(int)", "k2", "{}"),
+            # The second eq(int) at depth 1 is tabled: one event, same proof.
+            ("reuse", 1, "eq(int)", "", "PROVED"),
         ]
 
     def test_compound_atomic_lemma_registers(self):

@@ -29,6 +29,7 @@ from cohorn import (
     term_depth,
     unifiable,
 )
+from cohorn import terms
 from cohorn.terms import atom_vars, head_key, is_ground_term, rename_atom
 
 from helpers import load, random_atom, random_heads, random_subst, random_term
@@ -271,6 +272,22 @@ def pairwise_first_overlap(heads):
     return None
 
 
+def agrees_with_pairwise(head_lists) -> None:
+    """The indexed check names the pair the reference names; both outcomes
+    occur at least 100 times."""
+    outcomes = {"overlap": 0, "clean": 0}
+    for heads in head_lists:
+        expected = pairwise_first_overlap(heads)
+        try:
+            Program(tuple(fact(h) for h in heads))
+            found = None
+        except OverlapError as err:
+            found = (err.index_a, err.index_b)
+        assert found == expected, heads
+        outcomes["overlap" if found else "clean"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 class TestHeadIndex:
     def test_head_key(self):
         assert head_key(atom("eq(pair(X,Y))")) == ("eq", "pair")
@@ -278,21 +295,37 @@ class TestHeadIndex:
         assert head_key(atom("eq(X)")) == ("eq", None)
         assert head_key(atom("q(X,f(c))")) == ("q", None)
         assert head_key(atom("A")) == ("A", None)
+        assert head_key(atom("q(X,f(c))"), 1) == ("q", "f")
+        assert head_key(atom("q(g(Y),X)"), 1) == ("q", None)
+        assert head_key(atom("A"), 1) == ("A", None)
 
     def test_indexed_overlap_check_agrees_with_pairwise(self):
         rng = random.Random(4404)
-        outcomes = {"overlap": 0, "clean": 0}
-        for _ in range(600):
-            heads = random_heads(rng, rng.randint(1, 9))
-            expected = pairwise_first_overlap(heads)
-            try:
-                Program(tuple(fact(h) for h in heads))
-                found = None
-            except OverlapError as err:
-                found = (err.index_a, err.index_b)
-            assert found == expected, heads
-            outcomes["overlap" if found else "clean"] += 1
-        assert min(outcomes.values()) >= 100, outcomes
+        agrees_with_pairwise(random_heads(rng, rng.randint(1, 9)) for _ in range(600))
+
+    def test_variable_first_arguments_agree_with_pairwise(self):
+        # Two-argument heads with a variable at argument 0 are keyed on
+        # argument 1 when fewer heads have a variable there.
+        rng = random.Random(4405)
+        agrees_with_pairwise(
+            [
+                Atom("q", (Var(rng.choice("XYZ")), h.args[1]))
+                if h.predicate == "q" and rng.random() < 0.7
+                else h
+                for h in random_heads(rng, rng.randint(1, 9))
+            ]
+            for _ in range(600)
+        )
+
+    def test_variable_first_arguments_load_in_near_linear_time(self, monkeypatch):
+        # Argument 1 has no variable heads, so each head meets only its own
+        # bucket there: no pair is tried at all.
+        calls = []
+        real = terms.unifiable
+        monkeypatch.setattr(terms, "unifiable", lambda a, b: calls.append(1) or real(a, b))
+        n = 800
+        parse_program("\n".join(f"k{i} : => q(X, t{i}(X))." for i in range(n)))
+        assert len(calls) <= 2 * n, len(calls)
 
     def test_first_overlap_is_least_pair(self):
         # (1, 3) and (0, 4) both overlap; (0, 4) comes first in (i, j) order.
