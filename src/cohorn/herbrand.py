@@ -22,24 +22,34 @@ Guarantees, relative to the true models:
     frontier means the support leans on out-of-base atoms and certifies
     membership in the bounded optimistic model only.
 
-Cost model.  Grounding is head-driven: each clause head is matched against
-the base atoms of its predicate, and since clauses have no existential
-variables the match grounds the whole clause, so grounding costs
-O(|base| * clauses) matches and yields one instance per (clause, head).
-The fixpoints then propagate counters in the style of Dowling and Gallier's
-linear-time Horn satisfiability: the least fixed point counts, per
-instance, the body atoms still missing, and the greatest counts, per head,
-the instances still alive.  Each counter moves at most once per body atom,
-so a fixpoint costs O(instances * body) on top of the grounding.
+Cost model.  Atoms are dense integer ids, never built up front: ground
+terms are numbered in `term_sort_key` order and interned as (functor, child
+ids) -> id, and an atom's id is its predicate's offset plus its argument ids
+read as a mixed-radix number, so id order is `atom_sort_key` order and a
+base costs O(|universe|) to set up.  Grounding is head-driven: each clause
+head is matched against the argument-id tuples of its predicate, and since
+clauses have no existential variables the match grounds the whole clause,
+one instance per (clause, head).  Body atoms are found through the intern
+table; a miss means the atom lies beyond the base, and only such atoms
+become `Atom` objects.  The fixpoints propagate counters over the ids in the
+style of Dowling and Gallier's linear-time Horn satisfiability: the least
+fixed point counts, per instance, the body atoms still missing, and the
+greatest counts, per head, the instances still alive.  Each counter moves
+at most once per body atom, so a fixpoint costs O(instances * body) on top
+of the grounding.  Results are byte masks over the ids, printed in id order
+with no sort and each universe term rendered once.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from itertools import compress, product, repeat
+from operator import gt
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .terms import (
     Atom,
@@ -48,12 +58,13 @@ from .terms import (
     Signature,
     Subst,
     Term,
+    Var,
     apply_atom,
     atom_sort_key,
+    atom_vars,
     clause_vars,
     enumerate_ground_terms,
     is_ground_atom,
-    match,
     signature_of_atom,
     signature_of_clause,
 )
@@ -79,13 +90,127 @@ DEFAULT_MAX_ITERS = 10_000
 
 @dataclass(frozen=True)
 class HerbrandBase:
+    """The ground atoms whose terms have depth <= `depth`, numbered densely.
+
+    Term k is `universe[k]`, with (functor, child ids) `terms[k]`, and
+    `intern` maps those back to k.  `offsets` maps each predicate, in name
+    order, to (arity, first atom id); p(t1..tn) is p's first id plus the ids
+    of t1..tn read as a number in base |universe|."""
+
     signature: Signature
     depth: int
     universe: tuple[Term, ...]
-    atoms: frozenset[Atom]
+    terms: tuple[tuple[str, tuple[int, ...]], ...] = field(compare=False, repr=False)
+    intern: dict[tuple[str, tuple[int, ...]], int] = field(compare=False, repr=False)
+    offsets: dict[str, tuple[int, int]] = field(compare=False, repr=False)
+    size: int = field(compare=False, repr=False)
+
+    @cached_property
+    def atoms(self) -> AtomSet:
+        return AtomSet(self, None)
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
-        return tuple(sorted(self.atoms, key=atom_sort_key))
+        return tuple(self.atoms)
+
+    def atom(self, k: int) -> Atom:
+        n = len(self.universe)
+        for pred, (arity, lo) in self.offsets.items():
+            if k < lo + n**arity:
+                digits = ((k - lo) // n**j % n for j in reversed(range(arity)))
+                return Atom(pred, tuple(self.universe[d] for d in digits))
+        raise IndexError(k)
+
+    def atom_id(self, atom: Atom, env: Optional[dict[str, int]] = None) -> Optional[int]:
+        """The id of `atom`, its variables read through `env`, or None when
+        that atom lies outside the base."""
+        arity, lo = self.offsets.get(atom.predicate, (-1, 0))
+        if arity != len(atom.args):
+            return None
+        k, n, env = 0, len(self.universe), env or {}
+        for arg in atom.args:
+            t = env.get(arg.name) if isinstance(arg, Var) else self._term_id(arg, env)
+            if t is None:
+                return None
+            k = k * n + t
+        return lo + k
+
+    def _term_id(self, t: Term, env: dict[str, int]) -> Optional[int]:
+        if isinstance(t, Var):
+            return env.get(t.name)
+        return self.intern.get((t.functor, tuple(self._term_id(a, env) for a in t.args)))
+
+    def _match(self, p: Term, t: int, env: dict[str, int]) -> bool:
+        if isinstance(p, Var):
+            return env.setdefault(p.name, t) == t
+        functor, children = self.terms[t]
+        return functor == p.functor and all(map(self._match, p.args, children, repeat(env)))
+
+    def matches(self, pattern: Atom) -> Iterator[tuple[int, dict[str, int]]]:
+        """(id, variable -> term id) for each base atom that `pattern`
+        matches, in id order; each argument position is filtered first."""
+        arity, lo = self.offsets.get(pattern.predicate, (-1, 0))
+        if arity != len(pattern.args):
+            return
+        n = len(self.universe)
+        columns = [[t for t in range(n) if self._match(p, t, {})] for p in pattern.args]
+        for combo in product(*columns):
+            env: dict[str, int] = {}
+            if all(map(self._match, pattern.args, combo, repeat(env))):
+                yield lo + reduce(lambda k, t: k * n + t, combo, 0), env
+
+    def mask(self, atoms: AbstractSet[Atom]) -> bytes:
+        """A byte per base id, 1 for the members of `atoms`."""
+        if isinstance(atoms, AtomSet) and atoms.base is self:
+            return atoms.mask or b"\x01" * self.size
+        out = bytearray(self.size)
+        for k in map(self.atom_id, atoms):
+            if k is not None:
+                out[k] = 1
+        return bytes(out)
+
+    def walk(self, mask: Optional[bytes], labels: Sequence) -> Iterator[tuple[str, tuple]]:
+        """(predicate, argument labels) of the atoms in `mask` (the whole base
+        when None) in id order, where `labels[k]` stands for term k."""
+        for pred, (arity, lo) in self.offsets.items():
+            args = product(labels, repeat=arity)
+            if mask is not None:
+                args = compress(args, mask[lo:lo + len(labels) ** arity])
+            yield from zip(repeat(pred), args)
+
+
+class AtomSet(Set):
+    """An immutable set of base atoms: a byte per base id (None for the
+    whole base), iterated in id order, which is `atom_sort_key` order.  It
+    equals, and hashes like, the frozenset of the same atoms."""
+
+    def __init__(self, base: HerbrandBase, mask: Optional[bytes]):
+        self.base = base
+        self.mask = mask
+
+    def __len__(self) -> int:
+        return self.base.size if self.mask is None else self.mask.count(1)
+
+    def __contains__(self, atom: object) -> bool:
+        k = self.base.atom_id(atom) if isinstance(atom, Atom) else None
+        return k is not None and (self.mask is None or self.mask[k] == 1)
+
+    def __iter__(self) -> Iterator[Atom]:
+        return (Atom(p, a) for p, a in self.base.walk(self.mask, self.base.universe))
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, atoms: Iterable[Atom]) -> frozenset[Atom]:
+        return frozenset(atoms)
+
+    def strings(self) -> list[str]:
+        """The atoms printed, in id order, each universe term rendered once."""
+        names = [str(t) for t in self.base.universe]
+        return [f"{p}({','.join(a)})" if a else p for p, a in self.base.walk(self.mask, names)]
+
+
+def _ordered(atoms: AbstractSet[Atom]) -> tuple[Atom, ...]:
+    return tuple(atoms) if isinstance(atoms, AtomSet) else tuple(sorted(atoms, key=atom_sort_key))
 
 
 def herbrand_base(
@@ -93,23 +218,24 @@ def herbrand_base(
 ) -> HerbrandBase:
     sig = signature.with_constants(extra_constants)
     universe = tuple(enumerate_ground_terms(sig, depth, allow_empty=True))
-    atoms: set[Atom] = set()
-    for pred, arity in sig.predicates.items():
-        if arity == 0:
-            atoms.add(Atom(pred))
-        else:
-            for args in product(universe, repeat=arity):
-                atoms.add(Atom(pred, args))
-    return HerbrandBase(sig, depth, universe, frozenset(atoms))
+    ids = {t: k for k, t in enumerate(universe)}
+    terms = tuple((t.functor, tuple(ids[a] for a in t.args)) for t in universe)
+    offsets, size = {}, 0
+    for pred in sorted(sig.predicates):
+        offsets[pred] = (sig.predicates[pred], size)
+        size += len(universe) ** sig.predicates[pred]
+    intern = {node: k for k, node in enumerate(terms)}
+    return HerbrandBase(sig, depth, universe, terms, intern, offsets, size)
 
 
 @dataclass(frozen=True)
 class Interpretation:
-    """A set of base atoms.  When an oracle computation returns one, the
-    counters say how much work it did: the size of the base, the number of
-    ground clause instances, and the rounds of the operator applied."""
+    """A set of base atoms (an `AtomSet` when the oracle computed it).
+    When an oracle computation returns one, the counters say how much work
+    it did: the size of the base, the number of ground clause instances,
+    and the rounds of the operator applied."""
 
-    atoms: frozenset[Atom]
+    atoms: AbstractSet[Atom]
     base: HerbrandBase
     converged: bool = True
     base_atoms: int = field(default=0, compare=False)
@@ -117,7 +243,13 @@ class Interpretation:
     rounds: int = field(default=0, compare=False)
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
-        return tuple(sorted(self.atoms, key=atom_sort_key))
+        return _ordered(self.atoms)
+
+    def atom_strings(self) -> list[str]:
+        """The atoms printed, in `atom_sort_key` order."""
+        if isinstance(self.atoms, AtomSet):
+            return self.atoms.strings()
+        return [str(a) for a in self.sorted_atoms()]
 
 
 def empty_interpretation(base: HerbrandBase) -> Interpretation:
@@ -133,60 +265,55 @@ def full_interpretation(base: HerbrandBase) -> Interpretation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _GroundInstance:
-    head: Atom
-    in_base: tuple[Atom, ...]
-    out_of_base: tuple[Atom, ...]
+class _Grounding(NamedTuple):
+    """Clause instances with an in-base head.  Instance i has head id
+    `heads[i]`, in-base body ids `bodies[i]` and, if it has any, out-of-base
+    body atoms `outside[i]`.  Instances come clause by clause, in head id
+    order, and each clause has at most one instance per head (the head match
+    binds every variable), so one head's instances are in clause order."""
+
+    heads: list[int]
+    bodies: list[tuple[int, ...]]
+    outside: dict[int, tuple[Atom, ...]]
 
 
-def _ground_program(program: Program, base: HerbrandBase) -> list[_GroundInstance]:
-    """All clause instances with an in-base head, bodies split by the base.
-
-    Instances come clause by clause, and each clause has at most one
-    instance per head (the head match binds every variable), so the
-    instances of one head appear in clause order.
-    """
-    by_predicate: dict[str, list[Atom]] = {}
-    for atom in base.atoms:
-        by_predicate.setdefault(atom.predicate, []).append(atom)
-    out: list[_GroundInstance] = []
+def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
+    g = _Grounding([], [], {})
     for clause in program.clauses:
-        for head in by_predicate.get(clause.head.predicate, ()):
-            s = match(clause.head, head)
-            if s is None:
-                continue
-            body = tuple(apply_atom(s, b) for b in clause.body)
-            inside = tuple(b for b in body if b in base.atoms)
-            outside = tuple(b for b in body if b not in base.atoms)
-            out.append(_GroundInstance(head, inside, outside))
-    return out
+        for head, env in base.matches(clause.head):
+            body = [base.atom_id(b, env) for b in clause.body]
+            if None in body:
+                terms = {v: base.universe[t] for v, t in env.items()}
+                g.outside[len(g.heads)] = tuple(
+                    apply_atom(terms, b) for b, k in zip(clause.body, body) if k is None
+                )
+                body = [k for k in body if k is not None]
+            g.heads.append(head)
+            g.bodies.append(tuple(body))
+    return g
 
 
-def _step(
-    instances: Sequence[_GroundInstance], atoms: frozenset[Atom], policy: Policy
-) -> frozenset[Atom]:
-    produced = set()
-    for inst in instances:
-        if inst.out_of_base and policy is Policy.PESSIMISTIC:
-            continue
-        if all(b in atoms for b in inst.in_base):
-            produced.add(inst.head)
-    return frozenset(produced)
+def _step(g: _Grounding, mask: bytes, policy: Policy) -> bytearray:
+    produced = bytearray(len(mask))
+    for i, (head, body) in enumerate(zip(g.heads, g.bodies)):
+        if all(mask[b] for b in body) and not (policy is Policy.PESSIMISTIC and i in g.outside):
+            produced[head] = 1
+    return produced
 
 
 def tp_step(
     program: Program, interp: Interpretation, policy: Policy = Policy.PESSIMISTIC
 ) -> Interpretation:
     """One application of the bounded one-step consequence operator."""
-    instances = _ground_program(program, interp.base)
-    return Interpretation(_step(instances, interp.atoms, policy), interp.base)
+    base = interp.base
+    produced = _step(_ground_program(program, base), base.mask(interp.atoms), policy)
+    return Interpretation(AtomSet(base, bytes(produced)), base)
 
 
 def _fixpoint(
-    instances: Sequence[_GroundInstance],
+    g: _Grounding,
     base: HerbrandBase,
-    start: frozenset[Atom],
+    start: AbstractSet[Atom],
     policy: Policy,
     max_iters: int,
 ) -> Interpretation:
@@ -199,59 +326,61 @@ def _fixpoint(
     operator naively; but a round only visits the instances whose body
     holds an atom that the previous round added or removed.
     """
-    if start and start != base.atoms:
+    if start and start is not base.atoms and start != base.atoms:
         raise ValueError("a fixpoint starts from the empty set or the whole base")
-    watchers: dict[Atom, list[int]] = {}
-    for k, inst in enumerate(instances):
-        for b in inst.in_base:
-            watchers.setdefault(b, []).append(k)
+    heads = g.heads
+    watchers: list[list[int]] = [[] for _ in range(base.size)]
+    for i, body in enumerate(g.bodies):
+        for b in body:
+            watchers[b].append(i)
     # Under the pessimistic policy an instance with an out-of-base body atom
     # never fires.
-    mute = [policy is Policy.PESSIMISTIC and bool(inst.out_of_base) for inst in instances]
-    current = set(start)
+    mute = g.outside if policy is Policy.PESSIMISTIC else {}
+    current = bytearray(b"\x01" if start else b"\x00") * base.size
     rounds = 0
     converged = False
     if not start:
         # changed: atoms the next application adds.
-        missing = [len(inst.in_base) for inst in instances]
-        changed = {
-            inst.head for inst, m, muted in zip(instances, missing, mute) if not m and not muted
-        }
+        missing = [len(body) for body in g.bodies]
+        changed = {heads[i] for i, m in enumerate(missing) if not m and i not in mute}
         while rounds < max_iters:
             rounds += 1
             if not changed:
                 converged = True
                 break
-            current |= changed
+            for a in changed:
+                current[a] = 1
             fresh, changed = changed, set()
-            for atom in fresh:
-                for k in watchers.get(atom, ()):
-                    missing[k] -= 1
-                    if not missing[k] and not mute[k] and instances[k].head not in current:
-                        changed.add(instances[k].head)
+            for a in fresh:
+                for i in watchers[a]:
+                    missing[i] -= 1
+                    if not missing[i] and i not in mute and not current[heads[i]]:
+                        changed.add(heads[i])
     else:
         # changed: atoms the next application removes.
-        alive = [not muted for muted in mute]
-        support = Counter(inst.head for inst, live in zip(instances, alive) if live)
-        changed = {atom for atom in current if not support[atom]}
+        alive = [i not in mute for i in range(len(heads))]
+        support = [0] * base.size
+        for head in compress(heads, alive):
+            support[head] += 1
+        changed = {a for a, n in enumerate(support) if not n}
         while rounds < max_iters:
             rounds += 1
             if not changed:
                 converged = True
                 break
-            current -= changed
+            for a in changed:
+                current[a] = 0
             gone, changed = changed, set()
-            for atom in gone:
-                for k in watchers.get(atom, ()):
-                    if alive[k]:
-                        alive[k] = False
-                        head = instances[k].head
-                        support[head] -= 1
-                        if not support[head]:
-                            changed.add(head)
+            for a in gone:
+                for i in watchers[a]:
+                    if alive[i]:
+                        alive[i] = False
+                        support[heads[i]] -= 1
+                        if not support[heads[i]]:
+                            changed.add(heads[i])
     return Interpretation(
-        frozenset(current), base, converged,
-        base_atoms=len(base.atoms), instances=len(instances), rounds=rounds,
+        AtomSet(base, bytes(current)), base, converged,
+        base_atoms=base.size, instances=len(heads), rounds=rounds,
     )
 
 
@@ -264,8 +393,8 @@ def lfp(
 ) -> Interpretation:
     """Least fixed point of the bounded operator, iterated up from empty."""
     base = herbrand_base(program.signature, depth, extra_constants)
-    instances = _ground_program(program, base)
-    return _fixpoint(instances, base, frozenset(), Policy.PESSIMISTIC, max_iters)
+    g = _ground_program(program, base)
+    return _fixpoint(g, base, frozenset(), Policy.PESSIMISTIC, max_iters)
 
 
 def gfp_bounded(
@@ -278,8 +407,8 @@ def gfp_bounded(
 ) -> Interpretation:
     """Greatest fixed point of the bounded operator, iterated down from full."""
     base = herbrand_base(program.signature, depth, extra_constants)
-    instances = _ground_program(program, base)
-    return _fixpoint(instances, base, base.atoms, policy, max_iters)
+    g = _ground_program(program, base)
+    return _fixpoint(g, base, base.atoms, policy, max_iters)
 
 
 def tp_monotone_check(
@@ -309,7 +438,7 @@ class Certificate:
     membership."""
 
     target: Atom
-    support: frozenset[Atom]
+    support: AbstractSet[Atom]
     frontier: frozenset[Atom]
     depth: int
     base_atoms: int = field(default=0, compare=False)
@@ -321,10 +450,10 @@ class Certificate:
         return not self.frontier
 
     def sorted_support(self) -> tuple[Atom, ...]:
-        return tuple(sorted(self.support, key=atom_sort_key))
+        return _ordered(self.support)
 
     def sorted_frontier(self) -> tuple[Atom, ...]:
-        return tuple(sorted(self.frontier, key=atom_sort_key))
+        return _ordered(self.frontier)
 
 
 class CertificateInvariantError(Exception):
@@ -350,40 +479,41 @@ def certify_gfp(
     base = herbrand_base(sig, search_depth, extra_constants)
     if target not in base.atoms:
         return None
-    instances = _ground_program(program, base)
-    model = _fixpoint(instances, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
-    if target not in model.atoms:
+    g = _ground_program(program, base)
+    return _certify(g, _fixpoint(g, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS), target)
+
+
+def _certify(g: _Grounding, model: Interpretation, target: Atom) -> Optional[Certificate]:
+    """The certificate of `target` in `model`, the optimistic gfp of `g`."""
+    base = model.base
+    live = base.mask(model.atoms)
+    by_head: dict[int, list[int]] = {}
+    for i, head in enumerate(g.heads):
+        by_head.setdefault(head, []).append(i)
+    k = base.atom_id(target)
+    if not live[k]:
         return None
-    by_head: dict[Atom, list[_GroundInstance]] = {}
-    for inst in instances:
-        by_head.setdefault(inst.head, []).append(inst)
-    support: set[Atom] = set()
+    support = bytearray(base.size)
     frontier: set[Atom] = set()
-    queue = deque([target])
+    queue = deque([k])
     while queue:
-        atom = queue.popleft()
-        if atom in support:
+        a = queue.popleft()
+        if support[a]:
             continue
-        support.add(atom)
-        chosen = None
-        for inst in by_head.get(atom, ()):
-            if all(b in model.atoms for b in inst.in_base):
-                chosen = inst
+        support[a] = 1
+        for i in by_head.get(a, ()):
+            if all(live[b] for b in g.bodies[i]):
                 break
-        if chosen is None:  # cannot happen for members of the optimistic gfp
-            raise CertificateInvariantError(f"no supporting instance for {atom}")
-        frontier.update(chosen.out_of_base)
-        for b in chosen.in_base:
-            if b not in support:
-                queue.append(b)
-    cert = Certificate(
-        target, frozenset(support), frozenset(frontier), search_depth,
+        else:  # cannot happen for members of the optimistic gfp
+            raise CertificateInvariantError(f"no supporting instance for {base.atom(a)}")
+        frontier.update(g.outside.get(i, ()))
+        queue.extend(b for b in g.bodies[i] if not support[b])
+    if any(map(gt, support, _step(g, support, Policy.OPTIMISTIC))):
+        raise CertificateInvariantError("support is not a post-fixed point")
+    return Certificate(
+        target, AtomSet(base, bytes(support)), frozenset(frontier), base.depth,
         base_atoms=model.base_atoms, instances=model.instances, rounds=model.rounds,
     )
-    revalidated = _step(instances, cert.support, Policy.OPTIMISTIC)
-    if not cert.support <= revalidated:
-        raise CertificateInvariantError("support is not a post-fixed point")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +540,6 @@ class ValidityVerdict:
         return self.status is Verdict.VALID
 
 
-def _groundings(names: Sequence[str], universe: Sequence[Term]):
-    if not names:
-        yield {}
-        return
-    if not universe:
-        return
-    for combo in product(universe, repeat=len(names)):
-        yield dict(zip(names, combo))
-
-
 def valid(
     program: Program,
     formula: HornClause,
@@ -436,34 +556,46 @@ def valid(
     post-fixed points are genuine), surely out when even the optimistic
     over-approximation lacks it, and boundary-uncertain otherwise.  INVALID
     is reported only for a definitive counterexample (bodies surely in,
-    head surely out); groundings the bound cannot decide yield UNKNOWN, as
-    do formulas with no grounding inside the base.
+    head surely out), the least in `product(universe, ...)` order over the
+    formula's variables; groundings the bound cannot decide yield UNKNOWN,
+    as do formulas with no grounding inside the base.  When the head binds
+    every variable, the groundings are the head's matches in the base.
     """
     sig = program.signature.merged(signature_of_clause(formula))
     base = herbrand_base(sig, depth, extra_constants)
-    instances = _ground_program(program, base)
+    g = _ground_program(program, base)
     start = frozenset() if semantics is Semantics.IND else base.atoms
-    sure = _fixpoint(instances, base, start, Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
-    maybe = _fixpoint(instances, base, start, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    sure, maybe = (
+        base.mask(_fixpoint(g, base, start, policy, DEFAULT_MAX_ITERS).atoms)
+        for policy in (Policy.PESSIMISTIC, Policy.OPTIMISTIC)
+    )
     names = clause_vars(formula)
+    if len(names) == len(atom_vars(formula.head)):
+        groundings = (env for _, env in base.matches(formula.head))
+    else:
+        terms = range(len(base.universe))
+        groundings = (dict(zip(names, c)) for c in product(terms, repeat=len(names)))
     checked = 0
     undecided = False
-    for s in _groundings(names, base.universe):
-        head = apply_atom(s, formula.head)
-        body = [apply_atom(s, b) for b in formula.body]
-        if head not in base.atoms or any(b not in base.atoms for b in body):
+    first = None
+    for env in groundings:
+        head = base.atom_id(formula.head, env)
+        body = [base.atom_id(b, env) for b in formula.body]
+        if head is None or None in body:
             continue
         checked += 1
-        if any(b not in maybe.atoms for b in body):
-            continue  # some premise surely fails: vacuously satisfied
-        if head in sure.atoms:
-            continue
-        if all(b in sure.atoms for b in body) and head not in maybe.atoms:
-            return ValidityVerdict(
-                Verdict.INVALID, s, semantics, depth,
-                note=f"instance {head} fails at depth {depth}",
-            )
-        undecided = True
+        if not all(maybe[b] for b in body) or sure[head]:
+            continue  # a premise surely fails, or the head surely holds
+        if all(sure[b] for b in body) and not maybe[head]:
+            key = ([env[v] for v in names], head)
+            first = key if first is None else min(first, key)
+        else:
+            undecided = True
+    if first is not None:
+        return ValidityVerdict(
+            Verdict.INVALID, {v: base.universe[t] for v, t in zip(names, first[0])},
+            semantics, depth, note=f"instance {base.atom(first[1])} fails at depth {depth}",
+        )
     if checked == 0:
         return ValidityVerdict(
             Verdict.UNKNOWN, None, semantics, depth,
@@ -503,23 +635,29 @@ def preserves_model(
     *,
     extra_constants: Iterable[str] = (),
 ) -> ModelComparison:
-    """Compare the bounded model of P against P extended with `formula`."""
+    """Compare the bounded model of P against P extended with `formula`.
+
+    Coinductively, each differing atom is certified in both programs from
+    the two groundings at hand.  The atoms a target reaches through clause
+    bodies carry only its own and the program's symbols, so the larger base
+    of the extended signature gives `certify_gfp`'s answer.
+    """
     extended = program.extended(formula)
     base = herbrand_base(extended.signature, depth, extra_constants)
     if semantics is Semantics.IND:
         start, policy = frozenset(), Policy.PESSIMISTIC
     else:
         start, policy = base.atoms, Policy.OPTIMISTIC
-    before = _fixpoint(_ground_program(program, base), base, start, policy, DEFAULT_MAX_ITERS)
-    after = _fixpoint(_ground_program(extended, base), base, start, policy, DEFAULT_MAX_ITERS)
-    removed = tuple(sorted(before.atoms - after.atoms, key=atom_sort_key))
-    added = tuple(sorted(after.atoms - before.atoms, key=atom_sort_key))
-    certs: list[tuple[Atom, bool, bool]] = []
+    grounds = (_ground_program(program, base), _ground_program(extended, base))
+    models = [_fixpoint(g, base, start, policy, DEFAULT_MAX_ITERS) for g in grounds]
+    old, new = (base.mask(m.atoms) for m in models)
+    removed = tuple(AtomSet(base, bytes(map(gt, old, new))))
+    added = tuple(AtomSet(base, bytes(map(gt, new, old))))
+    certs = []
     if semantics is Semantics.COIND:
         for atom in removed + added:
-            in_before = certify_gfp(program, atom, depth, extra_constants=extra_constants)
-            in_after = certify_gfp(extended, atom, depth, extra_constants=extra_constants)
-            certs.append((atom, in_before is not None, in_after is not None))
+            found = [_certify(g, m, atom) is not None for g, m in zip(grounds, models)]
+            certs.append((atom, *found))
     return ModelComparison(
         preserved=not removed and not added,
         semantics=semantics,

@@ -176,8 +176,42 @@ def normalize_binders(e: ProofTerm) -> ProofTerm:
     return _normalize(e, {}, [0])
 
 
+def _bound_at(name: str, binders: tuple[str, ...]) -> Optional[int]:
+    """How many binders out the innermost binder of `name` is; None if free."""
+    for k, b in enumerate(reversed(binders)):
+        if b == name:
+            return k
+    return None
+
+
 def alpha_equal(a: ProofTerm, b: ProofTerm) -> bool:
-    return normalize_binders(a) == normalize_binders(b)
+    """Equality up to the names of bound proof variables.  The terms are
+    walked side by side, so the walk stops at the first difference, and a
+    subterm shared by both under the same binders is not walked at all."""
+    stack = [(a, b, (), ())]
+    while stack:
+        x, y, bx, by = stack.pop()
+        if x is y and bx == by:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, ConstSym):
+            if x.name != y.name:
+                return False
+        elif isinstance(x, ProofVar):
+            k = _bound_at(x.name, bx)
+            if k != _bound_at(y.name, by) or (k is None and x.name != y.name):
+                return False
+        elif isinstance(x, Apply):
+            stack.append((x.arg, y.arg, bx, by))
+            stack.append((x.fun, y.fun, bx, by))
+        elif isinstance(x, Lambda):
+            if len(x.binders) != len(y.binders):
+                return False
+            stack.append((x.body, y.body, bx + x.binders, by + y.binders))
+        else:
+            stack.append((x.body, y.body, bx + (x.binder,), by + (y.binder,)))
+    return True
 
 
 def format_proof(e: ProofTerm, unicode: bool = False) -> str:
@@ -269,13 +303,19 @@ class AxiomEnv:
         return None
 
     def lemma_for(self, evidence: ProofTerm) -> Optional[EnvEntry]:
-        for e in self.entries:
-            if e.kind is EntryKind.LEMMA and alpha_equal(e.evidence, evidence):
+        for e in self.lemmas():
+            if alpha_equal(e.evidence, evidence):
                 return e
         return None
 
+    _lemmas = None  # filled by lemmas(): the checker asks at every compound node
+
     def lemmas(self) -> tuple[EnvEntry, ...]:
-        return tuple(e for e in self.entries if e.kind is EntryKind.LEMMA)
+        found = self._lemmas
+        if found is None:
+            found = tuple(e for e in self.entries if e.kind is EntryKind.LEMMA)
+            object.__setattr__(self, "_lemmas", found)
+        return found
 
     def add_lemma(self, evidence: ProofTerm, formula: HornClause) -> "AxiomEnv":
         if isinstance(evidence, (ConstSym, ProofVar)):
@@ -355,11 +395,15 @@ class Derivation:
     @property
     def entry_name(self) -> Optional[str]:
         """The entry an Lp-m node resolves with: its constant or variable
-        name, or "lemma" for a compound lemma term; None for other rules."""
+        name, or "lemma" for a compound lemma term; None for other rules.
+        An atomic lemma used by its bare evidence has no children, whatever
+        the arguments on its evidence's spine."""
         if self.matcher is None:
             return None
-        head, _ = spine(self.evidence)
-        return head.name if isinstance(head, (ConstSym, ProofVar)) else "lemma"
+        head, args = spine(self.evidence)
+        if isinstance(head, (ConstSym, ProofVar)) and len(args) == len(self.children):
+            return head.name
+        return "lemma"
 
 
 class CheckReason(Enum):
@@ -444,7 +488,16 @@ def _check(
 def _check_node(
     env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...], memo: _Memo
 ) -> Derivation:
-    if isinstance(e, Nu):
+    # The engine uses an atomic lemma by its bare evidence, which may be a nu
+    # term or an application; at an atomic goal that the lemma's head
+    # matches, that term is an Lp-m step on the lemma entry, not a fresh Nu'
+    # step or an application of its head.  The search may also build the
+    # same term afresh at a goal the lemma does not match; it is read by its
+    # shape there.
+    lemma = None if f.body or isinstance(e, (ConstSym, ProofVar)) else env.lemma_for(e)
+    if lemma is not None and (lemma.formula.body or match(lemma.formula.head, f.head) is None):
+        lemma = None
+    if isinstance(e, Nu) and lemma is None:
         # Nu on a Horn formula, Nu' on an atom: the hypothesis is f itself.
         if not is_hnf(e.body):
             raise CheckError(
@@ -486,8 +539,11 @@ def _check_node(
             e,
             f,
         )
-    head, args = spine(e)
-    entry = _resolve_head(env, head, path, e, f)
+    if lemma is None:
+        head, args = spine(e)
+        entry = _resolve_head(env, head, path, e, f)
+    else:
+        entry, args = lemma, ()
     clause = entry.formula
     if len(args) != len(clause.body):
         raise CheckError(

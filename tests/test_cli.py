@@ -55,6 +55,24 @@ class TestResolveCommand:
         assert code == 0
         assert "(nu a1. \\b1 -> k2 b1 (a1 (a1 b1))) k1" in out
 
+    def test_nu_evidence_atomic_lemma(self, tmp_path):
+        # The lemma's evidence is a nu term, used bare as the proof of q(c);
+        # it re-checks as a step on the lemma.
+        program = tmp_path / "nu_lemma.hc"
+        program.write_text("k1 : p(f(f(X))), q(f(X)) => q(X).\nk2 : q(f(X)) => p(X).\n")
+        argv = ["resolve", str(program), "--query", "q(c)", "--mode", "coind",
+                "--lemma", "q(X)", "--depth", "4"]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert "outcome: PROVED" in out
+        assert "proof: nu a1. k1 (k2 a1) a1" in out
+        assert "Lp-m [lemma {X -> c}] q(c)" in out
+        check = ["check", str(program), "--proof", "nu a1. k1 (k2 a1) a1", "--formula", "q(c)"]
+        code, out, _ = run(check + ["--lemma", "q(X)", "--depth", "4"])
+        assert code == 0 and "result: valid" in out
+        code, out, _ = run(check)  # without the lemma the term is a Nu' step, and fails
+        assert code == 1 and "rejected (NO_MATCH)" in out
+
     def test_auto_lemma_flag(self):
         code, out, _ = run(
             ["resolve", hc("bush"), "--query", "eq(bush(int))", "--mode", "ext", "--depth", "8", "--auto-lemma"]
@@ -192,6 +210,36 @@ class TestCertifyCommand:
         assert json.loads(out)["stats"] == {"base_atoms": 7, "instances": 7, "rounds": 1}
         _, out, _ = run(["certify", hc("loop"), "--atom", "p(g)", "--depth", "5", "--json"])
         assert json.loads(out)["stats"] is None
+
+
+class TestOracleStatsPinned:
+    """The `stats` of the corpus `model` calls at depth 3 (least, greatest
+    pessimistic, greatest optimistic) and of a `certify` call on the last
+    atom, in string order, of each optimistic model: (base_atoms,
+    instances, rounds)."""
+
+    STATS = {
+        "bush": ([(3, 3, 2), (3, 3, 3), (3, 3, 1)], ("eq(int)", (3, 3, 1))),
+        "chain": ([(3, 2, 1), (3, 2, 4), (3, 2, 4)], None),
+        "empty": ([(0, 0, 1), (0, 0, 1), (0, 0, 1)], None),
+        "evenodd": ([(7, 7, 2), (7, 7, 1), (7, 7, 1)], ("eq(oddList(oddList(int)))", (7, 7, 1))),
+        "loop": ([(0, 0, 1), (0, 0, 1), (0, 0, 1)], None),
+        "p11": ([(9, 9, 1), (9, 9, 7), (9, 9, 1)], ("D(z,z)", (9, 9, 1))),
+        "p6": ([(3, 3, 2), (3, 3, 1), (3, 3, 1)], ("A(g)", (3, 3, 1))),
+        "p7": ([(2, 2, 2), (2, 2, 1), (2, 2, 1)], ("B(f)", (2, 2, 1))),
+        "pair": ([(5, 5, 4), (5, 5, 1), (5, 5, 1)], ("eq(pair(pair(int,int),pair(int,int)))", (5, 5, 1))),
+    }
+
+    def test_corpus(self):
+        variants = (("least", "pess"), ("greatest", "pess"), ("greatest", "opt"))
+        for name, (models, cert) in self.STATS.items():
+            for (semantics, policy), want in zip(variants, models):
+                argv = ["model", hc(name), "--semantics", semantics, "--depth", "3", "--policy", policy]
+                report = json.loads(run(argv + ["--json"])[1])
+                assert tuple(report["stats"].values()) == want, (name, semantics, policy)
+            if cert:
+                report = json.loads(run(["certify", hc(name), "--atom", cert[0], "--depth", "3", "--json"])[1])
+                assert tuple(report["stats"].values()) == cert[1], name
 
 
 class TestVerifySoundness:

@@ -24,6 +24,7 @@ from cohorn import (
     match,
     parse_atom,
     parse_formula,
+    parse_program,
     parse_proof,
     propose_lemma,
     register_lemma,
@@ -190,6 +191,40 @@ class TestRegisterLemma:
         result = run("pair", "eq(pair(int,int))", Mode.INDUCTIVE, lemmas=["eq(pair(int,int))"])
         assert result.outcome is Outcome.PROVED
         assert result.lemmas[0].registered
+
+    @pytest.mark.parametrize("text,goal,evidence", [
+        # Evidence a nu term: read by its shape, a Nu' step, the hypothesis
+        # a1 : q(c) is too specific for the body.
+        ("k1 : p(f(f(X))), q(f(X)) => q(X).\nk2 : q(f(X)) => p(X).", "q(c)",
+         "nu a1. k1 (k2 a1) a1"),
+        # Evidence an application: read by its shape, a k2 step, its nu
+        # hypothesis is p(f(c)), again too specific.
+        ("k1 : p(f(f(Y))) => p(Y).\nk2 : p(X) => q(X).", "q(f(c))", "k2 (nu a2. k1 a2)"),
+    ])
+    def test_atomic_lemma_evidence_rechecks_as_lemma_step(self, text, goal, evidence):
+        src = parse_program(text)
+        query = Query(goal=parse_formula(goal), mode=Mode.COINDUCTIVE, depth_limit=4,
+                      lemmas=(parse_formula("q(X)"),))
+        result = resolve(src.program, query, names=src.names)
+        assert result.outcome is Outcome.PROVED
+        assert result.lemmas[0].registered
+        assert alpha_equal(result.evidence, parse_proof(evidence))
+        d = check(result.env, result.evidence, parse_formula(goal))
+        assert (d.rule, d.children, d.entry_name) == (Rule.LP_M, (), "lemma")
+        # Without the lemma entry the same term is read by its shape, and fails.
+        with pytest.raises(engine.CheckError):
+            check(env_for_program(src.program, src.names), result.evidence, parse_formula(goal))
+
+    def test_atomic_lemma_evidence_at_a_goal_it_does_not_match(self):
+        # The search proves q(d) with a term alpha-equal to the evidence of
+        # the lemma q(f(c)); there it is a Nu' step, as without the lemma.
+        src = parse_program("k1 : q(X) => q(X).\nk3 : => r(d).\nk4 : => r(f(c)).")
+        query = Query(goal=parse_formula("q(d)"), mode=Mode.COINDUCTIVE, depth_limit=4,
+                      lemmas=(parse_formula("q(f(c))"),))
+        result = resolve(src.program, query, names=src.names)
+        assert result.outcome is Outcome.PROVED
+        assert alpha_equal(result.evidence, result.lemmas[0].evidence)
+        assert result.derivation.rule is Rule.NU_PRIME
 
 
 class TestMonomorphicFacts:

@@ -1,6 +1,8 @@
 """Tests for the bounded Herbrand-model oracle."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -24,13 +26,25 @@ from cohorn.herbrand import (
     DEFAULT_MAX_ITERS,
     _fixpoint,
     _ground_program,
-    _GroundInstance,
     empty_interpretation,
     full_interpretation,
 )
-from cohorn.terms import ground_instances
+from cohorn.terms import (
+    App,
+    Atom,
+    HornClause,
+    Signature,
+    Var,
+    apply_atom,
+    atom_sort_key,
+    clause_vars,
+    enumerate_ground_terms,
+    ground_instances,
+    signature_of_clause,
+    term_sort_key,
+)
 
-from helpers import load, random_clause, random_program
+from helpers import load, program_queries, random_clause, random_program
 
 
 def atoms(interp_or_set):
@@ -322,7 +336,8 @@ class TestMonotonicity:
 
 
 def brute_force_grounding(program, base):
-    """Every instantiation over the universe with an in-base head."""
+    """Every instantiation over the universe with an in-base head, as
+    (head, in-base body atoms, out-of-base body atoms)."""
     out = []
     for clause in program.clauses:
         for inst in ground_instances(clause, base.universe):
@@ -330,14 +345,22 @@ def brute_force_grounding(program, base):
                 continue
             inside = tuple(b for b in inst.body if b in base.atoms)
             outside = tuple(b for b in inst.body if b not in base.atoms)
-            out.append(_GroundInstance(inst.head, inside, outside))
+            out.append((inst.head, inside, outside))
     return out
+
+
+def read_instances(grounding, base):
+    """The oracle's id-based instances in the same atom form."""
+    return [
+        (base.atom(head), tuple(map(base.atom, body)), grounding.outside.get(i, ()))
+        for i, (head, body) in enumerate(zip(grounding.heads, grounding.bodies))
+    ]
 
 
 def by_head(instances):
     out = {}
     for inst in instances:
-        out.setdefault(inst.head, []).append(inst)
+        out.setdefault(inst[0], []).append(inst)
     return out
 
 
@@ -367,7 +390,7 @@ class TestOracleAgainstReferences:
     def test_head_driven_grounding_matches_brute_force(self):
         for k, program in enumerate(seeded_programs(61, 200)):
             base = herbrand_base(program.signature, 1 + k % 3)
-            fast = _ground_program(program, base)
+            fast = read_instances(_ground_program(program, base), base)
             slow = brute_force_grounding(program, base)
             # Same instances, and each head keeps its clause order, which
             # certify_gfp relies on when it picks a supporting instance.
@@ -438,3 +461,186 @@ class TestOracleCounters:
             model.base_atoms, model.instances, model.rounds,
         )
         assert cert.instances > 0
+
+
+# ---------------------------------------------------------------------------
+# Integer ids: the base's numbering against its definition
+# ---------------------------------------------------------------------------
+
+
+def random_signature(rng):
+    """Signatures with no constants (an empty universe), constants only,
+    zero-arity predicates, and unary and binary functors."""
+    funcs = {name: 0 for name in rng.sample(["a", "b", "c"], rng.randint(0, 2))}
+    for name in rng.sample(["f", "g"], rng.randint(0, 2)):
+        funcs[name] = rng.randint(1, 2)
+    preds = {p: rng.randint(0, 2) for p in rng.sample(["p", "q", "r", "s"], rng.randint(1, 3))}
+    return Signature(funcs, preds)
+
+
+class TestBaseIds:
+    def test_id_order_is_atom_sort_key_order(self):
+        rng = random.Random(71)
+        seen = Counter()
+        for _ in range(300):
+            sig = random_signature(rng)
+            extra = rng.sample(["a", "k", "z"], rng.randint(0, 2))
+            binary = 2 in sig.functions.values()
+            depth = rng.randint(1, 2 if binary else 3)
+            base = herbrand_base(sig, depth, extra)
+            universe = enumerate_ground_terms(sig.with_constants(extra), depth, allow_empty=True)
+            want = sorted(
+                (Atom(p, args) for p, n in sig.predicates.items() for args in product(universe, repeat=n)),
+                key=atom_sort_key,
+            )
+            assert list(base.atoms) == want
+            assert list(base.universe) == sorted(universe, key=term_sort_key)
+            assert len(base.atoms) == len(want)
+            assert [base.atom_id(a) for a in want] == list(range(len(want)))
+            assert [base.atom(k) for k in range(len(want))] == want
+            assert base.atoms == frozenset(want) and frozenset(want) == base.atoms
+            assert hash(base.atoms) == hash(frozenset(want))
+            assert all(a in base.atoms for a in want)
+            for p, n in sig.predicates.items():
+                assert Atom(p, (Var("X"),) * n) not in base.atoms or n == 0
+                assert Atom(p, (App("c"),) * (n + 1)) not in base.atoms
+            seen["empty universe"] += not universe
+            seen["constants only"] += bool(universe) and not any(sig.functions.values())
+            seen["zero-arity predicate"] += 0 in sig.predicates.values()
+            seen["extra constants"] += bool(extra)
+        assert min(seen.values()) >= 20, seen
+
+    def test_interpretations_print_in_id_order(self):
+        src = load("pair")
+        m = gfp_bounded(src.program, 3, Policy.OPTIMISTIC)
+        want = [str(a) for a in sorted(m.atoms, key=atom_sort_key)]
+        assert m.atom_strings() == want
+        assert [str(a) for a in m.sorted_atoms()] == want
+        # A hand-built interpretation prints the same way.
+        assert Interpretation(frozenset(m.atoms), m.base).atom_strings() == want
+
+
+# ---------------------------------------------------------------------------
+# valid and preserves_model against the universe^vars enumeration
+# ---------------------------------------------------------------------------
+
+
+def reference_valid(program, formula, semantics, depth):
+    """valid as first written: every grounding of universe^vars, in product
+    order, against naively iterated fixpoints; (status, counterexample, note)."""
+    base = herbrand_base(program.signature.merged(signature_of_clause(formula)), depth)
+    start = frozenset() if semantics is Semantics.IND else base.atoms
+    sure, _ = naive_iterate(program, base, start, Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
+    maybe, _ = naive_iterate(program, base, start, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    names = clause_vars(formula)
+    checked, undecided = 0, False
+    for combo in product(base.universe, repeat=len(names)):
+        s = dict(zip(names, combo))
+        head = apply_atom(s, formula.head)
+        body = [apply_atom(s, b) for b in formula.body]
+        if head not in base.atoms or any(b not in base.atoms for b in body):
+            continue
+        checked += 1
+        if any(b not in maybe for b in body) or head in sure:
+            continue
+        if all(b in sure for b in body) and head not in maybe:
+            return Verdict.INVALID, s, f"instance {head} fails at depth {depth}"
+        undecided = True
+    if checked == 0:
+        return Verdict.UNKNOWN, None, "no grounding of the formula fits inside the bounded base"
+    if undecided:
+        return Verdict.UNKNOWN, None, "some instance is boundary-uncertain at this depth"
+    return Verdict.VALID, None, ""
+
+
+def reference_preserves_model(program, formula, semantics, depth):
+    """preserves_model as first written: naive fixpoints, and a fresh
+    certify_gfp (own base, own grounding) per differing atom and program."""
+    extended = program.extended(formula)
+    base = herbrand_base(extended.signature, depth)
+    if semantics is Semantics.IND:
+        start, policy = frozenset(), Policy.PESSIMISTIC
+    else:
+        start, policy = base.atoms, Policy.OPTIMISTIC
+    before, _ = naive_iterate(program, base, start, policy, DEFAULT_MAX_ITERS)
+    after, _ = naive_iterate(extended, base, start, policy, DEFAULT_MAX_ITERS)
+    removed = tuple(sorted(set(before) - set(after), key=atom_sort_key))
+    added = tuple(sorted(set(after) - set(before), key=atom_sort_key))
+    certs = ()
+    if semantics is Semantics.COIND:
+        certs = tuple(
+            (a, certify_gfp(program, a, depth) is not None, certify_gfp(extended, a, depth) is not None)
+            for a in removed + added
+        )
+    return not removed and not added, removed, added, certs
+
+
+def random_formula(rng, signature):
+    """A Horn formula over the signature's predicates whose body may use
+    variables that its head does not bind."""
+
+    def term(d):
+        funcs = sorted(signature.functions.items())
+        compound = [(f, n) for f, n in funcs if n]
+        if d <= 1 or not compound or rng.random() < 0.4:
+            if rng.random() < 0.6:
+                return Var(rng.choice("XYZ"))
+            return App(rng.choice([f for f, n in funcs if not n] or ["c"]))
+        f, n = rng.choice(compound)
+        return App(f, tuple(term(d - 1) for _ in range(n)))
+
+    def atom():
+        p, n = rng.choice(sorted(signature.predicates.items()))
+        return Atom(p, tuple(term(3) for _ in range(n)))
+
+    return HornClause(tuple(atom() for _ in range(rng.randint(0, 2))), atom())
+
+
+class TestGroundingsAgainstEnumeration:
+    def test_valid_matches_enumeration(self):
+        rng = random.Random(73)
+        verdicts = Counter()
+        for k, program in enumerate(seeded_programs(74, 120)):
+            depth = 1 + k % 3
+            formulas = program_queries(rng, program) + [random_clause(rng)]
+            formulas += [random_formula(rng, program.signature) for _ in range(3)]
+            for formula in formulas:
+                for semantics in Semantics:
+                    v = valid(program, formula, semantics, depth)
+                    want = reference_valid(program, formula, semantics, depth)
+                    assert (v.status, v.counterexample, v.note) == want, (k, str(formula))
+                    verdicts[v.status] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
+    def test_preserves_model_matches_enumeration(self):
+        rng = random.Random(75)
+        changed = 0
+        for k, program in enumerate(seeded_programs(76, 120)):
+            depth = 1 + k % 3
+            for formula in program_queries(rng, program) + [random_clause(rng)]:
+                for semantics in Semantics:
+                    cmp = preserves_model(program, formula, semantics, depth)
+                    got = (cmp.preserved, cmp.removed, cmp.added, cmp.certificates)
+                    assert got == reference_preserves_model(program, formula, semantics, depth)
+                    changed += bool(cmp.certificates)
+        assert changed >= 50
+
+    def test_least_counterexample_in_enumeration_order(self):
+        # The head's match order puts f(f(c,c),c) (depth 3) before
+        # f(c,f(f(c,c),c)) (depth 4); the enumeration order of (X, Y) puts
+        # X = c first.  The verdict names the enumeration's first.
+        src = parse_program_text("k1 : => pr(c, f(f(c,c),c)).\nk2 : => pr(f(c,c), c).")
+        formula = parse_formula("pr(X,Y) => p(f(X,Y))")
+        v = valid(src.program, formula, Semantics.IND, 4)
+        assert v.status is Verdict.INVALID
+        assert {x: str(t) for x, t in v.counterexample.items()} == {"X": "c", "Y": "f(f(c,c),c)"}
+        assert v.note == "instance p(f(c,f(f(c,c),c))) fails at depth 4"
+        assert (v.status, v.counterexample, v.note) == reference_valid(
+            src.program, formula, Semantics.IND, 4
+        )
+
+    def test_three_variable_formula_on_pair(self):
+        src = load("pair")
+        formula = parse_formula("eq(X), eq(Y), eq(Z) => eq(pair(X,pair(Y,Z)))")
+        for semantics in Semantics:
+            assert valid(src.program, formula, semantics, 4).status is Verdict.VALID

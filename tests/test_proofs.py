@@ -1,14 +1,19 @@
 """Tests for proof terms, environments, and the judgement checker."""
 
+import random
+
 import pytest
 
 from cohorn import (
+    Apply,
     AxiomEnv,
     CheckError,
     CheckReason,
     ConstSym,
     EntryKind,
+    Lambda,
     Mode,
+    Nu,
     ProofVar,
     Rule,
     admissibility_view,
@@ -246,3 +251,39 @@ class TestAlphaEquivalence:
 
     def test_structure_matters(self):
         assert not alpha_equal(parse_proof("k1 k2"), parse_proof("k2 k1"))
+
+    def test_agrees_with_normalized_equality(self):
+        from test_syntax import random_proof
+
+        def rename(e, env):
+            # Fresh names for every binder, so equal pairs differ in names.
+            if isinstance(e, ProofVar):
+                return ProofVar(env.get(e.name, e.name))
+            if isinstance(e, Apply):
+                return Apply(rename(e.fun, env), rename(e.arg, env))
+            if isinstance(e, Lambda):
+                fresh = tuple(f"{b}r" for b in e.binders)
+                return Lambda(fresh, rename(e.body, {**env, **dict(zip(e.binders, fresh))}))
+            if isinstance(e, Nu):
+                return Nu(e.binder + "r", rename(e.body, {**env, e.binder: e.binder + "r"}))
+            return e
+
+        rng = random.Random(53)
+        equal = 0
+        for _ in range(400):
+            a = random_proof(rng, 4, ("h",))
+            for b in (rename(a, {}), random_proof(rng, 4, ("h",))):
+                same = normalize_binders(a) == normalize_binders(b)
+                assert alpha_equal(a, b) == same == alpha_equal(b, a)
+                equal += same
+        assert equal >= 400
+
+    def test_shared_subterms_are_not_walked(self):
+        # 200 levels of k x x: a tree of 2^200 nodes.
+        e = ConstSym("k0")
+        for i in range(200):
+            e = Apply(Apply(ConstSym(f"k{i + 1}"), e), e)
+        assert alpha_equal(e, e)
+        assert alpha_equal(Apply(e.fun, e.arg), e)
+        assert not alpha_equal(e, e.arg)
+        assert not alpha_equal(Nu("a", e), Nu("b", e.arg))

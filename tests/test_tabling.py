@@ -227,6 +227,22 @@ class TestDiamond:
         assert free_proof_vars(result.evidence) == frozenset()
 
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_atomic_lemma_on_a_deep_diamond(self, mode):
+        # Every compound subproof of an atomic goal is compared with the
+        # lemma's evidence; a walk of the 2^31-node tree would not finish.
+        src = diamond(30)
+        query = Query(parse_formula("eq(c30)"), mode, 31, lemmas=(parse_formula("eq(c5)"),))
+        result = resolve(src.program, query, names=src.names)
+        assert result.outcome is Outcome.PROVED
+        assert result.lemmas[0].registered
+        assert len(result.trace) <= 4 * 31
+        d = result.derivation
+        while d.children:
+            d = d.children[0]
+        assert (d.judgement.formula, d.entry_name) == (parse_formula("eq(c5)"), "lemma")
+
+
 class TestSharedTerms:
     def test_rendering_a_dag_equals_rendering_its_tree(self):
         src = diamond(8)
