@@ -384,7 +384,7 @@ def _cmd_model(src: SourceProgram, args) -> int:
         interp = herbrand.gfp_bounded(
             src.program, args.depth, policy, extra_constants=args.const
         )
-    atoms = interp.atom_strings()
+    atoms = [str(a) for a in interp.sorted_atoms()]
     note = (
         "bounded-base computation; out-of-base body atoms treated as "
         + ("present (optimistic)" if policy is herbrand.Policy.OPTIMISTIC else "absent (pessimistic)")

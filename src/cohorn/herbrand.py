@@ -37,7 +37,7 @@ fixed point counts, per instance, the body atoms still missing, and the
 greatest counts, per head, the instances still alive.  Each counter moves
 at most once per body atom, so a fixpoint costs O(instances * body) on top
 of the grounding.  Results are byte masks over the ids, printed in id order
-with no sort and each universe term rendered once.
+with no sort.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from enum import Enum
 from functools import cached_property, reduce
 from itertools import compress, product, repeat
 from operator import gt
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 from .terms import (
     Atom,
@@ -112,14 +112,6 @@ class HerbrandBase:
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return tuple(self.atoms)
 
-    def atom(self, k: int) -> Atom:
-        n = len(self.universe)
-        for pred, (arity, lo) in self.offsets.items():
-            if k < lo + n**arity:
-                digits = ((k - lo) // n**j % n for j in reversed(range(arity)))
-                return Atom(pred, tuple(self.universe[d] for d in digits))
-        raise IndexError(k)
-
     def atom_id(self, atom: Atom, env: Optional[dict[str, int]] = None) -> Optional[int]:
         """The id of `atom`, its variables read through `env`, or None when
         that atom lies outside the base."""
@@ -168,15 +160,6 @@ class HerbrandBase:
                 out[k] = 1
         return bytes(out)
 
-    def walk(self, mask: Optional[bytes], labels: Sequence) -> Iterator[tuple[str, tuple]]:
-        """(predicate, argument labels) of the atoms in `mask` (the whole base
-        when None) in id order, where `labels[k]` stands for term k."""
-        for pred, (arity, lo) in self.offsets.items():
-            args = product(labels, repeat=arity)
-            if mask is not None:
-                args = compress(args, mask[lo:lo + len(labels) ** arity])
-            yield from zip(repeat(pred), args)
-
 
 class AtomSet(Set):
     """An immutable set of base atoms: a byte per base id (None for the
@@ -195,18 +178,18 @@ class AtomSet(Set):
         return k is not None and (self.mask is None or self.mask[k] == 1)
 
     def __iter__(self) -> Iterator[Atom]:
-        return (Atom(p, a) for p, a in self.base.walk(self.mask, self.base.universe))
+        universe = self.base.universe
+        for pred, (arity, lo) in self.base.offsets.items():
+            args = product(universe, repeat=arity)
+            if self.mask is not None:
+                args = compress(args, self.mask[lo:lo + len(universe) ** arity])
+            yield from map(Atom, repeat(pred), args)
 
     __hash__ = Set._hash
 
     @classmethod
     def _from_iterable(cls, atoms: Iterable[Atom]) -> frozenset[Atom]:
         return frozenset(atoms)
-
-    def strings(self) -> list[str]:
-        """The atoms printed, in id order, each universe term rendered once."""
-        names = [str(t) for t in self.base.universe]
-        return [f"{p}({','.join(a)})" if a else p for p, a in self.base.walk(self.mask, names)]
 
 
 def _ordered(atoms: AbstractSet[Atom]) -> tuple[Atom, ...]:
@@ -244,12 +227,6 @@ class Interpretation:
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return _ordered(self.atoms)
-
-    def atom_strings(self) -> list[str]:
-        """The atoms printed, in `atom_sort_key` order."""
-        if isinstance(self.atoms, AtomSet):
-            return self.atoms.strings()
-        return [str(a) for a in self.sorted_atoms()]
 
 
 def empty_interpretation(base: HerbrandBase) -> Interpretation:
@@ -505,7 +482,7 @@ def _certify(g: _Grounding, model: Interpretation, target: Atom) -> Optional[Cer
             if all(live[b] for b in g.bodies[i]):
                 break
         else:  # cannot happen for members of the optimistic gfp
-            raise CertificateInvariantError(f"no supporting instance for {base.atom(a)}")
+            raise CertificateInvariantError(f"no supporting instance for {base.sorted_atoms()[a]}")
         frontier.update(g.outside.get(i, ()))
         queue.extend(b for b in g.bodies[i] if not support[b])
     if any(map(gt, support, _step(g, support, Policy.OPTIMISTIC))):
@@ -556,10 +533,11 @@ def valid(
     post-fixed points are genuine), surely out when even the optimistic
     over-approximation lacks it, and boundary-uncertain otherwise.  INVALID
     is reported only for a definitive counterexample (bodies surely in,
-    head surely out), the least in `product(universe, ...)` order over the
+    head surely out), the first in `product(universe, ...)` order over the
     formula's variables; groundings the bound cannot decide yield UNKNOWN,
-    as do formulas with no grounding inside the base.  When the head binds
-    every variable, the groundings are the head's matches in the base.
+    as do formulas with no grounding inside the base.  Only the body-only
+    variables range over the universe; the rest come from the head's
+    matches in the base.
     """
     sig = program.signature.merged(signature_of_clause(formula))
     base = herbrand_base(sig, depth, extra_constants)
@@ -570,32 +548,31 @@ def valid(
         for policy in (Policy.PESSIMISTIC, Policy.OPTIMISTIC)
     )
     names = clause_vars(formula)
-    if len(names) == len(atom_vars(formula.head)):
-        groundings = (env for _, env in base.matches(formula.head))
-    else:
-        terms = range(len(base.universe))
-        groundings = (dict(zip(names, c)) for c in product(terms, repeat=len(names)))
+    bound = len(atom_vars(formula.head))
+    # The head's matches, ordered by its variables' ids, each extended over
+    # the body-only variables: the groundings in `product` order.
+    heads = sorted(
+        (tuple(env[v] for v in names[:bound]), k) for k, env in base.matches(formula.head)
+    )
     checked = 0
     undecided = False
-    first = None
-    for env in groundings:
-        head = base.atom_id(formula.head, env)
-        body = [base.atom_id(b, env) for b in formula.body]
-        if head is None or None in body:
-            continue
-        checked += 1
-        if not all(maybe[b] for b in body) or sure[head]:
-            continue  # a premise surely fails, or the head surely holds
-        if all(sure[b] for b in body) and not maybe[head]:
-            key = ([env[v] for v in names], head)
-            first = key if first is None else min(first, key)
-        else:
-            undecided = True
-    if first is not None:
-        return ValidityVerdict(
-            Verdict.INVALID, {v: base.universe[t] for v, t in zip(names, first[0])},
-            semantics, depth, note=f"instance {base.atom(first[1])} fails at depth {depth}",
-        )
+    for ids, head in heads:
+        for rest in product(range(len(base.universe)), repeat=len(names) - bound):
+            env = dict(zip(names, ids + rest))
+            body = [base.atom_id(b, env) for b in formula.body]
+            if None in body:
+                continue
+            checked += 1
+            if not all(maybe[b] for b in body) or sure[head]:
+                continue  # a premise surely fails, or the head surely holds
+            if not all(sure[b] for b in body) or maybe[head]:
+                undecided = True
+                continue
+            s = {v: base.universe[t] for v, t in env.items()}
+            return ValidityVerdict(
+                Verdict.INVALID, s, semantics, depth,
+                note=f"instance {apply_atom(s, formula.head)} fails at depth {depth}",
+            )
     if checked == 0:
         return ValidityVerdict(
             Verdict.UNKNOWN, None, semantics, depth,

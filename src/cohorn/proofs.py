@@ -494,9 +494,14 @@ def _check_node(
     # step or an application of its head.  The search may also build the
     # same term afresh at a goal the lemma does not match; it is read by its
     # shape there.
-    lemma = None if f.body or isinstance(e, (ConstSym, ProofVar)) else env.lemma_for(e)
-    if lemma is not None and (lemma.formula.body or match(lemma.formula.head, f.head) is None):
-        lemma = None
+    lemma = None
+    if not f.body and not isinstance(e, (ConstSym, ProofVar)):
+        lemma = next((
+            entry for entry in env.lemmas()
+            if not entry.formula.body
+            and match(entry.formula.head, f.head) is not None
+            and alpha_equal(entry.evidence, e)
+        ), None)
     if isinstance(e, Nu) and lemma is None:
         # Nu on a Horn formula, Nu' on an atom: the hypothesis is f itself.
         if not is_hnf(e.body):

@@ -141,7 +141,7 @@ class Atom:
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({','.join(str(a) for a in self.args)})"
+        return f"{self.predicate}({','.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)

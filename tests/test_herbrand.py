@@ -24,6 +24,7 @@ from cohorn import (
 )
 from cohorn.herbrand import (
     DEFAULT_MAX_ITERS,
+    HerbrandBase,
     _fixpoint,
     _ground_program,
     empty_interpretation,
@@ -351,8 +352,9 @@ def brute_force_grounding(program, base):
 
 def read_instances(grounding, base):
     """The oracle's id-based instances in the same atom form."""
+    atoms = base.sorted_atoms()
     return [
-        (base.atom(head), tuple(map(base.atom, body)), grounding.outside.get(i, ()))
+        (atoms[head], tuple(atoms[b] for b in body), grounding.outside.get(i, ()))
         for i, (head, body) in enumerate(zip(grounding.heads, grounding.bodies))
     ]
 
@@ -497,7 +499,6 @@ class TestBaseIds:
             assert list(base.universe) == sorted(universe, key=term_sort_key)
             assert len(base.atoms) == len(want)
             assert [base.atom_id(a) for a in want] == list(range(len(want)))
-            assert [base.atom(k) for k in range(len(want))] == want
             assert base.atoms == frozenset(want) and frozenset(want) == base.atoms
             assert hash(base.atoms) == hash(frozenset(want))
             assert all(a in base.atoms for a in want)
@@ -513,11 +514,10 @@ class TestBaseIds:
     def test_interpretations_print_in_id_order(self):
         src = load("pair")
         m = gfp_bounded(src.program, 3, Policy.OPTIMISTIC)
-        want = [str(a) for a in sorted(m.atoms, key=atom_sort_key)]
-        assert m.atom_strings() == want
-        assert [str(a) for a in m.sorted_atoms()] == want
+        want = sorted(m.atoms, key=atom_sort_key)
+        assert list(m.sorted_atoms()) == want
         # A hand-built interpretation prints the same way.
-        assert Interpretation(frozenset(m.atoms), m.base).atom_strings() == want
+        assert list(Interpretation(frozenset(m.atoms), m.base).sorted_atoms()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +637,29 @@ class TestGroundingsAgainstEnumeration:
         assert v.note == "instance p(f(c,f(f(c,c),c))) fails at depth 4"
         assert (v.status, v.counterexample, v.note) == reference_valid(
             src.program, formula, Semantics.IND, 4
+        )
+
+    def test_first_counterexample_ends_the_search(self, monkeypatch):
+        # q has no clauses, so the first grounding, X = Y = Z = int, is a
+        # counterexample; none of the other 26^3 - 1 groundings is visited.
+        src = load("pair")
+        formula = parse_formula("eq(X), eq(Y), eq(Z) => q(X)")
+        looked_up = []
+        atom_id = HerbrandBase.atom_id
+
+        def counting(base, atom, env=None):
+            if any(atom is b for b in formula.body):
+                looked_up.append(dict(env))
+            return atom_id(base, atom, env)
+
+        monkeypatch.setattr(HerbrandBase, "atom_id", counting)
+        v = valid(src.program, formula, Semantics.COIND, 4)
+        assert v.status is Verdict.INVALID
+        assert {x: str(t) for x, t in v.counterexample.items()} == {"X": "int", "Y": "int", "Z": "int"}
+        assert looked_up == [{"X": 0, "Y": 0, "Z": 0}] * 3
+        monkeypatch.undo()
+        assert (v.status, v.counterexample, v.note) == reference_valid(
+            src.program, formula, Semantics.COIND, 4
         )
 
     def test_three_variable_formula_on_pair(self):

@@ -26,6 +26,7 @@ from cohorn import (
     is_hnf,
     normalize_binders,
     parse_formula,
+    parse_program,
     parse_proof,
     register_lemma,
 )
@@ -108,6 +109,17 @@ class TestCheckAccepts:
         """lambda a. a : A => A is derivable; only registration refuses it."""
         d = check(AxiomEnv(), parse_proof("\\a -> a"), parse_formula("A => A"))
         assert d.rule is Rule.LAM
+
+    def test_atomic_lemma_found_past_an_alpha_equal_one_that_does_not_match(self):
+        # Two lemmas with alpha-equal evidence; only the second one's head
+        # matches q(c), and the term checks as a step on it.
+        src = parse_program("k1 : p(f(f(X))), q(f(X)) => q(X).\nk2 : q(f(X)) => p(X).")
+        env = env_for_program(src.program, src.names)
+        env = env.add_lemma(parse_proof("nu a1. k1 (k2 a1) a1"), parse_formula("q(f(c))"))
+        env = env.add_lemma(parse_proof("nu b. k1 (k2 b) b"), parse_formula("q(X)"))
+        d = check(env, parse_proof("nu a1. k1 (k2 a1) a1"), parse_formula("q(c)"))
+        assert (d.rule, d.children, d.entry_name) == (Rule.LP_M, (), "lemma")
+        assert d.matcher == {"X": parse_formula("q(c)").head.args[0]}
 
     def test_determinism(self):
         env = env_of("evenodd")
