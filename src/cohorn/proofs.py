@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .terms import (
     HornClause,
@@ -75,7 +75,7 @@ class Nu:
     body: "ProofTerm"
 
 
-ProofTerm = Union[ConstSym, ProofVar, Apply, Lambda, Nu]
+ProofTerm = ConstSym | ProofVar | Apply | Lambda | Nu
 
 
 def spine(e: ProofTerm) -> tuple[ProofTerm, tuple[ProofTerm, ...]]:

@@ -12,10 +12,18 @@ constants of the axiom environment, in source order.
 Proof terms: application is juxtaposition and associates left,
 `\\b1 b2 -> e` binds lambda variables, `nu a. e` binds a corecursion
 variable, parentheses group.  `nu` is reserved.
+
+Cost model: one `findall` of the `_TOKEN` regex, run in C, turns the text
+into a list of token strings, with `""` at the end of input.  The parsers
+walk that list by index; terms nest on an explicit stack, so a term costs
+no Python call beyond the constructors.  Source positions are computed only
+when a `ParseError` is raised: `_tokenize` re-scans the text with the same
+regex and counts lines and columns up to the offending token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,10 +35,8 @@ from .terms import (
     HornClause,
     OverlapError,
     Program,
-    Term,
     Var,
     format_clause,
-    is_variable_name,
 )
 
 
@@ -45,6 +51,19 @@ class ProgramLoadError(Exception):
     """A parsed program violates a load-time restriction."""
 
 
+# Whitespace and `%` comments, then a token in group 1 or else one unexpected
+# character (`findall` gives "").  `\s` is `str.isspace` and `\w` is `isalnum`
+# or `_`; `[^\W\d]` also admits `²` and `Ⅳ`, which `_tokenize` rejects as not
+# `isalpha`.  The text is scanned with "\n\0" appended: the newline ends a
+# trailing comment and the unexpected `\0` marks the end of input.
+_TOKEN = re.compile(r"\s*(?:%[^\n]*\s*)*(?:(=>|->|[:,().\\]|[^\W\d][\w']*)|[^\s%])")
+_END = "\n\0"
+
+_KINDS = {"=>": "arrow", "->": "to", ":": "colon", ",": "comma", "(": "lparen", ")": "rparen",
+          ".": "dot", "\\": "lambda"}
+_SYMBOLS = frozenset(_KINDS) | {""}  # every token that is not a name
+
+
 class _Tok(NamedTuple):
     kind: str
     text: str
@@ -52,173 +71,160 @@ class _Tok(NamedTuple):
     col: int
 
 
-_PUNCT = {
-    ":": "colon",
-    ",": "comma",
-    "(": "lparen",
-    ")": "rparen",
-    ".": "dot",
-    "\\": "lambda",
-}
-
-
 def _tokenize(text: str) -> list[_Tok]:
+    """The tokens with their positions; raises at the first unexpected character."""
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("=>", i):
-            toks.append(_Tok("arrow", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("to", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text + _END):
+        tok = m.group(1)
+        at = m.end() - 1 if tok is None else m.start(1)
+        newlines = text.count("\n", m.start(), at)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", m.start(), at) + 1
+        if tok is None and at > len(text):
+            break  # the end marker
+        if tok is None or not (tok[0].isalpha() or tok[0] == "_" or tok in _KINDS):
+            raise ParseError(f"unexpected character {text[at]!r}", line, at - line_start + 1)
+        toks.append(_Tok(_KINDS.get(tok, "name"), tok, line, at - line_start + 1))
+    # A trailing comment with no newline leaves the end-of-input column at its `%`.
+    comment = text.find("%", line_start)
+    at = len(text) if comment < 0 else comment
+    toks.append(_Tok("eof", "", line, at - line_start + 1))
     return toks
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+class _Fail(Exception):
+    """(message, token index) of a syntax error; `_whole` adds the position."""
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _expected(toks: list[str], i: int, what: str) -> _Fail:
+    return _Fail(f"expected {what}, found {toks[i] or 'end of input'!r}", i)
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.next()
 
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+# -- terms and atoms ---------------------------------------------------------
+# Each rule takes the tokens and a start index and returns the value and the
+# index after it.  `name[0].isupper()` is `terms.is_variable_name`, inlined.
 
-    # -- terms and atoms ---------------------------------------------------
 
-    def term(self) -> Term:
-        t = self.expect("name", "a term")
-        if self.peek().kind == "lparen":
-            if is_variable_name(t.text):
-                raise ParseError(f"variable {t.text} cannot take arguments", t.line, t.col)
-            self.next()
-            args = [self.term()]
-            while self.peek().kind == "comma":
-                self.next()
-                args.append(self.term())
-            self.expect("rparen", "')'")
-            return App(t.text, tuple(args))
-        if is_variable_name(t.text):
-            return Var(t.text)
-        return App(t.text)
+def _args(toks: list[str], i: int) -> tuple[tuple, int]:
+    """`term {"," term} ")"` from `toks[i]`, nested terms on an explicit stack."""
+    stack: list[tuple[str, list]] = []
+    args: list = []
+    while True:
+        name = toks[i]
+        if name in _SYMBOLS:
+            raise _expected(toks, i, "a term")
+        if toks[i + 1] == "(":
+            if name[0].isupper():
+                raise _Fail(f"variable {name} cannot take arguments", i)
+            stack.append((name, args))
+            args = []
+            i += 2
+            continue
+        args.append(Var(name) if name[0].isupper() else App(name))
+        i += 1
+        while toks[i] != ",":
+            if toks[i] != ")":
+                raise _expected(toks, i, "')'")
+            i += 1
+            if not stack:
+                return tuple(args), i
+            functor, outer = stack.pop()
+            outer.append(App(functor, tuple(args)))
+            args = outer
+        i += 1
 
-    def atom(self) -> Atom:
-        t = self.expect("name", "a predicate")
-        args: list[Term] = []
-        if self.peek().kind == "lparen":
-            self.next()
-            args.append(self.term())
-            while self.peek().kind == "comma":
-                self.next()
-                args.append(self.term())
-            self.expect("rparen", "')'")
-        return Atom(t.text, tuple(args))
 
-    def formula(self) -> HornClause:
-        # [atom {"," atom}] "=>" atom   |   atom
-        if self.peek().kind == "arrow":
-            self.next()
-            return HornClause((), self.atom())
-        first = self.atom()
-        if self.peek().kind not in ("comma", "arrow"):
-            return HornClause((), first)
-        body = [first]
-        while self.peek().kind == "comma":
-            self.next()
-            body.append(self.atom())
-        self.expect("arrow", "'=>'")
-        return HornClause(tuple(body), self.atom())
+def _atom(toks: list[str], i: int) -> tuple[Atom, int]:
+    predicate = toks[i]
+    if predicate in _SYMBOLS:
+        raise _expected(toks, i, "a predicate")
+    if toks[i + 1] != "(":
+        return Atom(predicate), i + 1
+    args, i = _args(toks, i + 2)
+    return Atom(predicate, args), i
 
-    # -- proof terms --------------------------------------------------------
 
-    def proof(self, bound: frozenset[str]) -> ProofTerm:
-        t = self.peek()
-        if t.kind == "lambda":
-            self.next()
-            binders = [self.expect("name", "a binder name").text]
-            while self.peek().kind == "name" and self.peek().text != "nu":
-                binders.append(self.next().text)
-            self.expect("to", "'->'")
-            body = self.proof(bound | frozenset(binders))
-            return Lambda(tuple(binders), body)
-        if t.kind == "name" and t.text == "nu":
-            self.next()
-            binder = self.expect("name", "a binder name").text
-            self.expect("dot", "'.'")
-            body = self.proof(bound | {binder})
-            return Nu(binder, body)
-        head = self.proof_atom(bound)
-        args = []
-        while self.peek().kind in ("name", "lparen") and not (
-            self.peek().kind == "name" and self.peek().text == "nu"
-        ):
-            args.append(self.proof_atom(bound))
-        return make_apply(head, args)
+def _formula(toks: list[str], i: int, query: bool) -> tuple[HornClause, int]:
+    """`[atom {"," atom}] "=>" atom`; a query may also be a bare atom."""
+    body: list[Atom] = []
+    if toks[i] != "=>":
+        atom, i = _atom(toks, i)
+        if query and toks[i] != "," and toks[i] != "=>":
+            return HornClause((), atom), i
+        body.append(atom)
+        while toks[i] == ",":
+            atom, i = _atom(toks, i + 1)
+            body.append(atom)
+        if toks[i] != "=>":
+            raise _expected(toks, i, "'=>'")
+    head, i = _atom(toks, i + 1)
+    return HornClause(tuple(body), head), i
 
-    def proof_atom(self, bound: frozenset[str]) -> ProofTerm:
-        t = self.peek()
-        if t.kind == "lparen":
-            self.next()
-            inner = self.proof(bound)
-            self.expect("rparen", "')'")
-            return inner
-        if t.kind == "name":
-            if t.text == "nu":
-                self.fail("'nu' is reserved")
-            self.next()
-            if t.text in bound:
-                return ProofVar(t.text)
-            return ConstSym(t.text)
-        self.fail("expected a proof term")
-        raise AssertionError  # unreachable
+
+# -- proof terms -------------------------------------------------------------
+
+
+def _proof(toks: list[str], i: int, bound: frozenset[str]) -> tuple[ProofTerm, int]:
+    tok = toks[i]
+    if tok == "\\":
+        if toks[i + 1] in _SYMBOLS:
+            raise _expected(toks, i + 1, "a binder name")
+        end = i + 2  # the first binder may be `nu`, the others may not
+        while toks[end] not in _SYMBOLS and toks[end] != "nu":
+            end += 1
+        if toks[end] != "->":
+            raise _expected(toks, end, "'->'")
+        binders = tuple(toks[i + 1:end])
+        body, i = _proof(toks, end + 1, bound | frozenset(binders))
+        return Lambda(binders, body), i
+    if tok == "nu":
+        binder = toks[i + 1]
+        if binder in _SYMBOLS:
+            raise _expected(toks, i + 1, "a binder name")
+        if toks[i + 2] != ".":
+            raise _expected(toks, i + 2, "'.'")
+        body, i = _proof(toks, i + 3, bound | {binder})
+        return Nu(binder, body), i
+    head, i = _proof_atom(toks, i, bound)
+    args = []
+    while toks[i] == "(" or toks[i] not in _SYMBOLS and toks[i] != "nu":
+        arg, i = _proof_atom(toks, i, bound)
+        args.append(arg)
+    return make_apply(head, args), i
+
+
+def _proof_atom(toks: list[str], i: int, bound: frozenset[str]) -> tuple[ProofTerm, int]:
+    tok = toks[i]
+    if tok == "(":
+        inner, i = _proof(toks, i + 1, bound)
+        if toks[i] != ")":
+            raise _expected(toks, i, "')'")
+        return inner, i + 1
+    if tok in _SYMBOLS:
+        raise _Fail("expected a proof term", i)
+    if tok == "nu":
+        raise _Fail("'nu' is reserved", i)
+    return (ProofVar(tok) if tok in bound else ConstSym(tok)), i + 1
+
+
+def _whole(rule, text: str):
+    """Run `rule(toks, 0)` over the whole text and turn a `_Fail` into a ParseError."""
+    toks = _TOKEN.findall(text + _END)
+    # An unexpected character, or non-ASCII text, where a name may start with
+    # a non-letter: `_tokenize` raises at the first unexpected character.
+    if toks.index("") < len(toks) - 1 or not text.isascii():
+        _tokenize(text)
+    try:
+        value, i = rule(toks, 0)
+        if toks[i]:
+            raise _expected(toks, i, "end of input")
+    except _Fail as fail:
+        message, at = fail.args
+        tok = _tokenize(text)[at]
+        raise ParseError(message, tok.line, tok.col) from None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +242,29 @@ class SourceProgram:
         return self.program.clauses[self.by_name[name]]
 
 
-def parse_program(text: str) -> SourceProgram:
-    p = _Parser(text)
-    names: list[str] = []
+def _clauses(toks: list[str], i: int) -> tuple[tuple[dict[str, int], list[HornClause]], int]:
+    by_name: dict[str, int] = {}  # in source order
     clauses: list[HornClause] = []
-    while p.peek().kind != "eof":
-        name = p.expect("name", "a clause name")
-        p.expect("colon", "':'")
-        body: list[Atom] = []
-        if p.peek().kind != "arrow":
-            body.append(p.atom())
-            while p.peek().kind == "comma":
-                p.next()
-                body.append(p.atom())
-        p.expect("arrow", "'=>'")
-        head = p.atom()
-        p.expect("dot", "'.'")
-        if name.text in names:
-            raise ParseError(f"duplicate clause name {name.text}", name.line, name.col)
-        names.append(name.text)
-        clauses.append(HornClause(tuple(body), head))
+    while toks[i]:
+        name = toks[i]
+        if name in _SYMBOLS:
+            raise _expected(toks, i, "a clause name")
+        if toks[i + 1] != ":":
+            raise _expected(toks, i + 1, "':'")
+        clause, end = _formula(toks, i + 2, False)
+        if toks[end] != ".":
+            raise _expected(toks, end, "'.'")
+        if name in by_name:
+            raise _Fail(f"duplicate clause name {name}", i)
+        by_name[name] = len(clauses)
+        clauses.append(clause)
+        i = end + 1
+    return (by_name, clauses), i
+
+
+def parse_program(text: str) -> SourceProgram:
+    by_name, clauses = _whole(_clauses, text)
+    names = tuple(by_name)
     try:
         program = Program(tuple(clauses))
     except OverlapError as err:
@@ -269,28 +278,19 @@ def parse_program(text: str) -> SourceProgram:
             f"EXISTENTIAL_VAR({', '.join(err.variables)}) in clause "
             f"{which}: {format_clause(err.clause)}"
         ) from err
-    return SourceProgram(program, tuple(names), {n: i for i, n in enumerate(names)})
+    return SourceProgram(program, names, by_name)
 
 
 def parse_formula(text: str) -> HornClause:
-    p = _Parser(text)
-    f = p.formula()
-    p.expect("eof", "end of input")
-    return f
+    return _whole(lambda toks, i: _formula(toks, i, True), text)
 
 
 def parse_atom(text: str) -> Atom:
-    p = _Parser(text)
-    a = p.atom()
-    p.expect("eof", "end of input")
-    return a
+    return _whole(_atom, text)
 
 
 def parse_proof(text: str) -> ProofTerm:
-    p = _Parser(text)
-    e = p.proof(frozenset())
-    p.expect("eof", "end of input")
-    return e
+    return _whole(lambda toks, i: _proof(toks, i, frozenset()), text)
 
 
 def format_program(src: SourceProgram) -> str:

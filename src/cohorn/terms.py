@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class SignatureError(Exception):
@@ -119,7 +119,7 @@ class App:
         return s
 
 
-Term = Union[Var, App]
+Term = Var | App
 
 
 @dataclass(frozen=True)

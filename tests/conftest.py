@@ -1,4 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples on
+# each run, so a CI failure reproduces locally.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])

@@ -1,8 +1,11 @@
 """Tests for the concrete syntax: parsing, printing, round-trips."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohorn import (
     App,
@@ -20,10 +23,12 @@ from cohorn import (
     parse_proof,
     parse_program,
 )
-from cohorn.syntax import _tokenize, format_program
+from cohorn import syntax
+from cohorn.syntax import SourceProgram, _tokenize, format_program
 from cohorn.terms import format_formula
 
-from helpers import load, random_program
+import reference_syntax
+from helpers import PROGRAMS_DIR, load, program_queries, random_program
 
 
 class TestProgramParsing:
@@ -211,3 +216,130 @@ class TestUnicodeRendering:
         from cohorn.syntax import format_formula_unicode
 
         assert "⇒" in format_formula_unicode(parse_formula("A => B"))
+
+
+# ---------------------------------------------------------------------------
+# The front end against the reference copy of the per-character tokenizer
+# and method-per-token parser it replaced
+# ---------------------------------------------------------------------------
+
+ENTRY_POINTS = ("parse_program", "parse_formula", "parse_atom", "parse_proof")
+
+# Every character class the scanner treats specially: letters that are and
+# are not `str.isalpha` (`²` and `Ⅳ` are `isalnum` only), whitespace that is
+# not a newline, comment and arrow starts, and characters no token takes.
+ALPHABET = "kqXY_abnu0123'éª²Ⅳ \t\n\r\x0b\xa0\u2028%=->:,().\\#"
+FRAGMENTS = (
+    "k1", "k2", "eq", "X", "Y", "f", "int", "nu", "a", "_b", "b'", "é", "²", "Ⅳ", "0",
+    " ", "\n", "\t", "\r", "\x0b", "\xa0", "\u2028", ":", " : ", "=>", "->", "=", "-",
+    ",", "(", ")", ".", "\\", "%", "% c", "#",
+)
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except ParseError as err:
+        return ("ParseError", str(err), err.line, err.col)
+    except Exception as err:
+        return (type(err).__name__, str(err))
+    if isinstance(value, SourceProgram):
+        return ("ok", value, value.by_name)
+    return ("ok", value)
+
+
+def assert_same_as_reference(text, entries=ENTRY_POINTS):
+    for entry in entries:
+        got = outcome(getattr(syntax, entry), text)
+        want = outcome(getattr(reference_syntax, entry), text)
+        assert got == want, (entry, text)
+
+
+def random_text(rng):
+    if rng.random() < 0.5:
+        return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 30)))
+    return "".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(0, 20)))
+
+
+def edited(rng, text):
+    """The text with one random fragment inserted, or one character removed."""
+    at = rng.randint(0, len(text))
+    if text and rng.random() < 0.4:
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(FRAGMENTS) + text[at:]
+
+
+class TestAgainstReference:
+    def test_quirks(self):
+        for text in (
+            "eq(Ⅳ)", "k1 : => eq(Ⅳ).", "k1 : => eq(²).", "k1 : => eq(a²).", "k1 : => eq(é).",
+            "k1 : => eq(int % c", "k1 : => eq(int\r\x0b\xa0\u2028", "k1 : => A.\nk1 : => B(",
+            "k1 : => eq(int)\n% only a comment", "\\nu -> k1", "nu nu. k1", "\\a nu -> k1",
+            "(k1", "k1 )", "p(X(a))", "k1 # => =", "", "% c", "\n\n  ",
+        ):
+            assert_same_as_reference(text)
+        with pytest.raises(ParseError) as err:
+            syntax.parse_atom("eq(Ⅳ)")
+        assert str(err.value) == "unexpected character 'Ⅳ' (line 1, column 4)"
+        with pytest.raises(ParseError) as err:
+            parse_program("k1 : => eq(int % c")
+        assert (err.value.line, err.value.col) == (1, 16)
+
+    @given(st.text(alphabet=ALPHABET, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_characters(self, text):
+        assert_same_as_reference(text)
+
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_fragments(self, text):
+        assert_same_as_reference(text)
+
+    def test_seeded_random_strings(self):
+        rng = random.Random(47)
+        corpus = [path.read_text() for path in sorted(PROGRAMS_DIR.glob("*.hc"))]
+        for k in range(20_000):
+            if k % 2:
+                assert_same_as_reference(random_text(rng))
+            else:  # an edited program is read as a program only
+                assert_same_as_reference(edited(rng, rng.choice(corpus)), ("parse_program",))
+
+    def test_corpus_and_every_prefix(self):
+        for path in sorted(PROGRAMS_DIR.glob("*.hc")):
+            text = path.read_text()
+            for end in range(len(text) + 1):
+                assert_same_as_reference(text[:end])
+            for line in text.splitlines():
+                assert_same_as_reference(line)
+
+    def test_helper_programs_queries_and_proofs(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            program = random_program(rng)
+            names = tuple(f"k{i + 1}" for i in range(len(program.clauses)))
+            src = SourceProgram(program, names, {n: i for i, n in enumerate(names)})
+            assert_same_as_reference(format_program(src))
+            for query in program_queries(rng, program):
+                assert_same_as_reference(format_formula(query))
+            assert_same_as_reference(format_proof(random_proof(rng, 4, ())))
+
+
+class TestParseCost:
+    def test_call_events_per_token(self):
+        """A 120-clause two-parameter instance program costs at most 2 Python calls a token."""
+        text = "k0 : => eq(c).\n" + "".join(
+            f"k{i} : eq(X), eq(Y) => eq(t{i}(X,Y)).\n" for i in range(1, 121)
+        )
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            src = parse_program(text)
+        finally:
+            sys.setprofile(None)
+        assert len(src.names) == 121
+        assert calls <= 2 * len(_tokenize(text))

@@ -1,8 +1,12 @@
 """Tests for the first-order term algebra."""
 
 import copy
+import gc
+import importlib
 import pickle
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -341,3 +345,25 @@ class TestHeadIndex:
         with pytest.raises(OverlapError) as info:
             Program(base.clauses + (fact(atom("p(f(c))")),))
         assert (info.value.index_a, info.value.index_b) == (0, 2)
+
+
+class TestModuleCopies:
+    def test_reimport_frees_the_earlier_copy(self):
+        """Nothing outside cohorn (such as typing's caches) keeps an imported copy alive."""
+
+        def drop():
+            names = [n for n in sys.modules if n == "cohorn" or n.startswith("cohorn.")]
+            return {n: sys.modules.pop(n) for n in names}
+
+        saved = drop()
+        try:
+            importlib.import_module("cohorn.cli")
+            first = weakref.ref(sys.modules["cohorn.terms"].App)
+            drop()
+            importlib.import_module("cohorn.cli")
+            gc.collect()
+            assert first() is None
+            assert sys.modules["cohorn.terms"].App is not App
+        finally:
+            drop()
+            sys.modules.update(saved)
