@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -21,6 +22,8 @@ from typing import Optional, Sequence
 from . import engine, herbrand
 from .proofs import (
     CheckError,
+    Derivation,
+    ProofTerm,
     check,
     env_for_program,
     format_derivation,
@@ -31,13 +34,12 @@ from .syntax import (
     ParseError,
     ProgramLoadError,
     SourceProgram,
-    format_formula_unicode,
     parse_atom,
     parse_formula,
     parse_proof,
     parse_program,
 )
-from .terms import SignatureError, format_formula, format_subst
+from .terms import HornClause, SignatureError, format_formula, format_subst
 
 EX_OK = 0
 EX_REJECTED = 1
@@ -75,19 +77,20 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("program", help="program file (.hc)")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--unicode", action="store_true", help="render nu/lambda/=> as unicode")
-    common.add_argument("--timings", action="store_true", help="include wall-clock timings")
-    common.add_argument("--trace", action="store_true", help="include the resolution trace")
+    unicode = argparse.ArgumentParser(add_help=False)
+    unicode.add_argument("--unicode", action="store_true", help="render nu/lambda/=> as unicode")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("resolve", parents=[common], help="search for a proof")
+    p = sub.add_parser("resolve", parents=[common, unicode], help="search for a proof")
     p.add_argument("--query", required=True, help="atomic or Horn formula")
     p.add_argument("--mode", required=True, choices=sorted(_MODES))
     p.add_argument("--lemma", action="append", default=[], help="prove and register first (repeatable)")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--auto-lemma", action="store_true", help="propose a lemma by anti-unification on failure")
+    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+    p.add_argument("--trace", action="store_true", help="include the resolution trace")
 
-    p = sub.add_parser("check", parents=[common], help="check a proof term")
+    p = sub.add_parser("check", parents=[common, unicode], help="check a proof term")
     p.add_argument("--proof", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--lemma", action="append", default=[], help="prove (extended mode) and register first")
@@ -106,7 +109,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "verify-soundness",
-        parents=[common],
+        parents=[common, unicode],
         help="resolve, then validate the result against the matching semantics",
     )
     p.add_argument("--query", required=True)
@@ -182,27 +185,86 @@ def _json_children(v):
     return compress(v, map(_CONTAINERS.get, map(type, v)))
 
 
-def _emit(report: dict, args, lines: list[str]) -> None:
-    if args.json:
-        print(_json_text(report))
-    else:
-        print("\n".join(lines))
+def _json_value(v):
+    """A report field as JSON: engine values become ASCII strings and dicts."""
+    if isinstance(v, (ProofTerm, HornClause)):
+        return _text_value(v, unicode=False)
+    if isinstance(v, Derivation):
+        return _derivation_json(v)
+    if isinstance(v, tuple):  # lemma records, trace events
+        return [_json_value(x) for x in v]
+    if isinstance(v, engine.LemmaRecord):
+        return {
+            "formula": _json_value(v.formula),
+            "proof": _json_value(v.evidence),
+            "registered": v.registered,
+            "note": v.note,
+        }
+    if isinstance(v, engine.TraceEvent):
+        return {"kind": v.kind, "depth": v.depth, "goal": v.goal, "entry": v.entry, "detail": v.detail}
+    if isinstance(v, CheckError):
+        return {"reason": v.reason.value, "message": str(v), "path": list(v.path)}
+    return v
+
+
+def _text_value(v, unicode: bool) -> str:
+    if isinstance(v, ProofTerm):
+        return format_proof(v, unicode)
+    if isinstance(v, HornClause):
+        return format_formula(v, unicode)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.6f}"
+    if isinstance(v, dict):
+        return " ".join(f"{k}={x}" for k, x in v.items())
+    if isinstance(v, engine.TraceEvent):
+        entry = f" {v.entry}" if v.entry else ""
+        detail = f" {v.detail}" if v.detail else ""
+        return f"[{v.depth}] {v.kind}{entry}: {v.goal}{detail}"
+    return str(v)
+
+
+def _emit(report: dict, rows, as_json: bool, unicode: bool = False) -> int:
+    """Print `report` as JSON, or as text row by row, and return its exit
+    code.  A row is a report key, or a `(label, key)` pair, and prints
+    `label: value` unless the value is missing or None; a callable row takes
+    `unicode` and returns the lines of a multi-line block; a false row
+    prints nothing."""
+    if as_json:
+        print(_json_text({k: _json_value(v) for k, v in report.items()}))
+        return report["exit_code"]
+    lines = []
+    for row in filter(None, rows):
+        if callable(row):
+            lines.extend(row(unicode))
+            continue
+        label, key = (row, row) if isinstance(row, str) else row
+        if report.get(key) is not None:
+            lines.append(f"{label}: {_text_value(report[key], unicode)}")
+    print("\n".join(lines))
+    return report["exit_code"]
+
+
+def _block(title: str, items, unicode: bool = False) -> list[str]:
+    return [f"{title}:", *(f"  {_text_value(x, unicode)}" for x in items)]
+
+
+def _derivation_lines(d, unicode: bool) -> list[str]:
+    return [] if d is None else ["derivation:", format_derivation(d, indent=1)]
+
+
+def _lemma_lines(records, unicode: bool) -> list[str]:
+    lines = []
+    for rec in records:
+        status = "registered" if rec.registered else f"NOT registered ({rec.note})"
+        proof = f" with proof {format_proof(rec.evidence, unicode)}" if rec.evidence else ""
+        lines.append(f"lemma: {format_formula(rec.formula, unicode)}{proof} -- {status}")
+    return lines
 
 
 def _oracle_stats(result) -> dict:
     return {"base_atoms": result.base_atoms, "instances": result.instances, "rounds": result.rounds}
-
-
-def _oracle_stats_line(stats: dict) -> str:
-    return "stats: " + " ".join(f"{k}={v}" for k, v in stats.items())
-
-
-def _proof_str(term, args) -> str:
-    return format_proof(term, unicode=args.unicode)
-
-
-def _formula_str(clause, args) -> str:
-    return format_formula_unicode(clause) if args.unicode else format_formula(clause)
 
 
 def _derivation_json(d) -> dict:
@@ -226,98 +288,52 @@ def _derivation_json(d) -> dict:
     return node(d)
 
 
-def _trace_json(trace) -> list[dict]:
-    return [
-        {"kind": t.kind, "depth": t.depth, "goal": t.goal, "entry": t.entry, "detail": t.detail}
-        for t in trace
-    ]
-
-
-def _trace_lines(trace) -> list[str]:
-    out = ["trace:"]
-    for t in trace:
-        entry = f" {t.entry}" if t.entry else ""
-        detail = f" {t.detail}" if t.detail else ""
-        out.append(f"  [{t.depth}] {t.kind}{entry}: {t.goal}{detail}")
-    return out
-
-
-def _lemma_records_json(result) -> list[dict]:
-    return [
-        {
-            "formula": format_formula(r.formula),
-            "proof": format_proof(r.evidence) if r.evidence is not None else None,
-            "registered": r.registered,
-            "note": r.note,
-        }
-        for r in result.lemmas
-    ]
-
-
-def _run_resolve_query(src: SourceProgram, args) -> engine.SearchResult:
-    goal = parse_formula(args.query)
-    lemmas = tuple(parse_formula(t) for t in args.lemma)
+def _run_resolve_query(src: SourceProgram, args) -> tuple[engine.Query, engine.SearchResult]:
     query = engine.Query(
-        goal=goal,
+        goal=parse_formula(args.query),
         mode=_MODES[args.mode],
         depth_limit=args.depth,
-        lemmas=lemmas,
-        auto_lemma=getattr(args, "auto_lemma", False),
+        lemmas=tuple(parse_formula(t) for t in args.lemma),
+        auto_lemma=args.auto_lemma,
     )
-    return engine.resolve(src.program, query, names=src.names)
+    return query, engine.resolve(src.program, query, names=src.names)
 
 
 def _cmd_resolve(src: SourceProgram, args) -> int:
     started = time.perf_counter()
-    result = _run_resolve_query(src, args)
+    query, result = _run_resolve_query(src, args)
     elapsed = time.perf_counter() - started
-    code = _OUTCOME_CODES[result.outcome]
     report = {
         "command": "resolve",
         "program": args.program,
         "query": args.query,
-        "mode": _MODES[args.mode].value,
+        "mode": query.mode.value,
         "depth": args.depth,
         "outcome": result.outcome.value,
-        "proof": format_proof(result.evidence) if result.evidence else None,
-        "lemmas": _lemma_records_json(result),
-        "auto_lemma": format_formula(result.auto_lemma) if result.auto_lemma else None,
-        "derivation": _derivation_json(result.derivation) if result.derivation else None,
-        "trace": _trace_json(result.trace),
-        "exit_code": code,
+        "proof": result.evidence,
+        "lemmas": result.lemmas,
+        "auto_lemma": result.auto_lemma,
+        "derivation": result.derivation,
+        "trace": result.trace,
+        "exit_code": _OUTCOME_CODES[result.outcome],
     }
-    lines = [
-        "command: resolve",
-        f"program: {args.program}",
-        f"query: {args.query}",
-        f"mode: {_MODES[args.mode].value}",
-        f"depth limit: {args.depth}",
-        f"outcome: {result.outcome.value}",
-    ]
-    for rec in result.lemmas:
-        status = "registered" if rec.registered else f"NOT registered ({rec.note})"
-        proof = f" with proof {_proof_str(rec.evidence, args)}" if rec.evidence else ""
-        lines.append(f"lemma: {_formula_str(rec.formula, args)}{proof} -- {status}")
-    if result.auto_lemma is not None:
-        lines.append(f"auto-lemma: {_formula_str(result.auto_lemma, args)}")
-    if result.evidence is not None:
-        lines.append(f"proof: {_proof_str(result.evidence, args)}")
-        lines.append("derivation:")
-        lines.append(format_derivation(result.derivation, indent=1))
-    if args.trace:
-        lines.extend(_trace_lines(result.trace))
     if args.timings:
         report["seconds"] = round(elapsed, 6)
-        lines.append(f"seconds: {elapsed:.6f}")
-    _emit(report, args, lines)
-    return code
+
+    rows = (
+        "command", "program", "query", "mode", ("depth limit", "depth"), "outcome",
+        partial(_lemma_lines, result.lemmas), ("auto-lemma", "auto_lemma"), "proof",
+        partial(_derivation_lines, result.derivation),
+        args.trace and partial(_block, "trace", result.trace), "seconds",
+    )
+    return _emit(report, rows, args.json, args.unicode)
 
 
 def _cmd_check(src: SourceProgram, args) -> int:
     proof = parse_proof(args.proof)
     formula = parse_formula(args.formula)
     env = env_for_program(src.program, src.names)
-    lemma_reports = []
+    lemmas = []
     for text in args.lemma:
         lf = parse_formula(text)
         q = engine.Query(goal=lf, mode=engine.Mode.EXTENDED, depth_limit=args.depth)
@@ -332,48 +348,34 @@ def _cmd_check(src: SourceProgram, args) -> int:
         except engine.RegistrationError as err:
             print(f"error: lemma {text} could not be registered ({err.code})", file=sys.stderr)
             return EX_REJECTED
-        lemma_reports.append((lf, sub.evidence))
+        lemmas.append(engine.LemmaRecord(lf, sub.evidence, registered=True))
     try:
         derivation = check(env, proof, formula)
         rejection = None
-        code = EX_OK
     except CheckError as err:
         derivation = None
         rejection = err
-        code = EX_REJECTED
     report = {
         "command": "check",
         "program": args.program,
         "proof": args.proof,
         "formula": args.formula,
         "valid": rejection is None,
-        "rejection": None
-        if rejection is None
-        else {
-            "reason": rejection.reason.value,
-            "message": str(rejection),
-            "path": list(rejection.path),
-        },
-        "derivation": _derivation_json(derivation) if derivation else None,
-        "exit_code": code,
+        "rejection": rejection,
+        "derivation": derivation,
+        "exit_code": EX_OK if rejection is None else EX_REJECTED,
     }
-    lines = [
-        "command: check",
-        f"program: {args.program}",
-        f"formula: {args.formula}",
-        f"proof: {args.proof}",
-    ]
-    for lf, ev in lemma_reports:
-        lines.append(f"lemma: {_formula_str(lf, args)} with proof {_proof_str(ev, args)} -- registered")
-    if rejection is None:
-        lines.append("result: valid")
-        lines.append("derivation:")
-        lines.append(format_derivation(derivation, indent=1))
-    else:
-        lines.append(f"result: rejected ({rejection.reason.value})")
-        lines.append(f"reason: {rejection}")
-    _emit(report, args, lines)
-    return code
+
+    def result_lines(unicode: bool) -> list[str]:
+        if rejection is None:
+            return ["result: valid"]
+        return [f"result: rejected ({rejection.reason.value})", f"reason: {rejection}"]
+
+    rows = (
+        "command", "program", "formula", "proof", partial(_lemma_lines, lemmas),
+        result_lines, partial(_derivation_lines, derivation),
+    )
+    return _emit(report, rows, args.json, args.unicode)
 
 
 def _cmd_model(src: SourceProgram, args) -> int:
@@ -389,7 +391,6 @@ def _cmd_model(src: SourceProgram, args) -> int:
         "bounded-base computation; out-of-base body atoms treated as "
         + ("present (optimistic)" if policy is herbrand.Policy.OPTIMISTIC else "absent (pessimistic)")
     )
-    stats = _oracle_stats(interp)
     report = {
         "command": "model",
         "program": args.program,
@@ -398,24 +399,15 @@ def _cmd_model(src: SourceProgram, args) -> int:
         "policy": policy.value if args.semantics == "greatest" else "pessimistic",
         "converged": interp.converged,
         "note": note,
-        "stats": stats,
+        "stats": _oracle_stats(interp),
         "atoms": atoms,
         "exit_code": EX_OK,
     }
-    lines = [
-        "command: model",
-        f"program: {args.program}",
-        f"semantics: {args.semantics}",
-        f"depth: {args.depth}",
-        f"policy: {report['policy']}",
-        f"note: {note}",
-        f"converged: {str(interp.converged).lower()}",
-        _oracle_stats_line(stats),
-        f"atoms ({len(atoms)}):",
-    ]
-    lines.extend(f"  {a}" for a in atoms)
-    _emit(report, args, lines)
-    return EX_OK
+    rows = (
+        "command", "program", "semantics", "depth", "policy", "note", "converged", "stats",
+        partial(_block, f"atoms ({len(atoms)})", atoms),
+    )
+    return _emit(report, rows, args.json)
 
 
 def _cmd_certify(src: SourceProgram, args) -> int:
@@ -423,48 +415,39 @@ def _cmd_certify(src: SourceProgram, args) -> int:
     cert = herbrand.certify_gfp(
         src.program, atom, args.depth, extra_constants=args.const
     )
-    found = cert is not None
-    code = EX_OK if found else EX_REJECTED
-    stats = _oracle_stats(cert) if cert else None
     report = {
         "command": "certify",
         "program": args.program,
         "atom": args.atom,
         "depth": args.depth,
-        "found": found,
+        "found": cert is not None,
         "exact": cert.exact if cert else None,
-        "stats": stats,
+        "stats": _oracle_stats(cert) if cert else None,
         "support": [str(a) for a in cert.sorted_support()] if cert else [],
         "frontier": [str(a) for a in cert.sorted_frontier()] if cert else [],
-        "exit_code": code,
+        "exit_code": EX_OK if cert else EX_REJECTED,
     }
-    lines = [
-        "command: certify",
-        f"program: {args.program}",
-        f"atom: {args.atom}",
-        f"depth: {args.depth}",
-    ]
-    if cert is None:
-        lines.append("result: no certificate within bound")
-    else:
+
+    def certificate_lines(unicode: bool) -> list[str]:
+        if cert is None:
+            return ["result: no certificate within bound"]
         kind = "exact post-fixed point" if cert.exact else "optimistic (leans on out-of-base atoms)"
-        lines.append(f"result: certificate found ({kind})")
-        lines.append(_oracle_stats_line(stats))
-        lines.append(f"support ({len(cert.support)}):")
-        lines.extend(f"  {a}" for a in cert.sorted_support())
+        lines = [f"result: certificate found ({kind})", f"stats: {_text_value(report['stats'], unicode)}"]
+        lines += _block(f"support ({len(cert.support)})", report["support"])
         if cert.frontier:
-            lines.append(f"frontier ({len(cert.frontier)}), assumed present beyond the bound:")
-            lines.extend(f"  {a}" for a in cert.sorted_frontier())
-    _emit(report, args, lines)
-    return code
+            title = f"frontier ({len(cert.frontier)}), assumed present beyond the bound"
+            lines += _block(title, report["frontier"])
+        return lines
+
+    rows = ("command", "program", "atom", "depth", certificate_lines)
+    return _emit(report, rows, args.json)
 
 
 def _cmd_verify_soundness(src: SourceProgram, args) -> int:
-    result = _run_resolve_query(src, args)
-    goal = parse_formula(args.query)
+    query, result = _run_resolve_query(src, args)
     semantics = (
         herbrand.Semantics.IND
-        if _MODES[args.mode] is engine.Mode.INDUCTIVE
+        if query.mode is engine.Mode.INDUCTIVE
         else herbrand.Semantics.COIND
     )
     verdict = None
@@ -474,47 +457,42 @@ def _cmd_verify_soundness(src: SourceProgram, args) -> int:
         for rec in result.lemmas:
             if rec.registered:
                 program = program.extended(rec.formula)
-        verdict = herbrand.valid(program, goal, semantics, args.base_depth)
+        verdict = herbrand.valid(program, query.goal, semantics, args.base_depth)
         violation = verdict.status is herbrand.Verdict.INVALID
-    code = EX_UNSOUND if violation else EX_OK
     report = {
         "command": "verify-soundness",
         "program": args.program,
         "query": args.query,
-        "mode": _MODES[args.mode].value,
+        "mode": query.mode.value,
         "depth": args.depth,
         "base_depth": args.base_depth,
         "outcome": result.outcome.value,
-        "proof": format_proof(result.evidence) if result.evidence else None,
+        "proof": result.evidence,
         "semantics": semantics.value,
         "verdict": verdict.status.value if verdict else None,
         "counterexample": format_subst(verdict.counterexample)
         if verdict and verdict.counterexample is not None
         else None,
         "soundness_violation": violation,
-        "exit_code": code,
+        "exit_code": EX_UNSOUND if violation else EX_OK,
     }
-    lines = [
-        "command: verify-soundness",
-        f"program: {args.program}",
-        f"query: {args.query}",
-        f"mode: {_MODES[args.mode].value}",
-        f"outcome: {result.outcome.value}",
-    ]
-    if result.evidence is not None:
-        lines.append(f"proof: {_proof_str(result.evidence, args)}")
-    if verdict is not None:
-        lines.append(f"oracle ({semantics.value}, base depth {args.base_depth}): {verdict.status.value}")
-        if verdict.note:
-            lines.append(f"note: {verdict.note}")
-        if verdict.status is herbrand.Verdict.UNKNOWN:
-            lines.append("warning: bound too small for a verdict; not counted as a violation")
-    if violation:
-        lines.append("SOUNDNESS VIOLATION: proved but invalid (engine bug)")
-    else:
-        lines.append("soundness: ok")
-    _emit(report, args, lines)
-    return code
+
+    def verdict_lines(unicode: bool) -> list[str]:
+        lines = []
+        if verdict is not None:
+            lines.append(f"oracle ({semantics.value}, base depth {args.base_depth}): {verdict.status.value}")
+            if verdict.note:
+                lines.append(f"note: {verdict.note}")
+            if verdict.status is herbrand.Verdict.UNKNOWN:
+                lines.append("warning: bound too small for a verdict; not counted as a violation")
+        if violation:
+            lines.append("SOUNDNESS VIOLATION: proved but invalid (engine bug)")
+        else:
+            lines.append("soundness: ok")
+        return lines
+
+    rows = ("command", "program", "query", "mode", "outcome", "proof", verdict_lines)
+    return _emit(report, rows, args.json, args.unicode)
 
 
 _COMMANDS = {

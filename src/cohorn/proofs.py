@@ -662,7 +662,7 @@ def admissibility_view(d: Derivation) -> Derivation:
     return Derivation(Rule.NU, d.judgement, None, (lam,))
 
 
-def format_derivation(d: Derivation, unicode: bool = False, indent: int = 0) -> str:
+def format_derivation(d: Derivation, indent: int = 0) -> str:
     shared = shared_nodes(d, lambda n: n.children)
     memo: dict[tuple[int, int], str] = {}
 

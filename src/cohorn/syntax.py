@@ -299,10 +299,3 @@ def format_program(src: SourceProgram) -> str:
         for name, clause in zip(src.names, src.program.clauses)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def format_formula_unicode(clause: HornClause) -> str:
-    if clause.is_atomic:
-        return str(clause.head)
-    body = ", ".join(str(b) for b in clause.body)
-    return f"{body} ⇒ {clause.head}"

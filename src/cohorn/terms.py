@@ -169,10 +169,12 @@ def format_clause(clause: HornClause) -> str:
     return f"{body} => {clause.head}" if body else f"=> {clause.head}"
 
 
-def format_formula(clause: HornClause) -> str:
+def format_formula(clause: HornClause, unicode: bool = False) -> str:
     """Query form: an atomic formula prints as a bare atom."""
     if clause.is_atomic:
         return str(clause.head)
+    if unicode:
+        return ", ".join(str(b) for b in clause.body) + f" ⇒ {clause.head}"
     return format_clause(clause)
 
 

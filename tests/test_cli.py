@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -348,6 +350,49 @@ class TestErrorChannels:
         assert proc.returncode == 70
         assert proc.stderr.startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
+
+
+class TestFlagScope:
+    """Each command offers only the flags that change its report: `--trace`
+    and `--timings` on `resolve`, `--unicode` on `resolve`, `check` and
+    `verify-soundness`."""
+
+    ARGV = {
+        "check": ["check", hc("pair"), "--proof", "k1 k2 k2", "--formula", "eq(pair(int,int))"],
+        "model": ["model", hc("pair"), "--semantics", "least", "--depth", "2"],
+        "certify": ["certify", hc("pair"), "--atom", "eq(int)", "--depth", "2"],
+        "verify-soundness": ["verify-soundness", hc("pair"), "--query", "eq(int)", "--mode", "ind",
+                             "--base-depth", "2"],
+    }
+    NOT_OFFERED = [(command, flag) for command in ARGV for flag in ("--trace", "--timings")] + [
+        ("model", "--unicode"),
+        ("certify", "--unicode"),
+    ]
+
+    def test_flags_a_command_ignores_are_usage_errors(self):
+        assert len(self.NOT_OFFERED) == 10
+        for command, flag in self.NOT_OFFERED:
+            assert run(self.ARGV[command])[0] == 0
+            code, out, err = run(self.ARGV[command] + [flag])
+            assert (code, out) == (64, ""), (command, flag)
+            assert err == f"usage error: unrecognized arguments: {flag}\n", (command, flag)
+
+
+class TestReadmeExamples:
+    def test_every_example_command_succeeds(self, monkeypatch):
+        root = PROGRAMS_DIR.parent
+        monkeypatch.chdir(root)
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        commands = [
+            shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("cohorn ")
+        ]
+        assert len(commands) >= 8
+        for argv in commands:
+            code, _, err = run(argv)
+            assert (code, err) == (0, ""), argv
 
 
 class TestHeadIndexBoundaries:

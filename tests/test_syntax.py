@@ -213,9 +213,8 @@ class TestUnicodeRendering:
         assert "ν" in text and "λ" in text
 
     def test_formula_arrow(self):
-        from cohorn.syntax import format_formula_unicode
-
-        assert "⇒" in format_formula_unicode(parse_formula("A => B"))
+        assert format_formula(parse_formula("A, B => C"), unicode=True) == "A, B ⇒ C"
+        assert format_formula(parse_formula("A"), unicode=True) == "A"
 
 
 # ---------------------------------------------------------------------------
