@@ -22,6 +22,9 @@ def hc(name: str) -> str:
     return str(PROGRAMS_DIR / f"{name}.hc")
 
 
+ORACLE_HC = str(Path(__file__).resolve().parent / "golden" / "oracle.hc")
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -454,6 +457,18 @@ CORPUS_REPORTS = [
     ["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3", "--const", "c"],
     ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind", "--base-depth", "2"],
     ["verify-soundness", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "coind", "--base-depth", "2"],
+] + [
+    # Oracle shapes: repeated and swapped variables, nested and ground
+    # compound arguments, an undefined body predicate, zero-arity atoms.
+    ["model", ORACLE_HC, "--semantics", semantics, "--depth", depth, "--policy", policy]
+    for depth in ("3", "4")
+    for semantics, policy in (("least", "pess"), ("greatest", "pess"), ("greatest", "opt"))
+] + [
+    ["certify", ORACLE_HC, "--atom", "r(c,f(c,c))", "--depth", "4"],
+    ["certify", ORACLE_HC, "--atom", "s(c)", "--depth", "4"],
+    ["verify-soundness", ORACLE_HC, "--query", "t(f(c,f(c,c)))", "--mode", "ind", "--base-depth", "3"],
+    ["verify-soundness", ORACLE_HC, "--query", "eq(X) => q(X, f(X,c))", "--mode", "ind", "--base-depth", "3"],
+    ["verify-soundness", ORACLE_HC, "--query", "r(c,f(c,c))", "--mode", "coind", "--base-depth", "4"],
 ]
 
 
