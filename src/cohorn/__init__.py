@@ -21,6 +21,7 @@ from .engine import (
     resolve,
 )
 from .herbrand import (
+    BaseTooLargeError,
     Certificate,
     HerbrandBase,
     Interpretation,

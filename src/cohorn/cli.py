@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (resolve: proved), 1 failed/rejected/no certificate,
 2 search exhausted, 3 soundness violation (verify-soundness only), 64 usage
-errors, 65 malformed input, 66 unreadable files, 70 internal errors (input
-nested too deep to process, or a broken engine or certificate invariant).
+errors (a Herbrand base over --max-atoms among them), 65 malformed input,
+66 unreadable files, 70 internal errors (input nested too deep to process,
+or a broken engine or certificate invariant).
 Reports are byte-stable for fixed inputs; timings are printed only on
 request because they would break that.
 """
@@ -72,16 +73,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# The flags several commands share, declared once.  A parent parser only
+# holds declarations, which each command's parser copies, so these are built
+# once per process rather than on every call.
+_COMMON = argparse.ArgumentParser(add_help=False)
+_COMMON.add_argument("program", help="program file (.hc)")
+_COMMON.add_argument("--json", action="store_true", help="emit a JSON report")
+_UNICODE = argparse.ArgumentParser(add_help=False)
+_UNICODE.add_argument("--unicode", action="store_true", help="render nu/lambda/=> as unicode")
+_ORACLE = argparse.ArgumentParser(add_help=False)
+_ORACLE.add_argument(
+    "--max-atoms", type=int, default=herbrand.DEFAULT_MAX_ATOMS,
+    help="refuse a Herbrand base of more atoms or universe terms than this",
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cohorn", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("program", help="program file (.hc)")
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    unicode = argparse.ArgumentParser(add_help=False)
-    unicode.add_argument("--unicode", action="store_true", help="render nu/lambda/=> as unicode")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("resolve", parents=[common, unicode], help="search for a proof")
+    p = sub.add_parser("resolve", parents=[_COMMON, _UNICODE], help="search for a proof")
     p.add_argument("--query", required=True, help="atomic or Horn formula")
     p.add_argument("--mode", required=True, choices=sorted(_MODES))
     p.add_argument("--lemma", action="append", default=[], help="prove and register first (repeatable)")
@@ -90,26 +101,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--trace", action="store_true", help="include the resolution trace")
 
-    p = sub.add_parser("check", parents=[common, unicode], help="check a proof term")
+    p = sub.add_parser("check", parents=[_COMMON, _UNICODE], help="check a proof term")
     p.add_argument("--proof", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--lemma", action="append", default=[], help="prove (extended mode) and register first")
     p.add_argument("--depth", type=int, default=8, help="depth limit for --lemma proofs")
 
-    p = sub.add_parser("model", parents=[common], help="print a bounded Herbrand model")
+    p = sub.add_parser("model", parents=[_COMMON, _ORACLE], help="print a bounded Herbrand model")
     p.add_argument("--semantics", required=True, choices=["least", "greatest"])
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--policy", choices=["opt", "pess"], default="pess")
     p.add_argument("--const", action="append", default=[], help="extra constant for the universe")
 
-    p = sub.add_parser("certify", parents=[common], help="search a greatest-model membership certificate")
+    p = sub.add_parser("certify", parents=[_COMMON, _ORACLE], help="search a greatest-model membership certificate")
     p.add_argument("--atom", required=True, help="ground atom")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--const", action="append", default=[])
 
     p = sub.add_parser(
         "verify-soundness",
-        parents=[common, unicode],
+        parents=[_COMMON, _UNICODE, _ORACLE],
         help="resolve, then validate the result against the matching semantics",
     )
     p.add_argument("--query", required=True)
@@ -381,10 +392,12 @@ def _cmd_check(src: SourceProgram, args) -> int:
 def _cmd_model(src: SourceProgram, args) -> int:
     policy = herbrand.Policy.OPTIMISTIC if args.policy == "opt" else herbrand.Policy.PESSIMISTIC
     if args.semantics == "least":
-        interp = herbrand.lfp(src.program, args.depth, extra_constants=args.const)
+        interp = herbrand.lfp(
+            src.program, args.depth, extra_constants=args.const, max_atoms=args.max_atoms
+        )
     else:
         interp = herbrand.gfp_bounded(
-            src.program, args.depth, policy, extra_constants=args.const
+            src.program, args.depth, policy, extra_constants=args.const, max_atoms=args.max_atoms
         )
     atoms = [str(a) for a in interp.sorted_atoms()]
     note = (
@@ -413,7 +426,7 @@ def _cmd_model(src: SourceProgram, args) -> int:
 def _cmd_certify(src: SourceProgram, args) -> int:
     atom = parse_atom(args.atom)
     cert = herbrand.certify_gfp(
-        src.program, atom, args.depth, extra_constants=args.const
+        src.program, atom, args.depth, extra_constants=args.const, max_atoms=args.max_atoms
     )
     report = {
         "command": "certify",
@@ -457,7 +470,9 @@ def _cmd_verify_soundness(src: SourceProgram, args) -> int:
         for rec in result.lemmas:
             if rec.registered:
                 program = program.extended(rec.formula)
-        verdict = herbrand.valid(program, query.goal, semantics, args.base_depth)
+        verdict = herbrand.valid(
+            program, query.goal, semantics, args.base_depth, max_atoms=args.max_atoms
+        )
         violation = verdict.status is herbrand.Verdict.INVALID
     report = {
         "command": "verify-soundness",
@@ -513,6 +528,9 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         return EX_USAGE
     try:
         return _COMMANDS[args.command](_load_program(args.program), args)
+    except herbrand.BaseTooLargeError as err:
+        print(f"usage error: {err}; raise --max-atoms or lower the depth", file=sys.stderr)
+        return EX_USAGE
     except FileNotFoundError as err:
         print(f"file error: {err}", file=sys.stderr)
         return EX_NOINPUT

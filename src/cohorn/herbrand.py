@@ -26,11 +26,16 @@ Cost model.  Atoms are dense integer ids, never built up front: ground
 terms are numbered in `term_sort_key` order and interned as (functor, child
 ids) -> id, and an atom's id is its predicate's offset plus its argument ids
 read as a mixed-radix number, so id order is `atom_sort_key` order and a
-base costs O(|universe|) to set up.  Grounding is head-driven: each clause
-head is matched against the argument-id tuples of its predicate, and since
-clauses have no existential variables the match grounds the whole clause,
-one instance per (clause, head).  Body atoms are found through the intern
-table; a miss means the atom lies beyond the base, and only such atoms
+base costs O(|universe|) to set up; `max_atoms` bounds it, checked from the
+universe-size recurrence before anything is enumerated.  Grounding is a
+column join on the head: each argument pattern is matched once against
+every universe term, O(|universe| * head arguments) matches per clause,
+and the columns are joined in id order on the variables they share.  Since
+clauses have no existential variables the head grounds the whole clause,
+one instance per (clause, head).  A body atom's ids are then slot
+arithmetic over the instances' variable ids, O(instances * body); only a
+compound argument with variables goes through the intern table per
+instance.  A miss means the atom lies beyond the base, and only such atoms
 become `Atom` objects.  The fixpoints propagate counters over the ids in the
 style of Dowling and Gallier's linear-time Horn satisfiability: the least
 fixed point counts, per instance, the body atoms still missing, and the
@@ -46,7 +51,7 @@ from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, product, repeat
 from operator import gt
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
@@ -67,6 +72,7 @@ from .terms import (
     is_ground_atom,
     signature_of_atom,
     signature_of_clause,
+    term_vars,
 )
 
 
@@ -81,6 +87,15 @@ class Semantics(Enum):
 
 
 DEFAULT_MAX_ITERS = 10_000
+# Far above every base the corpus, the tests and the benchmark build (at
+# most 1,535 atoms), and small enough that a base this wide is grounded and
+# solved within tens of megabytes.
+DEFAULT_MAX_ATOMS = 100_000
+
+
+class BaseTooLargeError(Exception):
+    """The bounded base would hold more atoms, or universe terms, than the
+    budget allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +152,73 @@ class HerbrandBase:
         functor, children = self.terms[t]
         return functor == p.functor and all(map(self._match, p.args, children, repeat(env)))
 
-    def matches(self, pattern: Atom) -> Iterator[tuple[int, dict[str, int]]]:
-        """(id, variable -> term id) for each base atom that `pattern`
-        matches, in id order; each argument position is filtered first."""
-        arity, lo = self.offsets.get(pattern.predicate, (-1, 0))
-        if arity != len(pattern.args):
-            return
+    def join(self, head: Atom) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The ids of the base atoms that `head` matches, in id order, and
+        for each the ids its variables take, in `atom_vars(head)` order.
+
+        Each argument position is matched once against every universe term,
+        and the positions' columns are joined left to right on the
+        variables an earlier position bound.  An id is the argument ids
+        read as a mixed-radix number, so joining sorted columns in order
+        yields the ids in order."""
+        arity, lo = self.offsets.get(head.predicate, (-1, 0))
+        if arity != len(head.args):
+            return [], []
         n = len(self.universe)
-        columns = [[t for t in range(n) if self._match(p, t, {})] for p in pattern.args]
-        for combo in product(*columns):
-            env: dict[str, int] = {}
-            if all(map(self._match, pattern.args, combo, repeat(env))):
-                yield lo + reduce(lambda k, t: k * n + t, combo, 0), env
+        names: list[str] = []
+        # (id without the offset, ids of `names`) per partial match.
+        rows: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        for p in head.args:
+            here = term_vars(p)
+            old = [v for v in here if v in names]
+            slots = [names.index(v) for v in old]
+            new = [v for v in here if v not in names]
+            # The terms that p matches, keyed by the ids of its old variables.
+            column: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+            for t in range(n):
+                bound: dict[str, int] = {}
+                if self._match(p, t, bound):
+                    key = tuple(bound[v] for v in old)
+                    column.setdefault(key, []).append((t, tuple(bound[v] for v in new)))
+            names += new
+            rows = [
+                (k * n + t, env + fresh)
+                for k, env in rows
+                for t, fresh in column.get(tuple(env[s] for s in slots), ())
+            ]
+        return [lo + k for k, _ in rows], [env for _, env in rows]
+
+    def ids_under(
+        self, atom: Atom, names: list[str], envs: list[tuple[int, ...]]
+    ) -> list[Optional[int]]:
+        """The id of `atom` under each env (the ids of `names`, in order),
+        None where that atom lies outside the base."""
+        arity, lo = self.offsets.get(atom.predicate, (-1, 0))
+        if arity != len(atom.args):
+            return [None] * len(envs)
+        n = len(self.universe)
+        ids: list = [lo] * len(envs)
+        compound = []
+        for j, arg in enumerate(atom.args):
+            w = n ** (arity - 1 - j)
+            if isinstance(arg, Var):
+                s = names.index(arg.name)
+                ids = [k + e[s] * w for k, e in zip(ids, envs)]
+            elif term_vars(arg):
+                compound.append((arg, w))
+            else:
+                t = self._term_id(arg, {})
+                if t is None:
+                    return [None] * len(envs)
+                ids = [k + t * w for k in ids]
+        if compound:
+            dicts = [dict(zip(names, e)) for e in envs]
+            for arg, w in compound:
+                ids = [
+                    None if k is None or (t := self._term_id(arg, d)) is None else k + t * w
+                    for k, d in zip(ids, dicts)
+                ]
+        return ids
 
     def mask(self, atoms: AbstractSet[Atom]) -> bytes:
         """A byte per base id, 1 for the members of `atoms`."""
@@ -196,10 +266,40 @@ def _ordered(atoms: AbstractSet[Atom]) -> tuple[Atom, ...]:
     return tuple(atoms) if isinstance(atoms, AtomSet) else tuple(sorted(atoms, key=atom_sort_key))
 
 
+def bounded_size(signature: Signature, depth: int, cap: int) -> int:
+    """The number of atoms or universe terms of the depth-`depth` base,
+    whichever is larger, or cap + 1 if that exceeds `cap`.
+
+    Read off the universe-size recurrence u_1 = c, u_d = c + sum over
+    functors f of u_(d-1)^arity(f), where c counts the constants, with u
+    saturated at cap + 1 at every level: nothing is enumerated, and a large
+    depth builds no large number."""
+    top = cap + 1
+    arities = list(signature.functions.values())
+    constants = arities.count(0)
+    u = constants
+    for _ in range(depth - 1):
+        bigger = min(constants + sum(u ** a for a in arities if a), top)
+        if bigger == u:
+            break
+        u = bigger
+    atoms = sum(u ** a for a in signature.predicates.values())
+    return min(max(u, atoms), top)
+
+
 def herbrand_base(
-    signature: Signature, depth: int, extra_constants: Iterable[str] = ()
+    signature: Signature,
+    depth: int,
+    extra_constants: Iterable[str] = (),
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> HerbrandBase:
+    """The depth-bounded base; `BaseTooLargeError`, before anything is
+    enumerated, when it would hold more than `max_atoms` atoms or terms."""
     sig = signature.with_constants(extra_constants)
+    if bounded_size(sig, depth, max_atoms) > max_atoms:
+        raise BaseTooLargeError(
+            f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
+        )
     universe = tuple(enumerate_ground_terms(sig, depth, allow_empty=True))
     ids = {t: k for k, t in enumerate(universe)}
     terms = tuple((t.functor, tuple(ids[a] for a in t.args)) for t in universe)
@@ -244,10 +344,11 @@ def full_interpretation(base: HerbrandBase) -> Interpretation:
 
 class _Grounding(NamedTuple):
     """Clause instances with an in-base head.  Instance i has head id
-    `heads[i]`, in-base body ids `bodies[i]` and, if it has any, out-of-base
-    body atoms `outside[i]`.  Instances come clause by clause, in head id
-    order, and each clause has at most one instance per head (the head match
-    binds every variable), so one head's instances are in clause order."""
+    `heads[i]`, in-base body ids `bodies[i]`, in body order, and, if it has
+    any, out-of-base body atoms `outside[i]`.  Instances come clause by
+    clause, each clause's in head id order (the order of its head join), and
+    each clause has at most one instance per head (the head binds every
+    variable), so one head's instances are in clause order."""
 
     heads: list[int]
     bodies: list[tuple[int, ...]]
@@ -257,16 +358,20 @@ class _Grounding(NamedTuple):
 def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
     g = _Grounding([], [], {})
     for clause in program.clauses:
-        for head, env in base.matches(clause.head):
-            body = [base.atom_id(b, env) for b in clause.body]
-            if None in body:
-                terms = {v: base.universe[t] for v, t in env.items()}
-                g.outside[len(g.heads)] = tuple(
-                    apply_atom(terms, b) for b, k in zip(clause.body, body) if k is None
-                )
-                body = [k for k in body if k is not None]
-            g.heads.append(head)
-            g.bodies.append(tuple(body))
+        heads, envs = base.join(clause.head)
+        names = atom_vars(clause.head)
+        columns = [base.ids_under(b, names, envs) for b in clause.body]
+        bodies = list(zip(*columns)) if columns else [()] * len(heads)
+        if any(None in column for column in columns):
+            for i, body in enumerate(bodies):
+                if None in body:
+                    terms = {v: base.universe[t] for v, t in zip(names, envs[i])}
+                    g.outside[len(g.heads) + i] = tuple(
+                        apply_atom(terms, b) for b, k in zip(clause.body, body) if k is None
+                    )
+                    bodies[i] = tuple(k for k in body if k is not None)
+        g.heads.extend(heads)
+        g.bodies.extend(bodies)
     return g
 
 
@@ -367,9 +472,10 @@ def lfp(
     *,
     max_iters: int = DEFAULT_MAX_ITERS,
     extra_constants: Iterable[str] = (),
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Least fixed point of the bounded operator, iterated up from empty."""
-    base = herbrand_base(program.signature, depth, extra_constants)
+    base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
     return _fixpoint(g, base, frozenset(), Policy.PESSIMISTIC, max_iters)
 
@@ -381,9 +487,10 @@ def gfp_bounded(
     *,
     max_iters: int = DEFAULT_MAX_ITERS,
     extra_constants: Iterable[str] = (),
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Greatest fixed point of the bounded operator, iterated down from full."""
-    base = herbrand_base(program.signature, depth, extra_constants)
+    base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
     return _fixpoint(g, base, base.atoms, policy, max_iters)
 
@@ -443,6 +550,7 @@ def certify_gfp(
     search_depth: int,
     *,
     extra_constants: Iterable[str] = (),
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Optional[Certificate]:
     """Search for a finite support set witnessing membership of `target`.
 
@@ -453,7 +561,7 @@ def certify_gfp(
     if not is_ground_atom(target):
         raise ValueError("certificate targets must be ground atoms")
     sig = program.signature.merged(signature_of_atom(target))
-    base = herbrand_base(sig, search_depth, extra_constants)
+    base = herbrand_base(sig, search_depth, extra_constants, max_atoms)
     if target not in base.atoms:
         return None
     g = _ground_program(program, base)
@@ -524,6 +632,7 @@ def valid(
     depth: int,
     *,
     extra_constants: Iterable[str] = (),
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> ValidityVerdict:
     """Validity of an atomic or Horn formula in the bounded model.
 
@@ -537,10 +646,10 @@ def valid(
     formula's variables; groundings the bound cannot decide yield UNKNOWN,
     as do formulas with no grounding inside the base.  Only the body-only
     variables range over the universe; the rest come from the head's
-    matches in the base.
+    join with the base.
     """
     sig = program.signature.merged(signature_of_clause(formula))
-    base = herbrand_base(sig, depth, extra_constants)
+    base = herbrand_base(sig, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
     start = frozenset() if semantics is Semantics.IND else base.atoms
     sure, maybe = (
@@ -551,9 +660,8 @@ def valid(
     bound = len(atom_vars(formula.head))
     # The head's matches, ordered by its variables' ids, each extended over
     # the body-only variables: the groundings in `product` order.
-    heads = sorted(
-        (tuple(env[v] for v in names[:bound]), k) for k, env in base.matches(formula.head)
-    )
+    ids, envs = base.join(formula.head)
+    heads = sorted(zip(envs, ids))
     checked = 0
     undecided = False
     for ids, head in heads:

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -353,6 +354,46 @@ class TestErrorChannels:
         assert proc.returncode == 70
         assert proc.stderr.startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
+
+
+class TestBaseBudget:
+    """`--max-atoms` bounds the Herbrand base of `model`, `certify` and
+    `verify-soundness`; an oversized base is a usage error, found before
+    anything is enumerated."""
+
+    USAGE = "usage error: the Herbrand base at depth {} has more than {} atoms or terms; " \
+        "raise --max-atoms or lower the depth\n"
+
+    def test_runaway_certificate_returns_at_once(self):
+        # About 4.4e12 universe terms at depth 6; this call used to run for minutes.
+        argv = ["certify", hc("pair"), "--atom", "eq(pair(int,int))", "--depth", "6", "--const", "c"]
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (64, "", self.USAGE.format(6, 100000))
+
+    def test_huge_depth_saturates(self):
+        argv = ["model", hc("pair"), "--semantics", "greatest", "--depth", "1000000000"]
+        assert run(argv) == (64, "", self.USAGE.format(1000000000, 100000))
+
+    def test_budget_is_inclusive(self):
+        # pair at depth 3: five terms, five eq atoms.
+        for command in (
+            ["model", hc("pair"), "--semantics", "least", "--depth", "3"],
+            ["certify", hc("pair"), "--atom", "eq(pair(int,int))", "--depth", "3"],
+            ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind",
+             "--base-depth", "3"],
+        ):
+            assert run(command + ["--max-atoms", "5"])[0] == 0, command
+            assert run(command + ["--max-atoms", "4"]) == (64, "", self.USAGE.format(3, 4)), command
+
+    def test_only_oracle_commands_take_the_flag(self):
+        for argv in (
+            ["resolve", hc("pair"), "--query", "eq(int)", "--mode", "ind"],
+            ["check", hc("pair"), "--proof", "k2", "--formula", "eq(int)"],
+        ):
+            code, out, err = run(argv + ["--max-atoms", "5"])
+            assert (code, out, err) == (64, "", "usage error: unrecognized arguments: --max-atoms 5\n")
 
 
 class TestFlagScope:

@@ -3,8 +3,11 @@
 import random
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohorn import (
     Interpretation,
@@ -24,9 +27,11 @@ from cohorn import (
 )
 from cohorn.herbrand import (
     DEFAULT_MAX_ITERS,
+    BaseTooLargeError,
     HerbrandBase,
     _fixpoint,
     _ground_program,
+    bounded_size,
     empty_interpretation,
     full_interpretation,
 )
@@ -34,10 +39,12 @@ from cohorn.terms import (
     App,
     Atom,
     HornClause,
+    Program,
     Signature,
     Var,
     apply_atom,
     atom_sort_key,
+    atom_vars,
     clause_vars,
     enumerate_ground_terms,
     ground_instances,
@@ -45,6 +52,7 @@ from cohorn.terms import (
     term_sort_key,
 )
 
+import reference_herbrand
 from helpers import load, program_queries, random_clause, random_program
 
 
@@ -511,6 +519,29 @@ class TestBaseIds:
             seen["extra constants"] += bool(extra)
         assert min(seen.values()) >= 20, seen
 
+    def test_bounded_size_is_the_enumerated_size(self):
+        rng = random.Random(72)
+        for _ in range(300):
+            sig = random_signature(rng)
+            extra = rng.sample(["a", "k", "z"], rng.randint(0, 2))
+            depth = rng.randint(1, 3)
+            base = herbrand_base(sig, depth, extra, max_atoms=10**6)
+            size = max(len(base.universe), base.size)
+            full = sig.with_constants(extra)
+            assert bounded_size(full, depth, 10**6) == size
+            assert bounded_size(full, depth, size) == size
+            assert bounded_size(full, depth, size - 1) == size
+            assert herbrand_base(sig, depth, extra, max_atoms=size) == base
+            with pytest.raises(BaseTooLargeError):
+                herbrand_base(sig, depth, extra, max_atoms=size - 1)
+
+    def test_bounded_size_saturates(self):
+        # u_d grows doubly exponentially; no number beyond cap + 1 is built.
+        sig = Signature({"c": 0, "f": 2}, {"p": 1})
+        assert bounded_size(sig, 10**9, 100) == 101
+        assert bounded_size(Signature({"c": 0, "f": 1}, {"p": 0}), 10**9, 10**4) == 10**4 + 1
+        assert bounded_size(Signature({"f": 2}, {"p": 1, "q": 0}), 10**9, 10) == 1
+
     def test_interpretations_print_in_id_order(self):
         src = load("pair")
         m = gfp_bounded(src.program, 3, Policy.OPTIMISTIC)
@@ -667,3 +698,152 @@ class TestGroundingsAgainstEnumeration:
         formula = parse_formula("eq(X), eq(Y), eq(Z) => eq(pair(X,pair(Y,Z)))")
         for semantics in Semantics:
             assert valid(src.program, formula, semantics, 4).status is Verdict.VALID
+
+
+# ---------------------------------------------------------------------------
+# The column join against the per-combination grounding it replaced
+# ---------------------------------------------------------------------------
+
+# The benchmark's oracle programs (bench/workloads.py `oracle`), each a
+# superset of the last.
+_PAIR = "k1 : eq(X), eq(Y) => eq(f(X,Y)).\nk2 : => eq(c).\n"
+_CYCLE = _PAIR + "ks : r(X,Y) => r(Y,X).\nkg : s(f(X,X)) => s(X).\n"
+_TRIPLE = _CYCLE + "kt : eq(X), eq(Y), eq(Z) => t(f(X,f(Y,Z))).\n"
+ORACLE_PROGRAMS = (_PAIR, _CYCLE, _TRIPLE)
+GOLDEN_PROGRAM = Path(__file__).resolve().parent / "golden" / "oracle.hc"
+
+_VARS = ("X", "Y", "Z")
+# Fixed arities, so that a formula drawn over them always fits the program.
+_HEAD_PREDS = (("p", 1), ("q", 2), ("r", 0))
+_BODY_ONLY_PREDS = (("w", 1), ("v", 2))
+
+
+def _terms(names, depth):
+    """Terms over c, d, f/1 and g/2 whose variables come from `names`."""
+    leaves = st.sampled_from([Var(v) for v in names] + [App("c"), App("d")])
+    if depth <= 1:
+        return leaves
+    sub = _terms(names, depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda a: App("f", (a,)), sub),
+        st.builds(lambda a, b: App("g", (a, b)), sub, sub),
+    )
+
+
+@st.composite
+def _atoms(draw, preds, names):
+    pred, arity = draw(st.sampled_from(preds))
+    return Atom(pred, tuple(draw(_terms(names, 3)) for _ in range(arity)))
+
+
+@st.composite
+def _clauses(draw, body_names=None):
+    """Heads that repeat variables across and inside positions and nest
+    compounds; bodies with ground compound arguments and predicates that no
+    head defines.  With `body_names`, the body may use variables the head
+    does not bind (a formula for `valid`)."""
+    head = draw(_atoms(_HEAD_PREDS, _VARS[: draw(st.integers(1, 3))]))
+    names = body_names or atom_vars(head)
+    body = draw(st.lists(_atoms(_HEAD_PREDS + _BODY_ONLY_PREDS, names), max_size=3))
+    return HornClause(tuple(body), head)
+
+
+@st.composite
+def _grounding_inputs(draw):
+    """(program, base): the program's clauses are all lemma clauses, so heads
+    may overlap and one head may have several instances; the base's
+    signature may lack a predicate or give one another arity."""
+    program = Program(tuple(draw(st.lists(_clauses(), min_size=1, max_size=4))), axiom_count=0)
+    preds = dict(program.signature.predicates)
+    pred = draw(st.sampled_from(sorted(preds)))
+    change = draw(st.sampled_from(["none", "drop", "arity"]))
+    if change == "drop":
+        del preds[pred]
+    elif change == "arity":
+        preds[pred] = (preds[pred] + 1) % 3
+    sig = Signature(program.signature.functions, preds)
+    extra = draw(st.sampled_from([(), ("c",)]))
+    depth = draw(st.integers(1, 3))
+    base = herbrand_base(sig, depth, extra)
+    while depth > 1 and base.size > 3000:
+        depth -= 1
+        base = herbrand_base(sig, depth, extra)
+    return program, base
+
+
+def assert_same_grounding(program, base):
+    got = _ground_program(program, base)
+    want = reference_herbrand.ground_program(program, base)
+    # Instance order across heads, and the keys of `outside`, included.
+    assert got == want
+    assert list(got.outside) == list(want.outside)
+
+
+class TestGroundingAgainstReference:
+    def test_seeded_programs(self):
+        for k, program in enumerate(seeded_programs(81, 200)):
+            assert_same_grounding(program, herbrand_base(program.signature, 1 + k % 3))
+
+    def test_oracle_programs_at_depth_four(self):
+        for text in ORACLE_PROGRAMS + (GOLDEN_PROGRAM.read_text(),):
+            program = parse_program_text(text).program
+            for depth in (1, 2, 3, 4):
+                assert_same_grounding(program, herbrand_base(program.signature, depth))
+
+    @given(_grounding_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_programs(self, inputs):
+        assert_same_grounding(*inputs)
+
+    @given(_grounding_inputs(), st.lists(_clauses(_VARS), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_valid_on_drawn_programs(self, inputs, formulas):
+        program, base = inputs
+        depth = min(base.depth, 2)
+        for formula in formulas:
+            for semantics in Semantics:
+                v = valid(program, formula, semantics, depth)
+                want = reference_valid(program, formula, semantics, depth)
+                assert (v.status, v.counterexample, v.note) == want, str(formula)
+
+    def test_valid_on_oracle_programs_at_depth_four(self):
+        formulas = [
+            "eq(X), eq(Y) => eq(f(X,Y))",
+            "r(X,Y) => r(Y,X)",
+            "s(f(X,X)) => s(X)",
+            "eq(X) => r(X, f(X,X))",
+            "r(X, f(Y,X)) => eq(Y)",
+            "eq(Y) => t(f(c,f(Y,Y)))",
+        ]
+        for text in ORACLE_PROGRAMS:
+            program = parse_program_text(text).program
+            for formula in map(parse_formula, formulas):
+                for semantics in Semantics:
+                    v = valid(program, formula, semantics, 4)
+                    want = reference_valid(program, formula, semantics, 4)
+                    assert (v.status, v.counterexample, v.note) == want, str(formula)
+
+    def test_each_head_argument_matched_once_per_term(self, monkeypatch):
+        # triple at depth 4: 26 terms and six head argument positions (eq(c),
+        # eq(f(X,Y)), r(X,Y), s(f(X,X)), t(f(X,f(Y,Z)))).  The grounding
+        # this replaced made 1,850 match calls here, recursion included.
+        program = parse_program_text(_TRIPLE).program
+        base = herbrand_base(program.signature, 4)
+        positions = sum(len(c.head.args) for c in program.clauses)
+        assert (len(base.universe), positions) == (26, 6)
+        calls = Counter()
+        match = HerbrandBase._match
+
+        def counting(self, p, t, env):
+            calls["top-level"] += not calls["open"]
+            calls["open"] += 1
+            try:
+                return match(self, p, t, env)
+            finally:
+                calls["open"] -= 1
+
+        monkeypatch.setattr(HerbrandBase, "_match", counting)
+        g = _ground_program(program, base)
+        assert calls["top-level"] <= len(base.universe) * positions
+        assert len(g.heads) == 748
