@@ -660,8 +660,8 @@ def valid(
     bound = len(atom_vars(formula.head))
     # The head's matches, ordered by its variables' ids, each extended over
     # the body-only variables: the groundings in `product` order.
-    ids, envs = base.join(formula.head)
-    heads = sorted(zip(envs, ids))
+    head_ids, envs = base.join(formula.head)
+    heads = sorted(zip(envs, head_ids))
     checked = 0
     undecided = False
     for ids, head in heads:
