@@ -143,44 +143,65 @@ def _load_program(path: str) -> SourceProgram:
 
 def _json_text(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for str-keyed dicts,
-    lists, tuples, strings, numbers, booleans and None.  A dict or list met
-    again at the same nesting level is rendered once: the stdlib encoder
-    walks a shared derivation as the tree it unfolds to."""
+    lists, tuples, strings, numbers, booleans and None.
+
+    One post-order walk on an explicit stack, so nesting has no limit of its
+    own.  A container writes its pieces (bracket, newline and indent, then
+    key, `": "` and value per item, with a comma between items) into the
+    buffer of the container around it, and the whole text is joined once at
+    the end.  A dict or list met again at the same nesting level is rendered
+    once, into a buffer of its own that is joined and kept: the stdlib
+    encoder walks a shared derivation as the tree it unfolds to.  So each
+    byte is copied at most once per nesting level: once per shared container
+    around it, and once by the final join."""
+    if type(value) not in _CONTAINERS or not value:
+        return json.dumps(value)
     shared = shared_nodes(value, _json_children)
     memo: dict[tuple[int, int], str] = {}
-
-    def text(v, level: int) -> str:
-        if isinstance(v, str):
-            return encode_basestring_ascii(v)
-        if not isinstance(v, (dict, list, tuple)):
-            return json.dumps(v)
-        if not v:
-            return "{}" if isinstance(v, dict) else "[]"
-        if id(v) not in shared:
-            return container(v, level)
-        key = (id(v), level)
-        if key not in memo:
-            memo[key] = container(v, level)
-        return memo[key]
-
-    def container(v, level: int) -> str:
-        # Strings, the common leaves, skip the call to `text`.
-        if isinstance(v, dict):
-            items = [
-                f"{encode_basestring_ascii(k)}: "
-                + (encode_basestring_ascii(x) if type(x) is str else text(x, level + 1))
-                for k, x in v.items()
-            ]
-            ends = "{}"
+    pads = ["\n", "\n  "]  # pads[level]: a newline and that level's indent
+    out: list[str] = []
+    # A frame: the buffer its container writes to and the index of its
+    # first piece there, the container and its items still to write, its
+    # level, and its memo key if it is shared.
+    stack = [(out, 0, value, iter(value.items() if type(value) is dict else value), 0, None)]
+    while stack:
+        buf, start, v, items, level, key = stack[-1]
+        is_dict = type(v) is dict
+        pad = pads[level + 1]
+        for x in items:
+            if is_dict:
+                buf += (",", pad, encode_basestring_ascii(x[0]), ": ")
+                x = x[1]
+            else:
+                buf += (",", pad)
+            t = type(x)
+            if t is str:
+                buf.append(encode_basestring_ascii(x))
+                continue
+            if t is int or x is None:
+                buf.append("null" if x is None else int.__repr__(x))
+                continue
+            if t not in _CONTAINERS or not x:
+                buf.append(json.dumps(x))
+                continue
+            k = (id(x), level + 1) if id(x) in shared else None
+            if k in memo:
+                buf.append(memo[k])
+                continue
+            into = buf if k is None else []
+            stack.append((into, len(into), x, iter(x.items() if t is dict else x), level + 1, k))
+            if len(pads) == level + 2:
+                pads.append(pad + "  ")
+            break
         else:
-            items = [
-                encode_basestring_ascii(x) if type(x) is str else text(x, level + 1) for x in v
-            ]
-            ends = "[]"
-        pad = "\n" + "  " * (level + 1)
-        return ends[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + ends[1]
-
-    return text(value, 0)
+            stack.pop()
+            # The first item's comma becomes the opening bracket.
+            buf[start] = "{" if is_dict else "["
+            buf += (pads[level], "}" if is_dict else "]")
+            if key is not None:
+                text = memo[key] = "".join(buf)
+                stack[-1][0].append(text)
+    return "".join(out)
 
 
 _CONTAINERS = dict.fromkeys((dict, list, tuple), True)
@@ -196,18 +217,21 @@ def _json_children(v):
     return compress(v, map(_CONTAINERS.get, map(type, v)))
 
 
-def _json_value(v):
-    """A report field as JSON: engine values become ASCII strings and dicts."""
-    if isinstance(v, (ProofTerm, HornClause)):
-        return _text_value(v, unicode=False)
+def _json_value(v, texts: dict):
+    """A report field as JSON: engine values become ASCII strings and dicts.
+    `texts` is the report's proof-text memo (see `format_proof`)."""
+    if isinstance(v, ProofTerm):
+        return format_proof(v, memo=texts)
+    if isinstance(v, HornClause):
+        return format_formula(v)
     if isinstance(v, Derivation):
-        return _derivation_json(v)
+        return _derivation_json(v, texts)
     if isinstance(v, tuple):  # lemma records, trace events
-        return [_json_value(x) for x in v]
+        return [_json_value(x, texts) for x in v]
     if isinstance(v, engine.LemmaRecord):
         return {
-            "formula": _json_value(v.formula),
-            "proof": _json_value(v.evidence),
+            "formula": _json_value(v.formula, texts),
+            "proof": _json_value(v.evidence, texts),
             "registered": v.registered,
             "note": v.note,
         }
@@ -243,7 +267,8 @@ def _emit(report: dict, rows, as_json: bool, unicode: bool = False) -> int:
     `unicode` and returns the lines of a multi-line block; a false row
     prints nothing."""
     if as_json:
-        print(_json_text({k: _json_value(v) for k, v in report.items()}))
+        texts: dict = {}
+        print(_json_text({k: _json_value(v, texts) for k, v in report.items()}))
         return report["exit_code"]
     lines = []
     for row in filter(None, rows):
@@ -278,7 +303,7 @@ def _oracle_stats(result) -> dict:
     return {"base_atoms": result.base_atoms, "instances": result.instances, "rounds": result.rounds}
 
 
-def _derivation_json(d) -> dict:
+def _derivation_json(d, texts: dict) -> dict:
     memo: dict[int, dict] = {}
 
     def node(d) -> dict:
@@ -287,7 +312,7 @@ def _derivation_json(d) -> dict:
             memo[id(d)] = {
                 "rule": d.rule.value,
                 "formula": format_formula(d.judgement.formula),
-                "evidence": format_proof(d.judgement.evidence),
+                "evidence": format_proof(d.judgement.evidence, memo=texts),
                 "entry": d.entry_name,
                 "matcher": {v: str(t) for v, t in sorted(d.matcher.items())}
                 if d.matcher is not None

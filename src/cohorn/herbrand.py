@@ -54,7 +54,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress, product, repeat
 from operator import gt
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .terms import (
     Atom,
@@ -342,21 +342,42 @@ def full_interpretation(base: HerbrandBase) -> Interpretation:
 # ---------------------------------------------------------------------------
 
 
-class _Grounding(NamedTuple):
-    """Clause instances with an in-base head.  Instance i has head id
-    `heads[i]`, in-base body ids `bodies[i]`, in body order, and, if it has
-    any, out-of-base body atoms `outside[i]`.  Instances come clause by
-    clause, each clause's in head id order (the order of its head join), and
-    each clause has at most one instance per head (the head binds every
-    variable), so one head's instances are in clause order."""
+@dataclass
+class _Grounding:
+    """Clause instances with an in-base head, over a base of `size` atoms.
+    Instance i has head id `heads[i]`, in-base body ids `bodies[i]`, in body
+    order, and, if it has any, out-of-base body atoms `outside[i]`.
+    Instances come clause by clause, each clause's in head id order (the
+    order of its head join), and each clause has at most one instance per
+    head (the head binds every variable), so one head's instances are in
+    clause order.  The indexes over the instances are built on first use,
+    once per grounding, however many fixpoints and certificates read it."""
 
     heads: list[int]
     bodies: list[tuple[int, ...]]
     outside: dict[int, tuple[Atom, ...]]
+    size: int
+
+    @cached_property
+    def watchers(self) -> list[list[int]]:
+        """Per base atom, the instances whose body holds it."""
+        watchers: list[list[int]] = [[] for _ in range(self.size)]
+        for i, body in enumerate(self.bodies):
+            for b in body:
+                watchers[b].append(i)
+        return watchers
+
+    @cached_property
+    def by_head(self) -> dict[int, list[int]]:
+        """Per head id, its instances, in clause order."""
+        by_head: dict[int, list[int]] = {}
+        for i, head in enumerate(self.heads):
+            by_head.setdefault(head, []).append(i)
+        return by_head
 
 
 def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
-    g = _Grounding([], [], {})
+    g = _Grounding([], [], {}, base.size)
     for clause in program.clauses:
         heads, envs = base.join(clause.head)
         names = atom_vars(clause.head)
@@ -410,11 +431,7 @@ def _fixpoint(
     """
     if start and start is not base.atoms and start != base.atoms:
         raise ValueError("a fixpoint starts from the empty set or the whole base")
-    heads = g.heads
-    watchers: list[list[int]] = [[] for _ in range(base.size)]
-    for i, body in enumerate(g.bodies):
-        for b in body:
-            watchers[b].append(i)
+    heads, watchers = g.heads, g.watchers
     # Under the pessimistic policy an instance with an out-of-base body atom
     # never fires.
     mute = g.outside if policy is Policy.PESSIMISTIC else {}
@@ -572,9 +589,6 @@ def _certify(g: _Grounding, model: Interpretation, target: Atom) -> Optional[Cer
     """The certificate of `target` in `model`, the optimistic gfp of `g`."""
     base = model.base
     live = base.mask(model.atoms)
-    by_head: dict[int, list[int]] = {}
-    for i, head in enumerate(g.heads):
-        by_head.setdefault(head, []).append(i)
     k = base.atom_id(target)
     if not live[k]:
         return None
@@ -586,7 +600,7 @@ def _certify(g: _Grounding, model: Interpretation, target: Atom) -> Optional[Cer
         if support[a]:
             continue
         support[a] = 1
-        for i in by_head.get(a, ()):
+        for i in g.by_head.get(a, ()):
             if all(live[b] for b in g.bodies[i]):
                 break
         else:  # cannot happen for members of the optimistic gfp

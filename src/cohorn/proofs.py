@@ -214,38 +214,47 @@ def alpha_equal(a: ProofTerm, b: ProofTerm) -> bool:
     return True
 
 
-def format_proof(e: ProofTerm, unicode: bool = False) -> str:
-    shared = shared_nodes(e, proof_children)
-    memo: dict[tuple[int, bool], str] = {}
+def format_proof(
+    e: ProofTerm, unicode: bool = False, memo: Optional[dict[tuple[int, bool], str]] = None
+) -> str:
+    """The text of `e`.  Without `memo` only the nodes shared within `e`
+    keep their text.  A caller that prints many subterms of one proof (a
+    derivation's evidence, node by node) passes one dict to every call, with
+    one `unicode` setting; it then keeps the text of every compound node, so
+    each is rendered once per report.  The terms must outlive that dict,
+    which is keyed by their ids."""
+    shared = None  # None: keep every compound node
+    if memo is None:
+        shared, memo = shared_nodes(e, proof_children), {}
 
     def fmt(t: ProofTerm, wrap: bool) -> str:
-        if id(t) not in shared:
+        if isinstance(t, (ConstSym, ProofVar)):
+            return t.name
+        if shared is not None and id(t) not in shared:
             return render(t, wrap)
         key = (id(t), wrap)
-        if key not in memo:
-            memo[key] = render(t, wrap)
-        return memo[key]
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = render(t, wrap)
+        return text
 
     def render(t: ProofTerm, wrap: bool) -> str:
-        if isinstance(t, ConstSym) or isinstance(t, ProofVar):
-            return t.name
+        # One join, parentheses included.
+        parts = ["("] if wrap else []
         if isinstance(t, Apply):
             head, args = spine(t)
-            parts = [fmt(head, True)] + [fmt(a, True) for a in args]
-            s = " ".join(parts)
-            return f"({s})" if wrap else s
-        if isinstance(t, Lambda):
-            names = " ".join(t.binders)
-            if unicode:
-                s = f"λ {names}. {fmt(t.body, False)}"
-            else:
-                s = f"\\{names} -> {fmt(t.body, False)}"
-            return f"({s})" if wrap else s
-        if unicode:
-            s = f"ν {t.binder}. {fmt(t.body, False)}"
+            parts.append(fmt(head, True))
+            for a in args:
+                parts += (" ", fmt(a, True))
+        elif isinstance(t, Lambda):
+            binders = " ".join(t.binders)
+            parts += ("λ ", binders, ". ") if unicode else ("\\", binders, " -> ")
+            parts.append(fmt(t.body, False))
         else:
-            s = f"nu {t.binder}. {fmt(t.body, False)}"
-        return f"({s})" if wrap else s
+            parts += ("ν " if unicode else "nu ", t.binder, ". ", fmt(t.body, False))
+        if wrap:
+            parts.append(")")
+        return "".join(parts)
 
     return fmt(e, False)
 

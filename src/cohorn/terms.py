@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -565,7 +565,12 @@ class Program:
 def enumerate_ground_terms(
     sig: Signature, depth: int, *, allow_empty: bool = False
 ) -> list[Term]:
-    """All ground terms of depth <= depth, ordered by depth, functor, args."""
+    """All ground terms of depth <= depth, ordered by depth, functor, args.
+
+    The terms of depth k are built from those of depth k-1: each functor
+    takes the argument tuples of `product(shallower, repeat=arity)` with at
+    least one argument of depth k-1, in that product's order, so each layer
+    costs its own size."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     funcs = sorted(sig.functions.items())
@@ -575,21 +580,32 @@ def enumerate_ground_terms(
             return []
         raise EmptyUniverseError("signature has no constants; the Herbrand universe is empty")
     result: list[Term] = list(layer)
-    depths: dict[Term, int] = {t: 1 for t in layer}
-    for k in range(2, depth + 1):
-        layer = []
-        for name, arity in funcs:
-            if arity == 0:
-                continue
-            for args in product(result, repeat=arity):
-                if max(depths[a] for a in args) == k - 1:
-                    layer.append(App(name, args))
+    for _ in range(2, depth + 1):
+        start = len(result) - len(layer)
+        layer = [
+            App(name, args)
+            for name, arity in funcs
+            if arity
+            for args in _args_with_fresh(result, start, arity)
+        ]
         if not layer:
             break
-        for t in layer:
-            depths[t] = k
         result.extend(layer)
     return result
+
+
+def _args_with_fresh(terms: list[Term], start: int, arity: int) -> list[tuple[Term, ...]]:
+    """The tuples of `product(terms, repeat=arity)` that hold at least one
+    term of `terms[start:]`, in that product's order: those led by an
+    earlier term and followed by such a tuple, then those led by a term of
+    `terms[start:]`, which come later in that order."""
+    fresh = terms[start:]
+    if arity == 1:
+        return [(t,) for t in fresh]
+    tails = _args_with_fresh(terms, start, arity - 1)
+    return [(t, *tail) for t in islice(terms, start) for tail in tails] + [
+        (t, *tail) for t in fresh for tail in product(terms, repeat=arity - 1)
+    ]
 
 
 def ground_instances(clause: HornClause, universe: Sequence[Term]) -> list[HornClause]:

@@ -40,7 +40,7 @@ def matches(base: HerbrandBase, pattern: Atom) -> Iterator[tuple[int, dict[str, 
 
 
 def ground_program(program: Program, base: HerbrandBase) -> _Grounding:
-    g = _Grounding([], [], {})
+    g = _Grounding([], [], {}, base.size)
     for clause in program.clauses:
         for head, env in matches(base, clause.head):
             body = [base.atom_id(b, env) for b in clause.body]

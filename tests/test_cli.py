@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -31,6 +32,16 @@ def run(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_process(argv) -> subprocess.CompletedProcess:
+    """`python -m cohorn.cli` in a fresh interpreter, with the default
+    recursion limit and no test-runner frames on the stack."""
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cohorn.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 class TestResolveCommand:
@@ -344,16 +355,25 @@ class TestErrorChannels:
         prog = tmp_path / "nat.hc"
         prog.write_text("k1 : => eq(z).\nk2 : eq(X) => eq(s(X)).\n")
         query = "eq(" + "s(" * 700 + "z" + ")" * 700 + ")"
-        src_dir = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cohorn.cli", "resolve", str(prog), "--query", query,
-             "--mode", "ind", "--depth", "800"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_process(["resolve", str(prog), "--query", query, "--mode", "ind", "--depth", "800"])
         assert proc.returncode == 70
         assert proc.stderr.startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
+
+    def test_deep_derivation_json(self, tmp_path):
+        """A 250-step chain proves, and its JSON report, about 500 levels
+        deep, prints: the JSON writer has no depth limit of its own."""
+        n = 250
+        prog = tmp_path / "chain.hc"
+        lines = ["k0 : => a0."] + [f"k{i} : a{i - 1} => a{i}." for i in range(1, n + 1)]
+        prog.write_text("\n".join(lines) + "\n")
+        proc = run_process(
+            ["resolve", str(prog), "--query", f"a{n}", "--mode", "ind", "--depth", str(n + 1), "--json"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["outcome"] == "PROVED"
+        assert proc.stdout == json.dumps(report, indent=2) + "\n"
 
 
 class TestBaseBudget:
@@ -386,6 +406,18 @@ class TestBaseBudget:
         ):
             assert run(command + ["--max-atoms", "5"])[0] == 0, command
             assert run(command + ["--max-atoms", "4"]) == (64, "", self.USAGE.format(3, 4)), command
+
+    def test_deep_unary_universe(self, tmp_path):
+        """A unary chain 2,000 terms deep, inside the budget, is built layer
+        by layer, not by rescanning every shallower term at each depth."""
+        prog = tmp_path / "nat.hc"
+        prog.write_text("k1 : p(X) => p(s(X)).\nk2 : => p(z).\n")
+        start = time.perf_counter()
+        code, out, _ = run(["model", str(prog), "--semantics", "least", "--depth", "2000", "--json"])
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        atoms = json.loads(out)["atoms"]
+        assert len(atoms) == 2000 and atoms[-1] == "p(" + "s(" * 1999 + "z" + ")" * 2000
 
     def test_only_oracle_commands_take_the_flag(self):
         for argv in (
@@ -513,22 +545,55 @@ CORPUS_REPORTS = [
 ]
 
 
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def _json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=30,
+    )
+
+
+@st.composite
+def _aliased_json(draw):
+    """A JSON value that holds one list or dict object at several positions
+    and nesting levels, and a second list that holds the first."""
+    values = _json_values(_JSON_LEAVES)
+    first = draw(st.lists(values, max_size=3) | st.dictionaries(st.text(), values, max_size=3))
+    second = draw(st.lists(_JSON_LEAVES | st.just(first), max_size=3))
+    return draw(_json_values(_JSON_LEAVES | st.just(first) | st.just(second)))
+
+
 class TestJsonWriter:
     def test_corpus_reports_equal_the_stdlib_encoder(self):
         for argv in CORPUS_REPORTS:
             _, out, _ = run(argv + ["--json"])
             assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
-    @given(
-        st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-            max_leaves=30,
-        )
-    )
-    @settings(max_examples=150, deadline=None)
+    # About half the examples hold aliased containers, which the writer
+    # renders once per nesting level.
+    @given(_json_values(_JSON_LEAVES) | _aliased_json())
+    @settings(max_examples=300, deadline=None)
     def test_equals_the_stdlib_encoder(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_deep_nesting(self):
+        """A list nested 5,000 deep.  `json.dumps` itself recurses, so the
+        expected text is checked piece by piece."""
+        depth = 5000
+        value: list = []
+        for _ in range(depth):
+            value = [value]
+        text = _json_text(value)
+        opening = (f"[\n{'  ' * (level + 1)}" for level in range(depth))
+        closing = (f"\n{'  ' * level}]" for level in reversed(range(depth)))
+        at = 0
+        for piece in chain(opening, ["[]"], closing):
+            assert text.startswith(piece, at), at
+            at += len(piece)
+        assert at == len(text)
 
     def test_shared_values_and_control_characters(self):
         leaf = {"s": "é \x00\n\"\\", "n": [1, -2.5, 1e300, float("nan"), True, None]}

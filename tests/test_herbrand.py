@@ -289,6 +289,20 @@ class TestPreservesModel:
         for atom, before, after in cmp.certificates:
             assert not before and after
 
+    def test_certificates_match_certify_gfp(self):
+        """Each differing atom is certified from the one grounding per
+        program, with its indexes built once; the answers are those of a
+        fresh `certify_gfp` per atom and program."""
+        src = parse_program_text("k1 : p(X) => p(s(X)).\nk2 : q(X), p(X) => q(s(X)).\nk3 : => q(z).\n")
+        extended = src.program.extended(parse_formula("p(z)"))
+        cmp = preserves_model(src.program, parse_formula("p(z)"), Semantics.COIND, 4)
+        assert len(cmp.certificates) >= 6
+        for atom, before, after in cmp.certificates:
+            assert before == (certify_gfp(src.program, atom, 4) is not None), atom
+            assert after == (certify_gfp(extended, atom, 4) is not None), atom
+        assert {before for _, before, _ in cmp.certificates} == {False}
+        assert {after for _, _, after in cmp.certificates} == {True}
+
     def test_bush_lemma_coinductively(self):
         src = load("bush")
         cmp = preserves_model(

@@ -34,8 +34,10 @@ from cohorn import (
     unifiable,
 )
 from cohorn import terms
+from cohorn.herbrand import bounded_size
 from cohorn.terms import atom_vars, head_key, is_ground_term, rename_atom
 
+import reference_terms
 from helpers import load, random_atom, random_heads, random_subst, random_term
 
 
@@ -168,6 +170,35 @@ class TestEnumeration:
             t = build(rng.randint(1, 3))
             assert is_ground_term(t)
             assert t in terms
+
+    @pytest.mark.parametrize(
+        "functions, depths",
+        [
+            ({"a": 0, "b": 0, "c": 0}, (1, 2, 5)),  # constants only
+            ({"z": 0, "s": 1, "p": 1}, (1, 2, 3, 6)),  # unary
+            ({"c": 0, "d": 0, "g": 2}, (1, 2, 3)),  # binary
+            ({"c": 0, "f": 1, "g": 2, "h": 3, "k": 0}, (1, 2, 3)),  # mixed arities
+            ({"c": 0, "t": 3}, (1, 2, 3)),  # ternary
+        ],
+    )
+    def test_layers_equal_the_rescanning_reference(self, functions, depths):
+        """Building each layer from the last gives the list, in the order,
+        that rescanning every term built so far gave."""
+        sig = Signature(functions, {})
+        for depth in depths:
+            assert enumerate_ground_terms(sig, depth) == reference_terms.enumerate_ground_terms(sig, depth)
+
+    def test_random_signatures_equal_the_rescanning_reference(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            functions = {f"f{i}": rng.choice([0, 0, 1, 2, 3]) for i in range(rng.randint(1, 4))}
+            functions["c"] = 0
+            sig = Signature(functions, {})
+            for depth in range(1, 5):
+                if bounded_size(sig, depth, 2000) > 2000:
+                    break
+                expected = reference_terms.enumerate_ground_terms(sig, depth)
+                assert enumerate_ground_terms(sig, depth) == expected, (functions, depth)
 
 
 class TestGroundInstances:
