@@ -54,15 +54,12 @@ from .proofs import (
     ProofTerm,
     ProofVar,
     Rule,
-    admissibility_view,
     alpha_equal,
     check,
-    check_derivation,
     env_for_program,
     format_proof,
     free_proof_vars,
     is_hnf,
-    normalize_binders,
 )
 from .syntax import (
     ParseError,

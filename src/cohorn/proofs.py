@@ -148,34 +148,6 @@ def is_hnf(e: ProofTerm) -> bool:
     return isinstance(head, ConstSym)
 
 
-def _normalize(e: ProofTerm, env: dict[str, str], counter: list[int]) -> ProofTerm:
-    if isinstance(e, ConstSym):
-        return e
-    if isinstance(e, ProofVar):
-        return ProofVar(env.get(e.name, e.name))
-    if isinstance(e, Apply):
-        return Apply(_normalize(e.fun, env, counter), _normalize(e.arg, env, counter))
-    if isinstance(e, Lambda):
-        inner = dict(env)
-        fresh = []
-        for b in e.binders:
-            counter[0] += 1
-            name = f"v{counter[0]}"
-            inner[b] = name
-            fresh.append(name)
-        return Lambda(tuple(fresh), _normalize(e.body, inner, counter))
-    counter[0] += 1
-    name = f"v{counter[0]}"
-    inner = dict(env)
-    inner[e.binder] = name
-    return Nu(name, _normalize(e.body, inner, counter))
-
-
-def normalize_binders(e: ProofTerm) -> ProofTerm:
-    """Rename bound proof variables to a canonical v1, v2, ... sequence."""
-    return _normalize(e, {}, [0])
-
-
 def _bound_at(name: str, binders: tuple[str, ...]) -> Optional[int]:
     """How many binders out the innermost binder of `name` is; None if free."""
     for k, b in enumerate(reversed(binders)):
@@ -606,69 +578,6 @@ def check(env: AxiomEnv, evidence: ProofTerm, formula: HornClause) -> Derivation
     formula, and its derivation is shared too.
     """
     return _check(env, evidence, formula, (), _Memo(evidence))
-
-
-def check_derivation(d: Derivation) -> None:
-    """Validate every node of a derivation tree locally against its rule.
-
-    Unlike `check`, this accepts the Nu-with-empty-Lam trees produced by
-    `admissibility_view`.  Raises CheckError on the first invalid node.
-    """
-    env, e, f = d.judgement.env, d.judgement.evidence, d.judgement.formula
-    if d.rule is Rule.LP_M:
-        again = _check(env, e, f, (), _Memo(e))
-        if again.rule is not Rule.LP_M or again.matcher != d.matcher:
-            raise CheckError(
-                CheckReason.RULE_SHAPE, "node does not re-check as Lp-m", (), e, f
-            )
-        for child in d.children:
-            check_derivation(child)
-        return
-    if d.rule is Rule.LAM:
-        if isinstance(e, Lambda):
-            _check(env, e, f, (), _Memo(e))
-        else:
-            # Zero-binder form from admissibility_view: same judgement below.
-            if f.body or len(d.children) != 1:
-                raise CheckError(
-                    CheckReason.RULE_SHAPE, "empty Lam must target an atomic formula", (), e, f
-                )
-            child = d.children[0]
-            if child.judgement.evidence != e or child.judgement.formula != f:
-                raise CheckError(
-                    CheckReason.RULE_SHAPE, "empty Lam child judgement mismatch", (), e, f
-                )
-        for child in d.children:
-            check_derivation(child)
-        return
-    if d.rule in (Rule.NU, Rule.NU_PRIME):
-        if not isinstance(e, Nu):
-            raise CheckError(CheckReason.RULE_SHAPE, "nu rule without nu evidence", (), e, f)
-        if not is_hnf(e.body):
-            raise CheckError(CheckReason.HNF_REQUIRED, "nu body not in HNF", (), e, f)
-        if len(d.children) != 1:
-            raise CheckError(CheckReason.RULE_SHAPE, "nu node needs one child", (), e, f)
-        child = d.children[0]
-        if child.judgement.formula != f:
-            raise CheckError(CheckReason.RULE_SHAPE, "nu child formula mismatch", (), e, f)
-        check_derivation(child)
-        return
-    raise CheckError(CheckReason.RULE_SHAPE, f"unknown rule {d.rule}", (), e, f)
-
-
-def admissibility_view(d: Derivation) -> Derivation:
-    """Re-express a Nu'-rooted derivation as Nu over a zero-binder Lam child."""
-    if d.rule is not Rule.NU_PRIME:
-        raise CheckError(
-            CheckReason.RULE_SHAPE,
-            "admissibility view requires a Nu' root",
-            (),
-            d.judgement.evidence,
-            d.judgement.formula,
-        )
-    inner = d.children[0]
-    lam = Derivation(Rule.LAM, inner.judgement, None, (inner,))
-    return Derivation(Rule.NU, d.judgement, None, (lam,))
 
 
 def format_derivation(d: Derivation, indent: int = 0) -> str:

@@ -25,7 +25,6 @@ from cohorn import (
     herbrand_base,
     lfp,
     match,
-    normalize_binders,
     parse_formula,
     parse_proof,
     parse_program,
@@ -48,6 +47,7 @@ from helpers import (
     random_subst,
     random_term,
 )
+from reference_proofs import normalize_binders
 
 
 def report(criterion: str, ok: bool):

@@ -16,15 +16,12 @@ from cohorn import (
     Nu,
     ProofVar,
     Rule,
-    admissibility_view,
     alpha_equal,
     check,
-    check_derivation,
     env_for_program,
     format_proof,
     free_proof_vars,
     is_hnf,
-    normalize_binders,
     parse_formula,
     parse_program,
     parse_proof,
@@ -32,6 +29,7 @@ from cohorn import (
 )
 
 from helpers import load
+from reference_proofs import admissibility_view, check_derivation, normalize_binders
 
 
 def env_of(name: str) -> AxiomEnv:
