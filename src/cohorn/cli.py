@@ -30,6 +30,7 @@ from .proofs import (
     format_derivation,
     format_proof,
     shared_nodes,
+    walk,
 )
 from .syntax import (
     ParseError,
@@ -304,24 +305,23 @@ def _oracle_stats(result) -> dict:
 
 
 def _derivation_json(d, texts: dict) -> dict:
-    memo: dict[int, dict] = {}
+    def node(d, ctx):
+        children = []
+        for c in d.children:
+            children.append((yield c, None, node))
+        return {
+            "rule": d.rule.value,
+            "formula": format_formula(d.judgement.formula),
+            "evidence": format_proof(d.judgement.evidence, memo=texts),
+            "entry": d.entry_name,
+            "matcher": {v: str(t) for v, t in sorted(d.matcher.items())}
+            if d.matcher is not None
+            else None,
+            "children": children,
+        }
 
-    def node(d) -> dict:
-        # A shared derivation node becomes one shared dict.
-        if id(d) not in memo:
-            memo[id(d)] = {
-                "rule": d.rule.value,
-                "formula": format_formula(d.judgement.formula),
-                "evidence": format_proof(d.judgement.evidence, memo=texts),
-                "entry": d.entry_name,
-                "matcher": {v: str(t) for v, t in sorted(d.matcher.items())}
-                if d.matcher is not None
-                else None,
-                "children": [node(c) for c in d.children],
-            }
-        return memo[id(d)]
-
-    return node(d)
+    # Every node is kept, so a shared derivation node becomes one shared dict.
+    return walk(d, None, node)
 
 
 def _run_resolve_query(src: SourceProgram, args) -> tuple[engine.Query, engine.SearchResult]:

@@ -12,19 +12,19 @@ matchers against a fixed clause head are unique, so for a given judgement the
 derivation (or the rejection) is unique.
 
 Proof terms and derivations may be DAGs: the search shares the evidence of a
-repeated subgoal, and `check` then shares the subgoal's derivation.  Every
-walk here (free variables, rule sets, depth, checking, rendering) visits
-each distinct node once, keyed by object identity, so its cost follows the
-DAG, not the tree it unfolds to.  Checking and rendering keep results only
-for the nodes reached by more than one edge (`shared_nodes`), so a tree
-costs no more memory than before.
+repeated subgoal, and `check` then shares the subgoal's derivation.  `walk`,
+which runs every traversal here on an explicit stack, visits each distinct
+node once per context, keyed by object identity, so a walk's cost follows
+the DAG, not the tree it unfolds to.  Checking and rendering keep values
+only for the nodes reached by more than one edge (`shared_nodes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import partial
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from .terms import (
     HornClause,
@@ -76,6 +76,7 @@ class Nu:
 
 
 ProofTerm = ConstSym | ProofVar | Apply | Lambda | Nu
+_LEAVES = (ConstSym, ProofVar)
 
 
 def spine(e: ProofTerm) -> tuple[ProofTerm, tuple[ProofTerm, ...]]:
@@ -118,26 +119,59 @@ def shared_nodes(root, children) -> set[int]:
     return shared
 
 
+def walk(root, ctx, step: Callable, shared: Optional[AbstractSet[int]] = None, memo: Optional[dict] = None):
+    """The value of `step(root, ctx)`, computed on a heap stack, not by recursion.
+
+    `step(node, ctx)` returns a generator shaped like a recursive function:
+    where that would call itself on a child, it yields `(child, ctx', step')`
+    and is sent the child's value; it returns the node's value.  A kept
+    node's value is stored in `memo` under `(id(node), ctx)`, and a later
+    visit of that pair gets it without running a generator.  `shared` holds
+    the ids of the kept nodes (`shared_nodes`, so a tree keeps nothing);
+    None keeps every node.  A caller's `memo` may serve several walks if the
+    nodes outlive it.  An exception from a step propagates, and nothing is
+    stored for the nodes that were waiting on it."""
+    if memo is None:
+        memo = {}
+    key = (id(root), ctx) if shared is None or id(root) in shared else None
+    if key in memo:
+        return memo[key]
+    send, value, stack = step(root, ctx).send, None, []  # stack: waiting (send, key)
+    while True:
+        try:
+            node, ctx, step = send(value)
+        except StopIteration as done:
+            value = done.value
+            if key is not None:
+                memo[key] = value
+            if not stack:
+                return value
+            send, key = stack.pop()
+            continue
+        child = (id(node), ctx) if shared is None or id(node) in shared else None
+        if child in memo:
+            value = memo[child]
+        else:
+            stack.append((send, key))
+            send, key, value = step(node, ctx).send, child, None
+
+
 def free_proof_vars(e: ProofTerm) -> frozenset[str]:
-    memo: dict[int, frozenset[str]] = {}
+    def free(t: ProofTerm, ctx: None):
+        # Constants are read in place, not walked: the engine asks at every ν.
+        if isinstance(t, ProofVar):
+            return frozenset((t.name,))
+        if isinstance(t, Apply):
+            fun = frozenset() if isinstance(t.fun, ConstSym) else (yield t.fun, None, free)
+            arg = frozenset() if isinstance(t.arg, ConstSym) else (yield t.arg, None, free)
+            return fun | arg
+        if isinstance(t, Lambda):
+            return (yield t.body, None, free) - frozenset(t.binders)
+        if isinstance(t, Nu):
+            return (yield t.body, None, free) - frozenset((t.binder,))
+        return frozenset()
 
-    def free(t: ProofTerm) -> frozenset[str]:
-        found = memo.get(id(t))
-        if found is None:
-            if isinstance(t, ConstSym):
-                found = frozenset()
-            elif isinstance(t, ProofVar):
-                found = frozenset((t.name,))
-            elif isinstance(t, Apply):
-                found = free(t.fun) | free(t.arg)
-            elif isinstance(t, Lambda):
-                found = free(t.body) - frozenset(t.binders)
-            else:
-                found = free(t.body) - frozenset((t.binder,))
-            memo[id(t)] = found
-        return found
-
-    return free(e)
+    return walk(e, None, free)
 
 
 def is_hnf(e: ProofTerm) -> bool:
@@ -195,40 +229,29 @@ def format_proof(
     one `unicode` setting; it then keeps the text of every compound node, so
     each is rendered once per report.  The terms must outlive that dict,
     which is keyed by their ids."""
-    shared = None  # None: keep every compound node
-    if memo is None:
-        shared, memo = shared_nodes(e, proof_children), {}
 
-    def fmt(t: ProofTerm, wrap: bool) -> str:
-        if isinstance(t, (ConstSym, ProofVar)):
+    def text(t: ProofTerm, wrap: bool):
+        # One join, parentheses included; leaves are written in place.
+        if isinstance(t, _LEAVES):
             return t.name
-        if shared is not None and id(t) not in shared:
-            return render(t, wrap)
-        key = (id(t), wrap)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = render(t, wrap)
-        return text
-
-    def render(t: ProofTerm, wrap: bool) -> str:
-        # One join, parentheses included.
         parts = ["("] if wrap else []
         if isinstance(t, Apply):
             head, args = spine(t)
-            parts.append(fmt(head, True))
+            parts.append(head.name if isinstance(head, _LEAVES) else (yield head, True, text))
             for a in args:
-                parts += (" ", fmt(a, True))
+                parts += (" ", a.name if isinstance(a, _LEAVES) else (yield a, True, text))
         elif isinstance(t, Lambda):
             binders = " ".join(t.binders)
             parts += ("λ ", binders, ". ") if unicode else ("\\", binders, " -> ")
-            parts.append(fmt(t.body, False))
+            parts.append((yield t.body, False, text))
         else:
-            parts += ("ν " if unicode else "nu ", t.binder, ". ", fmt(t.body, False))
+            parts += ("ν " if unicode else "nu ", t.binder, ". ", (yield t.body, False, text))
         if wrap:
             parts.append(")")
         return "".join(parts)
 
-    return fmt(e, False)
+    shared = shared_nodes(e, proof_children) if memo is None else None
+    return walk(e, False, text, shared, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +375,22 @@ class Derivation:
         return self.judgement.evidence
 
     def rules_used(self) -> frozenset[Rule]:
-        seen: set[int] = set()
-        rules: set[Rule] = set()
-        stack = [self]
-        while stack:
-            d = stack.pop()
-            if id(d) not in seen:
-                seen.add(id(d))
-                rules.add(d.rule)
-                stack.extend(d.children)
-        return frozenset(rules)
+        def rules(d: Derivation, ctx: None):
+            found = {d.rule}
+            for c in d.children:
+                found |= yield c, None, rules
+            return frozenset(found)
+
+        return walk(self, None, rules)
 
     def depth(self) -> int:
-        depths: dict[int, int] = {}
+        def go(d: Derivation, ctx: None):
+            deepest = 0
+            for c in d.children:
+                deepest = max(deepest, (yield c, None, go))
+            return deepest + 1
 
-        def go(d: Derivation) -> int:
-            if id(d) not in depths:
-                depths[id(d)] = 1 + max((go(c) for c in d.children), default=0)
-            return depths[id(d)]
-
-        return go(self)
+        return walk(self, None, go)
 
     @property
     def entry_name(self) -> Optional[str]:
@@ -396,18 +415,23 @@ class CheckReason(Enum):
 
 
 class CheckError(Exception):
-    """Rejection of a judgement: deepest-leftmost failing node plus reason."""
+    """Rejection of a judgement: deepest-leftmost failing node plus reason.
+    `path` comes as linked `(index, parent)` pairs and is kept as a tuple."""
 
     def __init__(
         self,
         reason: CheckReason,
         message: str,
-        path: tuple[int, ...],
+        path: Optional[tuple],
         evidence: ProofTerm,
         formula: HornClause,
     ):
+        indices = []
+        while path:
+            i, path = path
+            indices.append(i)
+        path = self.path = tuple(reversed(indices))
         self.reason = reason
-        self.path = path
         self.evidence = evidence
         self.formula = formula
         loc = "/".join(str(i) for i in path) or "root"
@@ -415,7 +439,7 @@ class CheckError(Exception):
 
 
 def _resolve_head(
-    env: AxiomEnv, head: ProofTerm, path: tuple[int, ...], e: ProofTerm, f: HornClause
+    env: AxiomEnv, head: ProofTerm, path: Optional[tuple], e: ProofTerm, f: HornClause
 ) -> EnvEntry:
     if isinstance(head, ConstSym):
         entry = env.axiom(head.name)
@@ -443,32 +467,15 @@ def _resolve_head(
     return entry
 
 
-class _Memo:
-    """Successful checks of the shared subterms of one evidence term, keyed
-    by (id(env), id(subterm), formula).  Each stored derivation holds its
-    env and subterm, so the ids stay those of live objects.  Failures are
-    not stored, so a rejection always names the same deepest-leftmost node."""
-
-    def __init__(self, evidence: ProofTerm):
-        self.shared = shared_nodes(evidence, proof_children)
-        self.found: dict[tuple[int, int, HornClause], Derivation] = {}
+def _goal(env: AxiomEnv, e: ProofTerm, f: HornClause, path: Optional[tuple]):
+    """The `walk` triple that checks env |- e : f at `path`.  The context
+    `(id(env), f)` keys the memo; a stored derivation holds its env, so the
+    id stays that of a live object."""
+    return e, (id(env), f), partial(_check, env, path)
 
 
-def _check(
-    env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...], memo: _Memo
-) -> Derivation:
-    if id(e) not in memo.shared:
-        return _check_node(env, e, f, path, memo)
-    key = (id(env), id(e), f)
-    found = memo.found.get(key)
-    if found is None:
-        found = memo.found[key] = _check_node(env, e, f, path, memo)
-    return found
-
-
-def _check_node(
-    env: AxiomEnv, e: ProofTerm, f: HornClause, path: tuple[int, ...], memo: _Memo
-) -> Derivation:
+def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, HornClause]):
+    f = goal[1]
     # The engine uses an atomic lemma by its bare evidence, which may be a nu
     # term or an application; at an atomic goal that the lemma's head
     # matches, that term is an Lp-m step on the lemma entry, not a fresh Nu'
@@ -490,7 +497,7 @@ def _check_node(
                 CheckReason.HNF_REQUIRED, "nu body is not in head normal form", path, e, f
             )
         hyp = EnvEntry(ProofVar(e.binder), f)
-        child = _check(env.extended(hyp), e.body, f, path + (0,), memo)
+        child = yield _goal(env.extended(hyp), e.body, f, (0, path))
         rule = Rule.NU if f.body else Rule.NU_PRIME
         return Derivation(rule, Judgement(env, e, f), None, (child,))
     if f.body:
@@ -507,7 +514,7 @@ def _check_node(
                 EnvEntry(ProofVar(b), fact(a), rigid=True)
                 for b, a in zip(e.binders, f.body)
             )
-            child = _check(env.extended(*hyps), e.body, fact(f.head), path + (0,), memo)
+            child = yield _goal(env.extended(*hyps), e.body, fact(f.head), (0, path))
             return Derivation(Rule.LAM, Judgement(env, e, f), None, (child,))
         raise CheckError(
             CheckReason.RULE_SHAPE,
@@ -557,11 +564,10 @@ def _check_node(
             e,
             f,
         )
-    children = tuple(
-        _check(env, arg, fact(apply_atom(sigma, b)), path + (i,), memo)
-        for i, (arg, b) in enumerate(zip(args, clause.body))
-    )
-    return Derivation(Rule.LP_M, Judgement(env, e, f), sigma, children)
+    children = []
+    for i, (arg, b) in enumerate(zip(args, clause.body)):
+        children.append((yield _goal(env, arg, fact(apply_atom(sigma, b)), (i, path))))
+    return Derivation(Rule.LP_M, Judgement(env, e, f), sigma, tuple(children))
 
 
 def _entry_label(entry: EnvEntry) -> str:
@@ -577,27 +583,19 @@ def check(env: AxiomEnv, evidence: ProofTerm, formula: HornClause) -> Derivation
     subterm shared within `evidence` is checked once per environment and
     formula, and its derivation is shared too.
     """
-    return _check(env, evidence, formula, (), _Memo(evidence))
+    return walk(*_goal(env, evidence, formula, None), shared_nodes(evidence, proof_children))
 
 
 def format_derivation(d: Derivation, indent: int = 0) -> str:
-    shared = shared_nodes(d, lambda n: n.children)
-    memo: dict[tuple[int, int], str] = {}
-
-    def fmt(d: Derivation, indent: int) -> str:
-        if id(d) not in shared:
-            return render(d, indent)
-        key = (id(d), indent)
-        if key not in memo:
-            memo[key] = render(d, indent)
-        return memo[key]
-
-    def render(d: Derivation, indent: int) -> str:
+    # A node's value is its list of lines, so the text is joined once.
+    def lines(d: Derivation, indent: int):
         label = d.rule.value
         if d.matcher is not None:
             sig = format_subst(d.matcher) if d.matcher else "{}"
             label = f"{label} [{d.entry_name} {sig}]"
-        line = f"{'  ' * indent}{label} {format_formula(d.judgement.formula)}"
-        return "\n".join([line] + [fmt(c, indent + 1) for c in d.children])
+        out = [f"{'  ' * indent}{label} {format_formula(d.judgement.formula)}"]
+        for c in d.children:
+            out += yield c, indent + 1, lines
+        return out
 
-    return fmt(d, indent)
+    return "\n".join(walk(d, indent, lines, shared_nodes(d, lambda n: n.children)))

@@ -16,9 +16,10 @@ variable, parentheses group.  `nu` is reserved.
 Cost model: one `findall` of the `_TOKEN` regex, run in C, turns the text
 into a list of token strings, with `""` at the end of input.  The parsers
 walk that list by index; terms nest on an explicit stack, so a term costs
-no Python call beyond the constructors.  Source positions are computed only
-when a `ParseError` is raised: `_tokenize` re-scans the text with the same
-regex and counts lines and columns up to the offending token.
+no Python call beyond the constructors, and proof terms nest on
+`proofs.walk`.  Source positions are computed only when a `ParseError` is
+raised: `_tokenize` re-scans the text with the same regex and counts lines
+and columns up to the offending token.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .proofs import ConstSym, Lambda, Nu, ProofTerm, ProofVar, make_apply
+from .proofs import ConstSym, Lambda, Nu, ProofTerm, ProofVar, make_apply, walk
 from .terms import (
     App,
     Atom,
@@ -166,7 +167,9 @@ def _formula(toks: list[str], i: int, query: bool) -> tuple[HornClause, int]:
 # -- proof terms -------------------------------------------------------------
 
 
-def _proof(toks: list[str], i: int, bound: frozenset[str]) -> tuple[ProofTerm, int]:
+def _proof(i: int, ctx: tuple[list[str], frozenset[str]]):
+    """A `walk` step: the proof term at `toks[i]` and the index after it."""
+    toks, bound = ctx
     tok = toks[i]
     if tok == "\\":
         if toks[i + 1] in _SYMBOLS:
@@ -177,7 +180,7 @@ def _proof(toks: list[str], i: int, bound: frozenset[str]) -> tuple[ProofTerm, i
         if toks[end] != "->":
             raise _expected(toks, end, "'->'")
         binders = tuple(toks[i + 1:end])
-        body, i = _proof(toks, end + 1, bound | frozenset(binders))
+        body, i = yield end + 1, (toks, bound | frozenset(binders)), _proof
         return Lambda(binders, body), i
     if tok == "nu":
         binder = toks[i + 1]
@@ -185,28 +188,24 @@ def _proof(toks: list[str], i: int, bound: frozenset[str]) -> tuple[ProofTerm, i
             raise _expected(toks, i + 1, "a binder name")
         if toks[i + 2] != ".":
             raise _expected(toks, i + 2, "'.'")
-        body, i = _proof(toks, i + 3, bound | {binder})
+        body, i = yield i + 3, (toks, bound | {binder}), _proof
         return Nu(binder, body), i
-    head, i = _proof_atom(toks, i, bound)
-    args = []
-    while toks[i] == "(" or toks[i] not in _SYMBOLS and toks[i] != "nu":
-        arg, i = _proof_atom(toks, i, bound)
-        args.append(arg)
-    return make_apply(head, args), i
-
-
-def _proof_atom(toks: list[str], i: int, bound: frozenset[str]) -> tuple[ProofTerm, int]:
-    tok = toks[i]
-    if tok == "(":
-        inner, i = _proof(toks, i + 1, bound)
-        if toks[i] != ")":
-            raise _expected(toks, i, "')'")
-        return inner, i + 1
-    if tok in _SYMBOLS:
-        raise _Fail("expected a proof term", i)
-    if tok == "nu":
-        raise _Fail("'nu' is reserved", i)
-    return (ProofVar(tok) if tok in bound else ConstSym(tok)), i + 1
+    # The head, then the arguments; these stop at `nu`, which the head cannot be.
+    parts = []
+    while True:
+        if tok == "(":
+            inner, i = yield i + 1, ctx, _proof
+            if toks[i] != ")":
+                raise _expected(toks, i, "')'")
+            parts.append(inner)
+        elif tok in _SYMBOLS:
+            raise _Fail("expected a proof term", i)
+        else:
+            parts.append(ProofVar(tok) if tok in bound else ConstSym(tok))
+        i += 1
+        tok = toks[i]
+        if tok != "(" and (tok in _SYMBOLS or tok == "nu"):
+            return make_apply(parts[0], parts[1:]), i
 
 
 def _whole(rule, text: str):
@@ -290,7 +289,7 @@ def parse_atom(text: str) -> Atom:
 
 
 def parse_proof(text: str) -> ProofTerm:
-    return _whole(lambda toks, i: _proof(toks, i, frozenset()), text)
+    return _whole(lambda toks, i: walk(i, (toks, frozenset()), _proof, shared=frozenset()), text)
 
 
 def format_program(src: SourceProgram) -> str:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import json.scanner
 import os
 import re
 import shlex
@@ -42,6 +43,21 @@ def run_process(argv) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "cohorn.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def json_roundtrip(text: str) -> str:
+    """`json.dumps(json.loads(text), indent=2)` plus a newline, for text
+    nested deeper than the C decoder's recursion limit, which
+    `sys.setrecursionlimit` does not raise on Python 3.12: the stdlib's
+    pure-Python scanner and encoder under a raised limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        decoder = json.JSONDecoder()
+        decoder.scan_once = json.scanner.py_make_scanner(decoder)
+        return json.dumps(decoder.decode(text), indent=2) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestResolveCommand:
@@ -374,6 +390,27 @@ class TestErrorChannels:
         report = json.loads(proc.stdout)
         assert report["outcome"] == "PROVED"
         assert proc.stdout == json.dumps(report, indent=2) + "\n"
+
+    def test_deep_check(self, tmp_path):
+        """A 1,000-step chain proof checks as text, with --unicode and as
+        JSON, and the same proof with a wrong leaf is rejected with a path
+        1,000 steps long: proof parsing, checking and rendering have no
+        depth limit of their own."""
+        n = 1000
+        prog = tmp_path / "chain.hc"
+        prog.write_text("".join(["k0 : => a0.\n"] + [f"k{i} : a{i - 1} => a{i}.\n" for i in range(1, n + 1)]))
+        proof = "k0"
+        for i in range(1, n + 1):
+            proof = f"k{i} ({proof})"
+        argv = ["check", str(prog), "--formula", f"a{n}", "--proof"]
+        for flags in ([], ["--unicode"], ["--json"]):
+            proc = run_process(argv + [proof] + flags)
+            assert proc.returncode == 0, (flags, proc.stderr)
+        assert "result: valid" in run_process(argv + [proof]).stdout
+        assert proc.stdout == json_roundtrip(proc.stdout)
+        wrong = run_process(argv + [proof.replace("(k0)", "(k5)"), "--json"])
+        assert wrong.returncode == 1, wrong.stderr
+        assert len(json.loads(wrong.stdout)["rejection"]["path"]) == n
 
 
 class TestBaseBudget:

@@ -1,6 +1,10 @@
 """Tests for proof terms, environments, and the judgement checker."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from cohorn import (
     parse_proof,
     register_lemma,
 )
+from cohorn.proofs import proof_children, shared_nodes, walk
 
 from helpers import load
 from reference_proofs import admissibility_view, check_derivation, normalize_binders
@@ -297,3 +302,99 @@ class TestAlphaEquivalence:
         assert alpha_equal(Apply(e.fun, e.arg), e)
         assert not alpha_equal(e, e.arg)
         assert not alpha_equal(Nu("a", e), Nu("b", e.arg))
+
+
+class TestWalk:
+    @staticmethod
+    def text(runs: list):
+        """A `walk` step that renders applications and nu terms, wrapped in
+        parentheses where its context says so, and logs each run."""
+
+        def step(t, wrap: bool):
+            runs.append((t, wrap))
+            if isinstance(t, ConstSym):
+                return t.name
+            if isinstance(t, Apply):
+                fun = yield t.fun, False, step
+                arg = yield t.arg, True, step
+                body = f"{fun} {arg}"
+            else:
+                body = f"nu {t.binder}. " + (yield t.body, False, step)
+            return f"({body})" if wrap else body
+
+        return step
+
+    # `s` is reached three times: as a function and under the nu without
+    # parentheses, and as an argument with them.
+    s = Apply(ConstSym("f"), ConstSym("a"))
+    root = Apply(Apply(s, s), Nu("x", s))
+    TEXT = "f a (f a) (nu x. f a)"
+
+    def test_kept_child_once_per_context(self):
+        runs: list = []
+        shared = shared_nodes(self.root, proof_children)
+        assert walk(self.root, False, self.text(runs), shared) == self.TEXT
+        assert [wrap for t, wrap in runs if t is self.s] == [False, True]
+
+    def test_every_node_kept_without_shared(self):
+        runs: list = []
+        memo: dict = {}
+        assert walk(self.root, False, self.text(runs), memo=memo) == self.TEXT
+        assert [wrap for t, wrap in runs if t is self.s] == [False, True]
+        assert memo[id(self.s), True] == "(f a)"
+        # A later walk with the same memo runs nothing.
+        assert walk(self.root, False, self.text(runs), memo=memo) == self.TEXT
+        assert len(runs) == 7
+
+    def test_child_outside_shared_walked_at_every_visit(self):
+        runs: list = []
+        assert walk(self.root, False, self.text(runs), set()) == self.TEXT
+        assert [wrap for t, wrap in runs if t is self.s] == [False, True, False]
+
+    def test_exception_propagates_and_stores_nothing_for_the_failing_node(self):
+        def step(t, ctx):
+            if isinstance(t, ConstSym):
+                if t.name == "bad":
+                    raise ValueError(t.name)
+                return t.name
+            return (yield t.fun, ctx, step) + (yield t.arg, ctx, step)
+
+        bad = ConstSym("bad")
+        left = Apply(ConstSym("a"), ConstSym("b"))
+        root = Apply(left, Apply(ConstSym("c"), bad))
+        memo: dict = {}
+        with pytest.raises(ValueError, match="bad"):
+            walk(root, None, step, memo=memo)
+        assert memo[id(left), None] == "ab"
+        assert (id(bad), None) not in memo
+        assert (id(root.arg), None) not in memo and (id(root), None) not in memo
+
+
+DEEP_PROOF = """
+from cohorn import (
+    Rule, alpha_equal, check, env_for_program, format_proof, free_proof_vars,
+    parse_formula, parse_program, parse_proof,
+)
+
+n = 5000
+src = parse_program("k0 : => a0.\\n" + "".join(f"k{i} : a{i - 1} => a{i}.\\n" for i in range(1, n + 1)))
+text = "k0"
+for i in range(1, n + 1):
+    text = f"k{i} ({text})"
+e = parse_proof(text)
+d = check(env_for_program(src.program, src.names), e, parse_formula(f"a{n}"))
+assert alpha_equal(parse_proof(format_proof(e)), e)
+assert free_proof_vars(e) == frozenset()
+assert d.depth() == n + 1
+assert d.rules_used() == {Rule.LP_M}
+"""
+
+
+def test_deep_proof_in_a_fresh_interpreter():
+    """A 5,000-step chain proof parses, checks, prints, parses back and has
+    its free variables, depth and rules taken at the default recursion
+    limit.  `alpha_equal`, not `==`: dataclass equality recurses."""
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", DEEP_PROOF], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
