@@ -20,25 +20,6 @@ from .engine import (
     register_lemma,
     resolve,
 )
-from .herbrand import (
-    BaseTooLargeError,
-    Certificate,
-    HerbrandBase,
-    Interpretation,
-    ModelComparison,
-    Policy,
-    Semantics,
-    ValidityVerdict,
-    Verdict,
-    certify_gfp,
-    gfp_bounded,
-    herbrand_base,
-    lfp,
-    preserves_model,
-    tp_monotone_check,
-    tp_step,
-    valid,
-)
 from .proofs import (
     Apply,
     AxiomEnv,
@@ -74,6 +55,7 @@ from .syntax import (
 from .terms import (
     App,
     Atom,
+    BaseTooLargeError,
     EmptyUniverseError,
     ExistentialVariableError,
     HornClause,
@@ -96,3 +78,19 @@ from .terms import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle's names load `cohorn.herbrand` on first use (PEP 562), so a
+# process that never asks for them does not pay for its import.
+_ORACLE_NAMES = frozenset((
+    "Certificate", "HerbrandBase", "Interpretation", "ModelComparison", "Policy",
+    "Semantics", "ValidityVerdict", "Verdict", "certify_gfp", "gfp_bounded",
+    "herbrand_base", "lfp", "preserves_model", "tp_monotone_check", "tp_step", "valid",
+))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import herbrand
+
+        return getattr(herbrand, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,10 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from . import engine, herbrand
+# The oracle, `herbrand`, is imported by the three commands that use it, so
+# `resolve` and `check` never load it.  They look its functions up as
+# `herbrand.<name>` at call time, so a wrapper set on the module is used.
+from . import engine
 from .proofs import (
     CheckError,
     Derivation,
@@ -41,7 +44,15 @@ from .syntax import (
     parse_proof,
     parse_program,
 )
-from .terms import HornClause, SignatureError, format_formula, format_subst
+from .terms import (
+    DEFAULT_MAX_ATOMS,
+    BaseTooLargeError,
+    CertificateInvariantError,
+    HornClause,
+    SignatureError,
+    format_formula,
+    format_subst,
+)
 
 EX_OK = 0
 EX_REJECTED = 1
@@ -84,7 +95,7 @@ _UNICODE = argparse.ArgumentParser(add_help=False)
 _UNICODE.add_argument("--unicode", action="store_true", help="render nu/lambda/=> as unicode")
 _ORACLE = argparse.ArgumentParser(add_help=False)
 _ORACLE.add_argument(
-    "--max-atoms", type=int, default=herbrand.DEFAULT_MAX_ATOMS,
+    "--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
     help="refuse a Herbrand base of more atoms or universe terms than this",
 )
 
@@ -415,6 +426,8 @@ def _cmd_check(src: SourceProgram, args) -> int:
 
 
 def _cmd_model(src: SourceProgram, args) -> int:
+    from . import herbrand
+
     policy = herbrand.Policy.OPTIMISTIC if args.policy == "opt" else herbrand.Policy.PESSIMISTIC
     if args.semantics == "least":
         interp = herbrand.lfp(
@@ -449,6 +462,8 @@ def _cmd_model(src: SourceProgram, args) -> int:
 
 
 def _cmd_certify(src: SourceProgram, args) -> int:
+    from . import herbrand
+
     atom = parse_atom(args.atom)
     cert = herbrand.certify_gfp(
         src.program, atom, args.depth, extra_constants=args.const, max_atoms=args.max_atoms
@@ -482,6 +497,8 @@ def _cmd_certify(src: SourceProgram, args) -> int:
 
 
 def _cmd_verify_soundness(src: SourceProgram, args) -> int:
+    from . import herbrand
+
     query, result = _run_resolve_query(src, args)
     semantics = (
         herbrand.Semantics.IND
@@ -553,7 +570,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         return EX_USAGE
     try:
         return _COMMANDS[args.command](_load_program(args.program), args)
-    except herbrand.BaseTooLargeError as err:
+    except BaseTooLargeError as err:
         print(f"usage error: {err}; raise --max-atoms or lower the depth", file=sys.stderr)
         return EX_USAGE
     except FileNotFoundError as err:
@@ -562,7 +579,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ProgramLoadError, SignatureError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EX_DATA
-    except (RecursionError, engine.EngineInvariantError, herbrand.CertificateInvariantError) as err:
+    except (RecursionError, engine.EngineInvariantError, CertificateInvariantError) as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EX_SOFTWARE
 

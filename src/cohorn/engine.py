@@ -52,7 +52,6 @@ trace); distinct runs may share Program and AxiomEnv values freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -81,6 +80,7 @@ from .terms import (
     HornClause,
     Program,
     Term,
+    Value,
     Var,
     apply_atom,
     fact,
@@ -90,6 +90,8 @@ from .terms import (
     match,
     subterms,
 )
+
+_setattr = object.__setattr__
 
 
 class Mode(Enum):
@@ -123,47 +125,44 @@ class RegistrationError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass(frozen=True)
-class Query:
-    goal: HornClause
-    mode: Mode
-    depth_limit: int = 8
-    lemmas: tuple[HornClause, ...] = ()
-    auto_lemma: bool = False
+class Query(Value):
+    __slots__ = ("goal", "mode", "depth_limit", "lemmas", "auto_lemma")
 
-    def __post_init__(self) -> None:
-        if self.depth_limit < 1:
+    def __init__(
+        self,
+        goal: HornClause,
+        mode: Mode,
+        depth_limit: int = 8,
+        lemmas: tuple[HornClause, ...] = (),
+        auto_lemma: bool = False,
+    ):
+        if depth_limit < 1:
             raise ValueError("depth_limit must be >= 1")
+        super().__init__(goal, mode, depth_limit, lemmas, auto_lemma)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    # try | guarded | cut | dead-end | note | reuse (a tabled subgoal: the
-    # stored outcome in `detail` stands for the subtree's events)
-    kind: str
-    depth: int
-    goal: str
-    entry: str = ""
-    detail: str = ""
+class TraceEvent(Value):
+    # kind: try | guarded | cut | dead-end | note | reuse (a tabled subgoal:
+    # the stored outcome in `detail` stands for the subtree's events)
+    __slots__ = ("kind", "depth", "goal", "entry", "detail")
+
+    def __init__(self, kind: str, depth: int, goal: str, entry: str = "", detail: str = ""):
+        _setattr(self, "kind", kind)
+        _setattr(self, "depth", depth)
+        _setattr(self, "goal", goal)
+        _setattr(self, "entry", entry)
+        _setattr(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class LemmaRecord:
-    formula: HornClause
-    evidence: Optional[ProofTerm]
-    registered: bool
-    note: str = ""
+class LemmaRecord(Value):
+    __slots__ = ("formula", "evidence", "registered", "note")  # evidence: None if unproved
+    _defaults = {"note": ""}
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    outcome: Outcome
-    evidence: Optional[ProofTerm]
-    derivation: Optional[Derivation]
-    trace: tuple[TraceEvent, ...]
-    env: AxiomEnv
-    lemmas: tuple[LemmaRecord, ...] = ()
-    auto_lemma: Optional[HornClause] = None
+class SearchResult(Value):
+    # evidence, derivation and auto_lemma are None unless found or proposed.
+    __slots__ = ("outcome", "evidence", "derivation", "trace", "env", "lemmas", "auto_lemma")
+    _defaults = {"lemmas": (), "auto_lemma": None}
 
 
 # ---------------------------------------------------------------------------
@@ -569,5 +568,8 @@ def resolve(
             )
         ]
         retried, _ = _attempt(env0, query, (lemma,) + query.lemmas, retry_trace)
-        return replace(retried, trace=result.trace + retried.trace, auto_lemma=lemma)
+        return SearchResult(
+            retried.outcome, retried.evidence, retried.derivation,
+            result.trace + retried.trace, retried.env, retried.lemmas, lemma,
+        )
     return result

@@ -49,20 +49,21 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Set
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import compress, product, repeat
 from operator import gt
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .terms import (
+    DEFAULT_MAX_ATOMS,
     Atom,
+    BaseTooLargeError,
+    CertificateInvariantError,
     HornClause,
     Program,
     Signature,
-    Subst,
     Term,
+    Value,
     Var,
     apply_atom,
     atom_sort_key,
@@ -87,15 +88,22 @@ class Semantics(Enum):
 
 
 DEFAULT_MAX_ITERS = 10_000
-# Far above every base the corpus, the tests and the benchmark build (at
-# most 1,535 atoms), and small enough that a base this wide is grounded and
-# solved within tens of megabytes.
-DEFAULT_MAX_ATOMS = 100_000
+_setattr = object.__setattr__
 
 
-class BaseTooLargeError(Exception):
-    """The bounded base would hold more atoms, or universe terms, than the
-    budget allows."""
+def _lazy(build):
+    """A read-only property that runs `build` on first use and keeps the
+    value in the cache slot named after it with a leading `_`."""
+    slot = "_" + build.__name__
+
+    def get(self):
+        value = getattr(self, slot)
+        if value is None:
+            value = build(self)
+            _setattr(self, slot, value)
+        return value
+
+    return property(get, doc=build.__doc__)
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +111,18 @@ class BaseTooLargeError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HerbrandBase:
+class HerbrandBase(Value, compared=3, shown=3):
     """The ground atoms whose terms have depth <= `depth`, numbered densely.
 
     Term k is `universe[k]`, with (functor, child ids) `terms[k]`, and
     `intern` maps those back to k.  `offsets` maps each predicate, in name
     order, to (arity, first atom id); p(t1..tn) is p's first id plus the ids
-    of t1..tn read as a number in base |universe|."""
+    of t1..tn read as a number in base |universe|.  There are `size` atoms;
+    `atoms` is the set of them all."""
 
-    signature: Signature
-    depth: int
-    universe: tuple[Term, ...]
-    terms: tuple[tuple[str, tuple[int, ...]], ...] = field(compare=False, repr=False)
-    intern: dict[tuple[str, tuple[int, ...]], int] = field(compare=False, repr=False)
-    offsets: dict[str, tuple[int, int]] = field(compare=False, repr=False)
-    size: int = field(compare=False, repr=False)
+    __slots__ = ("signature", "depth", "universe", "terms", "intern", "offsets", "size", "_atoms")
 
-    @cached_property
+    @_lazy
     def atoms(self) -> AtomSet:
         return AtomSet(self, None)
 
@@ -311,19 +313,14 @@ def herbrand_base(
     return HerbrandBase(sig, depth, universe, terms, intern, offsets, size)
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Value, compared=3):
     """A set of base atoms (an `AtomSet` when the oracle computed it).
     When an oracle computation returns one, the counters say how much work
     it did: the size of the base, the number of ground clause instances,
     and the rounds of the operator applied."""
 
-    atoms: AbstractSet[Atom]
-    base: HerbrandBase
-    converged: bool = True
-    base_atoms: int = field(default=0, compare=False)
-    instances: int = field(default=0, compare=False)
-    rounds: int = field(default=0, compare=False)
+    __slots__ = ("atoms", "base", "converged", "base_atoms", "instances", "rounds")
+    _defaults = {"converged": True, "base_atoms": 0, "instances": 0, "rounds": 0}
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return _ordered(self.atoms)
@@ -342,8 +339,7 @@ def full_interpretation(base: HerbrandBase) -> Interpretation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Grounding:
+class _Grounding(Value):
     """Clause instances with an in-base head, over a base of `size` atoms.
     Instance i has head id `heads[i]`, in-base body ids `bodies[i]`, in body
     order, and, if it has any, out-of-base body atoms `outside[i]`.
@@ -353,12 +349,9 @@ class _Grounding:
     clause order.  The indexes over the instances are built on first use,
     once per grounding, however many fixpoints and certificates read it."""
 
-    heads: list[int]
-    bodies: list[tuple[int, ...]]
-    outside: dict[int, tuple[Atom, ...]]
-    size: int
+    __slots__ = ("heads", "bodies", "outside", "size", "_watchers", "_by_head")
 
-    @cached_property
+    @_lazy
     def watchers(self) -> list[list[int]]:
         """Per base atom, the instances whose body holds it."""
         watchers: list[list[int]] = [[] for _ in range(self.size)]
@@ -367,7 +360,7 @@ class _Grounding:
                 watchers[b].append(i)
         return watchers
 
-    @cached_property
+    @_lazy
     def by_head(self) -> dict[int, list[int]]:
         """Per head id, its instances, in clause order."""
         by_head: dict[int, list[int]] = {}
@@ -530,21 +523,15 @@ def tp_monotone_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value, compared=4):
     """A support set S with target in S and S <= T_P(S) under the bounded
     optimistic operator.  `frontier` lists the out-of-base body atoms the
     support leans on; when it is empty the certificate is a post-fixed point
     of the true operator and hence a sound witness of greatest-model
-    membership."""
+    membership.  The counters are those of the optimistic gfp."""
 
-    target: Atom
-    support: AbstractSet[Atom]
-    frontier: frozenset[Atom]
-    depth: int
-    base_atoms: int = field(default=0, compare=False)
-    instances: int = field(default=0, compare=False)
-    rounds: int = field(default=0, compare=False)  # of the optimistic gfp
+    __slots__ = ("target", "support", "frontier", "depth", "base_atoms", "instances", "rounds")
+    _defaults = {"base_atoms": 0, "instances": 0, "rounds": 0}
 
     @property
     def exact(self) -> bool:
@@ -555,10 +542,6 @@ class Certificate:
 
     def sorted_frontier(self) -> tuple[Atom, ...]:
         return _ordered(self.frontier)
-
-
-class CertificateInvariantError(Exception):
-    """Internal re-validation of a certificate failed (an oracle bug)."""
 
 
 def certify_gfp(
@@ -626,13 +609,10 @@ class Verdict(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class ValidityVerdict:
-    status: Verdict
-    counterexample: Optional[Subst]
-    semantics: Semantics
-    depth: int
-    note: str = ""
+class ValidityVerdict(Value):
+    # counterexample: the failing substitution of an INVALID verdict, else None
+    __slots__ = ("status", "counterexample", "semantics", "depth", "note")
+    _defaults = {"note": ""}
 
     @property
     def is_valid(self) -> bool:
@@ -713,14 +693,12 @@ def valid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelComparison:
-    preserved: bool
-    semantics: Semantics
-    depth: int
-    removed: tuple[Atom, ...]  # in the base program's model only
-    added: tuple[Atom, ...]  # in the extended program's model only
-    certificates: tuple[tuple[Atom, bool, bool], ...] = ()
+class ModelComparison(Value):
+    # removed: the atoms in the base program's model only, added: those in
+    # the extended program's only; certificates: (atom, found in the base
+    # program, found in the extended one) per differing atom.
+    __slots__ = ("preserved", "semantics", "depth", "removed", "added", "certificates")
+    _defaults = {"certificates": ()}
 
     def difference(self) -> tuple[Atom, ...]:
         return tuple(sorted(set(self.removed) | set(self.added), key=atom_sort_key))

@@ -29,7 +29,7 @@ from typing import AbstractSet, Callable, Optional, Sequence
 from .terms import (
     HornClause,
     Program,
-    Subst,
+    Value,
     apply_atom,
     fact,
     format_formula,
@@ -37,42 +37,67 @@ from .terms import (
     match,
 )
 
+_setattr = object.__setattr__
+
 
 # ---------------------------------------------------------------------------
 # Proof term syntax
 # ---------------------------------------------------------------------------
 
+# Proof terms are dataclasses as well as `Value`s, because the benchmark's
+# tracer (bench/tracer.py) finds their sub-terms with `dataclasses.fields`.
+# The decorator only records the fields: `Value` supplies the methods, so no
+# code is generated.  The search builds constants, variables and
+# applications by the thousand, so those set their slots directly.
+_fields_only = dataclass(init=False, repr=False, eq=False)
 
-@dataclass(frozen=True)
-class ConstSym:
+
+@_fields_only
+class ConstSym(Value):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
 
-@dataclass(frozen=True)
-class ProofVar:
+
+@_fields_only
+class ProofVar(Value):
+    __slots__ = ("name",)
     name: str
 
-
-@dataclass(frozen=True)
-class Apply:
-    fun: "ProofTerm"
-    arg: "ProofTerm"
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Lambda:
+@_fields_only
+class Apply(Value):
+    __slots__ = ("fun", "arg")
+    fun: ProofTerm
+    arg: ProofTerm
+
+    def __init__(self, fun: ProofTerm, arg: ProofTerm):
+        _setattr(self, "fun", fun)
+        _setattr(self, "arg", arg)
+
+
+@_fields_only
+class Lambda(Value):
+    __slots__ = ("binders", "body")
     binders: tuple[str, ...]
-    body: "ProofTerm"
+    body: ProofTerm
 
-    def __post_init__(self) -> None:
-        if not self.binders:
+    def __init__(self, binders: tuple[str, ...], body: ProofTerm):
+        if not binders:
             raise ValueError("Lambda requires at least one binder")
+        super().__init__(binders, body)
 
 
-@dataclass(frozen=True)
-class Nu:
+@_fields_only
+class Nu(Value):
+    __slots__ = ("binder", "body")
     binder: str
-    body: "ProofTerm"
+    body: ProofTerm
 
 
 ProofTerm = ConstSym | ProofVar | Apply | Lambda | Nu
@@ -265,17 +290,19 @@ class EntryKind(Enum):
     LEMMA = "lemma"
 
 
-@dataclass(frozen=True)
-class EnvEntry:
-    evidence: ProofTerm
-    formula: HornClause
-    # Lambda-bound hypotheses are monomorphic (a dictionary parameter has one
-    # type): they resolve only their literal formula.  Axioms, lemmas, and
-    # nu-bound hypotheses are implicitly universally quantified and may be
-    # used at any instance.  Without this split, lambda hypotheses could be
-    # instantiated at unrelated instances, deriving Horn formulas that are
-    # invalid in both the least and the greatest model.
-    rigid: bool = False
+class EnvEntry(Value):
+    # Lambda-bound hypotheses are `rigid`, monomorphic (a dictionary
+    # parameter has one type): they resolve only their literal formula.
+    # Axioms, lemmas, and nu-bound hypotheses are implicitly universally
+    # quantified and may be used at any instance.  Without this split, lambda
+    # hypotheses could be instantiated at unrelated instances, deriving Horn
+    # formulas that are invalid in both the least and the greatest model.
+    __slots__ = ("evidence", "formula", "rigid")
+
+    def __init__(self, evidence: ProofTerm, formula: HornClause, rigid: bool = False):
+        _setattr(self, "evidence", evidence)
+        _setattr(self, "formula", formula)
+        _setattr(self, "rigid", rigid)
 
     @property
     def kind(self) -> EntryKind:
@@ -286,18 +313,29 @@ class EnvEntry:
         return EntryKind.LEMMA
 
 
-@dataclass(frozen=True)
-class AxiomEnv:
-    entries: tuple[EnvEntry, ...] = ()
+class AxiomEnv(Value):
+    # The caches are built on first use, for the checker asks at every node:
+    # `_axioms` maps each constant to its first entry, `_lemmas` is lemmas().
+    __slots__ = ("entries", "_axioms", "_lemmas")
+    _defaults = {"entries": ()}
 
     def extended(self, *entries: EnvEntry) -> "AxiomEnv":
-        return AxiomEnv(self.entries + entries)
+        env = AxiomEnv(self.entries + entries)
+        if all(isinstance(e.evidence, ProofVar) for e in entries):
+            # Hypotheses add no axiom or lemma: the caches stay valid.
+            _setattr(env, "_axioms", self._axioms)
+            _setattr(env, "_lemmas", self._lemmas)
+        return env
 
     def axiom(self, name: str) -> Optional[EnvEntry]:
-        for e in self.entries:
-            if isinstance(e.evidence, ConstSym) and e.evidence.name == name:
-                return e
-        return None
+        index = self._axioms
+        if index is None:
+            index = {}
+            for e in self.entries:
+                if isinstance(e.evidence, ConstSym):
+                    index.setdefault(e.evidence.name, e)
+            _setattr(self, "_axioms", index)
+        return index.get(name)
 
     def hypothesis(self, name: str) -> Optional[EnvEntry]:
         # Newest binding wins, so inner binders shadow outer ones.
@@ -312,13 +350,11 @@ class AxiomEnv:
                 return e
         return None
 
-    _lemmas = None  # filled by lemmas(): the checker asks at every compound node
-
     def lemmas(self) -> tuple[EnvEntry, ...]:
         found = self._lemmas
         if found is None:
             found = tuple(e for e in self.entries if e.kind is EntryKind.LEMMA)
-            object.__setattr__(self, "_lemmas", found)
+            _setattr(self, "_lemmas", found)
         return found
 
     def add_lemma(self, evidence: ProofTerm, formula: HornClause) -> "AxiomEnv":
@@ -352,19 +388,12 @@ class Rule(Enum):
     NU = "Nu"
 
 
-@dataclass(frozen=True)
-class Judgement:
-    env: AxiomEnv
-    evidence: ProofTerm
-    formula: HornClause
+class Judgement(Value):
+    __slots__ = ("env", "evidence", "formula")
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: Rule
-    judgement: Judgement
-    matcher: Optional[Subst]
-    children: tuple["Derivation", ...]
+class Derivation(Value):
+    __slots__ = ("rule", "judgement", "matcher", "children")  # matcher: None unless Lp-m
 
     @property
     def formula(self) -> HornClause:

@@ -25,8 +25,6 @@ and columns up to the offending token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .proofs import ConstSym, Lambda, Nu, ProofTerm, ProofVar, make_apply, walk
 from .terms import (
@@ -36,6 +34,7 @@ from .terms import (
     HornClause,
     OverlapError,
     Program,
+    Value,
     Var,
     format_clause,
 )
@@ -65,11 +64,8 @@ _KINDS = {"=>": "arrow", "->": "to", ":": "colon", ",": "comma", "(": "lparen", 
 _SYMBOLS = frozenset(_KINDS) | {""}  # every token that is not a name
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Tok(Value):
+    __slots__ = ("kind", "text", "line", "col")
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -231,11 +227,9 @@ def _whole(rule, text: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SourceProgram:
-    program: Program
-    names: tuple[str, ...]
-    by_name: dict = field(compare=False)
+class SourceProgram(Value, compared=2):
+    # names: the clause names in source order; by_name: name -> clause index
+    __slots__ = ("program", "names", "by_name")
 
     def clause_named(self, name: str) -> HornClause:
         return self.program.clauses[self.by_name[name]]

@@ -9,7 +9,7 @@ Lexical convention: identifiers starting with an uppercase letter are
 variables when they occur in term position.  Predicate names may use any
 case (the classic counterexample programs use A, B, D as predicates).
 
-Everything here is a frozen dataclass and every operation is a pure
+Every class here is an immutable `Value` and every operation is a pure
 function, so values can be shared freely across threads.  App fills its
 hash, sort-key and rendered-string caches on first use, Atom its hash
 cache; each write stores the value any thread would compute, so the sharing
@@ -19,8 +19,8 @@ stays safe.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import islice, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -58,56 +58,155 @@ class EmptyUniverseError(Exception):
     """The signature has no constants, so there are no ground terms."""
 
 
+# The oracle's budget and errors are defined here, in a module that every
+# command loads, so that the CLI names them without loading `herbrand`,
+# which re-exports them.  The budget is far above every base the corpus, the
+# tests and the benchmark build (at most 1,535 atoms), and small enough that
+# a base this wide is grounded and solved within tens of megabytes.
+DEFAULT_MAX_ATOMS = 100_000
+
+
+class BaseTooLargeError(Exception):
+    """The bounded base would hold more atoms, or universe terms, than the
+    budget allows."""
+
+
+class CertificateInvariantError(Exception):
+    """Internal re-validation of a certificate failed (an oracle bug)."""
+
+
 def is_variable_name(name: str) -> bool:
     return name[:1].isupper()
+
+
+# ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+_setattr = object.__setattr__
+
+
+class Value:
+    """The base of the package's immutable records.
+
+    A subclass lists its slots in `__slots__`: first its fields, then its
+    caches, whose names start with `_`.  `__init__` takes the fields,
+    positionally or by keyword, with defaults from `_defaults`, and sets the
+    caches to None; a cache is filled later through `object.__setattr__`.
+    The first `compared` fields (all by default) make up `==` and the hash,
+    and the first `shown` fields (all by default) the `repr`, which reads as
+    a dataclass's.  Pickles and copies call the class on the fields, so they
+    carry no cache (a `str` hash differs from process to process).
+    Assigning or deleting an attribute raises AttributeError.  Unlike
+    `@dataclass`, nothing is compiled per class."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, compared: Optional[int] = None, shown: Optional[int] = None):
+        fields = tuple(n for n in cls.__slots__ if n[0] != "_")
+        if cls.__slots__[:len(fields)] != fields:
+            raise TypeError(f"{cls.__name__}: the fields must precede the caches")
+        cls._fields = fields
+        cls._nones = (None,) * (len(cls.__slots__) - len(fields))  # the caches' values
+        cls._key = attrgetter(*fields[:compared])
+        cls._shown = fields[:shown]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(self.__slots__, args + self._nones):
+            _setattr(self, name, value)
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call that names fields or leaves some out."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() is missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated {', '.join(kwargs)}")
+        return tuple(values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Terms and atoms
 # ---------------------------------------------------------------------------
 
+# Terms, atoms and clauses are built by the thousand while parsing and
+# searching, so each sets its slots in an `__init__` of its own, and terms
+# and atoms compare their fields directly.  App and Atom cache their hash on
+# first use: set lookups hash ground atoms over and over, and would re-hash
+# the whole tree each time.  App also caches its rendered string, because a
+# subterm shared by many atoms is printed once per atom.
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is Var else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-# App and Atom cache their hash on first use: set lookups hash ground atoms
-# over and over, and a frozen dataclass would re-hash the whole tree each
-# time.  App also caches its rendered string, because a subterm shared by
-# many atoms is printed once per atom.  The caches are plain attributes, not
-# fields, so `==` and `repr` ignore them.  `str` hashes differ from process
-# to process, so pickles and copies leave the caches out.
+class App(Value):
+    __slots__ = ("functor", "args", "_hash", "_sort_key", "_str")  # term_sort_key fills _sort_key
 
+    def __init__(self, functor: str, args: tuple["Term", ...] = ()):
+        _setattr(self, "functor", functor)
+        _setattr(self, "args", args)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_sort_key", None)
+        _setattr(self, "_str", None)
 
-def _state_without_caches(self) -> dict:
-    state = dict(self.__dict__)
-    state.pop("_hash", None)
-    state.pop("_sort_key", None)
-    state.pop("_str", None)
-    return state
-
-
-@dataclass(frozen=True)
-class App:
-    functor: str
-    args: tuple["Term", ...] = ()
-
-    _hash = None
-    _sort_key = None  # filled by term_sort_key
-    _str = None
+    def __eq__(self, other):
+        if other.__class__ is App:
+            return self.functor == other.functor and self.args == other.args
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.functor, self.args))
-            object.__setattr__(self, "_hash", h)
+            _setattr(self, "_hash", h)
         return h
-
-    __getstate__ = _state_without_caches
 
     def __str__(self) -> str:
         s = self._str
@@ -115,28 +214,32 @@ class App:
             s = self.functor
             if self.args:
                 s = f"{s}({','.join(str(a) for a in self.args)})"
-            object.__setattr__(self, "_str", s)
+            _setattr(self, "_str", s)
         return s
 
 
 Term = Var | App
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
+class Atom(Value):
+    __slots__ = ("predicate", "args", "_hash")
 
-    _hash = None
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()):
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "args", args)
+        _setattr(self, "_hash", None)
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return self.predicate == other.predicate and self.args == other.args
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.predicate, self.args))
-            object.__setattr__(self, "_hash", h)
+            _setattr(self, "_hash", h)
         return h
-
-    __getstate__ = _state_without_caches
 
     def __str__(self) -> str:
         if not self.args:
@@ -144,12 +247,14 @@ class Atom:
         return f"{self.predicate}({','.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class HornClause:
+class HornClause(Value):
     """body => head; an atomic formula is a clause with an empty body."""
 
-    body: tuple[Atom, ...]
-    head: Atom
+    __slots__ = ("body", "head")
+
+    def __init__(self, body: tuple[Atom, ...], head: Atom):
+        _setattr(self, "body", body)
+        _setattr(self, "head", head)
 
     @property
     def is_atomic(self) -> bool:
@@ -237,7 +342,7 @@ def term_sort_key(t: Term):
     if key is None:
         args = tuple(term_sort_key(a) for a in t.args)
         key = (1 + max((k[0] for k in args), default=0), t.functor, args)
-        object.__setattr__(t, "_sort_key", key)
+        _setattr(t, "_sort_key", key)
     return key
 
 
@@ -449,10 +554,8 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Signature:
-    functions: Mapping[str, int]
-    predicates: Mapping[str, int]
+class Signature(Value):
+    __slots__ = ("functions", "predicates")  # Mapping[str, int] each
 
     def constants(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, a in self.functions.items() if a == 0))
@@ -512,8 +615,7 @@ def signature_of_clause(c: HornClause) -> Signature:
     return Signature(funcs, preds)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """A validated clause list.
 
     Clauses up to `axiom_count` are axioms and must satisfy the type-class
@@ -523,21 +625,18 @@ class Program:
     existential variables.
     """
 
-    clauses: tuple[HornClause, ...]
-    axiom_count: int = -1
-    signature: Signature = field(init=False, compare=False, repr=False)
+    __slots__ = ("clauses", "axiom_count", "_signature")
 
-    def __post_init__(self) -> None:
-        if self.axiom_count < 0:
-            object.__setattr__(self, "axiom_count", len(self.clauses))
+    def __init__(self, clauses: tuple[HornClause, ...], axiom_count: int = -1):
+        super().__init__(clauses, len(clauses) if axiom_count < 0 else axiom_count)
         funcs: dict[str, int] = {}
         preds: dict[str, int] = {}
-        for c in self.clauses:
+        for c in clauses:
             _collect_atom(c.head, funcs, preds)
             for b in c.body:
                 _collect_atom(b, funcs, preds)
-        object.__setattr__(self, "signature", Signature(funcs, preds))
-        for c in self.clauses:
+        _setattr(self, "_signature", Signature(funcs, preds))
+        for c in clauses:
             head_vars = atom_vars(c.head)
             loose = [v for b in c.body for v in atom_vars(b) if v not in head_vars]
             if loose:
@@ -551,6 +650,10 @@ class Program:
         if pair is not None:
             i, j = pair
             raise OverlapError(i, j, axioms[i], axioms[j])
+
+    @property
+    def signature(self) -> Signature:
+        return self._signature
 
     def extended(self, *clauses: HornClause) -> "Program":
         """Add clauses exempt from the overlap restriction."""

@@ -259,8 +259,9 @@ class TestCachedHashes:
         a = Atom("q", (term, App("c")))
         hash(a)  # fill the caches of the atom and its terms
         restored = pickle.loads(pickle.dumps(a))
-        assert "_hash" not in restored.__dict__
-        assert "_hash" not in restored.args[0].__dict__
+        assert a._hash is not None and term._hash is not None
+        assert restored._hash is None
+        assert restored.args[0]._hash is None
         fresh = {Atom("q", (App("f", (App("c"), App("g", (App("c"), App("d"))))), App("c")))}
         assert restored in fresh
         assert restored.args[0] in {App("f", (App("c"), App("g", (App("c"), App("d")))))}
@@ -284,11 +285,11 @@ class TestCachedHashes:
     def test_rendered_string_cache_stays_out_of_pickles_and_copies(self):
         term = App("f", (App("c"), App("g", (Var("X"), App("d")))))
         assert str(term) == "f(c,g(X,d))"
-        assert "_str" in term.__dict__ and "_str" in term.args[1].__dict__
-        assert "_str" not in copy.copy(term).__dict__  # a shallow copy shares the args
+        assert term._str is not None and term.args[1]._str is not None
+        assert copy.copy(term)._str is None  # a shallow copy shares the args
         for restored in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
-            assert "_str" not in restored.__dict__
-            assert "_str" not in restored.args[1].__dict__
+            assert restored._str is None
+            assert restored.args[1]._str is None
             assert restored == term and str(restored) == "f(c,g(X,d))"
 
     def test_shared_subterm_renders_once(self):
