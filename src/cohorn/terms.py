@@ -109,14 +109,16 @@ class Value:
             raise TypeError(f"{cls.__name__}: the fields must precede the caches")
         cls._fields = fields
         cls._nones = (None,) * (len(cls.__slots__) - len(fields))  # the caches' values
+        # The slots' own setters, which skip the frozen `__setattr__`.
+        cls._setters = tuple(vars(cls)[n].__set__ for n in cls.__slots__)
         cls._key = attrgetter(*fields[:compared])
         cls._shown = fields[:shown]
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = self._arguments(args, kwargs)
-        for name, value in zip(self.__slots__, args + self._nones):
-            _setattr(self, name, value)
+        for set_slot, value in zip(self._setters, args + self._nones):
+            set_slot(self, value)
 
     @classmethod
     def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
