@@ -79,18 +79,27 @@ from .terms import (
 
 __version__ = "0.1.0"
 
-# The oracle's names load `cohorn.herbrand` on first use (PEP 562), so a
-# process that never asks for them does not pay for its import.
+# The oracle module and its names load `cohorn.herbrand` on first use (PEP
+# 562), so a process that never asks for them does not pay for its import.
+# `dir()` and `from cohorn import *` still list them.
 _ORACLE_NAMES = frozenset((
     "Certificate", "HerbrandBase", "Interpretation", "ModelComparison", "Policy",
     "Semantics", "ValidityVerdict", "Verdict", "certify_gfp", "gfp_bounded",
     "herbrand_base", "lfp", "preserves_model", "tp_monotone_check", "tp_step", "valid",
 ))
+__all__ = sorted({n for n in globals() if n[0] != "_"} | _ORACLE_NAMES | {"herbrand"})
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import herbrand
+    if name == "herbrand" or name in _ORACLE_NAMES:
+        # Not `from . import herbrand`, whose attribute check would call
+        # this function again.
+        from importlib import import_module
 
-        return getattr(herbrand, name)
+        herbrand = import_module(".herbrand", __name__)
+        return herbrand if name == "herbrand" else getattr(herbrand, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

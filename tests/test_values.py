@@ -408,6 +408,24 @@ class TestLazyOracle:
                 raise AssertionError("no AttributeError")
         """, cli=False)
 
+    def test_the_package_serves_the_oracle_module(self):
+        """`cohorn.herbrand` is an attribute of a bare `import cohorn`, as it
+        was when the package imported it eagerly, and `dir` and the star
+        import still list the oracle's names; only the attribute access
+        and the star import load the module."""
+        assert_runs("""
+            import sys
+            import cohorn
+            assert {"herbrand", "lfp", "valid", "Verdict"} <= set(dir(cohorn))
+            assert "cohorn.herbrand" not in sys.modules
+            lfp = cohorn.herbrand.lfp
+            assert sys.modules["cohorn.herbrand"] is cohorn.herbrand and cohorn.lfp is lfp
+            namespace = {}
+            exec("from cohorn import *", namespace)
+            assert namespace["lfp"] is lfp and namespace["herbrand"] is cohorn.herbrand
+            assert namespace["resolve"] is cohorn.resolve
+        """, cli=False)
+
     def test_an_oversized_base_exits_64(self):
         assert_runs("""
             argv = ["certify", "programs/pair.hc", "--atom", "eq(pair(int,int))", "--max-atoms", "4"]
