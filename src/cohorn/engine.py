@@ -82,6 +82,7 @@ from .terms import (
     Term,
     Value,
     Var,
+    _setattr,
     apply_atom,
     fact,
     format_formula,
@@ -90,8 +91,6 @@ from .terms import (
     match,
     subterms,
 )
-
-_setattr = object.__setattr__
 
 
 class Mode(Enum):

@@ -65,6 +65,7 @@ from .terms import (
     Term,
     Value,
     Var,
+    _lazy,
     apply_atom,
     atom_sort_key,
     atom_vars,
@@ -88,22 +89,6 @@ class Semantics(Enum):
 
 
 DEFAULT_MAX_ITERS = 10_000
-_setattr = object.__setattr__
-
-
-def _lazy(build):
-    """A read-only property that runs `build` on first use and keeps the
-    value in the cache slot named after it with a leading `_`."""
-    slot = "_" + build.__name__
-
-    def get(self):
-        value = getattr(self, slot)
-        if value is None:
-            value = build(self)
-            _setattr(self, slot, value)
-        return value
-
-    return property(get, doc=build.__doc__)
 
 
 # ---------------------------------------------------------------------------

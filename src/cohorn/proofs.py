@@ -30,14 +30,14 @@ from .terms import (
     HornClause,
     Program,
     Value,
+    _lazy,
+    _setattr,
     apply_atom,
     fact,
     format_formula,
     format_subst,
     match,
 )
-
-_setattr = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +47,7 @@ _setattr = object.__setattr__
 # Proof terms are dataclasses as well as `Value`s, because the benchmark's
 # tracer (bench/tracer.py) finds their sub-terms with `dataclasses.fields`.
 # The decorator only records the fields: `Value` supplies the methods, so no
-# code is generated.  The search builds constants, variables and
-# applications by the thousand, so those set their slots directly.
+# code is generated.
 _fields_only = dataclass(init=False, repr=False, eq=False)
 
 
@@ -57,17 +56,11 @@ class ConstSym(Value):
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
-
 
 @_fields_only
 class ProofVar(Value):
     __slots__ = ("name",)
     name: str
-
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
 
 
 @_fields_only
@@ -75,10 +68,6 @@ class Apply(Value):
     __slots__ = ("fun", "arg")
     fun: ProofTerm
     arg: ProofTerm
-
-    def __init__(self, fun: ProofTerm, arg: ProofTerm):
-        _setattr(self, "fun", fun)
-        _setattr(self, "arg", arg)
 
 
 @_fields_only
@@ -314,9 +303,8 @@ class EnvEntry(Value):
 
 
 class AxiomEnv(Value):
-    # The caches are built on first use, for the checker asks at every node:
-    # `_axioms` maps each constant to its first entry, `_lemmas` is lemmas().
-    __slots__ = ("entries", "_axioms", "_lemmas")
+    # The caches are built on first use, for the checker asks at every node.
+    __slots__ = ("entries", "_axioms", "_lemmas")  # _lemmas: lemmas()
     _defaults = {"entries": ()}
 
     def extended(self, *entries: EnvEntry) -> "AxiomEnv":
@@ -327,15 +315,17 @@ class AxiomEnv(Value):
             _setattr(env, "_lemmas", self._lemmas)
         return env
 
+    @_lazy
+    def axioms(self) -> dict[str, EnvEntry]:
+        """Each constant's first entry, by name."""
+        index: dict[str, EnvEntry] = {}
+        for e in self.entries:
+            if isinstance(e.evidence, ConstSym):
+                index.setdefault(e.evidence.name, e)
+        return index
+
     def axiom(self, name: str) -> Optional[EnvEntry]:
-        index = self._axioms
-        if index is None:
-            index = {}
-            for e in self.entries:
-                if isinstance(e.evidence, ConstSym):
-                    index.setdefault(e.evidence.name, e)
-            _setattr(self, "_axioms", index)
-        return index.get(name)
+        return self.axioms.get(name)
 
     def hypothesis(self, name: str) -> Optional[EnvEntry]:
         # Newest binding wins, so inner binders shadow outer ones.

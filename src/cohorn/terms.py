@@ -92,7 +92,8 @@ class Value:
     A subclass lists its slots in `__slots__`: first its fields, then its
     caches, whose names start with `_`.  `__init__` takes the fields,
     positionally or by keyword, with defaults from `_defaults`, and sets the
-    caches to None; a cache is filled later through `object.__setattr__`.
+    caches to None; a cache is filled later through `object.__setattr__`,
+    by hand or by a `_lazy` property.
     The first `compared` fields (all by default) make up `==` and the hash,
     and the first `shown` fields (all by default) the `repr`, which reads as
     a dataclass's.  Pickles and copies call the class on the fields, so they
@@ -160,16 +161,31 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _lazy(build):
+    """A read-only property that runs `build` on first use and keeps the
+    value in the cache slot named after it with a leading `_`."""
+    slot = "_" + build.__name__
+
+    def get(self):
+        value = getattr(self, slot)
+        if value is None:
+            value = build(self)
+            _setattr(self, slot, value)
+        return value
+
+    return property(get, doc=build.__doc__)
+
+
 # ---------------------------------------------------------------------------
 # Terms and atoms
 # ---------------------------------------------------------------------------
 
 # Terms, atoms and clauses are built by the thousand while parsing and
-# searching, so each sets its slots in an `__init__` of its own, and terms
-# and atoms compare their fields directly.  App and Atom cache their hash on
-# first use: set lookups hash ground atoms over and over, and would re-hash
-# the whole tree each time.  App also caches its rendered string, because a
-# subterm shared by many atoms is printed once per atom.
+# searching, so each sets its slots in an `__init__` of its own.  App and
+# Atom cache their hash on first use: set lookups hash ground atoms over and
+# over, and would re-hash the whole tree each time.  App also caches its
+# rendered string, because a subterm shared by many atoms is printed once
+# per atom.
 
 
 class Var(Value):
@@ -177,12 +193,6 @@ class Var(Value):
 
     def __init__(self, name: str):
         _setattr(self, "name", name)
-
-    def __eq__(self, other):
-        return self.name == other.name if other.__class__ is Var else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -197,11 +207,6 @@ class App(Value):
         _setattr(self, "_hash", None)
         _setattr(self, "_sort_key", None)
         _setattr(self, "_str", None)
-
-    def __eq__(self, other):
-        if other.__class__ is App:
-            return self.functor == other.functor and self.args == other.args
-        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
@@ -230,11 +235,6 @@ class Atom(Value):
         _setattr(self, "predicate", predicate)
         _setattr(self, "args", args)
         _setattr(self, "_hash", None)
-
-    def __eq__(self, other):
-        if other.__class__ is Atom:
-            return self.predicate == other.predicate and self.args == other.args
-        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
