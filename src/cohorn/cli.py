@@ -16,9 +16,8 @@ import json
 import sys
 import time
 from functools import partial
-from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 # The oracle, `herbrand`, is imported by the three commands that use it, so
 # `resolve` and `check` never load it.  They look its functions up as
@@ -32,7 +31,6 @@ from .proofs import (
     env_for_program,
     format_derivation,
     format_proof,
-    shared_nodes,
     walk,
 )
 from .syntax import (
@@ -153,7 +151,7 @@ def _load_program(path: str) -> SourceProgram:
     return parse_program(text)
 
 
-def _json_text(value) -> str:
+def _json_text(value, shared: AbstractSet[int] = frozenset()) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for str-keyed dicts,
     lists, tuples, strings, numbers, booleans and None.
 
@@ -161,14 +159,14 @@ def _json_text(value) -> str:
     own.  A container writes its pieces (bracket, newline and indent, then
     key, `": "` and value per item, with a comma between items) into the
     buffer of the container around it, and the whole text is joined once at
-    the end.  A dict or list met again at the same nesting level is rendered
-    once, into a buffer of its own that is joined and kept: the stdlib
-    encoder walks a shared derivation as the tree it unfolds to.  So each
-    byte is copied at most once per nesting level: once per shared container
-    around it, and once by the final join."""
+    the end.  A container whose id is in `shared` is rendered once per
+    nesting level, into a buffer of its own that is joined and kept: the
+    stdlib encoder walks a shared derivation as the tree it unfolds to.  So
+    each byte is copied at most once per nesting level: once per shared
+    container around it, and once by the final join.  Any other container
+    met twice is simply rendered twice."""
     if type(value) not in _CONTAINERS or not value:
         return json.dumps(value)
-    shared = shared_nodes(value, _json_children)
     memo: dict[tuple[int, int], str] = {}
     pads = ["\n", "\n  "]  # pads[level]: a newline and that level's indent
     out: list[str] = []
@@ -216,34 +214,25 @@ def _json_text(value) -> str:
     return "".join(out)
 
 
-_CONTAINERS = dict.fromkeys((dict, list, tuple), True)
+_CONTAINERS = frozenset((dict, list, tuple))
 
 
-def _json_children(v):
-    """The dicts and lists inside a JSON value: only those can be shared.
-    Iterates in C, because reports hold long lists of strings."""
-    if type(v) is dict:
-        v = v.values()
-    elif type(v) not in _CONTAINERS:
-        return ()
-    return compress(v, map(_CONTAINERS.get, map(type, v)))
-
-
-def _json_value(v, texts: dict):
+def _json_value(v, texts: dict, shared: set):
     """A report field as JSON: engine values become ASCII strings and dicts.
-    `texts` is the report's proof-text memo (see `format_proof`)."""
+    `texts` is the report's proof-text memo (see `format_proof`); the ids of
+    the dicts that stand for shared derivation nodes are added to `shared`."""
     if isinstance(v, ProofTerm):
         return format_proof(v, memo=texts)
     if isinstance(v, HornClause):
         return format_formula(v)
     if isinstance(v, Derivation):
-        return _derivation_json(v, texts)
+        return _derivation_json(v, texts, shared)
     if isinstance(v, tuple):  # lemma records, trace events
-        return [_json_value(x, texts) for x in v]
+        return [_json_value(x, texts, shared) for x in v]
     if isinstance(v, engine.LemmaRecord):
         return {
-            "formula": _json_value(v.formula, texts),
-            "proof": _json_value(v.evidence, texts),
+            "formula": _json_value(v.formula, texts, shared),
+            "proof": _json_value(v.evidence, texts, shared),
             "registered": v.registered,
             "note": v.note,
         }
@@ -280,7 +269,8 @@ def _emit(report: dict, rows, as_json: bool, unicode: bool = False) -> int:
     prints nothing."""
     if as_json:
         texts: dict = {}
-        print(_json_text({k: _json_value(v, texts) for k, v in report.items()}))
+        shared: set[int] = set()
+        print(_json_text({k: _json_value(v, texts, shared) for k, v in report.items()}, shared))
         return report["exit_code"]
     lines = []
     for row in filter(None, rows):
@@ -315,11 +305,19 @@ def _oracle_stats(result) -> dict:
     return {"base_atoms": result.base_atoms, "instances": result.instances, "rounds": result.rounds}
 
 
-def _derivation_json(d, texts: dict) -> dict:
+def _derivation_json(d, texts: dict, shared: set) -> dict:
+    seen: set[int] = set()
+
     def node(d, ctx):
         children = []
         for c in d.children:
-            children.append((yield c, None, node))
+            child = yield c, None, node
+            # A shared derivation node comes back as the same dict.
+            if id(child) in seen:
+                shared.add(id(child))
+            else:
+                seen.add(id(child))
+            children.append(child)
         return {
             "rule": d.rule.value,
             "formula": format_formula(d.judgement.formula),
