@@ -32,7 +32,9 @@ no depth cut anywhere; EXHAUSTED means at least one branch was cut.
 
 Repeated subgoals are tabled (OLD resolution with tabulation, Tamaki and
 Sato 1986): each search keeps a memo from (goal, depth) to the goal's
-evidence, its exhausted flag and the number of nu-names its subtree used.
+evidence, its exhausted flag, the number of nu-names its subtree used and
+the evidence's free proof variables, which every solved subgoal carries up
+so that a nu-wrap need not walk its body.
 A goal's result is stored only when it cannot depend on the path above it:
 auto-lemma is off (its triggers look at ancestors), no nu-hyp older than
 the goal's own candidate was matched anywhere in its subtree (guarded
@@ -70,7 +72,7 @@ from .proofs import (
     check,
     env_for_program,
     format_proof,
-    free_proof_vars,
+    free_proof_vars,  # unused here; the benchmark tracer counts calls through it
     is_hnf,
     make_apply,
 )
@@ -248,6 +250,9 @@ def _embeds(goal: Atom, ancestor: Atom) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 class _Search:
     def __init__(
         self,
@@ -278,7 +283,8 @@ class _Search:
         self.goal_stack: list[Atom] = []
         self.triggers: list[tuple[Atom, Atom]] = []
         # (goal, depth) -> (evidence, exhausted, nu-names the subtree used,
-        # top of the hypothesis stack under the goal); see the module doc.
+        # top of the hypothesis stack under the goal, the evidence's free
+        # proof variables); see the module doc.
         self.memo: dict[tuple[Atom, int], tuple] = {}
         # Lowest stack index of a nu-hyp matched in the current subtree, and
         # the number of nu-wraps made so far: what decides a memo store.
@@ -322,14 +328,18 @@ class _Search:
             found = self.by_key[key] = tuple(entries)
         return found
 
-    def _nu_wrap(self, binder: Optional[str], body: ProofTerm) -> ProofTerm:
-        """Close `body` under `nu binder` when it uses that hypothesis."""
-        if binder is None or binder not in free_proof_vars(body):
-            return body
+    def _nu_wrap(
+        self, binder: Optional[str], body: ProofTerm, free: frozenset[str]
+    ) -> tuple[ProofTerm, frozenset[str]]:
+        """Close `body`, whose free proof variables are `free`, under
+        `nu binder` when it uses that hypothesis; the result and its free
+        proof variables."""
+        if binder is None or binder not in free:
+            return body, free
         if not is_hnf(body):
             raise EngineInvariantError("nu body not in HNF despite guard")
         self._nu_wraps += 1
-        return Nu(binder, body)
+        return Nu(binder, body), free - {binder}
 
     def _candidates(self, goal: Atom):
         """The entries that may match `goal`, in option order: nu-hyps,
@@ -347,7 +357,7 @@ class _Search:
 
     def solve_query(self, goal: HornClause) -> tuple[Optional[ProofTerm], bool]:
         if goal.is_atomic:
-            return self.solve_atomic(goal.head, 0)
+            return self.solve_atomic(goal.head, 0)[:2]
         if self.mode is Mode.COINDUCTIVE:
             self.note("note", 0, goal, "", "no rule derives a Horn formula in coinductive mode")
             return None, False
@@ -363,14 +373,14 @@ class _Search:
         try:
             # The body goal registers no candidate of its own: cycle closure
             # at the root is the job of the Horn hypothesis.
-            ev, exhausted = self.solve_atomic(
+            ev, exhausted, free = self.solve_atomic(
                 goal.head, 0, (alpha,) if alpha else (), candidate=False
             )
         finally:
             del self.hyps[mark:]
         if ev is None:
             return None, exhausted
-        return self._nu_wrap(alpha, Lambda(binders, ev)), exhausted
+        return self._nu_wrap(alpha, Lambda(binders, ev), free.difference(binders))[0], exhausted
 
     # -- atomic goals ----------------------------------------------------------
 
@@ -380,20 +390,22 @@ class _Search:
         depth: int,
         intro: tuple[str, ...] = (),
         candidate: bool = True,
-    ) -> tuple[Optional[ProofTerm], bool]:
+    ) -> tuple[Optional[ProofTerm], bool, frozenset[str]]:
+        """The goal's evidence (None if not found), whether a branch was
+        cut, and the evidence's free proof variables."""
         below = self.hyps[-1] if self.hyps else None
         tabled = candidate and not self.auto_lemma
         if tabled:
             hit = self.memo.get((goal, depth))
             if hit is not None and hit[3] is below:
-                ev, exhausted, names, _ = hit
+                ev, exhausted, names, _, free = hit
                 self._nu_names += names
                 if ev is not None:
                     outcome = Outcome.PROVED
                 else:
                     outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
                 self.note("reuse", depth, goal, "", outcome.value)
-                return ev, exhausted
+                return ev, exhausted, free
         mark = len(self.hyps)
         names, wraps, oldest = self._nu_names, self._nu_wraps, self._oldest_match
         self._oldest_match = mark
@@ -409,21 +421,21 @@ class _Search:
                     break
             self.goal_stack.append(goal)
         try:
-            ev, exhausted = self._options(goal, depth, intro)
+            ev, exhausted, free = self._options(goal, depth, intro)
         finally:
             if self.auto_lemma:
                 self.goal_stack.pop()
             del self.hyps[mark:]
         if ev is not None:
-            ev = self._nu_wrap(cand, ev)
+            ev, free = self._nu_wrap(cand, ev, free)
         if tabled and self._oldest_match >= mark and self._nu_wraps == wraps:
-            self.memo[goal, depth] = (ev, exhausted, self._nu_names - names, below)
+            self.memo[goal, depth] = (ev, exhausted, self._nu_names - names, below, free)
         self._oldest_match = min(oldest, self._oldest_match)
-        return ev, exhausted
+        return ev, exhausted, free
 
     def _options(
         self, goal: Atom, depth: int, intro: tuple[str, ...]
-    ) -> tuple[Optional[ProofTerm], bool]:
+    ) -> tuple[Optional[ProofTerm], bool, frozenset[str]]:
         exhausted = False
         matched_any = False
         axiom_matched = False
@@ -458,30 +470,36 @@ class _Search:
             arm = intro if is_axiom else ()
             self.armed.update(arm)
             try:
-                evs, exh = self.solve_conj(
+                evs, exh, free = self.solve_conj(
                     [apply_atom(s, b) for b in entry.formula.body], depth + 1
                 )
             finally:
                 self.armed.difference_update(arm)
             exhausted |= exh
             if evs is not None:
-                return make_apply(ev, evs), exhausted
+                # Lemma evidence is closed: it checked with no hypotheses.
+                if isinstance(ev, ProofVar):
+                    free = free | {ev.name}
+                return make_apply(ev, evs), exhausted, free
         if not matched_any:
             self.note("dead-end", depth, goal)
-        return None, exhausted
+        return None, exhausted, _NO_NAMES
 
     def solve_conj(
         self, goals: Sequence[Atom], depth: int
-    ) -> tuple[Optional[list[ProofTerm]], bool]:
+    ) -> tuple[Optional[list[ProofTerm]], bool, frozenset[str]]:
         evs: list[ProofTerm] = []
         exhausted = False
+        free = _NO_NAMES
         for g in goals:
-            ev, exh = self.solve_atomic(g, depth)
+            ev, exh, names = self.solve_atomic(g, depth)
             exhausted |= exh
             if ev is None:
-                return None, exhausted
+                return None, exhausted, _NO_NAMES
             evs.append(ev)
-        return evs, exhausted
+            if names:
+                free = free | names
+        return evs, exhausted, free
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,27 @@ class TestDifferential:
         assert format_proof(tabled.evidence) == "kq (nu a7. ky (kb kc) (kg a7))"
         same_result(tabled, untabled(src.program, query, names=src.names))
 
+    def test_carried_free_variables_are_those_of_the_evidence(self, monkeypatch):
+        """Each solved subgoal carries its evidence's free proof variables,
+        memo hits included, so a nu-wrap walks no body."""
+        solve_atomic = engine._Search.solve_atomic
+        solved = []
+
+        def checked(self, *args, **kwargs):
+            ev, exhausted, free = solve_atomic(self, *args, **kwargs)
+            if ev is not None:
+                assert free == free_proof_vars(ev), format_proof(ev)
+                solved.append(bool(free))
+            return ev, exhausted, free
+
+        monkeypatch.setattr(engine._Search, "solve_atomic", checked)
+        monkeypatch.setattr(engine, "free_proof_vars", None)
+        runs = list(random_program_runs(random.Random(5152), 15))
+        runs += list(propositional_runs(random.Random(5153), 20))
+        for program, query in runs:
+            resolve(program, query)
+        assert len(solved) > 1000 and sum(solved) > 100, (len(solved), sum(solved))
+
 
 class TestDiamond:
     @pytest.mark.parametrize("mode", list(Mode))
