@@ -47,7 +47,6 @@ with no sort.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Set
 from enum import Enum
 from itertools import compress, product, repeat
@@ -550,37 +549,57 @@ def certify_gfp(
     if target not in base.atoms:
         return None
     g = _ground_program(program, base)
-    return _certify(g, _fixpoint(g, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS), target)
-
-
-def _certify(g: _Grounding, model: Interpretation, target: Atom) -> Optional[Certificate]:
-    """The certificate of `target` in `model`, the optimistic gfp of `g`."""
-    base = model.base
+    model = _fixpoint(g, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
     live = base.mask(model.atoms)
     k = base.atom_id(target)
     if not live[k]:
         return None
-    support = bytearray(base.size)
-    frontier: set[Atom] = set()
-    queue = deque([k])
-    while queue:
-        a = queue.popleft()
-        if support[a]:
-            continue
-        support[a] = 1
-        for i in g.by_head.get(a, ()):
-            if all(live[b] for b in g.bodies[i]):
-                break
-        else:  # cannot happen for members of the optimistic gfp
-            raise CertificateInvariantError(f"no supporting instance for {base.sorted_atoms()[a]}")
-        frontier.update(g.outside.get(i, ()))
-        queue.extend(b for b in g.bodies[i] if not support[b])
-    if any(map(gt, support, _step(g, support, Policy.OPTIMISTIC))):
-        raise CertificateInvariantError("support is not a post-fixed point")
+    support, frontier = _support(g, base, live, (k,))
     return Certificate(
         target, AtomSet(base, bytes(support)), frozenset(frontier), base.depth,
         base_atoms=model.base_atoms, instances=model.instances, rounds=model.rounds,
     )
+
+
+def _support(
+    g: _Grounding, base: HerbrandBase, live: bytes, roots: Iterable[int]
+) -> tuple[bytearray, set[Atom]]:
+    """The support of `roots`, members of the optimistic gfp of `g` whose
+    mask is `live`, and the out-of-base atoms it leans on.
+
+    The support is the least set that holds the roots and, with each member,
+    the in-base body of the member's first instance whose body is live.
+    Each member is visited once, so the cost is linear in the instances of
+    the support's atoms.  The support is then re-validated on its own
+    (`_check_post_fixed`), which makes it a witness for every atom in it."""
+    support = bytearray(base.size)
+    frontier: set[Atom] = set()
+    by_head, bodies, outside = g.by_head, g.bodies, g.outside
+    stack = list(roots)
+    while stack:
+        a = stack.pop()
+        if support[a]:
+            continue
+        support[a] = 1
+        for i in by_head.get(a, ()):
+            if all(live[b] for b in bodies[i]):
+                break
+        else:  # cannot happen for members of the optimistic gfp
+            raise CertificateInvariantError(f"no supporting instance for {base.sorted_atoms()[a]}")
+        frontier.update(outside.get(i, ()))
+        stack.extend(b for b in bodies[i] if not support[b])
+    _check_post_fixed(g, support)
+    return support, frontier
+
+
+def _check_post_fixed(g: _Grounding, support: bytes) -> None:
+    """Raise unless the support S satisfies S <= T_P(S) under the optimistic
+    operator: each member has an instance whose in-base body lies in S.
+    Only the instances whose head is in S are read."""
+    by_head, bodies = g.by_head, g.bodies
+    for a in compress(range(len(support)), support):
+        if not any(all(support[b] for b in bodies[i]) for i in by_head.get(a, ())):
+            raise CertificateInvariantError("support is not a post-fixed point")
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +718,8 @@ def preserves_model(
 ) -> ModelComparison:
     """Compare the bounded model of P against P extended with `formula`.
 
-    Coinductively, each differing atom is certified in both programs from
-    the two groundings at hand.  The atoms a target reaches through clause
+    Coinductively, the differing atoms are certified from the two
+    groundings at hand, with one support per program.  The atoms a target reaches through clause
     bodies carry only its own and the program's symbols, so the larger base
     of the extended signature gives `certify_gfp`'s answer.
     """
@@ -713,13 +732,17 @@ def preserves_model(
     grounds = (_ground_program(program, base), _ground_program(extended, base))
     models = [_fixpoint(g, base, start, policy, DEFAULT_MAX_ITERS) for g in grounds]
     old, new = (base.mask(m.atoms) for m in models)
-    removed = tuple(AtomSet(base, bytes(map(gt, old, new))))
-    added = tuple(AtomSet(base, bytes(map(gt, new, old))))
-    certs = []
+    gone, came = bytes(map(gt, old, new)), bytes(map(gt, new, old))
+    removed, added = tuple(AtomSet(base, gone)), tuple(AtomSet(base, came))
+    certs: list[tuple[Atom, bool, bool]] = []
     if semantics is Semantics.COIND:
-        for atom in removed + added:
-            found = [_certify(g, m, atom) is not None for g, m in zip(grounds, models)]
-            certs.append((atom, *found))
+        # A removed atom lies in the first program's optimistic gfp only, an
+        # added one in the second's only, and a certificate exists exactly
+        # for the members.  One support per program, checked once, certifies
+        # all of its members: a union of post-fixed points is one.
+        for g, live, members in zip(grounds, (old, new), (gone, came)):
+            _support(g, base, live, compress(range(base.size), members))
+        certs = [(a, True, False) for a in removed] + [(a, False, True) for a in added]
     return ModelComparison(
         preserved=not removed and not added,
         semantics=semantics,

@@ -25,10 +25,13 @@ from cohorn import (
     tp_step,
     valid,
 )
+from cohorn import herbrand
 from cohorn.herbrand import (
     DEFAULT_MAX_ITERS,
     BaseTooLargeError,
+    CertificateInvariantError,
     HerbrandBase,
+    _check_post_fixed,
     _fixpoint,
     _ground_program,
     bounded_size,
@@ -184,6 +187,20 @@ class TestCertificates:
         stepped = tp_step(src.program, Interpretation(cert.support, base), Policy.PESSIMISTIC)
         assert cert.support <= stepped.atoms
 
+    def test_a_support_missing_a_supporting_instance_is_refused(self):
+        """The post-fixed-point check reads the support alone: drop q(c)
+        and p(c) keeps no instance whose body lies in the support."""
+        src = parse_program_text("k1 : q(X) => p(X).\nk2 : r(X) => q(X).\nk3 : => r(c).\n")
+        cert = certify_gfp(src.program, parse_atom("p(c)"), 1)
+        assert atoms(cert.support) == ["p(c)", "q(c)", "r(c)"]
+        base = herbrand_base(src.program.signature, 1)
+        g = _ground_program(src.program, base)
+        support = bytearray(base.mask(cert.support))
+        _check_post_fixed(g, support)
+        support[base.atom_id(parse_atom("q(c)"))] = 0
+        with pytest.raises(CertificateInvariantError, match="not a post-fixed point"):
+            _check_post_fixed(g, support)
+
 
 class TestValidity:
     def test_p7_horn_formula_inductively_valid(self):
@@ -302,6 +319,23 @@ class TestPreservesModel:
             assert after == (certify_gfp(extended, atom, 4) is not None), atom
         assert {before for _, before, _ in cmp.certificates} == {False}
         assert {after for _, _, after in cmp.certificates} == {True}
+
+    def test_certificates_take_one_checked_support_per_program(self, monkeypatch):
+        """At depth 400 the 799 differing atoms are certified from one
+        support per program, each checked once, so the work is linear in
+        the base rather than one support and one check per atom."""
+        sizes = []
+        check = herbrand._check_post_fixed
+
+        def counted(g, support):
+            sizes.append(support.count(1))
+            check(g, support)
+
+        monkeypatch.setattr(herbrand, "_check_post_fixed", counted)
+        src = parse_program_text("k1 : p(X) => p(s(X)).\nk2 : q(X), p(X) => q(s(X)).\nk3 : => q(z).\n")
+        cmp = preserves_model(src.program, parse_formula("p(z)"), Semantics.COIND, 400)
+        assert len(cmp.certificates) == 799
+        assert len(sizes) == 2 and sum(sizes) <= 800, sizes
 
     def test_bush_lemma_coinductively(self):
         src = load("bush")
