@@ -254,6 +254,8 @@ def _text_value(v, unicode: bool) -> str:
         return f"{v:.6f}"
     if isinstance(v, dict):
         return " ".join(f"{k}={x}" for k, x in v.items())
+    if isinstance(v, list):
+        return ", ".join(v)
     if isinstance(v, engine.TraceEvent):
         entry = f" {v.entry}" if v.entry else ""
         detail = f" {v.detail}" if v.detail else ""
@@ -344,6 +346,17 @@ def _run_resolve_query(src: SourceProgram, args) -> tuple[engine.Query, engine.S
     return query, engine.resolve(src.program, query, names=src.names)
 
 
+_CUT_GOALS_SHOWN = 10
+
+
+def _cut_goals(result: engine.SearchResult) -> Optional[list[str]]:
+    """Why an EXHAUSTED search stopped: the distinct goals cut at the depth
+    limit, sorted, at most `_CUT_GOALS_SHOWN` of them; None otherwise."""
+    if result.outcome is not engine.Outcome.EXHAUSTED:
+        return None
+    return sorted({e.goal for e in result.trace if e.kind == "cut"})[:_CUT_GOALS_SHOWN]
+
+
 def _cmd_resolve(src: SourceProgram, args) -> int:
     started = time.perf_counter()
     query, result = _run_resolve_query(src, args)
@@ -359,9 +372,11 @@ def _cmd_resolve(src: SourceProgram, args) -> int:
         "lemmas": result.lemmas,
         "auto_lemma": result.auto_lemma,
         "derivation": result.derivation,
-        "trace": result.trace,
-        "exit_code": _OUTCOME_CODES[result.outcome],
     }
+    if args.trace:
+        report["trace"] = result.trace
+    report["cut_goals"] = _cut_goals(result)
+    report["exit_code"] = _OUTCOME_CODES[result.outcome]
     if args.timings:
         report["seconds"] = round(elapsed, 6)
 
@@ -369,7 +384,7 @@ def _cmd_resolve(src: SourceProgram, args) -> int:
         "command", "program", "query", "mode", ("depth limit", "depth"), "outcome",
         partial(_lemma_lines, result.lemmas), ("auto-lemma", "auto_lemma"), "proof",
         partial(_derivation_lines, result.derivation),
-        args.trace and partial(_block, "trace", result.trace), "seconds",
+        args.trace and partial(_block, "trace", result.trace), ("cut goals", "cut_goals"), "seconds",
     )
     return _emit(report, rows, args.json, args.unicode)
 

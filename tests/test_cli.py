@@ -13,10 +13,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorn.cli import _json_text, cli
+from cohorn import engine
+from cohorn.cli import _cut_goals, _json_text, cli
+from cohorn.engine import Outcome, SearchResult, TraceEvent
 
 from helpers import PROGRAMS_DIR
 
@@ -135,6 +138,75 @@ class TestResolveCommand:
         _, first, _ = run(argv)
         _, second, _ = run(argv)
         assert first == second
+
+    @pytest.mark.parametrize("mode", ["ind", "coind", "ext"])
+    def test_json_carries_the_trace_only_under_the_flag(self, mode):
+        argv = ["resolve", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", mode, "--json"]
+        _, out, _ = run(argv)
+        report = json.loads(out)
+        assert "trace" not in report
+        _, out, _ = run(argv + ["--trace"])
+        traced = json.loads(out)
+        assert list(traced)[-4:] == ["derivation", "trace", "cut_goals", "exit_code"]
+        assert traced.pop("trace")
+        assert list(traced.items()) == list(report.items())
+
+    @pytest.mark.parametrize(
+        "argv, goals",
+        [
+            (["resolve", hc("p11"), "--query", "D(z,z)", "--mode", "coind", "--depth", "12"],
+             ["D(s(s(z)),s(s(z)))"]),
+            (["resolve", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "ind"], ["eq(int)"]),
+        ],
+    )
+    def test_exhausted_reports_name_the_cut_goals(self, argv, goals):
+        code, out, _ = run(argv)
+        assert code == 2 and out.splitlines()[-1] == f"cut goals: {', '.join(goals)}"
+        code, out, _ = run(argv + ["--json"])
+        assert code == 2 and json.loads(out)["cut_goals"] == goals
+        _, out, _ = run(argv + ["--json", "--trace"])
+        report = json.loads(out)
+        assert sorted({e["goal"] for e in report["trace"] if e["kind"] == "cut"}) == goals
+
+    def test_other_outcomes_have_no_cut_goals(self):
+        for argv in (
+            ["resolve", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "coind"],
+            ["resolve", hc("p6"), "--query", "A(X)", "--mode", "ind"],
+        ):
+            code, out, _ = run(argv)
+            assert code in (0, 1) and "cut goals" not in out
+            _, out, _ = run(argv + ["--json"])
+            assert json.loads(out)["cut_goals"] is None
+
+    def test_cut_goals_are_distinct_sorted_and_capped(self):
+        trace = tuple(TraceEvent("cut", 3, f"p(c{i % 12})", "k1") for i in range(30))
+        trace += (TraceEvent("try", 0, "a", "k0"),)
+        assert _cut_goals(SearchResult(Outcome.EXHAUSTED, None, None, trace, None)) == sorted(
+            f"p(c{i})" for i in range(12)
+        )[:10]
+        assert _cut_goals(SearchResult(Outcome.FAILED, None, None, trace, None)) is None
+
+    def test_the_engine_trace_is_the_same_under_every_flag(self, monkeypatch):
+        """The flags only choose what a report shows: `engine.resolve`
+        returns the same trace with and without --json and --trace, and the
+        JSON trace is that trace, event by event."""
+        results = []
+        resolve = engine.resolve
+
+        def recorded(*args, **kwargs):
+            results.append(resolve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(engine, "resolve", recorded)
+        argv = ["resolve", hc("p11"), "--query", "D(z,z)", "--mode", "coind", "--depth", "12"]
+        for flags in ([], ["--trace"], ["--json"], ["--json", "--trace"]):
+            run(argv + flags)
+        trace = results[0].trace
+        assert len(results) == 4 and all(r.trace == trace for r in results)
+        assert [e.kind for e in trace] == ["guarded", "try"] * 12 + ["guarded", "cut"]
+        _, out, _ = run(argv + ["--json", "--trace"])
+        fields = ("kind", "depth", "goal", "entry", "detail")
+        assert json.loads(out)["trace"] == [{f: getattr(e, f) for f in fields} for e in trace]
 
 
 class TestCheckCommand:

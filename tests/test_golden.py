@@ -2,7 +2,7 @@
 
 Every `CORPUS_REPORTS` call (without `--timings`, whose numbers change from
 run to run) is run as text, with `--json`, and with the rendering flags its
-command takes.  `tests/golden/index.json` pins each call's argv, exit code
+command takes, as text and, where they change the JSON too, as JSON.  `tests/golden/index.json` pins each call's argv, exit code
 and stderr; the file it names holds the stdout.  Program paths are relative
 to the repo root, where the calls run.
 
@@ -25,6 +25,8 @@ RENDERING = {
     "check": ["--unicode"],
     "verify-soundness": ["--unicode"],
 }
+# Those of them that change its JSON report.
+JSON_RENDERING = {"resolve": ["--trace"]}
 
 
 def golden_calls():
@@ -37,6 +39,8 @@ def golden_calls():
         yield f"{name}.json", argv + ["--json"]
         if argv[0] in RENDERING:
             yield f"{name}.unicode.txt", argv + RENDERING[argv[0]]
+        if argv[0] in JSON_RENDERING:
+            yield f"{name}.trace.json", argv + ["--json"] + JSON_RENDERING[argv[0]]
 
 
 def test_reports_match_goldens(monkeypatch):
