@@ -719,9 +719,10 @@ def preserves_model(
     """Compare the bounded model of P against P extended with `formula`.
 
     Coinductively, the differing atoms are certified from the two
-    groundings at hand, with one support per program.  The atoms a target reaches through clause
-    bodies carry only its own and the program's symbols, so the larger base
-    of the extended signature gives `certify_gfp`'s answer.
+    groundings at hand, with one support per program.  The atoms a target
+    reaches through clause bodies carry only its own and the program's
+    symbols, so the larger base of the extended signature gives
+    `certify_gfp`'s answer.
     """
     extended = program.extended(formula)
     base = herbrand_base(extended.signature, depth, extra_constants)

@@ -2,9 +2,10 @@
 
 Every `CORPUS_REPORTS` call (without `--timings`, whose numbers change from
 run to run) is run as text, with `--json`, and with the rendering flags its
-command takes, as text and, where they change the JSON too, as JSON.  `tests/golden/index.json` pins each call's argv, exit code
-and stderr; the file it names holds the stdout.  Program paths are relative
-to the repo root, where the calls run.
+command takes, as text and, where they change the JSON too, as JSON.
+`tests/golden/index.json` pins each call's argv, exit code and stderr; the
+file it names holds the stdout.  Program paths are relative to the repo
+root, where the calls run.
 
 After a deliberate report change, regenerate the goldens from the repo root
 with `PYTHONPATH=src python tests/test_golden.py` and review the diff.
