@@ -28,7 +28,6 @@ from .proofs import (
     ConstSym,
     Derivation,
     EnvEntry,
-    EntryKind,
     Judgement,
     Lambda,
     Nu,
@@ -66,12 +65,10 @@ from .terms import (
     Term,
     Var,
     apply_atom,
-    apply_clause,
     apply_term,
     compose,
     enumerate_ground_terms,
     fact,
-    ground_instances,
     match,
     term_depth,
     unifiable,
@@ -85,7 +82,7 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset((
     "Certificate", "HerbrandBase", "Interpretation", "ModelComparison", "Policy",
     "Semantics", "ValidityVerdict", "Verdict", "certify_gfp", "gfp_bounded",
-    "herbrand_base", "lfp", "preserves_model", "tp_monotone_check", "tp_step", "valid",
+    "herbrand_base", "lfp", "preserves_model", "valid",
 ))
 __all__ = sorted({n for n in globals() if n[0] != "_"} | _ORACLE_NAMES | {"herbrand"})
 

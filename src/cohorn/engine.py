@@ -62,7 +62,6 @@ from .proofs import (
     CheckError,
     ConstSym,
     Derivation,
-    EntryKind,
     EnvEntry,
     Lambda,
     Nu,
@@ -265,7 +264,7 @@ class _Search:
         # Lemmas, then axioms: the option order, and a lemma's 1-based
         # position is its number in the trace.
         self.entries = env.lemmas() + tuple(
-            e for e in env.entries if e.kind is EntryKind.AXIOM
+            e for e in env.entries if isinstance(e.evidence, ConstSym)
         )
         self.by_pred: dict[str, list[EnvEntry]] = {}
         for e in self.entries:

@@ -70,9 +70,7 @@ from .terms import (
     atom_vars,
     clause_vars,
     enumerate_ground_terms,
-    is_ground_atom,
-    signature_of_atom,
-    signature_of_clause,
+    signature_of,
     term_vars,
 )
 
@@ -310,14 +308,6 @@ class Interpretation(Value, compared=3):
         return _ordered(self.atoms)
 
 
-def empty_interpretation(base: HerbrandBase) -> Interpretation:
-    return Interpretation(frozenset(), base)
-
-
-def full_interpretation(base: HerbrandBase) -> Interpretation:
-    return Interpretation(base.atoms, base)
-
-
 # ---------------------------------------------------------------------------
 # The semantic operator
 # ---------------------------------------------------------------------------
@@ -371,23 +361,6 @@ def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
         g.heads.extend(heads)
         g.bodies.extend(bodies)
     return g
-
-
-def _step(g: _Grounding, mask: bytes, policy: Policy) -> bytearray:
-    produced = bytearray(len(mask))
-    for i, (head, body) in enumerate(zip(g.heads, g.bodies)):
-        if all(mask[b] for b in body) and not (policy is Policy.PESSIMISTIC and i in g.outside):
-            produced[head] = 1
-    return produced
-
-
-def tp_step(
-    program: Program, interp: Interpretation, policy: Policy = Policy.PESSIMISTIC
-) -> Interpretation:
-    """One application of the bounded one-step consequence operator."""
-    base = interp.base
-    produced = _step(_ground_program(program, base), base.mask(interp.atoms), policy)
-    return Interpretation(AtomSet(base, bytes(produced)), base)
 
 
 def _fixpoint(
@@ -489,19 +462,6 @@ def gfp_bounded(
     return _fixpoint(g, base, base.atoms, policy, max_iters)
 
 
-def tp_monotone_check(
-    program: Program,
-    i: Interpretation,
-    j: Interpretation,
-    policy: Policy = Policy.PESSIMISTIC,
-) -> bool:
-    if i.base != j.base:
-        raise ValueError("interpretations must share a base")
-    if not i.atoms <= j.atoms:
-        raise ValueError("monotonicity check requires i.atoms <= j.atoms")
-    return tp_step(program, i, policy).atoms <= tp_step(program, j, policy).atoms
-
-
 # ---------------------------------------------------------------------------
 # Greatest-model membership certificates
 # ---------------------------------------------------------------------------
@@ -542,9 +502,9 @@ def certify_gfp(
     mention constants that the program never writes down.  Returns None when
     no support exists within the bound; that is not a proof of absence.
     """
-    if not is_ground_atom(target):
+    if atom_vars(target):
         raise ValueError("certificate targets must be ground atoms")
-    sig = program.signature.merged(signature_of_atom(target))
+    sig = program.signature.merged(signature_of([target]))
     base = herbrand_base(sig, search_depth, extra_constants, max_atoms)
     if target not in base.atoms:
         return None
@@ -618,10 +578,6 @@ class ValidityVerdict(Value):
     __slots__ = ("status", "counterexample", "semantics", "depth", "note")
     _defaults = {"note": ""}
 
-    @property
-    def is_valid(self) -> bool:
-        return self.status is Verdict.VALID
-
 
 def valid(
     program: Program,
@@ -646,7 +602,7 @@ def valid(
     variables range over the universe; the rest come from the head's
     join with the base.
     """
-    sig = program.signature.merged(signature_of_clause(formula))
+    sig = program.signature.merged(signature_of([formula.head, *formula.body]))
     base = herbrand_base(sig, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
     start = frozenset() if semantics is Semantics.IND else base.atoms

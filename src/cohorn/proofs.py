@@ -273,12 +273,6 @@ def format_proof(
 # ---------------------------------------------------------------------------
 
 
-class EntryKind(Enum):
-    AXIOM = "axiom"
-    HYPOTHESIS = "hypothesis"
-    LEMMA = "lemma"
-
-
 class EnvEntry(Value):
     # Lambda-bound hypotheses are `rigid`, monomorphic (a dictionary
     # parameter has one type): they resolve only their literal formula.
@@ -292,14 +286,6 @@ class EnvEntry(Value):
         _setattr(self, "evidence", evidence)
         _setattr(self, "formula", formula)
         _setattr(self, "rigid", rigid)
-
-    @property
-    def kind(self) -> EntryKind:
-        if isinstance(self.evidence, ConstSym):
-            return EntryKind.AXIOM
-        if isinstance(self.evidence, ProofVar):
-            return EntryKind.HYPOTHESIS
-        return EntryKind.LEMMA
 
 
 class AxiomEnv(Value):
@@ -343,7 +329,9 @@ class AxiomEnv(Value):
     def lemmas(self) -> tuple[EnvEntry, ...]:
         found = self._lemmas
         if found is None:
-            found = tuple(e for e in self.entries if e.kind is EntryKind.LEMMA)
+            found = tuple(
+                e for e in self.entries if not isinstance(e.evidence, (ConstSym, ProofVar))
+            )
             _setattr(self, "_lemmas", found)
         return found
 

@@ -319,16 +319,6 @@ def clause_vars(c: HornClause) -> list[str]:
     return out
 
 
-def is_ground_term(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground_term(a) for a in t.args)
-
-
-def is_ground_atom(a: Atom) -> bool:
-    return all(is_ground_term(t) for t in a.args)
-
-
 def subterms(t: Term) -> Iterator[Term]:
     yield t
     if isinstance(t, App):
@@ -371,10 +361,6 @@ def apply_atom(s: Mapping[str, Term], a: Atom) -> Atom:
     if not a.args:
         return a
     return Atom(a.predicate, tuple(apply_term(s, t) for t in a.args))
-
-
-def apply_clause(s: Mapping[str, Term], c: HornClause) -> HornClause:
-    return HornClause(tuple(apply_atom(s, b) for b in c.body), apply_atom(s, c.head))
 
 
 def compose(s: Mapping[str, Term], t: Mapping[str, Term]) -> Subst:
@@ -488,16 +474,6 @@ def unifiable(a: Atom, b: Atom) -> bool:
     return all(_unify_term(x, y, s) for x, y in zip(a.args, b.args))
 
 
-def rename_term(t: Term, suffix: str) -> Term:
-    if isinstance(t, Var):
-        return Var(t.name + suffix)
-    return App(t.functor, tuple(rename_term(a, suffix) for a in t.args))
-
-
-def rename_atom(a: Atom, suffix: str) -> Atom:
-    return Atom(a.predicate, tuple(rename_term(t, suffix) for t in a.args))
-
-
 def head_key(atom: Atom, position: int = 0) -> tuple[str, Optional[str]]:
     """(predicate, functor at argument `position`); None there for a
     variable or no such argument.  Atoms of one predicate and arity with two
@@ -537,7 +513,8 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
     def apart(k: int) -> Atom:
         # One renaming per head; the suffixes `_k` keep any two heads apart.
         if k not in renamed:
-            renamed[k] = rename_atom(heads[k], f"_{k}")
+            h = heads[k]
+            renamed[k] = apply_atom({v: Var(f"{v}_{k}") for v in atom_vars(h)}, h)
         return renamed[k]
 
     for i, (pred, functor) in enumerate(keys):
@@ -558,9 +535,6 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
 
 class Signature(Value):
     __slots__ = ("functions", "predicates")  # Mapping[str, int] each
-
-    def constants(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, a in self.functions.items() if a == 0))
 
     def merged(self, other: "Signature") -> "Signature":
         funcs = dict(self.functions)
@@ -601,19 +575,13 @@ def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int]) -> None
         _collect_term(t, funcs)
 
 
-def signature_of_atom(a: Atom) -> Signature:
+def signature_of(atoms: Iterable[Atom]) -> Signature:
+    """The functors and predicates of `atoms` with their arities; a
+    SignatureError names the first clash met, reading `atoms` in order."""
     funcs: dict[str, int] = {}
     preds: dict[str, int] = {}
-    _collect_atom(a, funcs, preds)
-    return Signature(funcs, preds)
-
-
-def signature_of_clause(c: HornClause) -> Signature:
-    funcs: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    _collect_atom(c.head, funcs, preds)
-    for b in c.body:
-        _collect_atom(b, funcs, preds)
+    for a in atoms:
+        _collect_atom(a, funcs, preds)
     return Signature(funcs, preds)
 
 
@@ -631,22 +599,17 @@ class Program(Value):
 
     def __init__(self, clauses: tuple[HornClause, ...], axiom_count: int = -1):
         super().__init__(clauses, len(clauses) if axiom_count < 0 else axiom_count)
-        funcs: dict[str, int] = {}
-        preds: dict[str, int] = {}
+        atoms = [a for c in clauses for a in (c.head, *c.body)]
+        _setattr(self, "_signature", signature_of(atoms))
         for c in clauses:
-            _collect_atom(c.head, funcs, preds)
+            # atom_vars appends only names not yet listed, so the names past
+            # the head's are the body's unbound ones, each once.
+            names = atom_vars(c.head)
+            bound = len(names)
             for b in c.body:
-                _collect_atom(b, funcs, preds)
-        _setattr(self, "_signature", Signature(funcs, preds))
-        for c in clauses:
-            head_vars = atom_vars(c.head)
-            loose = [v for b in c.body for v in atom_vars(b) if v not in head_vars]
-            if loose:
-                seen: list[str] = []
-                for v in loose:
-                    if v not in seen:
-                        seen.append(v)
-                raise ExistentialVariableError(c, seen)
+                atom_vars(b, names)
+            if len(names) > bound:
+                raise ExistentialVariableError(c, names[bound:])
         axioms = self.clauses[: self.axiom_count]
         pair = _first_overlap([c.head for c in axioms])
         if pair is not None:
@@ -711,18 +674,3 @@ def _args_with_fresh(terms: list[Term], start: int, arity: int) -> list[tuple[Te
     return [(t, *tail) for t in islice(terms, start) for tail in tails] + [
         (t, *tail) for t in fresh for tail in product(terms, repeat=arity - 1)
     ]
-
-
-def ground_instances(clause: HornClause, universe: Sequence[Term]) -> list[HornClause]:
-    """All instantiations of the clause's variables over the universe.
-
-    Brute force: the reference that the oracle's head-driven grounding is
-    tested against."""
-    names = clause_vars(clause)
-    if not names:
-        return [clause]
-    out = []
-    for combo in product(universe, repeat=len(names)):
-        s = dict(zip(names, combo))
-        out.append(apply_clause(s, clause))
-    return out

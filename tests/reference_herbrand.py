@@ -1,11 +1,17 @@
-"""The oracle's grounding as it was before the column join: a reference for tests.
+"""Naive oracle routines: references for tests.
 
-`matches` filters each argument position's column of universe ids, then
-matches the whole head again for every combination of the filtered columns.
-`ground_program` looks each body atom of each instance up through a dict
-env.  `tests/test_herbrand.py` checks that `cohorn.herbrand._ground_program`
+The grounding as it was before the column join: `matches` filters each
+argument position's column of universe ids, then matches the whole head
+again for every combination of the filtered columns.  `ground_program`
+looks each body atom of each instance up through a dict env.
+`tests/test_herbrand.py` checks that `cohorn.herbrand._ground_program`
 returns the same `_Grounding`, in the same instance order, on random, corpus
 and benchmark-shaped inputs.
+
+The one-step consequence operator as the definition states it: `tp_step`
+fires every instance whose body the interpretation holds.  The tests re-apply
+it to check the fixpoints, certificates and monotonicity that the oracle
+computes by counter propagation.
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from functools import reduce
 from itertools import product, repeat
 from typing import Iterator
 
-from cohorn.herbrand import HerbrandBase, _Grounding
+from cohorn.herbrand import (
+    AtomSet,
+    HerbrandBase,
+    Interpretation,
+    Policy,
+    _Grounding,
+    _ground_program,
+)
 from cohorn.terms import Atom, Program, Term, Var, apply_atom
 
 
@@ -53,3 +66,41 @@ def ground_program(program: Program, base: HerbrandBase) -> _Grounding:
             g.heads.append(head)
             g.bodies.append(tuple(body))
     return g
+
+
+def empty_interpretation(base: HerbrandBase) -> Interpretation:
+    return Interpretation(frozenset(), base)
+
+
+def full_interpretation(base: HerbrandBase) -> Interpretation:
+    return Interpretation(base.atoms, base)
+
+
+def _step(g: _Grounding, mask: bytes, policy: Policy) -> bytearray:
+    produced = bytearray(len(mask))
+    for i, (head, body) in enumerate(zip(g.heads, g.bodies)):
+        if all(mask[b] for b in body) and not (policy is Policy.PESSIMISTIC and i in g.outside):
+            produced[head] = 1
+    return produced
+
+
+def tp_step(
+    program: Program, interp: Interpretation, policy: Policy = Policy.PESSIMISTIC
+) -> Interpretation:
+    """One application of the bounded one-step consequence operator."""
+    base = interp.base
+    produced = _step(_ground_program(program, base), base.mask(interp.atoms), policy)
+    return Interpretation(AtomSet(base, bytes(produced)), base)
+
+
+def tp_monotone_check(
+    program: Program,
+    i: Interpretation,
+    j: Interpretation,
+    policy: Policy = Policy.PESSIMISTIC,
+) -> bool:
+    if i.base != j.base:
+        raise ValueError("interpretations must share a base")
+    if not i.atoms <= j.atoms:
+        raise ValueError("monotonicity check requires i.atoms <= j.atoms")
+    return tp_step(program, i, policy).atoms <= tp_step(program, j, policy).atoms

@@ -1,17 +1,21 @@
-"""The universe enumeration as it was before layer-by-layer building: a
-reference for tests.
+"""Brute-force term helpers: references for tests.
 
-Layer k rescans `product(result, repeat=arity)` over every term built so far
-and keeps the tuples with an argument of depth k - 1.  `tests/test_terms.py`
-checks that `cohorn.terms.enumerate_ground_terms` returns the same list, in
-the same order.
+`enumerate_ground_terms` is the universe enumeration as it was before
+layer-by-layer building.  Layer k rescans `product(result, repeat=arity)`
+over every term built so far and keeps the tuples with an argument of depth
+k - 1.  `tests/test_terms.py` checks that `cohorn.terms.enumerate_ground_terms`
+returns the same list, in the same order.
+
+`ground_instances` instantiates a clause's variables over a universe in
+every way; the oracle's head-driven grounding is tested against it.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Mapping, Sequence
 
-from cohorn.terms import App, Signature, Term
+from cohorn.terms import App, HornClause, Signature, Term, apply_atom, clause_vars
 
 
 def enumerate_ground_terms(sig: Signature, depth: int) -> list[Term]:
@@ -33,3 +37,19 @@ def enumerate_ground_terms(sig: Signature, depth: int) -> list[Term]:
             depths[t] = k
         result.extend(layer)
     return result
+
+
+def apply_clause(s: Mapping[str, Term], c: HornClause) -> HornClause:
+    return HornClause(tuple(apply_atom(s, b) for b in c.body), apply_atom(s, c.head))
+
+
+def ground_instances(clause: HornClause, universe: Sequence[Term]) -> list[HornClause]:
+    """All instantiations of the clause's variables over the universe."""
+    names = clause_vars(clause)
+    if not names:
+        return [clause]
+    out = []
+    for combo in product(universe, repeat=len(names)):
+        s = dict(zip(names, combo))
+        out.append(apply_clause(s, clause))
+    return out

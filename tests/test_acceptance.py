@@ -30,8 +30,6 @@ from cohorn import (
     parse_program,
     preserves_model,
     resolve,
-    tp_monotone_check,
-    tp_step,
     valid,
 )
 from cohorn.cli import cli
@@ -47,7 +45,9 @@ from helpers import (
     random_subst,
     random_term,
 )
+from reference_herbrand import tp_monotone_check, tp_step
 from reference_proofs import normalize_binders
+from reference_terms import apply_clause
 
 
 def report(criterion: str, ok: bool):
@@ -137,7 +137,7 @@ def canonical_formula(f) -> str:
     for v in atom_vars(f.head) + [v for b in f.body for v in atom_vars(b)]:
         if v not in names:
             names[v] = f"V{len(names) + 1}"
-    from cohorn.terms import Var, apply_clause, format_formula
+    from cohorn.terms import Var, format_formula
 
     renamed = apply_clause({v: Var(n) for v, n in names.items()}, f)
     return format_formula(renamed)

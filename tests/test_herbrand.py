@@ -21,8 +21,6 @@ from cohorn import (
     parse_atom,
     parse_formula,
     preserves_model,
-    tp_monotone_check,
-    tp_step,
     valid,
 )
 from cohorn import herbrand
@@ -35,8 +33,6 @@ from cohorn.herbrand import (
     _fixpoint,
     _ground_program,
     bounded_size,
-    empty_interpretation,
-    full_interpretation,
 )
 from cohorn.terms import (
     App,
@@ -50,12 +46,13 @@ from cohorn.terms import (
     atom_vars,
     clause_vars,
     enumerate_ground_terms,
-    ground_instances,
-    signature_of_clause,
+    signature_of,
     term_sort_key,
 )
 
 import reference_herbrand
+from reference_herbrand import empty_interpretation, full_interpretation, tp_monotone_check, tp_step
+from reference_terms import apply_clause, ground_instances
 from helpers import load, program_queries, random_clause, random_program
 
 
@@ -235,7 +232,7 @@ class TestLemmaOneExecutable:
 
     def test_clause_step_preserves_validity(self):
         rng = random.Random(5)
-        from cohorn.terms import apply_clause, clause_vars
+        from cohorn.terms import clause_vars
         from cohorn import App
 
         pool = [App("c"), App("f", (App("c"),))]
@@ -607,7 +604,8 @@ class TestBaseIds:
 def reference_valid(program, formula, semantics, depth):
     """valid as first written: every grounding of universe^vars, in product
     order, against naively iterated fixpoints; (status, counterexample, note)."""
-    base = herbrand_base(program.signature.merged(signature_of_clause(formula)), depth)
+    sig = program.signature.merged(signature_of([formula.head, *formula.body]))
+    base = herbrand_base(sig, depth)
     start = frozenset() if semantics is Semantics.IND else base.atoms
     sure, _ = naive_iterate(program, base, start, Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
     maybe, _ = naive_iterate(program, base, start, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)

@@ -14,7 +14,6 @@ from cohorn import (
     CheckError,
     CheckReason,
     ConstSym,
-    EntryKind,
     Lambda,
     Mode,
     Nu,
@@ -174,7 +173,7 @@ class TestEnvironmentDiscipline:
         inner_env = d.children[0].judgement.env
         hyp = inner_env.hypothesis("a")
         assert hyp is not None and hyp.formula.is_atomic
-        assert hyp.kind is EntryKind.HYPOTHESIS
+        assert isinstance(hyp.evidence, ProofVar)
 
     def test_nu_hypothesis_keeps_full_formula(self):
         env = env_of("bush")

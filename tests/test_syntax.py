@@ -17,6 +17,7 @@ from cohorn import (
     ParseError,
     ProgramLoadError,
     ProofVar,
+    SignatureError,
     Var,
     format_proof,
     parse_formula,
@@ -52,6 +53,29 @@ class TestProgramParsing:
             parse_program("k1 : q(Y) => p(X).")
         assert "EXISTENTIAL_VAR(Y)" in str(err.value)
         assert "k1" in str(err.value)
+
+    def test_existential_variables_listed_once_in_first_occurrence_order(self):
+        with pytest.raises(ProgramLoadError) as err:
+            parse_program("k1 : => p(c).\nk2 : q(X, Y), r(Y, X, Z), q(Z, Y), s(W) => p(X).")
+        assert str(err.value) == (
+            "EXISTENTIAL_VAR(Y, Z, W) in clause k2: q(X,Y), r(Y,X,Z), q(Z,Y), s(W) => p(X)"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A clause's head is read before its body ...
+            ("k1 : q(f(c,c)) => p(f(c)).", "functor f used with arities 1 and 2"),
+            ("k1 : p(c,c) => p(c).", "predicate p used with arities 1 and 2"),
+            # ... and a clause's body before the next clause's head.
+            ("k1 : q(f(c)) => p(c).\nk2 : => q(f(c,c)).", "functor f used with arities 1 and 2"),
+            ("k1 : q(c) => p(c).\nk2 : => q(c,c).", "predicate q used with arities 1 and 2"),
+        ],
+    )
+    def test_first_signature_clash_reported(self, text, message):
+        with pytest.raises(SignatureError) as err:
+            parse_program(text)
+        assert str(err.value) == message
 
     def test_overlap_reported_with_both_clauses(self):
         with pytest.raises(ProgramLoadError) as err:

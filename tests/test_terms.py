@@ -26,7 +26,6 @@ from cohorn import (
     compose,
     enumerate_ground_terms,
     fact,
-    ground_instances,
     match,
     parse_formula,
     parse_program,
@@ -35,9 +34,10 @@ from cohorn import (
 )
 from cohorn import terms
 from cohorn.herbrand import bounded_size
-from cohorn.terms import atom_vars, head_key, is_ground_term, rename_atom
+from cohorn.terms import atom_vars, head_key, term_vars
 
 import reference_terms
+from reference_terms import ground_instances
 from helpers import load, random_atom, random_heads, random_subst, random_term
 
 
@@ -168,7 +168,7 @@ class TestEnumeration:
 
         for _ in range(200):
             t = build(rng.randint(1, 3))
-            assert is_ground_term(t)
+            assert not term_vars(t)
             assert t in terms
 
     @pytest.mark.parametrize(
@@ -297,6 +297,10 @@ class TestCachedHashes:
         a, b = Atom("p", (App("f", (shared,)),)), Atom("q", (shared, App("c")))
         assert (str(a), str(b)) == ("p(f(g(c,d)))", "q(g(c,d),c)")
         assert shared._str == "g(c,d)"
+
+
+def rename_atom(a, suffix):
+    return apply_atom({v: Var(v + suffix) for v in atom_vars(a)}, a)
 
 
 def pairwise_first_overlap(heads):

@@ -426,6 +426,28 @@ class TestLazyOracle:
             assert namespace["resolve"] is cohorn.resolve
         """, cli=False)
 
+    def test_the_package_lists_only_what_it_ships(self):
+        """`dir` and the star import list every oracle name the commands
+        use and none of the helpers that only the tests run (those live in
+        `tests/reference_*.py`); listing the names loads no oracle."""
+        assert_runs("""
+            import sys
+            import cohorn
+            used = {"herbrand", "Policy", "Semantics", "Verdict", "lfp", "gfp_bounded", "certify_gfp", "valid"}
+            gone = {
+                "tp_step", "tp_monotone_check", "empty_interpretation", "full_interpretation",
+                "ground_instances", "apply_clause", "EntryKind",
+            }
+            for listed in (set(dir(cohorn)), set(cohorn.__all__)):
+                assert used <= listed and not gone & listed, (used - listed, gone & listed)
+            assert not any(hasattr(cohorn, name) for name in gone)
+            assert "cohorn.herbrand" not in sys.modules
+            namespace = {}
+            exec("from cohorn import *", namespace)
+            assert used <= set(namespace) and not gone & set(namespace)
+            assert "cohorn.herbrand" in sys.modules
+        """, cli=False)
+
     def test_an_oversized_base_exits_64(self):
         assert_runs("""
             argv = ["certify", "programs/pair.hc", "--atom", "eq(pair(int,int))", "--max-atoms", "4"]
