@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (resolve: proved), 1 failed/rejected/no certificate,
 2 search exhausted, 3 soundness violation (verify-soundness only), 64 usage
-errors (a Herbrand base over --max-atoms among them), 65 malformed input,
+errors (a non-positive --depth, --base-depth or --max-atoms, or a Herbrand
+base over --max-atoms, among them), 65 malformed input,
 66 unreadable files, 70 internal errors (input nested too deep to process,
 or a broken engine or certificate invariant).
 Reports are byte-stable for fixed inputs; timings are printed only on
@@ -83,6 +84,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of the depth and size bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
 # The flags several commands share, declared once.  A parent parser only
 # holds declarations, which each command's parser copies, so these are built
 # once per process rather than on every call.
@@ -93,7 +105,7 @@ _UNICODE = argparse.ArgumentParser(add_help=False)
 _UNICODE.add_argument("--unicode", action="store_true", help="render nu/lambda/=> as unicode")
 _ORACLE = argparse.ArgumentParser(add_help=False)
 _ORACLE.add_argument(
-    "--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
+    "--max-atoms", type=_positive_int, default=DEFAULT_MAX_ATOMS,
     help="refuse a Herbrand base of more atoms or universe terms than this",
 )
 
@@ -106,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--query", required=True, help="atomic or Horn formula")
     p.add_argument("--mode", required=True, choices=sorted(_MODES))
     p.add_argument("--lemma", action="append", default=[], help="prove and register first (repeatable)")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_positive_int, default=8)
     p.add_argument("--auto-lemma", action="store_true", help="propose a lemma by anti-unification on failure")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--trace", action="store_true", help="include the resolution trace")
@@ -115,17 +127,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--proof", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--lemma", action="append", default=[], help="prove (extended mode) and register first")
-    p.add_argument("--depth", type=int, default=8, help="depth limit for --lemma proofs")
+    p.add_argument("--depth", type=_positive_int, default=8, help="depth limit for --lemma proofs")
 
     p = sub.add_parser("model", parents=[_COMMON, _ORACLE], help="print a bounded Herbrand model")
     p.add_argument("--semantics", required=True, choices=["least", "greatest"])
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--policy", choices=["opt", "pess"], default="pess")
     p.add_argument("--const", action="append", default=[], help="extra constant for the universe")
 
     p = sub.add_parser("certify", parents=[_COMMON, _ORACLE], help="search a greatest-model membership certificate")
     p.add_argument("--atom", required=True, help="ground atom")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_positive_int, default=6)
     p.add_argument("--const", action="append", default=[])
 
     p = sub.add_parser(
@@ -136,8 +148,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--query", required=True)
     p.add_argument("--mode", required=True, choices=sorted(_MODES))
     p.add_argument("--lemma", action="append", default=[])
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--base-depth", type=int, required=True)
+    p.add_argument("--depth", type=_positive_int, default=8)
+    p.add_argument("--base-depth", type=_positive_int, required=True)
     p.add_argument("--auto-lemma", action="store_true")
     return parser
 

@@ -413,6 +413,29 @@ class TestErrorChannels:
         code, _, err = run(["resolve"])
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["resolve", "--query", "eq(int)", "--mode", "ind"], "--depth", "0"),
+            (["resolve", "--query", "eq(int)", "--mode", "ind"], "--depth", "-1"),
+            (["resolve", "--query", "eq(int)", "--mode", "ind"], "--depth", "abc"),
+            (["check", "--proof", "k1", "--formula", "eq(int)", "--lemma", "eq(X) => eq(bush(X))"], "--depth", "0"),
+            (["model", "--semantics", "least"], "--depth", "0"),
+            (["model", "--semantics", "least", "--depth", "2"], "--max-atoms", "0"),
+            (["certify", "--atom", "eq(int)"], "--depth", "-2"),
+            (["certify", "--atom", "eq(int)"], "--max-atoms", "-1"),
+            (["verify-soundness", "--query", "eq(int)", "--mode", "ind"], "--base-depth", "0"),
+            (["verify-soundness", "--query", "eq(int)", "--mode", "ind", "--base-depth", "2"], "--depth", "0"),
+            (["verify-soundness", "--query", "eq(int)", "--mode", "ind", "--base-depth", "2"], "--max-atoms", "0"),
+        ],
+    )
+    def test_non_positive_bounds_are_usage_errors(self, argv, flag, value):
+        """Depths and the base budget must be positive integers: one
+        `usage error:` line and exit 64, before the program is read."""
+        code, out, err = run([argv[0], hc("bush"), *argv[1:], flag, value])
+        assert (code, out) == (64, "")
+        assert err == f"usage error: argument {flag}: invalid positive int value: '{value}'\n"
+
     def test_unknown_command(self):
         code, _, _ = run(["frobnicate"])
         assert code == 64
@@ -592,6 +615,30 @@ class TestHeadIndexBoundaries:
             assert code == 65, query
             assert out == ""
             assert err.startswith("input error: ") and "used with arities" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resolve", "--query", "eq(int,int)", "--mode", "ind"], "predicate eq used with arities 1 and 2"),
+            (["resolve", "--query", "eq", "--mode", "ind"], "predicate eq used with arities 1 and 0"),
+            (["resolve", "--query", "eq(pair(int))", "--mode", "ind"], "functor pair used with arities 2 and 1"),
+            (["certify", "--atom", "eq(int,int)"], "predicate eq used with arities 1 and 2"),
+            (["certify", "--atom", "eq(pair(int))"], "functor pair used with arities 2 and 1"),
+            (["certify", "--atom", "eq(pair(f(int),f(int,int)))"], "functor f used with arities 1 and 2"),
+            (
+                ["verify-soundness", "--query", "eq(pair(int)) => eq(int)", "--mode", "ind", "--base-depth", "2"],
+                "functor pair used with arities 2 and 1",
+            ),
+            (
+                ["verify-soundness", "--query", "eq(f(c,c)), eq(f(c)) => eq(int)", "--mode", "ind", "--base-depth", "2"],
+                "functor f used with arities 2 and 1",
+            ),
+        ],
+    )
+    def test_clash_with_the_program_text(self, argv, message):
+        """The first clash of a query or `--atom` with the program, or
+        within itself, read left to right."""
+        assert run([argv[0], hc("pair"), *argv[1:]]) == (65, "", f"input error: {message}\n")
 
     def test_variable_goal_fails(self):
         code, out, _ = self.resolve("eq(X)")
