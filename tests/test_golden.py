@@ -7,14 +7,22 @@ command takes, as text and, where they change the JSON too, as JSON.
 file it names holds the stdout.  Program paths are relative to the repo
 root, where the calls run.
 
-After a deliberate report change, regenerate the goldens from the repo root
-with `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+The help texts of `cohorn --help` and of each `cohorn <command> --help` are
+pinned too, at 80 columns, in `tests/golden/help/`.
+
+After a deliberate report or help change, regenerate the goldens from the
+repo root with `PYTHONPATH=src python tests/test_golden.py` and review the
+diff.
 """
 
+import io
 import json
 import os
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+from cohorn.cli import cli
 from test_cli import CORPUS_REPORTS, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +51,27 @@ def golden_calls():
         if argv[0] in JSON_RENDERING:
             yield f"{name}.trace.json", argv + ["--json"] + JSON_RENDERING[argv[0]]
 
+HELP_COMMANDS = ["resolve", "check", "model", "certify", "verify-soundness"]
+
+
+def help_calls():
+    """(file name under `help/`, argv) for each help text."""
+    yield "cohorn.txt", ["--help"]
+    for command in HELP_COMMANDS:
+        yield f"{command}.txt", [command, "--help"]
+
+
+def run_help(argv):
+    """The exit code and the text of `cli(argv)` for a help argv, with the
+    terminal width fixed at 80 columns."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
+        try:
+            cli(argv)
+        except SystemExit as stop:
+            return stop.code, out.getvalue()
+    raise AssertionError(f"{argv} did not exit")
+
 
 def test_reports_match_goldens(monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -55,6 +84,11 @@ def test_reports_match_goldens(monkeypatch):
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), name
 
 
+def test_help_texts_match_goldens():
+    for name, argv in help_calls():
+        assert run_help(argv) == (0, (GOLDEN / "help" / name).read_text(encoding="utf-8")), name
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
@@ -65,3 +99,6 @@ if __name__ == "__main__":
         index[name] = {"argv": argv, "exit_code": code, "stderr": err}
     rows = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in index.items())
     (GOLDEN / "index.json").write_text("{\n" + rows + "\n}\n", encoding="utf-8")
+    (GOLDEN / "help").mkdir(exist_ok=True)
+    for name, argv in help_calls():
+        (GOLDEN / "help" / name).write_text(run_help(argv)[1], encoding="utf-8")
