@@ -110,47 +110,60 @@ _ORACLE.add_argument(
 )
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The `cohorn` parser.  Every command is registered with its name and
+    help line, but only `command` gets its flags, or every command when
+    `command` names none (help, a typo, an option first, no arguments).
+    argparse reads no other command's flags once `command` is chosen, so
+    parses, help texts and usage errors are those of the full parser."""
     parser = _Parser(prog="cohorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _COMMANDS
 
-    p = sub.add_parser("resolve", parents=[_COMMON, _UNICODE], help="search for a proof")
-    p.add_argument("--query", required=True, help="atomic or Horn formula")
-    p.add_argument("--mode", required=True, choices=sorted(_MODES))
-    p.add_argument("--lemma", action="append", default=[], help="prove and register first (repeatable)")
-    p.add_argument("--depth", type=_positive_int, default=8)
-    p.add_argument("--auto-lemma", action="store_true", help="propose a lemma by anti-unification on failure")
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-    p.add_argument("--trace", action="store_true", help="include the resolution trace")
+    def add(name: str, parents: list, help: str) -> Optional[_Parser]:
+        """The subparser of `name` if its flags are to be built, else None."""
+        if every or name == command:
+            return sub.add_parser(name, parents=parents, help=help)
+        sub.add_parser(name, help=help)
+        return None
 
-    p = sub.add_parser("check", parents=[_COMMON, _UNICODE], help="check a proof term")
-    p.add_argument("--proof", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--lemma", action="append", default=[], help="prove (extended mode) and register first")
-    p.add_argument("--depth", type=_positive_int, default=8, help="depth limit for --lemma proofs")
+    if p := add("resolve", [_COMMON, _UNICODE], "search for a proof"):
+        p.add_argument("--query", required=True, help="atomic or Horn formula")
+        p.add_argument("--mode", required=True, choices=sorted(_MODES))
+        p.add_argument("--lemma", action="append", default=[], help="prove and register first (repeatable)")
+        p.add_argument("--depth", type=_positive_int, default=8)
+        p.add_argument("--auto-lemma", action="store_true", help="propose a lemma by anti-unification on failure")
+        p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+        p.add_argument("--trace", action="store_true", help="include the resolution trace")
 
-    p = sub.add_parser("model", parents=[_COMMON, _ORACLE], help="print a bounded Herbrand model")
-    p.add_argument("--semantics", required=True, choices=["least", "greatest"])
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--policy", choices=["opt", "pess"], default="pess")
-    p.add_argument("--const", action="append", default=[], help="extra constant for the universe")
+    if p := add("check", [_COMMON, _UNICODE], "check a proof term"):
+        p.add_argument("--proof", required=True)
+        p.add_argument("--formula", required=True)
+        p.add_argument("--lemma", action="append", default=[], help="prove (extended mode) and register first")
+        p.add_argument("--depth", type=_positive_int, default=8, help="depth limit for --lemma proofs")
 
-    p = sub.add_parser("certify", parents=[_COMMON, _ORACLE], help="search a greatest-model membership certificate")
-    p.add_argument("--atom", required=True, help="ground atom")
-    p.add_argument("--depth", type=_positive_int, default=6)
-    p.add_argument("--const", action="append", default=[])
+    if p := add("model", [_COMMON, _ORACLE], "print a bounded Herbrand model"):
+        p.add_argument("--semantics", required=True, choices=["least", "greatest"])
+        p.add_argument("--depth", type=_positive_int, required=True)
+        p.add_argument("--policy", choices=["opt", "pess"], default="pess")
+        p.add_argument("--const", action="append", default=[], help="extra constant for the universe")
 
-    p = sub.add_parser(
+    if p := add("certify", [_COMMON, _ORACLE], "search a greatest-model membership certificate"):
+        p.add_argument("--atom", required=True, help="ground atom")
+        p.add_argument("--depth", type=_positive_int, default=6)
+        p.add_argument("--const", action="append", default=[])
+
+    if p := add(
         "verify-soundness",
-        parents=[_COMMON, _UNICODE, _ORACLE],
-        help="resolve, then validate the result against the matching semantics",
-    )
-    p.add_argument("--query", required=True)
-    p.add_argument("--mode", required=True, choices=sorted(_MODES))
-    p.add_argument("--lemma", action="append", default=[])
-    p.add_argument("--depth", type=_positive_int, default=8)
-    p.add_argument("--base-depth", type=_positive_int, required=True)
-    p.add_argument("--auto-lemma", action="store_true")
+        [_COMMON, _UNICODE, _ORACLE],
+        "resolve, then validate the result against the matching semantics",
+    ):
+        p.add_argument("--query", required=True)
+        p.add_argument("--mode", required=True, choices=sorted(_MODES))
+        p.add_argument("--lemma", action="append", default=[])
+        p.add_argument("--depth", type=_positive_int, default=8)
+        p.add_argument("--base-depth", type=_positive_int, required=True)
+        p.add_argument("--auto-lemma", action="store_true")
     return parser
 
 
@@ -587,7 +600,8 @@ _COMMANDS = {
 
 
 def cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:

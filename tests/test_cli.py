@@ -1,5 +1,6 @@
 """Tests for the command-line driver: exit codes, reports, determinism."""
 
+import gc
 import io
 import json
 import json.scanner
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
@@ -17,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohorn.cli
 from cohorn import engine
-from cohorn.cli import _cut_goals, _json_text, cli
+from cohorn.cli import _UsageError, _build_parser, _cut_goals, _json_text, cli
 from cohorn.engine import Outcome, SearchResult, TraceEvent
 
 from helpers import PROGRAMS_DIR
@@ -586,21 +589,167 @@ class TestFlagScope:
             assert err == f"usage error: unrecognized arguments: {flag}\n", (command, flag)
 
 
+def readme_commands() -> list[list[str]]:
+    """The argv of every `cohorn` command in the README's `sh` blocks."""
+    readme = (PROGRAMS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("cohorn ")
+    ]
+
+
 class TestReadmeExamples:
     def test_every_example_command_succeeds(self, monkeypatch):
-        root = PROGRAMS_DIR.parent
-        monkeypatch.chdir(root)
-        readme = (root / "README.md").read_text(encoding="utf-8")
-        commands = [
-            shlex.split(line, comments=True)[1:]
-            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-            for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("cohorn ")
-        ]
+        monkeypatch.chdir(PROGRAMS_DIR.parent)
+        commands = readme_commands()
         assert len(commands) >= 8
         for argv in commands:
             code, _, err = run(argv)
             assert (code, err) == (0, ""), argv
+
+
+class _Stop(Exception):
+    """Raised in place of loading the program, once `cli` has parsed."""
+
+
+def parse(parser, argv):
+    """What `parser` makes of `argv`: its namespace as a dict, or the
+    message of its usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except _UsageError as err:
+        return str(err)
+
+
+P = "programs/pair.hc"
+RESOLVE = ["resolve", P, "--query", "eq(int)", "--mode", "ind"]
+VERIFY = ["verify-soundness", P, "--query", "eq(int)", "--mode", "ind", "--base-depth", "2"]
+MODEL = ["model", P, "--semantics", "least", "--depth", "2"]
+
+# Argvs `cli` must refuse with one usage line, whichever flags it built.
+MALFORMED = [
+    [],
+    ["frobnicate"],
+    ["frobnicate", P, "--json"],
+    ["Resolve", *RESOLVE[1:]],
+    ["res", *RESOLVE[1:]],
+    ["--json", *RESOLVE],
+    ["--depth", "3", *RESOLVE],
+    [*RESOLVE, "--bogus"],
+    [*MODEL, "--unicode"],
+    ["check", P, "--proof", "k2", "--formula", "eq(int)", "--max-atoms", "5"],
+    [*RESOLVE[:-1], "fast"],
+    [*VERIFY[:5], "co", *VERIFY[6:]],
+    ["model", P, "--semantics", "largest", "--depth", "2"],
+    [*MODEL, "--policy", "maybe"],
+    ["resolve", P, "--mode", "ind"],
+    ["resolve", "--query", "eq(int)", "--mode", "ind"],
+    ["check", P, "--proof", "k2"],
+    ["model", P, "--semantics", "least"],
+    ["certify", P],
+    VERIFY[:-2],
+    [*RESOLVE, "--depth", "0"],
+    [*RESOLVE, "--depth"],
+    [*RESOLVE, P],
+    ["check", P, "--proof", "k2", "--formula", "eq(int)", "--lemma", "eq(int)", "--depth", "0"],
+    [*MODEL[:-1], "0"],
+    ["certify", P, "--atom", "eq(int)", "--depth", "-1"],
+    [*VERIFY[:-1], "0"],
+    [*MODEL, "--max-atoms", "0"],
+]
+
+# Argvs that parse: repeated appends and flags in odd places.
+EDGE = [
+    [*RESOLVE, "--lemma", "eq(int)", "--lemma", "eq(X) => eq(pair(X,X))"],
+    ["check", P, "--proof", "k2", "--formula", "eq(int)", "--lemma", "eq(int)", "--lemma", "eq(int)"],
+    [*MODEL, "--const", "c", "--const", "d", "--const", "c"],
+    ["certify", P, "--atom", "eq(int)", "--const", "c", "--const", "d"],
+    [*VERIFY, "--lemma", "eq(int)", "--lemma", "eq(int)"],
+    ["resolve", "--json", "--query", "eq(int)", P, "--mode", "ind", "--depth", "3", "--json"],
+    ["model", "--depth=2", P, "--semantics=greatest", "--policy=opt"],
+]
+
+
+class TestPerCommandParser:
+    """`cli` builds only the invoked command's flags.  Every argv parses to
+    the same namespace, or fails with the same usage error, as under the
+    parser with every command's flags."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The parsers `cli` builds, in call order; `cli` stops before it
+        loads the program."""
+        parsers = []
+
+        def build(command=None):
+            parsers.append(_build_parser(command))
+            return parsers[-1]
+
+        def stop(path):
+            raise _Stop
+
+        monkeypatch.setattr("cohorn.cli._build_parser", build)
+        monkeypatch.setattr("cohorn.cli._load_program", stop)
+        return parsers
+
+    def test_argvs_parse_as_under_every_flag(self, built):
+        index = json.loads((PROGRAMS_DIR.parent / "tests" / "golden" / "index.json").read_text())
+        argvs = [call["argv"] for call in index.values()] + readme_commands() + EDGE + MALFORMED
+        assert len(MALFORMED) >= 20
+        full = _build_parser()
+        for argv in argvs:
+            built.clear()
+            try:
+                code, out, err = run(argv)
+            except _Stop:
+                code = None
+            (parser,) = built
+            subparsers = parser._subparsers._group_actions[0]
+            assert list(subparsers.choices) == list(cohorn.cli._COMMANDS), argv
+            expected = parse(full, argv)
+            assert parse(parser, argv) == expected, argv
+            if argv in MALFORMED:
+                assert isinstance(expected, str), argv
+                assert (code, out, err) == (64, "", f"usage error: {expected}\n"), argv
+            else:
+                assert code is None and isinstance(expected, dict), argv
+
+    def test_no_state_across_calls(self, monkeypatch):
+        """A `--lemma` or `--const` of one call is absent from the next,
+        the flags' `default=[]` lists stay empty, and no parser outlives
+        its call."""
+        parsers, seen = [], []
+
+        def build(command=None):
+            parsers.append(_build_parser(command))
+            return parsers[-1]
+
+        monkeypatch.setattr("cohorn.cli._build_parser", build)
+        for name in ("resolve", "model"):
+            command = cohorn.cli._COMMANDS[name]
+            monkeypatch.setitem(
+                cohorn.cli._COMMANDS, name, lambda src, args, command=command: seen.append(args) or command(src, args)
+            )
+        resolve = ["resolve", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind"]
+        model = ["model", hc("loop"), "--semantics", "least", "--depth", "2"]
+        for argv in (resolve + ["--lemma", "eq(int)"], resolve, model + ["--const", "c"], model):
+            assert run(argv)[0] == 0, argv
+        assert [args.lemma for args in seen[:2]] == [["eq(int)"], []]
+        assert [args.const for args in seen[2:]] == [["c"], []]
+        defaults = [
+            action.default
+            for parser in parsers
+            for sub in parser._subparsers._group_actions[0].choices.values()
+            for action in sub._actions
+            if action.dest in ("lemma", "const")
+        ]
+        assert defaults == [[]] * 4
+        refs = list(map(weakref.ref, parsers))
+        del parsers[:], seen[:], defaults
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
 
 
 class TestHeadIndexBoundaries:
