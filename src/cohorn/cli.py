@@ -475,7 +475,7 @@ def _cmd_model(src: SourceProgram, args) -> int:
         interp = herbrand.gfp_bounded(
             src.program, args.depth, policy, extra_constants=args.const, max_atoms=args.max_atoms
         )
-    atoms = [str(a) for a in interp.sorted_atoms()]
+    atoms = list(interp.atoms.texts())
     note = (
         "bounded-base computation; out-of-base body atoms treated as "
         + ("present (optimistic)" if policy is herbrand.Policy.OPTIMISTIC else "absent (pessimistic)")
@@ -514,7 +514,7 @@ def _cmd_certify(src: SourceProgram, args) -> int:
         "found": cert is not None,
         "exact": cert.exact if cert else None,
         "stats": _oracle_stats(cert) if cert else None,
-        "support": [str(a) for a in cert.sorted_support()] if cert else [],
+        "support": list(cert.support.texts()) if cert else [],
         "frontier": [str(a) for a in cert.sorted_frontier()] if cert else [],
         "exit_code": EX_OK if cert else EX_REJECTED,
     }

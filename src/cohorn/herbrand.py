@@ -126,9 +126,27 @@ class HerbrandBase(Value, compared=3, shown=3):
         return lo + k
 
     def _term_id(self, t: Term, env: dict[str, int]) -> Optional[int]:
-        if isinstance(t, Var):
-            return env.get(t.name)
-        return self.intern.get((t.functor, tuple(self._term_id(a, env) for a in t.args)))
+        """The id of `t`, its variables read through `env`, or None when
+        that term lies outside the universe.  A post-order walk on an
+        explicit stack: a `(functor, arity)` entry stands for a compound
+        term whose argument ids are the last `arity` ids found."""
+        ids: list[Optional[int]] = []
+        stack: list = [t]
+        while stack:
+            t = stack.pop()
+            if type(t) is tuple:
+                functor, n = t
+                args = tuple(ids[-n:])
+                del ids[-n:]
+                ids.append(self.intern.get((functor, args)))
+            elif isinstance(t, Var):
+                ids.append(env.get(t.name))
+            elif t.args:
+                stack.append((t.functor, len(t.args)))
+                stack += reversed(t.args)
+            else:
+                ids.append(self.intern.get((t.functor, ())))
+        return ids[0]
 
     def _match(self, p: Term, t: int, env: dict[str, int]) -> bool:
         if isinstance(p, Var):
@@ -238,6 +256,20 @@ class AtomSet(Set):
             if self.mask is not None:
                 args = compress(args, self.mask[lo:lo + len(universe) ** arity])
             yield from map(Atom, repeat(pred), args)
+
+    def texts(self) -> Iterator[str]:
+        """The members as `str` prints them, in id order, built without
+        `Atom`s: each universe term is rendered once, from its children's
+        texts, and only the members' argument tuples are joined."""
+        names: list[str] = []
+        for functor, children in self.base.terms:
+            names.append(f"{functor}({','.join([names[c] for c in children])})" if children else functor)
+        for pred, (arity, lo) in self.base.offsets.items():
+            args = product(names, repeat=arity)
+            if self.mask is not None:
+                args = compress(args, self.mask[lo:lo + len(names) ** arity])
+            # A 0-ary predicate's text has no `{}`, so it prints bare.
+            yield from map(f"{pred}({{}})".format if arity else pred.format, map(",".join, args))
 
     __hash__ = Set._hash
 
@@ -480,9 +512,6 @@ class Certificate(Value, compared=4):
     @property
     def exact(self) -> bool:
         return not self.frontier
-
-    def sorted_support(self) -> tuple[Atom, ...]:
-        return _ordered(self.support)
 
     def sorted_frontier(self) -> tuple[Atom, ...]:
         return _ordered(self.frontier)

@@ -293,22 +293,34 @@ def term_depth(t: Term) -> int:
 
 def term_vars(t: Term, out: Optional[list[str]] = None) -> list[str]:
     """Variable names in first-occurrence order."""
-    if out is None:
-        out = []
-    if isinstance(t, Var):
-        if t.name not in out:
-            out.append(t.name)
-    else:
-        for a in t.args:
-            term_vars(a, out)
-    return out
+    return _vars((t,), [] if out is None else out)
 
 
 def atom_vars(a: Atom, out: Optional[list[str]] = None) -> list[str]:
-    if out is None:
-        out = []
-    for t in a.args:
-        term_vars(t, out)
+    return _vars(a.args, [] if out is None else out)
+
+
+def _vars(terms: Iterable[Term], out: list[str]) -> list[str]:
+    """Append to `out` the variable names of `terms` it lacks, in
+    first-occurrence order.  Below each compound term the walk runs on an
+    explicit stack of argument iterators; the terms themselves, mostly
+    variables, are read in place, which keeps a load as fast as recursion."""
+    for t in terms:
+        if isinstance(t, Var):
+            if t.name not in out:
+                out.append(t.name)
+            continue
+        stack = [iter(t.args)]
+        while stack:
+            for t in stack[-1]:
+                if isinstance(t, Var):
+                    if t.name not in out:
+                        out.append(t.name)
+                elif t.args:
+                    stack.append(iter(t.args))
+                    break
+            else:
+                stack.pop()
     return out
 
 
@@ -541,38 +553,47 @@ class Signature(Value):
         preds = dict(self.predicates)
         for n, a in other.functions.items():
             if funcs.setdefault(n, a) != a:
-                raise SignatureError(f"functor {n} used with arities {funcs[n]} and {a}")
+                raise _clash("functor", n, funcs[n], a)
         for n, a in other.predicates.items():
             if preds.setdefault(n, a) != a:
-                raise SignatureError(f"predicate {n} used with arities {preds[n]} and {a}")
+                raise _clash("predicate", n, preds[n], a)
         return Signature(funcs, preds)
 
     def with_constants(self, names: Iterable[str]) -> "Signature":
         funcs = dict(self.functions)
         for n in names:
             if funcs.setdefault(n, 0) != 0:
-                raise SignatureError(f"functor {n} used with arities {funcs[n]} and 0")
+                raise _clash("functor", n, funcs[n], 0)
         return Signature(funcs, self.predicates)
 
 
-def _collect_term(t: Term, funcs: dict[str, int]) -> None:
-    if isinstance(t, Var):
-        return
-    if funcs.setdefault(t.functor, len(t.args)) != len(t.args):
-        raise SignatureError(
-            f"functor {t.functor} used with arities {funcs[t.functor]} and {len(t.args)}"
-        )
-    for a in t.args:
-        _collect_term(a, funcs)
+def _clash(kind: str, name: str, first: int, second: int) -> SignatureError:
+    return SignatureError(f"{kind} {name} used with arities {first} and {second}")
 
 
 def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int]) -> None:
+    """Add the predicate of `a` to `preds` and its functors to `funcs`, in
+    pre-order, raising on the first arity clash; as in `_vars`, only the
+    arguments of compound terms are walked on a stack."""
     if preds.setdefault(a.predicate, len(a.args)) != len(a.args):
-        raise SignatureError(
-            f"predicate {a.predicate} used with arities {preds[a.predicate]} and {len(a.args)}"
-        )
+        raise _clash("predicate", a.predicate, preds[a.predicate], len(a.args))
     for t in a.args:
-        _collect_term(t, funcs)
+        if isinstance(t, Var):
+            continue
+        if funcs.setdefault(t.functor, len(t.args)) != len(t.args):
+            raise _clash("functor", t.functor, funcs[t.functor], len(t.args))
+        stack = [iter(t.args)]
+        while stack:
+            for t in stack[-1]:
+                if isinstance(t, Var):
+                    continue
+                if funcs.setdefault(t.functor, len(t.args)) != len(t.args):
+                    raise _clash("functor", t.functor, funcs[t.functor], len(t.args))
+                if t.args:
+                    stack.append(iter(t.args))
+                    break
+            else:
+                stack.pop()
 
 
 def signature_of(atoms: Iterable[Atom]) -> Signature:

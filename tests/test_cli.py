@@ -510,6 +510,19 @@ class TestErrorChannels:
         assert wrong.returncode == 1, wrong.stderr
         assert len(json.loads(wrong.stdout)["rejection"]["path"]) == n
 
+    def test_deep_certify(self, tmp_path):
+        """A ground atom 1,500 terms deep certifies: collecting its
+        variables and symbols and finding its base id have no depth limit
+        of their own."""
+        prog = tmp_path / "nat.hc"
+        prog.write_text("k1 : p(X) => p(s(X)).\nk2 : => p(z).\n")
+        atom = "p(" + "s(" * 1500 + "z" + ")" * 1501
+        proc = run_process(["certify", str(prog), "--atom", atom, "--depth", "1600", "--json"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert report["found"] and report["exact"]
+        assert report["support"][-1] == atom and len(report["support"]) == 1501
+
 
 class TestBaseBudget:
     """`--max-atoms` bounds the Herbrand base of `model`, `certify` and

@@ -26,6 +26,7 @@ from cohorn import (
 from cohorn import herbrand
 from cohorn.herbrand import (
     DEFAULT_MAX_ITERS,
+    AtomSet,
     BaseTooLargeError,
     CertificateInvariantError,
     HerbrandBase,
@@ -563,6 +564,18 @@ class TestBaseIds:
             seen["zero-arity predicate"] += 0 in sig.predicates.values()
             seen["extra constants"] += bool(extra)
         assert min(seen.values()) >= 20, seen
+
+    def test_texts_are_the_members_strings(self):
+        """`AtomSet.texts` prints what `str` prints of each member, in id
+        order, for the whole base, empty sets and random masks."""
+        rng = random.Random(73)
+        for _ in range(300):
+            sig = random_signature(rng)
+            depth = rng.randint(1, 2 if 2 in sig.functions.values() else 3)
+            base = herbrand_base(sig, depth, rng.sample(["a", "k"], rng.randint(0, 1)))
+            for mask in (None, bytes(base.size), bytes(rng.randint(0, 1) for _ in range(base.size))):
+                atoms = AtomSet(base, mask)
+                assert list(atoms.texts()) == [str(a) for a in atoms]
 
     def test_bounded_size_is_the_enumerated_size(self):
         rng = random.Random(72)

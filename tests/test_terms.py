@@ -34,7 +34,7 @@ from cohorn import (
 )
 from cohorn import terms
 from cohorn.herbrand import bounded_size
-from cohorn.terms import atom_vars, head_key, term_vars
+from cohorn.terms import atom_vars, head_key, signature_of, term_vars
 
 import reference_terms
 from reference_terms import ground_instances
@@ -381,6 +381,48 @@ class TestHeadIndex:
         with pytest.raises(OverlapError) as info:
             Program(base.clauses + (fact(atom("p(f(c))")),))
         assert (info.value.index_a, info.value.index_b) == (0, 2)
+
+
+def pre_order(t):
+    """The subterms of `t`, parent first, left to right (recursive)."""
+    return [t, *(s for a in t.args for s in pre_order(a))] if isinstance(t, App) else [t]
+
+
+class TestStackWalks:
+    """`term_vars`, `atom_vars` and `signature_of` walk explicit stacks:
+    they meet subterms in the recursive pre-order, at any depth."""
+
+    def test_pre_order(self):
+        rng = random.Random(81)
+        for _ in range(500):
+            a = random_atom(rng, rng.randint(1, 5))
+            subterms = [s for t in a.args for s in pre_order(t)]
+            names = [s.name for s in subterms if isinstance(s, Var)]
+            assert atom_vars(a) == list(dict.fromkeys(names))
+            assert atom_vars(a, ["Z"]) == list(dict.fromkeys(["Z", *names]))
+            for t in a.args:
+                assert term_vars(t) == list(dict.fromkeys(s.name for s in pre_order(t) if isinstance(s, Var)))
+            functors = [s.functor for s in subterms if isinstance(s, App)]
+            assert list(signature_of([a]).functions) == list(dict.fromkeys(functors))
+
+    def test_first_clash_in_pre_order(self):
+        # Pre-order meets g/2 before g/1; breadth-first order would not.
+        with pytest.raises(SignatureError, match="functor g used with arities 2 and 1"):
+            signature_of([atom("p(f(g(c,c)), g(c))")])
+
+    def test_deep_terms(self):
+        n = 5000
+        t = Var("X")
+        for _ in range(n):
+            t = App("s", (t,))
+        deep = Atom("p", (t, Var("Y")))
+        assert term_vars(t) == ["X"] and atom_vars(deep) == ["X", "Y"]
+        assert signature_of([deep]).functions == {"s": 1}
+        clash = App("s", (App("z"), App("z")))
+        for _ in range(n):
+            clash = App("s", (clash,))
+        with pytest.raises(SignatureError, match="functor s used with arities 1 and 2"):
+            signature_of([Atom("p", (clash,))])
 
 
 class TestModuleCopies:
