@@ -260,7 +260,8 @@ class AtomSet(Set):
     def texts(self) -> Iterator[str]:
         """The members as `str` prints them, in id order, built without
         `Atom`s: each universe term is rendered once, from its children's
-        texts, and only the members' argument tuples are joined."""
+        texts (a child's id is below its parent's, as the universe is in
+        depth order), and only the members' argument tuples are joined."""
         names: list[str] = []
         for functor, children in self.base.terms:
             names.append(f"{functor}({','.join([names[c] for c in children])})" if children else functor)
