@@ -45,7 +45,6 @@ from .syntax import (
     ParseError,
     ProgramLoadError,
     SourceProgram,
-    format_program,
     parse_atom,
     parse_formula,
     parse_proof,
@@ -66,11 +65,9 @@ from .terms import (
     Var,
     apply_atom,
     apply_term,
-    compose,
     enumerate_ground_terms,
     fact,
     match,
-    term_depth,
     unifiable,
 )
 

@@ -5,7 +5,8 @@ Exit codes: 0 success (resolve: proved), 1 failed/rejected/no certificate,
 errors (a non-positive --depth, --base-depth or --max-atoms, or a Herbrand
 base over --max-atoms, among them), 65 malformed input,
 66 unreadable files, 70 internal errors (input nested too deep to process,
-or a broken engine or certificate invariant).
+or a broken engine or certificate invariant), 74 a closed standard output
+(`cohorn ... | head`).
 Reports are byte-stable for fixed inputs; timings are printed only on
 request because they would break that.
 """
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import AbstractSet, Optional, Sequence
+from typing import Optional, Sequence
 
 # The oracle, `herbrand`, is imported by the three commands that use it, so
 # `resolve` and `check` never load it.  They look its functions up as
@@ -27,12 +29,12 @@ from . import engine
 from .proofs import (
     CheckError,
     Derivation,
+    Lambda,
     ProofTerm,
     check,
     env_for_program,
     format_derivation,
     format_proof,
-    walk,
 )
 from .syntax import (
     ParseError,
@@ -61,6 +63,7 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 _OUTCOME_CODES = {
     engine.Outcome.PROVED: EX_OK,
@@ -176,31 +179,24 @@ def _load_program(path: str) -> SourceProgram:
     return parse_program(text)
 
 
-def _json_text(value, shared: AbstractSet[int] = frozenset()) -> str:
+def _json_text(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for str-keyed dicts,
     lists, tuples, strings, numbers, booleans and None.
 
-    One post-order walk on an explicit stack, so nesting has no limit of its
-    own.  A container writes its pieces (bracket, newline and indent, then
-    key, `": "` and value per item, with a comma between items) into the
-    buffer of the container around it, and the whole text is joined once at
-    the end.  A container whose id is in `shared` is rendered once per
-    nesting level, into a buffer of its own that is joined and kept: the
-    stdlib encoder walks a shared derivation as the tree it unfolds to.  So
-    each byte is copied at most once per nesting level: once per shared
-    container around it, and once by the final join.  Any other container
+    One walk on an explicit stack, so nesting has no limit of its
+    own.  Each container writes its pieces (bracket, newline and indent,
+    then key, `": "` and value per item, with a comma between items) into
+    one buffer, and the whole text is joined once at the end.  A container
     met twice is simply rendered twice."""
     if type(value) not in _CONTAINERS or not value:
         return json.dumps(value)
-    memo: dict[tuple[int, int], str] = {}
     pads = ["\n", "\n  "]  # pads[level]: a newline and that level's indent
-    out: list[str] = []
-    # A frame: the buffer its container writes to and the index of its
-    # first piece there, the container and its items still to write, its
-    # level, and its memo key if it is shared.
-    stack = [(out, 0, value, iter(value.items() if type(value) is dict else value), 0, None)]
+    buf: list[str] = []
+    # A frame: the index of its container's first piece in `buf`, the
+    # container and its items still to write, and its level.
+    stack = [(0, value, iter(value.items() if type(value) is dict else value), 0)]
     while stack:
-        buf, start, v, items, level, key = stack[-1]
+        start, v, items, level = stack[-1]
         is_dict = type(v) is dict
         pad = pads[level + 1]
         for x in items:
@@ -219,12 +215,7 @@ def _json_text(value, shared: AbstractSet[int] = frozenset()) -> str:
             if t not in _CONTAINERS or not x:
                 buf.append(json.dumps(x))
                 continue
-            k = (id(x), level + 1) if id(x) in shared else None
-            if k in memo:
-                buf.append(memo[k])
-                continue
-            into = buf if k is None else []
-            stack.append((into, len(into), x, iter(x.items() if t is dict else x), level + 1, k))
+            stack.append((len(buf), x, iter(x.items() if t is dict else x), level + 1))
             if len(pads) == level + 2:
                 pads.append(pad + "  ")
             break
@@ -233,31 +224,26 @@ def _json_text(value, shared: AbstractSet[int] = frozenset()) -> str:
             # The first item's comma becomes the opening bracket.
             buf[start] = "{" if is_dict else "["
             buf += (pads[level], "}" if is_dict else "]")
-            if key is not None:
-                text = memo[key] = "".join(buf)
-                stack[-1][0].append(text)
-    return "".join(out)
+    return "".join(buf)
 
 
 _CONTAINERS = frozenset((dict, list, tuple))
 
 
-def _json_value(v, texts: dict, shared: set):
-    """A report field as JSON: engine values become ASCII strings and dicts.
-    `texts` is the report's proof-text memo (see `format_proof`); the ids of
-    the dicts that stand for shared derivation nodes are added to `shared`."""
+def _json_value(v):
+    """A report field as JSON: engine values become ASCII strings and dicts."""
     if isinstance(v, ProofTerm):
-        return format_proof(v, memo=texts)
+        return format_proof(v)
     if isinstance(v, HornClause):
         return format_formula(v)
     if isinstance(v, Derivation):
-        return _derivation_json(v, texts, shared)
+        return _derivation_json(v)
     if isinstance(v, tuple):  # lemma records, trace events
-        return [_json_value(x, texts, shared) for x in v]
+        return [_json_value(x) for x in v]
     if isinstance(v, engine.LemmaRecord):
         return {
-            "formula": _json_value(v.formula, texts, shared),
-            "proof": _json_value(v.evidence, texts, shared),
+            "formula": _json_value(v.formula),
+            "proof": _json_value(v.evidence),
             "registered": v.registered,
             "note": v.note,
         }
@@ -295,9 +281,7 @@ def _emit(report: dict, rows, as_json: bool, unicode: bool = False) -> int:
     `unicode` and returns the lines of a multi-line block; a false row
     prints nothing."""
     if as_json:
-        texts: dict = {}
-        shared: set[int] = set()
-        print(_json_text({k: _json_value(v, texts, shared) for k, v in report.items()}, shared))
+        print(_json_text({k: _json_value(v) for k, v in report.items()}))
         return report["exit_code"]
     lines = []
     for row in filter(None, rows):
@@ -332,32 +316,37 @@ def _oracle_stats(result) -> dict:
     return {"base_atoms": result.base_atoms, "instances": result.instances, "rounds": result.rounds}
 
 
-def _derivation_json(d, texts: dict, shared: set) -> dict:
-    seen: set[int] = set()
-
-    def node(d, ctx):
-        children = []
-        for c in d.children:
-            child = yield c, None, node
-            # A shared derivation node comes back as the same dict.
-            if id(child) in seen:
-                shared.add(id(child))
-            else:
-                seen.add(id(child))
-            children.append(child)
-        return {
-            "rule": d.rule.value,
-            "formula": format_formula(d.judgement.formula),
-            "evidence": format_proof(d.judgement.evidence, memo=texts),
-            "entry": d.entry_name,
-            "matcher": {v: str(t) for v, t in sorted(d.matcher.items())}
-            if d.matcher is not None
-            else None,
-            "children": children,
-        }
-
-    # Every node is kept, so a shared derivation node becomes one shared dict.
-    return walk(d, None, node)
+def _derivation_json(root: Derivation) -> list[dict]:
+    """The derivation DAG as a list with one node per distinct derivation
+    node, in first-visit pre-order, children left to right, so the root is
+    node 0; `children` holds indices into the list.  A node's evidence is
+    left out: the report's proof, read from the root down through each
+    node's `binders` (Lam, Nu, Nu') and its children (the arguments of an
+    Lp-m step), gives it.  Only a lemma step keeps its `evidence`, for
+    nothing else names the lemma it used."""
+    index: dict[int, int] = {}
+    order: list[Derivation] = []
+    stack = [root]
+    while stack:
+        d = stack.pop()
+        if id(d) not in index:
+            index[id(d)] = len(order)
+            order.append(d)
+            stack.extend(reversed(d.children))
+    nodes = []
+    for d in order:
+        entry = d.entry_name
+        node = {"rule": d.rule.value, "formula": format_formula(d.formula)}
+        if entry == "lemma":
+            node["evidence"] = format_proof(d.evidence)
+        node["entry"] = entry
+        node["matcher"] = None if d.matcher is None else {v: str(t) for v, t in sorted(d.matcher.items())}
+        if d.matcher is None:
+            e = d.evidence
+            node["binders"] = list(e.binders) if isinstance(e, Lambda) else [e.binder]
+        node["children"] = [index[id(c)] for c in d.children]
+        nodes.append(node)
+    return nodes
 
 
 def _run_resolve_query(src: SourceProgram, args) -> tuple[engine.Query, engine.SearchResult]:
@@ -624,7 +613,16 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli())
+    try:
+        code = cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output (`cohorn ... | head`).  Point it
+        # at devnull, so that the interpreter's final flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EX_IOERR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

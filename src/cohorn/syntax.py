@@ -231,9 +231,6 @@ class SourceProgram(Value, compared=2):
     # names: the clause names in source order; by_name: name -> clause index
     __slots__ = ("program", "names", "by_name")
 
-    def clause_named(self, name: str) -> HornClause:
-        return self.program.clauses[self.by_name[name]]
-
 
 def _clauses(toks: list[str], i: int) -> tuple[tuple[dict[str, int], list[HornClause]], int]:
     by_name: dict[str, int] = {}  # in source order
@@ -284,11 +281,3 @@ def parse_atom(text: str) -> Atom:
 
 def parse_proof(text: str) -> ProofTerm:
     return _whole(lambda toks, i: walk(i, (toks, frozenset()), _proof, shared=frozenset()), text)
-
-
-def format_program(src: SourceProgram) -> str:
-    lines = [
-        f"{name} : {format_clause(clause)}."
-        for name, clause in zip(src.names, src.program.clauses)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

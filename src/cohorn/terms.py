@@ -285,12 +285,6 @@ def format_formula(clause: HornClause, unicode: bool = False) -> str:
     return format_clause(clause)
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + max((term_depth(a) for a in t.args), default=0)
-
-
 def term_vars(t: Term, out: Optional[list[str]] = None) -> list[str]:
     """Variable names in first-occurrence order."""
     return _vars((t,), [] if out is None else out)
@@ -373,19 +367,6 @@ def apply_atom(s: Mapping[str, Term], a: Atom) -> Atom:
     if not a.args:
         return a
     return Atom(a.predicate, tuple(apply_term(s, t) for t in a.args))
-
-
-def compose(s: Mapping[str, Term], t: Mapping[str, Term]) -> Subst:
-    """compose(s, t) applied to x equals s applied to (t applied to x)."""
-    out: Subst = {}
-    for v, term in t.items():
-        mapped = apply_term(s, term)
-        if not (isinstance(mapped, Var) and mapped.name == v):
-            out[v] = mapped
-    for v, term in s.items():
-        if v not in t and not (isinstance(term, Var) and term.name == v):
-            out[v] = term
-    return out
 
 
 def format_subst(s: Mapping[str, Term]) -> str:

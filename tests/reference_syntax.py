@@ -4,6 +4,9 @@ A per-character tokenizer that builds `_Tok` records, and a recursive-descent
 parser with `peek`/`next`/`expect` methods over them.  `tests/test_syntax.py`
 checks that `cohorn.syntax` returns the same values and raises the same
 errors, at the same positions, on random and corpus inputs.
+
+`format_program` (a program as source text, which parses back to it) and
+`clause_named` serve only tests, so they live here, not in `cohorn.syntax`.
 """
 
 from __future__ import annotations
@@ -257,3 +260,15 @@ def parse_proof(text: str) -> ProofTerm:
     e = p.proof(frozenset())
     p.expect("eof", "end of input")
     return e
+
+
+def format_program(src: SourceProgram) -> str:
+    lines = [
+        f"{name} : {format_clause(clause)}."
+        for name, clause in zip(src.names, src.program.clauses)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def clause_named(src: SourceProgram, name: str) -> HornClause:
+    return src.program.clauses[src.by_name[name]]

@@ -8,6 +8,9 @@ returns the same list, in the same order.
 
 `ground_instances` instantiates a clause's variables over a universe in
 every way; the oracle's head-driven grounding is tested against it.
+
+`term_depth` and `compose` serve only tests, so they live here, not in
+`cohorn.terms`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,26 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, Sequence
 
-from cohorn.terms import App, HornClause, Signature, Term, apply_atom, clause_vars
+from cohorn.terms import App, HornClause, Signature, Subst, Term, Var, apply_atom, apply_term, clause_vars
+
+
+def term_depth(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    return 1 + max((term_depth(a) for a in t.args), default=0)
+
+
+def compose(s: Mapping[str, Term], t: Mapping[str, Term]) -> Subst:
+    """compose(s, t) applied to x equals s applied to (t applied to x)."""
+    out: Subst = {}
+    for v, term in t.items():
+        mapped = apply_term(s, term)
+        if not (isinstance(mapped, Var) and mapped.name == v):
+            out[v] = mapped
+    for v, term in s.items():
+        if v not in t and not (isinstance(term, Var) and term.name == v):
+            out[v] = term
+    return out
 
 
 def enumerate_ground_terms(sig: Signature, depth: int) -> list[Term]:

@@ -19,7 +19,6 @@ from cohorn import (
     apply_term,
     certify_gfp,
     check,
-    compose,
     format_proof,
     gfp_bounded,
     herbrand_base,
@@ -33,7 +32,7 @@ from cohorn import (
     valid,
 )
 from cohorn.cli import cli
-from cohorn.syntax import SourceProgram, format_program
+from cohorn.syntax import SourceProgram
 from cohorn.terms import atom_vars
 
 from helpers import (
@@ -47,7 +46,8 @@ from helpers import (
 )
 from reference_herbrand import tp_monotone_check, tp_step
 from reference_proofs import normalize_binders
-from reference_terms import apply_clause
+from reference_syntax import format_program
+from reference_terms import apply_clause, compose
 
 
 def report(criterion: str, ok: bool):

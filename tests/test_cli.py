@@ -3,8 +3,8 @@
 import gc
 import io
 import json
-import json.scanner
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -12,6 +12,7 @@ import sys
 import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -23,8 +24,12 @@ import cohorn.cli
 from cohorn import engine
 from cohorn.cli import _UsageError, _build_parser, _cut_goals, _json_text, cli
 from cohorn.engine import Outcome, SearchResult, TraceEvent
+from cohorn.proofs import Lambda, Nu, check, env_for_program, format_proof, spine
+from cohorn.syntax import parse_proof
 
+import reference_cli
 from helpers import PROGRAMS_DIR
+from test_tabling import propositional_runs, random_program_runs
 
 
 def hc(name: str) -> str:
@@ -41,29 +46,20 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv) -> subprocess.CompletedProcess:
-    """`python -m cohorn.cli` in a fresh interpreter, with the default
-    recursion limit and no test-runner frames on the stack."""
+def run_process(argv, recursion_limit=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m cohorn.cli` in a fresh interpreter, with no test-runner
+    frames on the stack, and with the default recursion limit unless one
+    is given.  Keyword arguments go to `subprocess.run`; by default it
+    captures stdout and stderr as text."""
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "cohorn.cli", *argv], capture_output=True, text=True, env=env
-    )
-
-
-def json_roundtrip(text: str) -> str:
-    """`json.dumps(json.loads(text), indent=2)` plus a newline, for text
-    nested deeper than the C decoder's recursion limit, which
-    `sys.setrecursionlimit` does not raise on Python 3.12: the stdlib's
-    pure-Python scanner and encoder under a raised limit."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20000)
-    try:
-        decoder = json.JSONDecoder()
-        decoder.scan_once = json.scanner.py_make_scanner(decoder)
-        return json.dumps(decoder.decode(text), indent=2) + "\n"
-    finally:
-        sys.setrecursionlimit(limit)
+    if recursion_limit is None:
+        command = [sys.executable, "-m", "cohorn.cli", *argv]
+    else:
+        code = f"import sys; sys.setrecursionlimit({recursion_limit}); from cohorn.cli import main; main()"
+        command = [sys.executable, "-c", code, *argv]
+    kwargs = {"capture_output": True, "text": True, **kwargs}
+    return subprocess.run(command, env=env, **kwargs)
 
 
 class TestResolveCommand:
@@ -127,7 +123,7 @@ class TestResolveCommand:
         report = json.loads(out)
         assert report["outcome"] == "PROVED"
         assert report["proof"] == "k1 k2 k2"
-        assert report["derivation"]["rule"] == "Lp-m"
+        assert report["derivation"][0]["rule"] == "Lp-m"
         assert report["exit_code"] == 0
 
     def test_unicode_flag(self):
@@ -474,20 +470,39 @@ class TestErrorChannels:
         assert proc.stderr.startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["model", hc("loop"), "--semantics", "greatest", "--depth", "4", "--policy", "pess", "--const", "g"],
+        ["resolve", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "coind", "--json"],
+    ])
+    def test_closed_stdout_exit_74(self, argv):
+        """A reader that has closed standard output (`cohorn ... | head`)
+        ends the run with a quiet exit 74, not a traceback."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_process(argv, stdout=write, stderr=subprocess.PIPE, capture_output=False)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (74, "")
+
     def test_deep_derivation_json(self, tmp_path):
-        """A 250-step chain proves, and its JSON report, about 500 levels
-        deep, prints: the JSON writer has no depth limit of its own."""
-        n = 250
+        """A 1,000-step chain proves, and its JSON report holds one flat
+        node per step, so the stdlib reads it at the default recursion
+        limit.  The search itself still recurses once per step, so the
+        child process that resolves it runs under a raised limit."""
+        n = 1000
         prog = tmp_path / "chain.hc"
         lines = ["k0 : => a0."] + [f"k{i} : a{i - 1} => a{i}." for i in range(1, n + 1)]
         prog.write_text("\n".join(lines) + "\n")
-        proc = run_process(
-            ["resolve", str(prog), "--query", f"a{n}", "--mode", "ind", "--depth", str(n + 1), "--json"]
-        )
+        argv = ["resolve", str(prog), "--query", f"a{n}", "--mode", "ind", "--depth", str(n + 1), "--json"]
+        proc = run_process(argv, recursion_limit=20000)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["outcome"] == "PROVED"
         assert proc.stdout == json.dumps(report, indent=2) + "\n"
+        nodes = report["derivation"]
+        assert len(nodes) == n + 1
+        assert [node["children"] for node in nodes] == [[i + 1] for i in range(n)] + [[]]
 
     def test_deep_check(self, tmp_path):
         """A 1,000-step chain proof checks as text, with --unicode and as
@@ -505,7 +520,7 @@ class TestErrorChannels:
             proc = run_process(argv + [proof] + flags)
             assert proc.returncode == 0, (flags, proc.stderr)
         assert "result: valid" in run_process(argv + [proof]).stdout
-        assert proc.stdout == json_roundtrip(proc.stdout)
+        assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
         wrong = run_process(argv + [proof.replace("(k0)", "(k5)"), "--json"])
         assert wrong.returncode == 1, wrong.stderr
         assert len(json.loads(wrong.stdout)["rejection"]["path"]) == n
@@ -929,7 +944,115 @@ class TestJsonWriter:
             code, out, _ = run(argv + ["--depth", str(n + 1), "--json"])
             report = json.loads(out)
             assert code == 0 and out == json.dumps(report, indent=2) + "\n"
-            node = report["derivation"]
-            for _ in range(n):
-                assert node["children"][0] == node["children"][1]
-                node = node["children"][0]
+            nodes = report["derivation"]
+            assert [node["children"] for node in nodes] == [[i + 1, i + 1] for i in range(n)] + [[]]
+            assert [node["entry"] for node in nodes] == [f"k{n - i}" for i in range(n + 1)]
+
+
+def nested_from_flat(nodes, proof: str) -> dict:
+    """The nested derivation tree that the flat `nodes` stand for, each
+    node's evidence re-derived from `proof`, the report's proof text, read
+    from the root down through each node's binders and children.  Asserts
+    that the binders, the entry names and a lemma step's evidence agree
+    with that proof."""
+
+    def build(i: int, e) -> dict:
+        node = nodes[i]
+        keys = ["rule", "formula", "entry", "matcher", "children"]
+        if node["entry"] == "lemma":
+            keys.insert(2, "evidence")
+            assert node["evidence"] == format_proof(e)
+        if node["rule"] in ("Nu", "Nu'", "Lam"):
+            keys.insert(-1, "binders")
+            assert node["binders"] == ([e.binder] if isinstance(e, Nu) else list(e.binders))
+            assert isinstance(e, Lambda if node["rule"] == "Lam" else Nu)
+            args = [e.body]
+        else:
+            head, args = spine(e)
+            if node["entry"] != "lemma":
+                assert head.name == node["entry"]
+        assert list(node) == keys
+        if not node["children"]:
+            args = []
+        assert len(args) == len(node["children"])
+        return {
+            "rule": node["rule"],
+            "formula": node["formula"],
+            "evidence": format_proof(e),
+            "entry": node["entry"],
+            "matcher": node["matcher"],
+            "children": [build(c, a) for c, a in zip(node["children"], args)],
+        }
+
+    # Node 0 is the root, and the rest follow in first-visit pre-order.
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        if i not in order:
+            order.append(i)
+            stack.extend(reversed(nodes[i]["children"]))
+    assert order == list(range(len(nodes)))
+    return build(0, parse_proof(proof))
+
+
+def _reachable(d) -> set:
+    """The ids of the distinct derivation nodes under `d`."""
+    seen, stack = set(), [d]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n.children)
+    return seen
+
+
+class TestFlatDerivation:
+    """A JSON derivation is one node per distinct derivation node, and the
+    tree it unfolds to, with each node's evidence read off the report's
+    proof, is the nested derivation that `reference_cli` builds."""
+
+    def assert_flat(self, nodes, proof: str, derivation) -> None:
+        assert len(nodes) == len(_reachable(derivation))
+        assert nested_from_flat(nodes, proof) == reference_cli.derivation_json(derivation)
+
+    def test_corpus_reports(self, monkeypatch):
+        reports = []
+        emit = cohorn.cli._emit
+        monkeypatch.setattr(cohorn.cli, "_emit", lambda report, *rest: reports.append(report) or emit(report, *rest))
+        checked = 0
+        for argv in CORPUS_REPORTS:
+            if argv[0] not in ("resolve", "check"):
+                continue
+            reports.clear()
+            _, out, _ = run(argv + ["--json"])
+            report = json.loads(out)
+            derivation = reports[0]["derivation"]
+            if derivation is None:
+                assert report["derivation"] is None
+                continue
+            self.assert_flat(report["derivation"], report["proof"], derivation)
+            checked += 1
+        assert checked == 8
+
+    def test_random_programs(self):
+        """The proofs found on seeded random and propositional programs, and
+        the proofs of their Horn lemmas, checked against the axioms."""
+        runs = chain(
+            random_program_runs(random.Random(6160), 20), propositional_runs(random.Random(6161), 40)
+        )
+        seen = Counter()
+        for program, query in runs:
+            result = engine.resolve(program, query)
+            found = [(result.evidence, result.derivation)] if result.derivation else []
+            for rec in result.lemmas:
+                if rec.evidence is not None and rec.formula.body:
+                    found.append((rec.evidence, check(env_for_program(program), rec.evidence, rec.formula)))
+            for evidence, derivation in found:
+                nodes = cohorn.cli._derivation_json(derivation)
+                self.assert_flat(nodes, format_proof(evidence), derivation)
+                seen["derivations"] += 1
+                seen["shared"] += len(nodes) <= sum(len(node["children"]) for node in nodes)
+                for node in nodes:
+                    seen[node["rule"]] += 1
+                    seen["lemma steps"] += node["entry"] == "lemma"
+        assert min(seen.values()) >= 80, seen

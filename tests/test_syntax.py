@@ -25,10 +25,11 @@ from cohorn import (
     parse_program,
 )
 from cohorn import syntax
-from cohorn.syntax import SourceProgram, _tokenize, format_program
+from cohorn.syntax import SourceProgram, _tokenize
 from cohorn.terms import format_formula
 
 import reference_syntax
+from reference_syntax import clause_named, format_program
 from helpers import PROGRAMS_DIR, load, program_queries, random_program
 
 
@@ -36,7 +37,7 @@ class TestProgramParsing:
     def test_pair_program(self):
         src = parse_program("k1 : eq(X), eq(Y) => eq(pair(X,Y)).\nk2 : => eq(int).")
         assert src.names == ("k1", "k2")
-        k1 = src.clause_named("k1")
+        k1 = clause_named(src, "k1")
         assert k1.head == Atom("eq", (App("pair", (Var("X"), Var("Y"))),))
         assert len(k1.body) == 2
 

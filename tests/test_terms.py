@@ -23,13 +23,11 @@ from cohorn import (
     Var,
     apply_atom,
     apply_term,
-    compose,
     enumerate_ground_terms,
     fact,
     match,
     parse_formula,
     parse_program,
-    term_depth,
     unifiable,
 )
 from cohorn import terms
@@ -37,8 +35,9 @@ from cohorn.herbrand import bounded_size
 from cohorn.terms import atom_vars, head_key, signature_of, term_vars
 
 import reference_terms
-from reference_terms import ground_instances
+from reference_terms import compose, ground_instances, term_depth
 from helpers import load, random_atom, random_heads, random_subst, random_term
+from reference_syntax import clause_named
 
 
 def atom(text: str) -> Atom:
@@ -204,12 +203,12 @@ class TestEnumeration:
 class TestGroundInstances:
     def test_fact_unchanged(self):
         src = load("pair")
-        k2 = src.clause_named("k2")
+        k2 = clause_named(src, "k2")
         assert ground_instances(k2, [App("int")]) == [k2]
 
     def test_pair_clause(self):
         src = load("pair")
-        k1 = src.clause_named("k1")
+        k1 = clause_named(src, "k1")
         out = ground_instances(k1, [App("int")])
         assert out == [parse_program("k : eq(int), eq(int) => eq(pair(int,int)).").program.clauses[0]]
 
