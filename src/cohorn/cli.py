@@ -183,11 +183,11 @@ def _json_text(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for str-keyed dicts,
     lists, tuples, strings, numbers, booleans and None.
 
-    One walk on an explicit stack, so nesting has no limit of its
-    own.  Each container writes its pieces (bracket, newline and indent,
-    then key, `": "` and value per item, with a comma between items) into
-    one buffer, and the whole text is joined once at the end.  A container
-    met twice is simply rendered twice."""
+    One walk on an explicit stack, so nesting has no limit of its own.  Each
+    container writes its pieces (bracket, newline and indent, then key,
+    `": "` and value per item, with a comma between items) into one buffer,
+    and the whole text is joined once at the end.  A container met twice is
+    simply rendered twice."""
     if type(value) not in _CONTAINERS or not value:
         return json.dumps(value)
     pads = ["\n", "\n  "]  # pads[level]: a newline and that level's indent

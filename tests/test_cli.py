@@ -11,8 +11,8 @@ import subprocess
 import sys
 import time
 import weakref
-from contextlib import redirect_stderr, redirect_stdout
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
 
@@ -906,7 +906,7 @@ class TestJsonWriter:
             assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
     # About half the examples hold aliased containers, which the writer
-    # renders once per nesting level.
+    # renders each time it meets them.
     @given(_json_values(_JSON_LEAVES) | _aliased_json())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_stdlib_encoder(self, value):
@@ -964,8 +964,8 @@ def nested_from_flat(nodes, proof: str) -> dict:
             assert node["evidence"] == format_proof(e)
         if node["rule"] in ("Nu", "Nu'", "Lam"):
             keys.insert(-1, "binders")
-            assert node["binders"] == ([e.binder] if isinstance(e, Nu) else list(e.binders))
             assert isinstance(e, Lambda if node["rule"] == "Lam" else Nu)
+            assert node["binders"] == ([e.binder] if isinstance(e, Nu) else list(e.binders))
             args = [e.body]
         else:
             head, args = spine(e)
