@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 # The oracle, `herbrand`, is imported by the three commands that use it, so
@@ -179,57 +178,6 @@ def _load_program(path: str) -> SourceProgram:
     return parse_program(text)
 
 
-def _json_text(value) -> str:
-    """`json.dumps(value, indent=2)`, byte for byte, for str-keyed dicts,
-    lists, tuples, strings, numbers, booleans and None.
-
-    One walk on an explicit stack, so nesting has no limit of its own.  Each
-    container writes its pieces (bracket, newline and indent, then key,
-    `": "` and value per item, with a comma between items) into one buffer,
-    and the whole text is joined once at the end.  A container met twice is
-    simply rendered twice."""
-    if type(value) not in _CONTAINERS or not value:
-        return json.dumps(value)
-    pads = ["\n", "\n  "]  # pads[level]: a newline and that level's indent
-    buf: list[str] = []
-    # A frame: the index of its container's first piece in `buf`, the
-    # container and its items still to write, and its level.
-    stack = [(0, value, iter(value.items() if type(value) is dict else value), 0)]
-    while stack:
-        start, v, items, level = stack[-1]
-        is_dict = type(v) is dict
-        pad = pads[level + 1]
-        for x in items:
-            if is_dict:
-                buf += (",", pad, encode_basestring_ascii(x[0]), ": ")
-                x = x[1]
-            else:
-                buf += (",", pad)
-            t = type(x)
-            if t is str:
-                buf.append(encode_basestring_ascii(x))
-                continue
-            if t is int or x is None:
-                buf.append("null" if x is None else int.__repr__(x))
-                continue
-            if t not in _CONTAINERS or not x:
-                buf.append(json.dumps(x))
-                continue
-            stack.append((len(buf), x, iter(x.items() if t is dict else x), level + 1))
-            if len(pads) == level + 2:
-                pads.append(pad + "  ")
-            break
-        else:
-            stack.pop()
-            # The first item's comma becomes the opening bracket.
-            buf[start] = "{" if is_dict else "["
-            buf += (pads[level], "}" if is_dict else "]")
-    return "".join(buf)
-
-
-_CONTAINERS = frozenset((dict, list, tuple))
-
-
 def _json_value(v):
     """A report field as JSON: engine values become ASCII strings and dicts."""
     if isinstance(v, ProofTerm):
@@ -281,7 +229,7 @@ def _emit(report: dict, rows, as_json: bool, unicode: bool = False) -> int:
     `unicode` and returns the lines of a multi-line block; a false row
     prints nothing."""
     if as_json:
-        print(_json_text({k: _json_value(v) for k, v in report.items()}))
+        print(json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2))
         return report["exit_code"]
     lines = []
     for row in filter(None, rows):
@@ -455,7 +403,9 @@ def _cmd_check(src: SourceProgram, args) -> int:
 def _cmd_model(src: SourceProgram, args) -> int:
     from . import herbrand
 
-    policy = herbrand.Policy.OPTIMISTIC if args.policy == "opt" else herbrand.Policy.PESSIMISTIC
+    # The least model is computed pessimistically whatever --policy says.
+    optimistic = args.policy == "opt" and args.semantics == "greatest"
+    policy = herbrand.Policy.OPTIMISTIC if optimistic else herbrand.Policy.PESSIMISTIC
     if args.semantics == "least":
         interp = herbrand.lfp(
             src.program, args.depth, extra_constants=args.const, max_atoms=args.max_atoms
@@ -467,14 +417,14 @@ def _cmd_model(src: SourceProgram, args) -> int:
     atoms = list(interp.atoms.texts())
     note = (
         "bounded-base computation; out-of-base body atoms treated as "
-        + ("present (optimistic)" if policy is herbrand.Policy.OPTIMISTIC else "absent (pessimistic)")
+        + ("present (optimistic)" if optimistic else "absent (pessimistic)")
     )
     report = {
         "command": "model",
         "program": args.program,
         "semantics": args.semantics,
         "depth": args.depth,
-        "policy": policy.value if args.semantics == "greatest" else "pessimistic",
+        "policy": policy.value,
         "converged": interp.converged,
         "note": note,
         "stats": _oracle_stats(interp),

@@ -399,29 +399,27 @@ def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
 def _fixpoint(
     g: _Grounding,
     base: HerbrandBase,
-    start: AbstractSet[Atom],
+    greatest: bool,
     policy: Policy,
     max_iters: int,
 ) -> Interpretation:
-    """Iterate the bounded operator from `start` until it stops changing.
+    """Iterate the bounded operator until it stops changing.
 
-    `start` is empty for the least fixed point, where the iterates grow, or
-    the whole base for the greatest, where they shrink.  Each round is one
-    application of the operator, so after `max_iters` rounds the result is
+    The least fixed point starts from the empty set, and the iterates grow;
+    the greatest starts from the whole base, and they shrink.  Each round is
+    one application of the operator, so after `max_iters` rounds the result is
     the same iterate, with the same `converged` flag, as re-applying the
     operator naively; but a round only visits the instances whose body
     holds an atom that the previous round added or removed.
     """
-    if start and start is not base.atoms and start != base.atoms:
-        raise ValueError("a fixpoint starts from the empty set or the whole base")
     heads, watchers = g.heads, g.watchers
     # Under the pessimistic policy an instance with an out-of-base body atom
     # never fires.
     mute = g.outside if policy is Policy.PESSIMISTIC else {}
-    current = bytearray(b"\x01" if start else b"\x00") * base.size
+    current = bytearray(b"\x01" if greatest else b"\x00") * base.size
     rounds = 0
     converged = False
-    if not start:
+    if not greatest:
         # changed: atoms the next application adds.
         missing = [len(body) for body in g.bodies]
         changed = {heads[i] for i, m in enumerate(missing) if not m and i not in mute}
@@ -477,7 +475,7 @@ def lfp(
     """Least fixed point of the bounded operator, iterated up from empty."""
     base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
-    return _fixpoint(g, base, frozenset(), Policy.PESSIMISTIC, max_iters)
+    return _fixpoint(g, base, False, Policy.PESSIMISTIC, max_iters)
 
 
 def gfp_bounded(
@@ -492,7 +490,7 @@ def gfp_bounded(
     """Greatest fixed point of the bounded operator, iterated down from full."""
     base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
-    return _fixpoint(g, base, base.atoms, policy, max_iters)
+    return _fixpoint(g, base, True, policy, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +537,7 @@ def certify_gfp(
     if target not in base.atoms:
         return None
     g = _ground_program(program, base)
-    model = _fixpoint(g, base, base.atoms, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    model = _fixpoint(g, base, True, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
     live = base.mask(model.atoms)
     k = base.atom_id(target)
     if not live[k]:
@@ -635,9 +633,9 @@ def valid(
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
     base = herbrand_base(sig, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
-    start = frozenset() if semantics is Semantics.IND else base.atoms
+    greatest = semantics is Semantics.COIND
     sure, maybe = (
-        base.mask(_fixpoint(g, base, start, policy, DEFAULT_MAX_ITERS).atoms)
+        base.mask(_fixpoint(g, base, greatest, policy, DEFAULT_MAX_ITERS).atoms)
         for policy in (Policy.PESSIMISTIC, Policy.OPTIMISTIC)
     )
     names = clause_vars(formula)
@@ -712,12 +710,10 @@ def preserves_model(
     """
     extended = program.extended(formula)
     base = herbrand_base(extended.signature, depth, extra_constants)
-    if semantics is Semantics.IND:
-        start, policy = frozenset(), Policy.PESSIMISTIC
-    else:
-        start, policy = base.atoms, Policy.OPTIMISTIC
+    greatest = semantics is Semantics.COIND
+    policy = Policy.OPTIMISTIC if greatest else Policy.PESSIMISTIC
     grounds = (_ground_program(program, base), _ground_program(extended, base))
-    models = [_fixpoint(g, base, start, policy, DEFAULT_MAX_ITERS) for g in grounds]
+    models = [_fixpoint(g, base, greatest, policy, DEFAULT_MAX_ITERS) for g in grounds]
     old, new = (base.mask(m.atoms) for m in models)
     gone, came = bytes(map(gt, old, new)), bytes(map(gt, new, old))
     removed, added = tuple(AtomSet(base, gone)), tuple(AtomSet(base, came))

@@ -133,23 +133,18 @@ def shared_nodes(root, children) -> set[int]:
     return shared
 
 
-def walk(root, ctx, step: Callable, shared: Optional[AbstractSet[int]] = None, memo: Optional[dict] = None):
+def walk(root, ctx, step: Callable, shared: Optional[AbstractSet[int]] = None):
     """The value of `step(root, ctx)`, computed on a heap stack, not by recursion.
 
     `step(node, ctx)` returns a generator shaped like a recursive function:
     where that would call itself on a child, it yields `(child, ctx', step')`
     and is sent the child's value; it returns the node's value.  A kept
-    node's value is stored in `memo` under `(id(node), ctx)`, and a later
-    visit of that pair gets it without running a generator.  `shared` holds
-    the ids of the kept nodes (`shared_nodes`, so a tree keeps nothing);
-    None keeps every node.  A caller's `memo` may serve several walks if the
-    nodes outlive it.  An exception from a step propagates, and nothing is
-    stored for the nodes that were waiting on it."""
-    if memo is None:
-        memo = {}
+    node's value is stored under `(id(node), ctx)` for the rest of the walk,
+    and a later visit of that pair gets it without running a generator.
+    `shared` holds the ids of the kept nodes (`shared_nodes`, so a tree keeps
+    nothing); None keeps every node.  An exception from a step propagates."""
+    memo: dict = {}
     key = (id(root), ctx) if shared is None or id(root) in shared else None
-    if key in memo:
-        return memo[key]
     send, value, stack = step(root, ctx).send, None, []  # stack: waiting (send, key)
     while True:
         try:
@@ -234,15 +229,10 @@ def alpha_equal(a: ProofTerm, b: ProofTerm) -> bool:
     return True
 
 
-def format_proof(
-    e: ProofTerm, unicode: bool = False, memo: Optional[dict[tuple[int, bool], str]] = None
-) -> str:
-    """The text of `e`.  Without `memo` only the nodes shared within `e`
-    keep their text.  A caller that prints many subterms of one proof (a
-    derivation's evidence, node by node) passes one dict to every call, with
-    one `unicode` setting; it then keeps the text of every compound node, so
-    each is rendered once per report.  The terms must outlive that dict,
-    which is keyed by their ids."""
+def format_proof(e: ProofTerm, unicode: bool = False) -> str:
+    """The text of `e`.  Only the nodes shared within `e` keep their text,
+    so a shared subterm is rendered at most twice: with parentheses and
+    without."""
 
     def text(t: ProofTerm, wrap: bool):
         # One join, parentheses included; leaves are written in place.
@@ -264,8 +254,7 @@ def format_proof(
             parts.append(")")
         return "".join(parts)
 
-    shared = shared_nodes(e, proof_children) if memo is None else None
-    return walk(e, False, text, shared, memo)
+    return walk(e, False, text, shared_nodes(e, proof_children))
 
 
 # ---------------------------------------------------------------------------

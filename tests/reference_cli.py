@@ -9,17 +9,13 @@ proof, and checks that it equals `derivation_json` of the same derivation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from cohorn.proofs import Derivation, format_proof, walk
 from cohorn.terms import format_formula
 
 
-def derivation_json(d: Derivation, texts: Optional[dict] = None) -> dict:
-    """The nested derivation dict.  `texts` is a proof-text memo shared by
-    every node (see `format_proof`); a shared derivation node comes back as
+def derivation_json(d: Derivation) -> dict:
+    """The nested derivation dict; a shared derivation node comes back as
     the same dict."""
-    texts = {} if texts is None else texts
 
     def node(d: Derivation, ctx: None):
         children = []
@@ -28,7 +24,7 @@ def derivation_json(d: Derivation, texts: Optional[dict] = None) -> dict:
         return {
             "rule": d.rule.value,
             "formula": format_formula(d.judgement.formula),
-            "evidence": format_proof(d.judgement.evidence, memo=texts),
+            "evidence": format_proof(d.judgement.evidence),
             "entry": d.entry_name,
             "matcher": {v: str(t) for v, t in sorted(d.matcher.items())}
             if d.matcher is not None

@@ -31,7 +31,6 @@ from cohorn.herbrand import (
     CertificateInvariantError,
     HerbrandBase,
     _check_post_fixed,
-    _fixpoint,
     _ground_program,
     bounded_size,
 )
@@ -465,13 +464,6 @@ class TestOracleAgainstReferences:
                     got = gfp_bounded(program, depth, policy, max_iters=max_iters)
                     want = naive_iterate(program, base, base.atoms, policy, max_iters)
                     assert (got.atoms, got.converged) == want
-
-    def test_fixpoint_starts_only_from_empty_or_full(self):
-        src = load("pair")
-        base = herbrand_base(src.program.signature, 2)
-        instances = _ground_program(src.program, base)
-        with pytest.raises(ValueError):
-            _fixpoint(instances, base, frozenset({parse_atom("eq(int)")}), Policy.OPTIMISTIC, 10)
 
 
 class TestOracleScale:
