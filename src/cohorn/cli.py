@@ -111,25 +111,41 @@ _ORACLE.add_argument(
     help="refuse a Herbrand base of more atoms or universe terms than this",
 )
 
+# Each command's help line and parent parsers, in the order `cohorn -h` lists them.
+_SPECS = {
+    "resolve": ("search for a proof", [_COMMON, _UNICODE]),
+    "check": ("check a proof term", [_COMMON, _UNICODE]),
+    "model": ("print a bounded Herbrand model", [_COMMON, _ORACLE]),
+    "certify": ("search a greatest-model membership certificate", [_COMMON, _ORACLE]),
+    "verify-soundness": (
+        "resolve, then validate the result against the matching semantics",
+        [_COMMON, _UNICODE, _ORACLE],
+    ),
+}
+
 
 def _build_parser(command: Optional[str] = None) -> _Parser:
-    """The `cohorn` parser.  Every command is registered with its name and
-    help line, but only `command` gets its flags, or every command when
-    `command` names none (help, a typo, an option first, no arguments).
-    argparse reads no other command's flags once `command` is chosen, so
-    parses, help texts and usage errors are those of the full parser."""
+    """The parser of one `cohorn` call: with `command`, that command's parser
+    alone, `cohorn <command>`, which parses the arguments after the command;
+    otherwise the full parser, with every command and its flags (help, a
+    typo, an option first, no arguments).  The full parser hands the
+    arguments after a command to that command's subparser, which
+    `_add_flags` builds as it builds the parser alone, so parses, help texts
+    and usage errors agree either way."""
+    if command in _SPECS:
+        p = _Parser(prog=f"cohorn {command}", parents=_SPECS[command][1])
+        p.set_defaults(command=command)
+        return _add_flags(p, command)
     parser = _Parser(prog="cohorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in _COMMANDS
+    for name, (help, parents) in _SPECS.items():
+        _add_flags(sub.add_parser(name, parents=parents, help=help), name)
+    return parser
 
-    def add(name: str, parents: list, help: str) -> Optional[_Parser]:
-        """The subparser of `name` if its flags are to be built, else None."""
-        if every or name == command:
-            return sub.add_parser(name, parents=parents, help=help)
-        sub.add_parser(name, help=help)
-        return None
 
-    if p := add("resolve", [_COMMON, _UNICODE], "search for a proof"):
+def _add_flags(p: _Parser, command: str) -> _Parser:
+    """`p` with the flags of `command` that its parent parsers lack."""
+    if command == "resolve":
         p.add_argument("--query", required=True, help="atomic or Horn formula")
         p.add_argument("--mode", required=True, choices=sorted(_MODES))
         p.add_argument("--lemma", action="append", default=[], help="prove and register first (repeatable)")
@@ -137,36 +153,28 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--auto-lemma", action="store_true", help="propose a lemma by anti-unification on failure")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
         p.add_argument("--trace", action="store_true", help="include the resolution trace")
-
-    if p := add("check", [_COMMON, _UNICODE], "check a proof term"):
+    elif command == "check":
         p.add_argument("--proof", required=True)
         p.add_argument("--formula", required=True)
         p.add_argument("--lemma", action="append", default=[], help="prove (extended mode) and register first")
         p.add_argument("--depth", type=_positive_int, default=8, help="depth limit for --lemma proofs")
-
-    if p := add("model", [_COMMON, _ORACLE], "print a bounded Herbrand model"):
+    elif command == "model":
         p.add_argument("--semantics", required=True, choices=["least", "greatest"])
         p.add_argument("--depth", type=_positive_int, required=True)
         p.add_argument("--policy", choices=["opt", "pess"], default="pess")
         p.add_argument("--const", action="append", default=[], help="extra constant for the universe")
-
-    if p := add("certify", [_COMMON, _ORACLE], "search a greatest-model membership certificate"):
+    elif command == "certify":
         p.add_argument("--atom", required=True, help="ground atom")
         p.add_argument("--depth", type=_positive_int, default=6)
         p.add_argument("--const", action="append", default=[])
-
-    if p := add(
-        "verify-soundness",
-        [_COMMON, _UNICODE, _ORACLE],
-        "resolve, then validate the result against the matching semantics",
-    ):
+    else:  # verify-soundness
         p.add_argument("--query", required=True)
         p.add_argument("--mode", required=True, choices=sorted(_MODES))
         p.add_argument("--lemma", action="append", default=[])
         p.add_argument("--depth", type=_positive_int, default=8)
         p.add_argument("--base-depth", type=_positive_int, required=True)
         p.add_argument("--auto-lemma", action="store_true")
-    return parser
+    return p
 
 
 def _load_program(path: str) -> SourceProgram:
@@ -540,9 +548,9 @@ _COMMANDS = {
 
 def cli(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
+    command = argv[0] if argv and argv[0] in _SPECS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv[1:] if command else argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EX_USAGE

@@ -79,6 +79,16 @@ def is_variable_name(name: str) -> bool:
     return name[:1].isupper()
 
 
+def is_constant_name(name: str) -> bool:
+    """Whether `name` reads as a term constant under the program grammar: a
+    name token (a letter or `_`, then letters, digits, `_` and `'`) that does
+    not start with an uppercase letter."""
+    head = name[:1]
+    return (head.isalpha() or head == "_") and not is_variable_name(name) and all(
+        c.isalnum() or c in "_'" for c in name
+    )
+
+
 # ---------------------------------------------------------------------------
 # Immutable values
 # ---------------------------------------------------------------------------
@@ -543,6 +553,8 @@ class Signature(Value):
     def with_constants(self, names: Iterable[str]) -> "Signature":
         funcs = dict(self.functions)
         for n in names:
+            if not is_constant_name(n):
+                raise SignatureError(f"extra constant {n!r} is not a term constant")
             if funcs.setdefault(n, 0) != 0:
                 raise _clash("functor", n, funcs[n], 0)
         return Signature(funcs, self.predicates)

@@ -1,5 +1,6 @@
 """Tests for the command-line driver: exit codes, reports, determinism."""
 
+import argparse
 import gc
 import io
 import json
@@ -472,6 +473,20 @@ class TestErrorChannels:
         assert code == 65
         assert "overlap" in err
 
+    @pytest.mark.parametrize("const", ["", "X", "f(a)", "a b"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["model", "--semantics", "greatest", "--depth", "1"], ["certify", "--atom", "eq(c)", "--depth", "1"]],
+    )
+    def test_const_must_be_a_term_constant(self, tmp_path, argv, const):
+        """An empty name, a variable, a compound term or two names is no
+        constant of the universe."""
+        program = tmp_path / "k1.hc"
+        program.write_text("k1 : eq(X) => eq(X).\n")
+        assert run([argv[0], str(program), *argv[1:], "--const", const]) == (
+            65, "", f"input error: extra constant {const!r} is not a term constant\n"
+        )
+
     def test_internal_error_exit_70(self, tmp_path):
         """A query nested 700 terms deep overflows the recursion: exit 70, no traceback."""
         prog = tmp_path / "nat.hc"
@@ -715,9 +730,11 @@ EDGE = [
 
 
 class TestPerCommandParser:
-    """`cli` builds only the invoked command's flags.  Every argv parses to
-    the same namespace, or fails with the same usage error, as under the
-    parser with every command's flags."""
+    """A call whose first argument names a command builds that command's
+    parser alone, `cohorn <command>`, and parses the arguments after the
+    command with it; any other call builds the full parser.  Every argv
+    parses to the same namespace, or fails with the same usage error, as
+    under the full parser."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -741,6 +758,7 @@ class TestPerCommandParser:
         argvs = [call["argv"] for call in index.values()] + readme_commands() + EDGE + MALFORMED
         assert len(MALFORMED) >= 20
         full = _build_parser()
+        paths = Counter()
         for argv in argvs:
             built.clear()
             try:
@@ -748,15 +766,47 @@ class TestPerCommandParser:
             except _Stop:
                 code = None
             (parser,) = built
-            subparsers = parser._subparsers._group_actions[0]
-            assert list(subparsers.choices) == list(cohorn.cli._COMMANDS), argv
             expected = parse(full, argv)
-            assert parse(parser, argv) == expected, argv
+            if argv and argv[0] in cohorn.cli._COMMANDS:
+                paths["named"] += 1
+                assert parser.prog == f"cohorn {argv[0]}", argv
+                assert parse(parser, argv[1:]) == expected, argv
+            else:
+                paths["full"] += 1
+                assert parser.prog == "cohorn", argv
+                assert parse(parser, argv) == expected, argv
             if argv in MALFORMED:
                 assert isinstance(expected, str), argv
                 assert (code, out, err) == (64, "", f"usage error: {expected}\n"), argv
             else:
                 assert code is None and isinstance(expected, dict), argv
+        assert min(paths.values()) >= 5, paths
+
+    def test_one_argument_parser_per_named_call(self, monkeypatch):
+        """A named command constructs one `ArgumentParser`; any other first
+        argument builds the full parser, with one subparser per command."""
+        inits = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            inits.append(parser)
+            init(parser, *args, **kwargs)
+
+        def stop(path):
+            raise _Stop
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.setattr("cohorn.cli._load_program", stop)
+        check = ["check", P, "--proof", "k2", "--formula", "eq(int)"]
+        for argv in (RESOLVE, check, MODEL, ["certify", P, "--atom", "eq(int)"], VERIFY):
+            inits.clear()
+            with pytest.raises(_Stop):
+                run(argv)
+            assert [p.prog for p in inits] == [f"cohorn {argv[0]}"], argv
+        for argv in (["--json", *RESOLVE], ["frobnicate"], []):
+            inits.clear()
+            assert run(argv)[0] == 64, argv
+            assert [p.prog for p in inits] == ["cohorn"] + [f"cohorn {c}" for c in cohorn.cli._COMMANDS], argv
 
     def test_no_state_across_calls(self, monkeypatch):
         """A `--lemma` or `--const` of one call is absent from the next,
@@ -783,8 +833,7 @@ class TestPerCommandParser:
         defaults = [
             action.default
             for parser in parsers
-            for sub in parser._subparsers._group_actions[0].choices.values()
-            for action in sub._actions
+            for action in parser._actions
             if action.dest in ("lemma", "const")
         ]
         assert defaults == [[]] * 4

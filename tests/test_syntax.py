@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohorn import (
@@ -26,7 +26,7 @@ from cohorn import (
 )
 from cohorn import syntax
 from cohorn.syntax import SourceProgram, _tokenize
-from cohorn.terms import format_formula
+from cohorn.terms import format_formula, is_constant_name
 
 import reference_syntax
 from reference_syntax import clause_named, format_program
@@ -346,6 +346,24 @@ class TestAgainstReference:
             for query in program_queries(rng, program):
                 assert_same_as_reference(format_formula(query))
             assert_same_as_reference(format_proof(random_proof(rng, 4, ())))
+
+
+class TestConstantNames:
+    """`terms.is_constant_name`, which `--const` values must pass, accepts
+    exactly the texts that the parser reads as one term constant."""
+
+    @given(st.text(alphabet=ALPHABET + "ǅ", max_size=6))
+    @example("")
+    @example("f(a)")
+    @example("a b")
+    @example("_b'é0")
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_the_parser(self, text):
+        try:
+            parsed = syntax.parse_atom(f"p({text})")
+        except ParseError:
+            parsed = None
+        assert is_constant_name(text) == (parsed == Atom("p", (App(text),)))
 
 
 class TestParseCost:
