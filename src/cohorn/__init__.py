@@ -54,7 +54,6 @@ from .terms import (
     App,
     Atom,
     BaseTooLargeError,
-    EmptyUniverseError,
     ExistentialVariableError,
     HornClause,
     OverlapError,

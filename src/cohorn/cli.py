@@ -433,14 +433,13 @@ def _cmd_model(src: SourceProgram, args) -> int:
         "semantics": args.semantics,
         "depth": args.depth,
         "policy": policy.value,
-        "converged": interp.converged,
         "note": note,
         "stats": _oracle_stats(interp),
         "atoms": atoms,
         "exit_code": EX_OK,
     }
     rows = (
-        "command", "program", "semantics", "depth", "policy", "note", "converged", "stats",
+        "command", "program", "semantics", "depth", "policy", "note", "stats",
         partial(_block, f"atoms ({len(atoms)})", atoms),
     )
     return _emit(report, rows, args.json)

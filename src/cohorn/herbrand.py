@@ -28,10 +28,11 @@ ids) -> id, and an atom's id is its predicate's offset plus its argument ids
 read as a mixed-radix number, so id order is `atom_sort_key` order and a
 base costs O(|universe|) to set up; `max_atoms` bounds it, checked from the
 universe-size recurrence before anything is enumerated.  Grounding is a
-column join on the head: each argument pattern is matched once against
-every universe term, O(|universe| * head arguments) matches per clause,
-and the columns are joined in id order on the variables they share.  Since
-clauses have no existential variables the head grounds the whole clause,
+column join on the head: each argument pattern with variables is matched
+once against every universe term, O(|universe| * head arguments) matches
+per clause, a ground argument is looked up by its id, and the columns are
+joined in id order on the variables they share.  Since clauses have no
+existential variables the head grounds the whole clause,
 one instance per (clause, head).  A body atom's ids are then slot
 arithmetic over the instances' variable ids, O(instances * body); only a
 compound argument with variables goes through the intern table per
@@ -41,8 +42,10 @@ style of Dowling and Gallier's linear-time Horn satisfiability: the least
 fixed point counts, per instance, the body atoms still missing, and the
 greatest counts, per head, the instances still alive.  Each counter moves
 at most once per body atom, so a fixpoint costs O(instances * body) on top
-of the grounding.  Results are byte masks over the ids, printed in id order
-with no sort.
+of the grounding.  A fixpoint runs until a round changes nothing, at most
+one round per base atom and that last one, so `max_atoms` is the only
+budget.  Results are byte masks over the ids, printed in id order with
+no sort.
 """
 
 from __future__ import annotations
@@ -83,9 +86,6 @@ class Policy(Enum):
 class Semantics(Enum):
     IND = "inductive"
     COIND = "coinductive"
-
-
-DEFAULT_MAX_ITERS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +158,11 @@ class HerbrandBase(Value, compared=3, shown=3):
         """The ids of the base atoms that `head` matches, in id order, and
         for each the ids its variables take, in `atom_vars(head)` order.
 
-        Each argument position is matched once against every universe term,
-        and the positions' columns are joined left to right on the
-        variables an earlier position bound.  An id is the argument ids
-        read as a mixed-radix number, so joining sorted columns in order
-        yields the ids in order."""
+        An argument with variables is matched once against every universe
+        term, and a ground one is looked up by its id.  The positions'
+        columns are joined left to right on the variables an earlier
+        position bound.  An id is the argument ids read as a mixed-radix
+        number, so joining sorted columns in order yields the ids in order."""
         arity, lo = self.offsets.get(head.predicate, (-1, 0))
         if arity != len(head.args):
             return [], []
@@ -177,11 +177,14 @@ class HerbrandBase(Value, compared=3, shown=3):
             new = [v for v in here if v not in names]
             # The terms that p matches, keyed by the ids of its old variables.
             column: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-            for t in range(n):
-                bound: dict[str, int] = {}
-                if self._match(p, t, bound):
-                    key = tuple(bound[v] for v in old)
-                    column.setdefault(key, []).append((t, tuple(bound[v] for v in new)))
+            if here:
+                for t in range(n):
+                    bound: dict[str, int] = {}
+                    if self._match(p, t, bound):
+                        key = tuple(bound[v] for v in old)
+                        column.setdefault(key, []).append((t, tuple(bound[v] for v in new)))
+            elif (t := self._term_id(p, {})) is not None:
+                column[()] = [(t, ())]
             names += new
             rows = [
                 (k * n + t, env + fresh)
@@ -317,7 +320,7 @@ def herbrand_base(
         raise BaseTooLargeError(
             f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
         )
-    universe = tuple(enumerate_ground_terms(sig, depth, allow_empty=True))
+    universe = tuple(enumerate_ground_terms(sig, depth))
     ids = {t: k for k, t in enumerate(universe)}
     terms = tuple((t.functor, tuple(ids[a] for a in t.args)) for t in universe)
     offsets, size = {}, 0
@@ -328,14 +331,15 @@ def herbrand_base(
     return HerbrandBase(sig, depth, universe, terms, intern, offsets, size)
 
 
-class Interpretation(Value, compared=3):
+class Interpretation(Value, compared=2):
     """A set of base atoms (an `AtomSet` when the oracle computed it).
-    When an oracle computation returns one, the counters say how much work
-    it did: the size of the base, the number of ground clause instances,
-    and the rounds of the operator applied."""
+    When an oracle fixpoint returns one, the counters say how much work it
+    did: the size of the base, the number of ground clause instances, and
+    the rounds of the operator applied until the fixpoint, at most
+    `base_atoms + 1`."""
 
-    __slots__ = ("atoms", "base", "converged", "base_atoms", "instances", "rounds")
-    _defaults = {"converged": True, "base_atoms": 0, "instances": 0, "rounds": 0}
+    __slots__ = ("atoms", "base", "base_atoms", "instances", "rounds")
+    _defaults = {"base_atoms": 0, "instances": 0, "rounds": 0}
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return _ordered(self.atoms)
@@ -396,38 +400,30 @@ def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
     return g
 
 
-def _fixpoint(
-    g: _Grounding,
-    base: HerbrandBase,
-    greatest: bool,
-    policy: Policy,
-    max_iters: int,
-) -> Interpretation:
+def _fixpoint(g: _Grounding, base: HerbrandBase, greatest: bool, policy: Policy) -> Interpretation:
     """Iterate the bounded operator until it stops changing.
 
     The least fixed point starts from the empty set, and the iterates grow;
     the greatest starts from the whole base, and they shrink.  Each round is
-    one application of the operator, so after `max_iters` rounds the result is
-    the same iterate, with the same `converged` flag, as re-applying the
-    operator naively; but a round only visits the instances whose body
-    holds an atom that the previous round added or removed.
+    one application of the operator, so the result and its round count are
+    those of re-applying the operator naively until it stops changing; but
+    a round only visits the instances whose body holds an atom that the
+    previous round added or removed.  Every round but the last adds or
+    removes an atom, so there are at most `base.size + 1` rounds.
     """
     heads, watchers = g.heads, g.watchers
     # Under the pessimistic policy an instance with an out-of-base body atom
     # never fires.
     mute = g.outside if policy is Policy.PESSIMISTIC else {}
     current = bytearray(b"\x01" if greatest else b"\x00") * base.size
-    rounds = 0
-    converged = False
+    # The last round, which changes nothing.
+    rounds = 1
     if not greatest:
         # changed: atoms the next application adds.
         missing = [len(body) for body in g.bodies]
         changed = {heads[i] for i, m in enumerate(missing) if not m and i not in mute}
-        while rounds < max_iters:
+        while changed:
             rounds += 1
-            if not changed:
-                converged = True
-                break
             for a in changed:
                 current[a] = 1
             fresh, changed = changed, set()
@@ -443,11 +439,8 @@ def _fixpoint(
         for head in compress(heads, alive):
             support[head] += 1
         changed = {a for a, n in enumerate(support) if not n}
-        while rounds < max_iters:
+        while changed:
             rounds += 1
-            if not changed:
-                converged = True
-                break
             for a in changed:
                 current[a] = 0
             gone, changed = changed, set()
@@ -459,7 +452,7 @@ def _fixpoint(
                         if not support[heads[i]]:
                             changed.add(heads[i])
     return Interpretation(
-        AtomSet(base, bytes(current)), base, converged,
+        AtomSet(base, bytes(current)), base,
         base_atoms=base.size, instances=len(heads), rounds=rounds,
     )
 
@@ -468,14 +461,13 @@ def lfp(
     program: Program,
     depth: int,
     *,
-    max_iters: int = DEFAULT_MAX_ITERS,
     extra_constants: Iterable[str] = (),
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Least fixed point of the bounded operator, iterated up from empty."""
     base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
-    return _fixpoint(g, base, False, Policy.PESSIMISTIC, max_iters)
+    return _fixpoint(g, base, False, Policy.PESSIMISTIC)
 
 
 def gfp_bounded(
@@ -483,14 +475,13 @@ def gfp_bounded(
     depth: int,
     policy: Policy = Policy.PESSIMISTIC,
     *,
-    max_iters: int = DEFAULT_MAX_ITERS,
     extra_constants: Iterable[str] = (),
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Greatest fixed point of the bounded operator, iterated down from full."""
     base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
     g = _ground_program(program, base)
-    return _fixpoint(g, base, True, policy, max_iters)
+    return _fixpoint(g, base, True, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,7 @@ def certify_gfp(
     if target not in base.atoms:
         return None
     g = _ground_program(program, base)
-    model = _fixpoint(g, base, True, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    model = _fixpoint(g, base, True, Policy.OPTIMISTIC)
     live = base.mask(model.atoms)
     k = base.atom_id(target)
     if not live[k]:
@@ -613,7 +604,6 @@ def valid(
     semantics: Semantics,
     depth: int,
     *,
-    extra_constants: Iterable[str] = (),
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> ValidityVerdict:
     """Validity of an atomic or Horn formula in the bounded model.
@@ -631,11 +621,11 @@ def valid(
     join with the base.
     """
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
-    base = herbrand_base(sig, depth, extra_constants, max_atoms)
+    base = herbrand_base(sig, depth, max_atoms=max_atoms)
     g = _ground_program(program, base)
     greatest = semantics is Semantics.COIND
     sure, maybe = (
-        base.mask(_fixpoint(g, base, greatest, policy, DEFAULT_MAX_ITERS).atoms)
+        base.mask(_fixpoint(g, base, greatest, policy).atoms)
         for policy in (Policy.PESSIMISTIC, Policy.OPTIMISTIC)
     )
     names = clause_vars(formula)
@@ -697,8 +687,6 @@ def preserves_model(
     formula: HornClause,
     semantics: Semantics,
     depth: int,
-    *,
-    extra_constants: Iterable[str] = (),
 ) -> ModelComparison:
     """Compare the bounded model of P against P extended with `formula`.
 
@@ -709,11 +697,11 @@ def preserves_model(
     `certify_gfp`'s answer.
     """
     extended = program.extended(formula)
-    base = herbrand_base(extended.signature, depth, extra_constants)
+    base = herbrand_base(extended.signature, depth)
     greatest = semantics is Semantics.COIND
     policy = Policy.OPTIMISTIC if greatest else Policy.PESSIMISTIC
     grounds = (_ground_program(program, base), _ground_program(extended, base))
-    models = [_fixpoint(g, base, greatest, policy, DEFAULT_MAX_ITERS) for g in grounds]
+    models = [_fixpoint(g, base, greatest, policy) for g in grounds]
     old, new = (base.mask(m.atoms) for m in models)
     gone, came = bytes(map(gt, old, new)), bytes(map(gt, new, old))
     removed, added = tuple(AtomSet(base, gone)), tuple(AtomSet(base, came))

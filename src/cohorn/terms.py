@@ -54,10 +54,6 @@ class OverlapError(Exception):
         )
 
 
-class EmptyUniverseError(Exception):
-    """The signature has no constants, so there are no ground terms."""
-
-
 # The oracle's budget and errors are defined here, in a module that every
 # command loads, so that the CLI names them without loading `herbrand`,
 # which re-exports them.  The budget is far above every base the corpus, the
@@ -644,10 +640,9 @@ class Program(Value):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_ground_terms(
-    sig: Signature, depth: int, *, allow_empty: bool = False
-) -> list[Term]:
-    """All ground terms of depth <= depth, ordered by depth, functor, args.
+def enumerate_ground_terms(sig: Signature, depth: int) -> list[Term]:
+    """All ground terms of depth <= depth, ordered by depth, functor, args;
+    none when the signature has no constants.
 
     The terms of depth k are built from those of depth k-1: each functor
     takes the argument tuples of `product(shallower, repeat=arity)` with at
@@ -657,10 +652,6 @@ def enumerate_ground_terms(
         raise ValueError("depth must be >= 1")
     funcs = sorted(sig.functions.items())
     layer: list[Term] = [App(n) for n, a in funcs if a == 0]
-    if not layer:
-        if allow_empty:
-            return []
-        raise EmptyUniverseError("signature has no constants; the Herbrand universe is empty")
     result: list[Term] = list(layer)
     for _ in range(2, depth + 1):
         start = len(result) - len(layer)

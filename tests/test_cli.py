@@ -297,6 +297,33 @@ class TestModelCommand:
         assert json.loads(out)["stats"] == {"base_atoms": 2, "instances": 2, "rounds": 3}
 
 
+class TestLongChain:
+    """k0 : => p(c0) and k_i : p(c_(i-1)) => p(c_i) for i up to 10,001:
+    the least model takes a round per atom, 10,002 of them, and a last
+    round that adds nothing."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        prog = tmp_path / "chain.hc"
+        prog.write_text(
+            "k0 : => p(c0).\n" + "".join(f"k{i} : p(c{i - 1}) => p(c{i}).\n" for i in range(1, 10_002))
+        )
+        return str(prog)
+
+    def test_verify_soundness(self, chain):
+        argv = ["verify-soundness", chain, "--query", "p(c9999) => p(c10000)", "--mode", "ind",
+                "--base-depth", "1"]
+        code, out, _ = run(argv)
+        assert code == 0
+        assert "oracle (inductive, base depth 1): VALID\nsoundness: ok\n" in out
+
+    def test_least_model(self, chain):
+        code, out, _ = run(["model", chain, "--semantics", "least", "--depth", "1"])
+        assert code == 0
+        assert "stats: base_atoms=10002 instances=10002 rounds=10003\natoms (10002):\n" in out
+        assert out.count("\n  p(c") == 10_002
+
+
 class TestCertifyCommand:
     def test_found(self):
         code, out, _ = run(["certify", hc("p11"), "--atom", "D(z,z)", "--depth", "6"])
@@ -384,7 +411,7 @@ class TestVerifySoundness:
         assert "stats" not in reports["resolve"]
         assert "stats" not in reports["verify-soundness"]
         assert list(reports["model"]) == [
-            "command", "program", "semantics", "depth", "policy", "converged", "note",
+            "command", "program", "semantics", "depth", "policy", "note",
             "stats", "atoms", "exit_code",
         ]
         assert list(reports["certify"]) == [

@@ -25,7 +25,6 @@ from cohorn import (
 )
 from cohorn import herbrand
 from cohorn.herbrand import (
-    DEFAULT_MAX_ITERS,
     AtomSet,
     BaseTooLargeError,
     CertificateInvariantError,
@@ -102,12 +101,6 @@ class TestLfp:
             src = load(name)
             m = lfp(src.program, 3)
             assert tp_step(src.program, m).atoms == m.atoms
-            assert m.converged
-
-    def test_iteration_cap_flags_non_convergence(self):
-        src = load("pair")
-        m = lfp(src.program, 2, max_iters=1)
-        assert not m.converged
 
 
 class TestGfpBounded:
@@ -419,15 +412,15 @@ def by_head(instances):
     return out
 
 
-def naive_iterate(program, base, start, policy, max_iters):
-    """The fixpoint loop as the definition states it: re-apply T_P."""
+def naive_iterate(program, base, start, policy):
+    """The fixpoint loop as the definition states it: re-apply T_P until it
+    stops changing; (atoms, applications of T_P)."""
     current = Interpretation(start, base)
-    for _ in range(max_iters):
-        nxt = tp_step(program, current, policy)
-        if nxt.atoms == current.atoms:
-            return current.atoms, True
+    rounds = 1
+    while (nxt := tp_step(program, current, policy)).atoms != current.atoms:
         current = nxt
-    return current.atoms, False
+        rounds += 1
+    return current.atoms, rounds
 
 
 def seeded_programs(seed, count):
@@ -456,14 +449,13 @@ class TestOracleAgainstReferences:
         for k, program in enumerate(seeded_programs(62, 200)):
             depth = 1 + k % 3
             base = herbrand_base(program.signature, depth)
-            for max_iters in (1, 2, 3, DEFAULT_MAX_ITERS):
-                got = lfp(program, depth, max_iters=max_iters)
-                want = naive_iterate(program, base, frozenset(), Policy.PESSIMISTIC, max_iters)
-                assert (got.atoms, got.converged) == want
-                for policy in Policy:
-                    got = gfp_bounded(program, depth, policy, max_iters=max_iters)
-                    want = naive_iterate(program, base, base.atoms, policy, max_iters)
-                    assert (got.atoms, got.converged) == want
+            got = lfp(program, depth)
+            assert (got.atoms, got.rounds) == naive_iterate(program, base, frozenset(), Policy.PESSIMISTIC)
+            assert got.rounds <= got.base_atoms + 1
+            for policy in Policy:
+                got = gfp_bounded(program, depth, policy)
+                assert (got.atoms, got.rounds) == naive_iterate(program, base, base.atoms, policy)
+                assert got.rounds <= got.base_atoms + 1
 
 
 class TestOracleScale:
@@ -473,7 +465,6 @@ class TestOracleScale:
     def test_pair_lfp_depth_five(self):
         src = load("pair")
         m = lfp(src.program, 5)
-        assert m.converged
         assert len(m.atoms) == 677
         assert all(a.predicate == "eq" for a in m.atoms)
 
@@ -482,6 +473,66 @@ class TestOracleScale:
         cert = certify_gfp(src.program, parse_atom("D(z,z)"), 7)
         assert cert is not None
         assert parse_atom("D(z,z)") in cert.support
+
+
+class TestFixpointsRunToConvergence:
+    """A fixpoint runs until a round changes nothing: one round per atom
+    added or removed, plus that last one.  These climb past 10,000 rounds."""
+
+    def test_least_model_of_a_long_unary_chain(self):
+        program = parse_program_text("k1 : => p(z).\nk2 : p(X) => p(s(X)).\n").program
+        m = lfp(program, 10_002)
+        assert (len(m.atoms), m.rounds) == (10_002, 10_003)
+        formula = parse_formula("p(X) => p(s(X))")
+        assert valid(program, formula, Semantics.IND, 10_002).status is Verdict.VALID
+
+    def test_pessimistic_greatest_model_drops_a_long_chain(self):
+        # p(s^k(z)) leans on p(s^(k+1)(z)), which the base cuts off at its
+        # top; removing them takes one round each.
+        program = parse_program_text("k1 : p(s(X)) => p(X).\nk2 : => q(z).\n").program
+        m = gfp_bounded(program, 10_002)
+        assert atoms(m) == ["q(z)"]
+        assert m.rounds == 10_003
+
+
+class TestGroundHeadLookup:
+    """A ground head argument is looked up by its id, not matched against
+    every universe term."""
+
+    @staticmethod
+    def count_matches(monkeypatch):
+        calls = Counter()
+        match = HerbrandBase._match
+
+        def counting(self, p, t, env):
+            calls["match"] += 1
+            return match(self, p, t, env)
+
+        monkeypatch.setattr(HerbrandBase, "_match", counting)
+        return calls
+
+    def test_ground_heads_make_no_match_call(self, monkeypatch):
+        calls = self.count_matches(monkeypatch)
+        # q(f(f(c0))) lies beyond the depth-2 base.
+        src = parse_program_text(
+            "k0 : => p(c0).\nk1 : p(c0) => p(f(c0)).\nk2 : p(f(c0)) => q(f(f(c0))).\n"
+            "k3 : p(f(c0)), q(f(f(c0))) => q(c1).\n"
+        )
+        base = herbrand_base(src.program.signature, 2)
+        g = _ground_program(src.program, base)
+        assert calls["match"] == 0
+        assert read_instances(g, base) == brute_force_grounding(src.program, base)
+        assert len(g.heads) == 3
+        assert atoms(lfp(src.program, 2)) == ["p(c0)", "p(f(c0))"]
+        assert calls["match"] == 0
+
+    def test_a_variable_argument_is_still_matched(self, monkeypatch):
+        calls = self.count_matches(monkeypatch)
+        src = parse_program_text("k0 : => p(c0, c0).\nk1 : p(c0, X) => p(f(X), c0).\n")
+        base = herbrand_base(src.program.signature, 2)
+        g = _ground_program(src.program, base)
+        assert calls["match"] > 0
+        assert read_instances(g, base) == brute_force_grounding(src.program, base)
 
 
 class TestOracleCounters:
@@ -496,10 +547,6 @@ class TestOracleCounters:
         src = load("pair")
         m = lfp(src.program, 2)
         assert m == Interpretation(m.atoms, m.base)
-
-    def test_iteration_cap_bounds_rounds(self):
-        src = load("pair")
-        assert lfp(src.program, 2, max_iters=1).rounds == 1
 
     def test_certificate_counters(self):
         src = load("evenodd")
@@ -536,7 +583,7 @@ class TestBaseIds:
             binary = 2 in sig.functions.values()
             depth = rng.randint(1, 2 if binary else 3)
             base = herbrand_base(sig, depth, extra)
-            universe = enumerate_ground_terms(sig.with_constants(extra), depth, allow_empty=True)
+            universe = enumerate_ground_terms(sig.with_constants(extra), depth)
             want = sorted(
                 (Atom(p, args) for p, n in sig.predicates.items() for args in product(universe, repeat=n)),
                 key=atom_sort_key,
@@ -612,8 +659,8 @@ def reference_valid(program, formula, semantics, depth):
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
     base = herbrand_base(sig, depth)
     start = frozenset() if semantics is Semantics.IND else base.atoms
-    sure, _ = naive_iterate(program, base, start, Policy.PESSIMISTIC, DEFAULT_MAX_ITERS)
-    maybe, _ = naive_iterate(program, base, start, Policy.OPTIMISTIC, DEFAULT_MAX_ITERS)
+    sure, _ = naive_iterate(program, base, start, Policy.PESSIMISTIC)
+    maybe, _ = naive_iterate(program, base, start, Policy.OPTIMISTIC)
     names = clause_vars(formula)
     checked, undecided = 0, False
     for combo in product(base.universe, repeat=len(names)):
@@ -644,8 +691,8 @@ def reference_preserves_model(program, formula, semantics, depth):
         start, policy = frozenset(), Policy.PESSIMISTIC
     else:
         start, policy = base.atoms, Policy.OPTIMISTIC
-    before, _ = naive_iterate(program, base, start, policy, DEFAULT_MAX_ITERS)
-    after, _ = naive_iterate(extended, base, start, policy, DEFAULT_MAX_ITERS)
+    before, _ = naive_iterate(program, base, start, policy)
+    after, _ = naive_iterate(extended, base, start, policy)
     removed = tuple(sorted(set(before) - set(after), key=atom_sort_key))
     added = tuple(sorted(set(after) - set(before), key=atom_sort_key))
     certs = ()

@@ -171,8 +171,8 @@ SAMPLES = {
     ),
     "HerbrandBase": (base, BASE_TEXT, False),
     "Interpretation": (
-        lambda: herbrand.Interpretation(frozenset({PC}), base(), False, 3, 4, 5),
-        f"Interpretation(atoms=frozenset({{{PC_TEXT}}}), base={BASE_TEXT}, converged=False, "
+        lambda: herbrand.Interpretation(frozenset({PC}), base(), 3, 4, 5),
+        f"Interpretation(atoms=frozenset({{{PC_TEXT}}}), base={BASE_TEXT}, "
         "base_atoms=3, instances=4, rounds=5)",
         False,
     ),
@@ -310,9 +310,9 @@ class TestArguments:
         program's name index are left out of `==`, as the dataclasses had it."""
         b = base()
         assert b == herbrand.HerbrandBase(b.signature, b.depth, b.universe, (), {}, {}, 0)
-        a = herbrand.Interpretation(frozenset({PC}), b, True, 1, 2, 3)
-        assert a == herbrand.Interpretation(frozenset({PC}), b, True, 9, 9, 9)
-        assert a != herbrand.Interpretation(frozenset({PC}), b, False, 1, 2, 3)
+        a = herbrand.Interpretation(frozenset({PC}), b, 1, 2, 3)
+        assert a == herbrand.Interpretation(frozenset({PC}), b, 9, 9, 9)
+        assert a != herbrand.Interpretation(frozenset(), b, 1, 2, 3)
         src = parse_program(TEXT)
         assert src == syntax.SourceProgram(src.program, src.names, {})
 
