@@ -496,11 +496,9 @@ class TestFixpointsRunToConvergence:
 
 
 class TestGroundHeadLookup:
-    """A ground head argument is looked up by its id, not matched against
-    every universe term."""
-
-    @staticmethod
-    def count_matches(monkeypatch):
+    def test_ground_heads_make_no_match_call(self, monkeypatch):
+        """A ground head argument is looked up by its id, not matched
+        against every universe term."""
         calls = Counter()
         match = HerbrandBase._match
 
@@ -509,10 +507,6 @@ class TestGroundHeadLookup:
             return match(self, p, t, env)
 
         monkeypatch.setattr(HerbrandBase, "_match", counting)
-        return calls
-
-    def test_ground_heads_make_no_match_call(self, monkeypatch):
-        calls = self.count_matches(monkeypatch)
         # q(f(f(c0))) lies beyond the depth-2 base.
         src = parse_program_text(
             "k0 : => p(c0).\nk1 : p(c0) => p(f(c0)).\nk2 : p(f(c0)) => q(f(f(c0))).\n"
@@ -520,19 +514,13 @@ class TestGroundHeadLookup:
         )
         base = herbrand_base(src.program.signature, 2)
         g = _ground_program(src.program, base)
-        assert calls["match"] == 0
         assert read_instances(g, base) == brute_force_grounding(src.program, base)
         assert len(g.heads) == 3
         assert atoms(lfp(src.program, 2)) == ["p(c0)", "p(f(c0))"]
         assert calls["match"] == 0
-
-    def test_a_variable_argument_is_still_matched(self, monkeypatch):
-        calls = self.count_matches(monkeypatch)
-        src = parse_program_text("k0 : => p(c0, c0).\nk1 : p(c0, X) => p(f(X), c0).\n")
-        base = herbrand_base(src.program.signature, 2)
-        g = _ground_program(src.program, base)
+        # A head argument with a variable is still matched.
+        lfp(load("pair").program, 2)
         assert calls["match"] > 0
-        assert read_instances(g, base) == brute_force_grounding(src.program, base)
 
 
 class TestOracleCounters:
