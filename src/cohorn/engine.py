@@ -5,8 +5,9 @@ by a clause step are fixed the moment the head matches; conjuncts are solved
 independently and no bindings flow between them.  The search is a plain
 depth-bounded DFS over one environment of `proofs.EnvEntry` values, the
 checker's own: the axioms and registered lemmata of the `AxiomEnv` that the
-result is re-checked against, plus the hypotheses of the current path, added
-as the checker adds them under Lam (rigid lambda-facts) and Nu (nu-hyps).
+result is re-checked against, plus the hypotheses of the current path, bound
+on a `proofs.bind` chain as the checker binds them under Lam (rigid
+lambda-facts) and Nu (nu-hyps).
 Every goal walks those entries in one fixed option order:
 
   1. nu-hyps, oldest first,
@@ -40,8 +41,8 @@ auto-lemma is off (its triggers look at ancestors), no nu-hyp older than
 the goal's own candidate was matched anywhere in its subtree (guarded
 matches included, since arming depends on the path), and no nu-wrap was
 made there (so the evidence holds no fresh binder names).  A hit also needs
-the hypothesis stack under the goal to be the one the entry was stored
-under (the same top entry object): another path may hold nu-hyps that match
+the hypotheses under the goal to be the ones the entry was stored under
+(the same chain link object): another path may hold nu-hyps that match
 inside the subtree and change its result, so there the goal is solved
 afresh.  A hit advances the nu-name counter by the stored count, records
 one `reuse` event in place of the subtree, and returns the stored evidence
@@ -68,6 +69,7 @@ from .proofs import (
     ProofTerm,
     ProofVar,
     Rule,
+    bind,
     check,
     env_for_program,
     format_proof,
@@ -261,11 +263,9 @@ class _Search:
         trace: list[TraceEvent],
         auto_lemma: bool = False,
     ):
-        # Lemmas, then axioms: the option order, and a lemma's 1-based
-        # position is its number in the trace.
-        self.entries = env.lemmas() + tuple(
-            e for e in env.entries if isinstance(e.evidence, ConstSym)
-        )
+        # Lemmas, then the checker's axiom index: the option order, and a
+        # lemma's 1-based position is its number in the trace.
+        self.entries = env.lemmas + tuple(env.axioms.values())
         self.by_pred: dict[str, list[EnvEntry]] = {}
         for e in self.entries:
             self.by_pred.setdefault(e.formula.head.predicate, []).append(e)
@@ -275,17 +275,17 @@ class _Search:
         self.limit = limit
         self.trace = trace
         self.auto_lemma = auto_lemma
-        # Hypotheses on the current path, oldest first, as proofs._check adds
-        # them: rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
-        self.hyps: list[EnvEntry] = []
+        # The path's hypotheses, a `proofs.bind` chain as in an AxiomEnv:
+        # rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
+        self.hyps: Optional[tuple] = None
         self.armed: set[str] = set()
         self.goal_stack: list[Atom] = []
         self.triggers: list[tuple[Atom, Atom]] = []
         # (goal, depth) -> (evidence, exhausted, nu-names the subtree used,
-        # top of the hypothesis stack under the goal, the evidence's free
-        # proof variables); see the module doc.
+        # the hypothesis link under the goal, the evidence's free proof
+        # variables); see the module doc.
         self.memo: dict[tuple[Atom, int], tuple] = {}
-        # Lowest stack index of a nu-hyp matched in the current subtree, and
+        # Least link count of a nu-hyp matched in the current subtree, and
         # the number of nu-wraps made so far: what decides a memo store.
         self._oldest_match = 0
         self._nu_wraps = 0
@@ -341,16 +341,17 @@ class _Search:
         return Nu(binder, body), free - {binder}
 
     def _candidates(self, goal: Atom):
-        """The entries that may match `goal`, in option order: nu-hyps,
-        lemmas, axioms, lambda-facts.  Nested goals restore `self.hyps`
-        before this walk resumes."""
-        for e in self.hyps:
-            if not e.rigid:
-                yield e
-        yield from self._static(goal)
-        for e in self.hyps:
-            if e.rigid:
-                yield e
+        """The entries that may match `goal` as `bind` links, a lemma or axiom
+        with count 0, in option order: nu-hyps, lemmas, axioms, lambda-facts."""
+        nus, facts = [], []
+        link = self.hyps
+        while link:
+            (facts if link[0].rigid else nus).append(link)
+            link = link[2]
+        yield from reversed(nus)
+        for e in self._static(goal):
+            yield e, 0, None
+        yield from reversed(facts)
 
     # -- queries -------------------------------------------------------------
 
@@ -361,14 +362,14 @@ class _Search:
             self.note("note", 0, goal, "", "no rule derives a Horn formula in coinductive mode")
             return None, False
         binders = tuple(self.fresh_fact() for _ in goal.body)
-        mark = len(self.hyps)
-        self.hyps.extend(
+        outer = self.hyps
+        self.hyps = bind(outer, *(
             EnvEntry(ProofVar(b), fact(a), rigid=True) for b, a in zip(binders, goal.body)
-        )
+        ))
         alpha: Optional[str] = None
         if self.mode is Mode.EXTENDED:
             alpha = self.fresh_nu()
-            self.hyps.append(EnvEntry(ProofVar(alpha), goal))
+            self.hyps = bind(self.hyps, EnvEntry(ProofVar(alpha), goal))
         try:
             # The body goal registers no candidate of its own: cycle closure
             # at the root is the job of the Horn hypothesis.
@@ -376,7 +377,7 @@ class _Search:
                 goal.head, 0, (alpha,) if alpha else (), candidate=False
             )
         finally:
-            del self.hyps[mark:]
+            self.hyps = outer
         if ev is None:
             return None, exhausted
         return self._nu_wrap(alpha, Lambda(binders, ev), free.difference(binders))[0], exhausted
@@ -392,7 +393,7 @@ class _Search:
     ) -> tuple[Optional[ProofTerm], bool, frozenset[str]]:
         """The goal's evidence (None if not found), whether a branch was
         cut, and the evidence's free proof variables."""
-        below = self.hyps[-1] if self.hyps else None
+        below = self.hyps
         tabled = candidate and not self.auto_lemma
         if tabled:
             hit = self.memo.get((goal, depth))
@@ -405,13 +406,13 @@ class _Search:
                     outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
                 self.note("reuse", depth, goal, "", outcome.value)
                 return ev, exhausted, free
-        mark = len(self.hyps)
+        mark = below[1] if below else 0
         names, wraps, oldest = self._nu_names, self._nu_wraps, self._oldest_match
-        self._oldest_match = mark
+        self._oldest_match = mark + 1  # the count the goal's own candidate gets
         cand: Optional[str] = None
         if candidate and self.mode is not Mode.INDUCTIVE:
             cand = self.fresh_nu()
-            self.hyps.append(EnvEntry(ProofVar(cand), fact(goal)))
+            self.hyps = bind(below, EnvEntry(ProofVar(cand), fact(goal)))
             intro += (cand,)
         if self.auto_lemma:
             for anc in reversed(self.goal_stack):
@@ -424,10 +425,10 @@ class _Search:
         finally:
             if self.auto_lemma:
                 self.goal_stack.pop()
-            del self.hyps[mark:]
+            self.hyps = below
         if ev is not None:
             ev, free = self._nu_wrap(cand, ev, free)
-        if tabled and self._oldest_match >= mark and self._nu_wraps == wraps:
+        if tabled and self._oldest_match > mark and self._nu_wraps == wraps:
             self.memo[goal, depth] = (ev, exhausted, self._nu_names - names, below, free)
         self._oldest_match = min(oldest, self._oldest_match)
         return ev, exhausted, free
@@ -438,14 +439,13 @@ class _Search:
         exhausted = False
         matched_any = False
         axiom_matched = False
-        for entry in self._candidates(goal):
+        for entry, count, _ in self._candidates(goal):
             s = match(entry.formula.head, goal)
             if s is None:
                 continue
             ev = entry.evidence
             if isinstance(ev, ProofVar) and not entry.rigid:
-                position = next(i for i, h in enumerate(self.hyps) if h is entry)
-                self._oldest_match = min(self._oldest_match, position)
+                self._oldest_match = min(self._oldest_match, count)
             if entry.rigid and s:
                 # Lambda hypotheses are monomorphic: literal uses only.
                 self.note("guarded", depth, goal, self._label(entry), "monomorphic")

@@ -649,9 +649,12 @@ def valid(
                 undecided = True
                 continue
             s = {v: base.universe[t] for v, t in env.items()}
+            # The instance's text comes from its id, so a deep one needs no recursion.
+            only = bytearray(base.size)
+            only[head] = 1
             return ValidityVerdict(
                 Verdict.INVALID, s, semantics, depth,
-                note=f"instance {apply_atom(s, formula.head)} fails at depth {depth}",
+                note=f"instance {next(AtomSet(base, bytes(only)).texts())} fails at depth {depth}",
             )
     if checked == 0:
         return ValidityVerdict(

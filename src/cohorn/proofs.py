@@ -277,17 +277,25 @@ class EnvEntry(Value):
         _setattr(self, "rigid", rigid)
 
 
-class AxiomEnv(Value):
-    # The caches are built on first use, for the checker asks at every node.
-    __slots__ = ("entries", "_axioms", "_lemmas")  # _lemmas: lemmas()
-    _defaults = {"entries": ()}
+def bind(hyps: Optional[tuple], *entries: EnvEntry) -> Optional[tuple]:
+    """The chain `hyps` with `entries` bound inside it in order, one link
+    (entry, count of the hypotheses at and above it, parent) each."""
+    for e in entries:
+        hyps = (e, (hyps[1] if hyps else 0) + 1, hyps)
+    return hyps
 
-    def extended(self, *entries: EnvEntry) -> "AxiomEnv":
-        env = AxiomEnv(self.entries + entries)
-        if all(isinstance(e.evidence, ProofVar) for e in entries):
-            # Hypotheses add no axiom or lemma: the caches stay valid.
-            _setattr(env, "_axioms", self._axioms)
-            _setattr(env, "_lemmas", self._lemmas)
+
+class AxiomEnv(Value):
+    """Axioms and lemmas in `entries`, the path's hypotheses in the `bind`
+    chain `hyps`; a binder adds a link and shares the rest, caches included."""
+
+    __slots__ = ("entries", "hyps", "_axioms", "_lemmas")
+    _defaults = {"entries": (), "hyps": None}
+
+    def extended(self, *hyps: EnvEntry) -> "AxiomEnv":
+        env = AxiomEnv(self.entries, bind(self.hyps, *hyps))
+        _setattr(env, "_axioms", self.axioms)
+        _setattr(env, "_lemmas", self.lemmas)
         return env
 
     @_lazy
@@ -299,45 +307,40 @@ class AxiomEnv(Value):
                 index.setdefault(e.evidence.name, e)
         return index
 
+    @_lazy
+    def lemmas(self) -> tuple[EnvEntry, ...]:
+        return tuple(e for e in self.entries if not isinstance(e.evidence, ConstSym))
+
     def axiom(self, name: str) -> Optional[EnvEntry]:
         return self.axioms.get(name)
 
     def hypothesis(self, name: str) -> Optional[EnvEntry]:
         # Newest binding wins, so inner binders shadow outer ones.
-        for e in reversed(self.entries):
-            if isinstance(e.evidence, ProofVar) and e.evidence.name == name:
-                return e
-        return None
+        link = self.hyps
+        while link and link[0].evidence.name != name:
+            link = link[2]
+        return link[0] if link else None
 
     def lemma_for(self, evidence: ProofTerm) -> Optional[EnvEntry]:
-        for e in self.lemmas():
+        for e in self.lemmas:
             if alpha_equal(e.evidence, evidence):
                 return e
         return None
-
-    def lemmas(self) -> tuple[EnvEntry, ...]:
-        found = self._lemmas
-        if found is None:
-            found = tuple(
-                e for e in self.entries if not isinstance(e.evidence, (ConstSym, ProofVar))
-            )
-            _setattr(self, "_lemmas", found)
-        return found
 
     def add_lemma(self, evidence: ProofTerm, formula: HornClause) -> "AxiomEnv":
         if isinstance(evidence, (ConstSym, ProofVar)):
             raise ValueError("lemma evidence must be a compound proof term")
         if free_proof_vars(evidence):
             raise ValueError("lemma evidence must be a closed proof term")
-        return self.extended(EnvEntry(evidence, formula))
+        return AxiomEnv(self.entries + (EnvEntry(evidence, formula),), self.hyps)
 
 
 def env_for_program(program: Program, names: Optional[Sequence[str]] = None) -> AxiomEnv:
     """Axiom entries k1..kn in clause order, per the axiom-environment translation."""
     if names is None:
         names = [f"k{i + 1}" for i in range(len(program.clauses))]
-    if len(names) != len(program.clauses):
-        raise ValueError("one name per clause is required")
+    if len(names) != len(program.clauses) or len(set(names)) != len(names):
+        raise ValueError("one distinct name per clause is required")
     return AxiomEnv(
         tuple(EnvEntry(ConstSym(n), c) for n, c in zip(names, program.clauses))
     )
@@ -481,7 +484,7 @@ def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, 
     lemma = None
     if not f.body and not isinstance(e, (ConstSym, ProofVar)):
         lemma = next((
-            entry for entry in env.lemmas()
+            entry for entry in env.lemmas
             if not entry.formula.body
             and match(entry.formula.head, f.head) is not None
             and alpha_equal(entry.evidence, e)

@@ -25,6 +25,7 @@ and columns up to the offending token.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .proofs import ConstSym, Lambda, Nu, ProofTerm, ProofVar, make_apply, walk
 from .terms import (
@@ -163,8 +164,9 @@ def _formula(toks: list[str], i: int, query: bool) -> tuple[HornClause, int]:
 # -- proof terms -------------------------------------------------------------
 
 
-def _proof(i: int, ctx: tuple[list[str], frozenset[str]]):
-    """A `walk` step: the proof term at `toks[i]` and the index after it."""
+def _proof(i: int, ctx: tuple[list[str], Counter]):
+    """A `walk` step: the proof term at `toks[i]` and the index after it.
+    `bound`, which the walk shares, counts each name's binders in scope."""
     toks, bound = ctx
     tok = toks[i]
     if tok == "\\":
@@ -176,7 +178,9 @@ def _proof(i: int, ctx: tuple[list[str], frozenset[str]]):
         if toks[end] != "->":
             raise _expected(toks, end, "'->'")
         binders = tuple(toks[i + 1:end])
-        body, i = yield end + 1, (toks, bound | frozenset(binders)), _proof
+        bound.update(binders)
+        body, i = yield end + 1, ctx, _proof
+        bound.subtract(binders)
         return Lambda(binders, body), i
     if tok == "nu":
         binder = toks[i + 1]
@@ -184,7 +188,9 @@ def _proof(i: int, ctx: tuple[list[str], frozenset[str]]):
             raise _expected(toks, i + 1, "a binder name")
         if toks[i + 2] != ".":
             raise _expected(toks, i + 2, "'.'")
-        body, i = yield i + 3, (toks, bound | {binder}), _proof
+        bound[binder] += 1
+        body, i = yield i + 3, ctx, _proof
+        bound[binder] -= 1
         return Nu(binder, body), i
     # The head, then the arguments; these stop at `nu`, which the head cannot be.
     parts = []
@@ -197,7 +203,7 @@ def _proof(i: int, ctx: tuple[list[str], frozenset[str]]):
         elif tok in _SYMBOLS:
             raise _Fail("expected a proof term", i)
         else:
-            parts.append(ProofVar(tok) if tok in bound else ConstSym(tok))
+            parts.append(ProofVar(tok) if bound[tok] else ConstSym(tok))
         i += 1
         tok = toks[i]
         if tok != "(" and (tok in _SYMBOLS or tok == "nu"):
@@ -280,4 +286,4 @@ def parse_atom(text: str) -> Atom:
 
 
 def parse_proof(text: str) -> ProofTerm:
-    return _whole(lambda toks, i: walk(i, (toks, frozenset()), _proof, shared=frozenset()), text)
+    return _whole(lambda toks, i: walk(i, (toks, Counter()), _proof, shared=frozenset()), text)

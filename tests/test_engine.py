@@ -139,7 +139,7 @@ class TestRegisterLemma:
             parse_formula("eq(X) => eq(bush(X))"),
             Mode.EXTENDED,
         )
-        assert len(out.lemmas()) == 1
+        assert len(out.lemmas) == 1
 
     def test_identity_rejected_coinductively(self):
         src = load("chain")
@@ -152,7 +152,7 @@ class TestRegisterLemma:
         src = load("chain")
         env = env_for_program(src.program, src.names)
         out = register_lemma(env, parse_proof("\\a -> a"), parse_formula("A => A"), Mode.INDUCTIVE)
-        assert len(out.lemmas()) == 1
+        assert len(out.lemmas) == 1
 
     def test_chain_lemma_accepted_inductively(self):
         src = load("chain")
@@ -160,7 +160,7 @@ class TestRegisterLemma:
         out = register_lemma(
             env, parse_proof("\\a -> k2 (k1 a)"), parse_formula("A => C"), Mode.INDUCTIVE
         )
-        assert len(out.lemmas()) == 1
+        assert len(out.lemmas) == 1
 
     def test_unsound_evidence_rejected(self):
         src = load("chain")
@@ -380,6 +380,13 @@ class TestInvariants:
                     assert again.outcome is Outcome.PROVED
                     assert alpha_equal(again.evidence, base.evidence)
 
+    def test_duplicate_clause_names_are_bad_input(self):
+        """Two clauses named alike are refused before any search, not
+        reported as a proof that failed to re-check."""
+        program = Program((HornClause((), parse_atom("p(c)")), HornClause((), parse_atom("q(c)"))))
+        with pytest.raises(ValueError, match="distinct"):
+            resolve(program, Query(parse_formula("q(c)"), Mode.INDUCTIVE), names=["k", "k"])
+
     def test_rule_sets_respect_mode(self):
         result = run("evenodd", "eq(evenList(int))", Mode.COINDUCTIVE)
         assert result.derivation.rules_used() <= {Rule.LP_M, Rule.NU_PRIME}
@@ -437,14 +444,18 @@ class TestHeadIndex:
         indexed_walk = engine._Search._candidates
 
         def recording(self, goal):
-            indexed = list(indexed_walk(self, goal))
+            links = list(indexed_walk(self, goal))
+            hyps, link = [], self.hyps  # the path's hypotheses, oldest first
+            while link:
+                hyps.insert(0, link[0])
+                link = link[2]
             full = (
-                [e for e in self.hyps if not e.rigid]
+                [e for e in hyps if not e.rigid]
                 + list(self.entries)
-                + [e for e in self.hyps if e.rigid]
+                + [e for e in hyps if e.rigid]
             )
-            walks.append((goal, indexed, full))
-            return iter(indexed)
+            walks.append((goal, [e for e, _, _ in links], full))
+            return iter(links)
 
         monkeypatch.setattr(engine._Search, "_candidates", recording)
         for program, query in index_runs(random.Random(31)):

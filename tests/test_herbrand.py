@@ -219,6 +219,17 @@ class TestValidity:
         v = valid(src.program, parse_formula("A(f(f(f(f(g)))))"), Semantics.IND, 2)
         assert v.status is Verdict.UNKNOWN
 
+    def test_deep_counterexample_is_written_without_recursion(self):
+        """The INVALID note names its instance from the base's ids, so a
+        1,500-deep counterexample raises no RecursionError."""
+        src = parse_program_text("k1 : => p(z).\nk2 : p(X) => p(s(X)).\n")
+        term = App("z")
+        for _ in range(1500):
+            term = App("s", (term,))
+        v = valid(src.program, HornClause((), Atom("q", (term,))), Semantics.IND, 1600)
+        assert v.status is Verdict.INVALID
+        assert v.note == f"instance q({'s(' * 1500}z{')' * 1501} fails at depth 1600"
+
 
 class TestLemmaOneExecutable:
     """Facts are valid, and clause steps preserve validity, in both semantics."""

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,29 @@ class TestEnvironmentDiscipline:
         assert d.rule is Rule.NU
         hyp = d.children[0].judgement.env.hypothesis("a")
         assert hyp.formula == parse_formula("eq(X) => eq(bush(X))")
+
+    def test_binder_nesting_is_linear_in_memory(self):
+        """n nested nu binders on an (n+1)-clause cycle parse and check with
+        no copy of the binder scope or of the env per binder.  At n = 4,000
+        (a derivation 8,003 deep) those copies peaked at about 350 MB in the
+        parse and 200 MB in the check."""
+        n = 4000
+        src = parse_program(
+            "".join(f"k{i} : a{i + 1} => a{i}.\n" for i in range(n)) + f"k{n} : a0 => a{n}.\n"
+        )
+        env = env_for_program(src.program, src.names)
+        text = "".join(f"nu x{i}. k{i} (" for i in range(n + 1)) + "x0" + ")" * (n + 1)
+        tracemalloc.start()
+        try:
+            proof = parse_proof(text)
+            parsed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            d = check(env, proof, parse_formula("a0"))
+            checked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.depth() == 2 * n + 3
+        assert parsed < 20e6 and checked < 40e6, (parsed, checked)
 
 
 class TestGuardedness:

@@ -72,7 +72,7 @@ PROGRAM_TEXT = f"Program(clauses=(HornClause(body=(), head={PC_TEXT}), {CLAUSE_T
 ENV_TEXT = (
     f"AxiomEnv(entries=(EnvEntry(evidence=ConstSym(name='k1'), formula=HornClause(body=(), "
     f"head={PC_TEXT}), rigid=False), EnvEntry(evidence=ConstSym(name='k2'), "
-    f"formula={CLAUSE_TEXT}, rigid=False)))"
+    f"formula={CLAUSE_TEXT}, rigid=False)), hyps=None)"
 )
 SIGNATURE_TEXT = "Signature(functions={'c': 0, 'f': 1}, predicates={'p': 1})"
 BASE_TEXT = (
@@ -106,7 +106,7 @@ SAMPLES = {
     "AxiomEnv": (env, ENV_TEXT, True),
     "Judgement": (
         lambda: Judgement(AxiomEnv(), ConstSym("k1"), parse_formula("p(c)")),
-        "Judgement(env=AxiomEnv(entries=()), evidence=ConstSym(name='k1'), "
+        "Judgement(env=AxiomEnv(entries=(), hyps=None), evidence=ConstSym(name='k1'), "
         f"formula=HornClause(body=(), head={PC_TEXT}))",
         True,
     ),
@@ -139,7 +139,7 @@ SAMPLES = {
     "SearchResult": (
         lambda: SearchResult(Outcome.FAILED, None, None, (), AxiomEnv()),
         "SearchResult(outcome=<Outcome.FAILED: 'FAILED'>, evidence=None, derivation=None, "
-        "trace=(), env=AxiomEnv(entries=()), lemmas=(), auto_lemma=None)",
+        "trace=(), env=AxiomEnv(entries=(), hyps=None), lemmas=(), auto_lemma=None)",
         True,
     ),
     "SourceProgram": (
@@ -209,7 +209,7 @@ SAMPLES = {
 FILL = {
     "App": lambda t: (hash(t), str(t), term_sort_key(t)),
     "Atom": hash,
-    "AxiomEnv": lambda e: (e.axiom("k1"), e.lemmas()),
+    "AxiomEnv": lambda e: (e.axiom("k1"), e.lemmas),
     "HerbrandBase": lambda b: b.atoms,
     "_Grounding": lambda g: (g.watchers, g.by_head),
 }
@@ -327,7 +327,10 @@ class TestAxiomIndex:
         second = EnvEntry(ConstSym("k"), parse_formula("q(c)"))
         env = AxiomEnv((first, second))
         assert env.axiom("k") is first and env.axiom("missing") is None
-        assert env.extended(EnvEntry(ConstSym("j"), parse_formula("r(c)"))).axiom("j") is not None
+        third = EnvEntry(ConstSym("j"), parse_formula("r(c)"))
+        assert AxiomEnv(env.entries + (third,)).axiom("j") is third
+        # The search takes its axioms from the same index.
+        assert engine._Search(env, Mode.INDUCTIVE, 4, []).entries == (first,)
 
     def test_hypotheses_keep_the_index(self):
         e = env()
@@ -336,9 +339,20 @@ class TestAxiomIndex:
         assert inner._axioms is e._axioms
         assert inner.axiom("k2") is e.axiom("k2")
         assert inner.hypothesis("a").formula == parse_formula("p(c)")
-        assert e.lemmas() == ()
+        assert e.lemmas == ()
         with_lemma = e.add_lemma(Apply(ConstSym("k2"), ConstSym("k1")), parse_formula("p(f(c))"))
-        assert len(with_lemma.lemmas()) == 1 and with_lemma.axiom("k1") is e.axiom("k1")
+        assert len(with_lemma.lemmas) == 1 and with_lemma.axiom("k1") is e.axiom("k1")
+
+    def test_binding_shares_the_entries(self):
+        """A binder's env shares the entries and links to the outer
+        hypotheses: binding costs O(1), not a copy of the env."""
+        outer = env().extended(EnvEntry(ProofVar("a"), parse_formula("p(c)")))
+        inner = outer.extended(EnvEntry(ProofVar("b"), parse_formula("p(f(c))"), rigid=True))
+        assert inner.entries is outer.entries
+        assert inner.hyps[2] is outer.hyps and outer.hyps[2] is None
+        assert (inner.hyps[1], outer.hyps[1]) == (2, 1)
+        assert inner.hypothesis("a") is outer.hypothesis("a")
+        assert inner.hypothesis("b").rigid and outer.hypothesis("b") is None
 
     def test_chain_check_is_linear(self):
         """Each constant is looked up by name, not by a scan of the entries:
