@@ -46,18 +46,25 @@ of the grounding.  A fixpoint runs until a round changes nothing, at most
 one round per base atom and that last one, so `max_atoms` is the only
 budget.  Results are byte masks over the ids, printed in id order with
 no sort.
+
+A ground atom's own question needs no base when its closure stays within
+the depth: `certify_gfp`, and `valid` of a ground atomic formula, walk the
+one clause instance per atom that the non-overlap rule allows, interning
+only the terms they meet, in O(closure * clause body) after the same
+signature and budget checks; the answer equals the base's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 from enum import Enum
-from itertools import compress, product, repeat
+from itertools import compress, groupby, product, repeat
 from operator import gt
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .terms import (
     DEFAULT_MAX_ATOMS,
+    App,
     Atom,
     BaseTooLargeError,
     CertificateInvariantError,
@@ -73,6 +80,7 @@ from .terms import (
     atom_vars,
     clause_vars,
     enumerate_ground_terms,
+    head_key,
     signature_of,
     term_vars,
 )
@@ -91,6 +99,43 @@ class Semantics(Enum):
 # ---------------------------------------------------------------------------
 # Bases and interpretations
 # ---------------------------------------------------------------------------
+
+
+def _term_id(t: Term, env: dict[str, int], node_id) -> Optional[int]:
+    """The id of `t`, its variables read through `env` and each of its
+    nodes, (functor, child ids), through `node_id`; None as soon as one of
+    them has none.  A post-order walk on an explicit stack: a `(functor,
+    arity)` entry stands for a compound term whose argument ids are the
+    last `arity` ids found."""
+    ids: list[int] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            functor, n = t
+            k = node_id((functor, tuple(ids[-n:])))
+            del ids[-n:]
+        elif isinstance(t, Var):
+            k = env.get(t.name)
+        elif t.args:
+            stack.append((t.functor, len(t.args)))
+            stack += reversed(t.args)
+            continue
+        else:
+            k = node_id((t.functor, ()))
+        if k is None:
+            return None
+        ids.append(k)
+    return ids[0]
+
+
+def _match(terms, p: Term, t: int, env: dict[str, int]) -> bool:
+    """Whether `p` matches term t, where `terms[t]` is (functor, child
+    ids); binds the ids of p's variables in `env`."""
+    if isinstance(p, Var):
+        return env.setdefault(p.name, t) == t
+    functor, children = terms[t]
+    return functor == p.functor and all(map(_match, repeat(terms), p.args, children, repeat(env)))
 
 
 class HerbrandBase(Value, compared=3, shown=3):
@@ -119,40 +164,14 @@ class HerbrandBase(Value, compared=3, shown=3):
             return None
         k, n, env = 0, len(self.universe), env or {}
         for arg in atom.args:
-            t = env.get(arg.name) if isinstance(arg, Var) else self._term_id(arg, env)
+            t = env.get(arg.name) if isinstance(arg, Var) else _term_id(arg, env, self.intern.get)
             if t is None:
                 return None
             k = k * n + t
         return lo + k
 
-    def _term_id(self, t: Term, env: dict[str, int]) -> Optional[int]:
-        """The id of `t`, its variables read through `env`, or None when
-        that term lies outside the universe.  A post-order walk on an
-        explicit stack: a `(functor, arity)` entry stands for a compound
-        term whose argument ids are the last `arity` ids found."""
-        ids: list[Optional[int]] = []
-        stack: list = [t]
-        while stack:
-            t = stack.pop()
-            if type(t) is tuple:
-                functor, n = t
-                args = tuple(ids[-n:])
-                del ids[-n:]
-                ids.append(self.intern.get((functor, args)))
-            elif isinstance(t, Var):
-                ids.append(env.get(t.name))
-            elif t.args:
-                stack.append((t.functor, len(t.args)))
-                stack += reversed(t.args)
-            else:
-                ids.append(self.intern.get((t.functor, ())))
-        return ids[0]
-
     def _match(self, p: Term, t: int, env: dict[str, int]) -> bool:
-        if isinstance(p, Var):
-            return env.setdefault(p.name, t) == t
-        functor, children = self.terms[t]
-        return functor == p.functor and all(map(self._match, p.args, children, repeat(env)))
+        return _match(self.terms, p, t, env)
 
     def join(self, head: Atom) -> tuple[list[int], list[tuple[int, ...]]]:
         """The ids of the base atoms that `head` matches, in id order, and
@@ -183,7 +202,7 @@ class HerbrandBase(Value, compared=3, shown=3):
                     if self._match(p, t, bound):
                         key = tuple(bound[v] for v in old)
                         column.setdefault(key, []).append((t, tuple(bound[v] for v in new)))
-            elif (t := self._term_id(p, {})) is not None:
+            elif (t := _term_id(p, {}, self.intern.get)) is not None:
                 column[()] = [(t, ())]
             names += new
             rows = [
@@ -212,7 +231,7 @@ class HerbrandBase(Value, compared=3, shown=3):
             elif term_vars(arg):
                 compound.append((arg, w))
             else:
-                t = self._term_id(arg, {})
+                t = _term_id(arg, {}, self.intern.get)
                 if t is None:
                     return [None] * len(envs)
                 ids = [k + t * w for k in ids]
@@ -220,7 +239,7 @@ class HerbrandBase(Value, compared=3, shown=3):
             dicts = [dict(zip(names, e)) for e in envs]
             for arg, w in compound:
                 ids = [
-                    None if k is None or (t := self._term_id(arg, d)) is None else k + t * w
+                    None if k is None or (t := _term_id(arg, d, self.intern.get)) is None else k + t * w
                     for k, d in zip(ids, dicts)
                 ]
         return ids
@@ -307,6 +326,19 @@ def bounded_size(signature: Signature, depth: int, cap: int) -> int:
     return min(max(u, atoms), top)
 
 
+def _checked(
+    signature: Signature, depth: int, extra_constants: Iterable[str], max_atoms: int
+) -> Signature:
+    """The signature of the depth-`depth` base, after the checks that
+    building it makes first: the extra constants, and the budget."""
+    sig = signature.with_constants(extra_constants)
+    if bounded_size(sig, depth, max_atoms) > max_atoms:
+        raise BaseTooLargeError(
+            f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
+        )
+    return sig
+
+
 def herbrand_base(
     signature: Signature,
     depth: int,
@@ -315,11 +347,7 @@ def herbrand_base(
 ) -> HerbrandBase:
     """The depth-bounded base; `BaseTooLargeError`, before anything is
     enumerated, when it would hold more than `max_atoms` atoms or terms."""
-    sig = signature.with_constants(extra_constants)
-    if bounded_size(sig, depth, max_atoms) > max_atoms:
-        raise BaseTooLargeError(
-            f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
-        )
+    sig = _checked(signature, depth, extra_constants, max_atoms)
     universe = tuple(enumerate_ground_terms(sig, depth))
     ids = {t: k for k, t in enumerate(universe)}
     terms = tuple((t.functor, tuple(ids[a] for a in t.args)) for t in universe)
@@ -401,7 +429,18 @@ def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
 
 
 def _fixpoint(g: _Grounding, base: HerbrandBase, greatest: bool, policy: Policy) -> Interpretation:
-    """Iterate the bounded operator until it stops changing.
+    # Under the pessimistic policy an instance with an out-of-base body atom
+    # never fires.
+    current, rounds = _propagate(g, greatest, g.outside if policy is Policy.PESSIMISTIC else {})
+    return Interpretation(
+        AtomSet(base, bytes(current)), base,
+        base_atoms=base.size, instances=len(g.heads), rounds=rounds,
+    )
+
+
+def _propagate(g: _Grounding, greatest: bool, mute: AbstractSet[int]) -> tuple[bytearray, int]:
+    """Iterate the bounded operator until it stops changing, with the
+    instances in `mute` never firing; the fixpoint's mask and rounds.
 
     The least fixed point starts from the empty set, and the iterates grow;
     the greatest starts from the whole base, and they shrink.  Each round is
@@ -409,13 +448,10 @@ def _fixpoint(g: _Grounding, base: HerbrandBase, greatest: bool, policy: Policy)
     those of re-applying the operator naively until it stops changing; but
     a round only visits the instances whose body holds an atom that the
     previous round added or removed.  Every round but the last adds or
-    removes an atom, so there are at most `base.size + 1` rounds.
+    removes an atom, so there are at most `g.size + 1` rounds.
     """
     heads, watchers = g.heads, g.watchers
-    # Under the pessimistic policy an instance with an out-of-base body atom
-    # never fires.
-    mute = g.outside if policy is Policy.PESSIMISTIC else {}
-    current = bytearray(b"\x01" if greatest else b"\x00") * base.size
+    current = bytearray(b"\x01" if greatest else b"\x00") * g.size
     # The last round, which changes nothing.
     rounds = 1
     if not greatest:
@@ -435,7 +471,7 @@ def _fixpoint(g: _Grounding, base: HerbrandBase, greatest: bool, policy: Policy)
     else:
         # changed: atoms the next application removes.
         alive = [i not in mute for i in range(len(heads))]
-        support = [0] * base.size
+        support = [0] * g.size
         for head in compress(heads, alive):
             support[head] += 1
         changed = {a for a, n in enumerate(support) if not n}
@@ -451,10 +487,7 @@ def _fixpoint(g: _Grounding, base: HerbrandBase, greatest: bool, policy: Policy)
                         support[heads[i]] -= 1
                         if not support[heads[i]]:
                             changed.add(heads[i])
-    return Interpretation(
-        AtomSet(base, bytes(current)), base,
-        base_atoms=base.size, instances=len(heads), rounds=rounds,
-    )
+    return current, rounds
 
 
 def lfp(
@@ -485,6 +518,117 @@ def gfp_bounded(
 
 
 # ---------------------------------------------------------------------------
+# Closures of ground atoms
+# ---------------------------------------------------------------------------
+
+
+class _Listed(frozenset):
+    """A frozenset of atoms that iterates, and lists its `texts`, in the
+    order given, as an `AtomSet` does in id order."""
+
+    def __new__(cls, atoms: list[Atom], texts: Iterable[str] = ()):
+        self = super().__new__(cls, atoms)
+        self.order, self.names = tuple(atoms), tuple(texts)
+        return self
+
+    def __iter__(self) -> Iterator[Atom]:
+        return iter(self.order)
+
+    def texts(self) -> Iterator[str]:
+        return iter(self.names)
+
+
+class Closure(Value):
+    """The atoms a ground atom reaches through the bodies of its clause
+    instances, itself first: `atoms[i]` is (predicate, argument term ids),
+    and `terms[k]` is (functor, child ids), each child before its parent.
+    `greatest` and `least` say whether the first atom is in the greatest
+    and in the least model."""
+
+    __slots__ = ("atoms", "terms", "greatest", "least")
+
+    def texts(self) -> list[str]:
+        """The atoms as `str` prints them, each term rendered once."""
+        names: list[str] = []
+        for functor, children in self.terms:
+            names.append(f"{functor}({','.join([names[c] for c in children])})" if children else functor)
+        return [f"{p}({','.join([names[a] for a in args])})" if args else p for p, args in self.atoms]
+
+    def support(self) -> _Listed:
+        """The atoms as a set listed in `atom_sort_key` order.  Terms are
+        ranked depth by depth, so no sort key nests."""
+        terms, depths, apps, rank = self.terms, [], [], {}
+        for functor, children in terms:
+            depths.append(1 + max([depths[c] for c in children], default=0))
+            apps.append(App(functor, tuple(apps[c] for c in children)))
+            hash(apps[-1])  # from the children's cached hashes: no recursion
+        for _, level in groupby(sorted(range(len(terms)), key=depths.__getitem__), depths.__getitem__):
+            for k in sorted(level, key=lambda k: (terms[k][0], [rank[c] for c in terms[k][1]])):
+                rank[k] = len(rank)
+        keys = [(p, [rank[a] for a in args]) for p, args in self.atoms]
+        rows = sorted(zip(keys, self.atoms, self.texts()))
+        atoms = [Atom(p, tuple(apps[a] for a in args)) for _, (p, args), _ in rows]
+        return _Listed(atoms, [text for *_, text in rows])
+
+
+def closure(program: Program, target: Atom, depth: int) -> Optional[Closure]:
+    """The closure of the ground atom `target`, or None when an atom of it
+    has a term deeper than `depth` or the program has lemma clauses.
+
+    Axiom heads do not overlap and bind every variable of their clause, so
+    a ground atom matches at most one clause, and that instance's body is
+    ground: the closure is a finite AND-graph.  The target is in the
+    greatest model iff every atom of it has an instance, so the walk stops
+    at the first that has none, and in the least iff, moreover, the least
+    fixpoint of those instances holds it, which is when the graph is
+    acyclic.  Terms are interned as they are met, with their depths, and
+    walked on explicit stacks, as the base walks them."""
+    if program.axiom_count < len(program.clauses):
+        return None
+    terms: list[tuple[str, tuple[int, ...]]] = []
+    intern: dict[tuple[str, tuple[int, ...]], int] = {}
+    depths: list[int] = []
+
+    def node_id(node: tuple[str, tuple[int, ...]]) -> Optional[int]:
+        k = intern.get(node)
+        if k is None and (d := 1 + max([depths[c] for c in node[1]], default=0)) <= depth:
+            k = intern[node] = len(terms)
+            terms.append(node)
+            depths.append(d)
+        return k
+
+    def atom_key(a: Atom, env: dict[str, int]) -> Optional[tuple[str, tuple[int, ...]]]:
+        args = tuple(env[t.name] if isinstance(t, Var) else _term_id(t, env, node_id) for t in a.args)
+        return None if None in args else (a.predicate, args)
+
+    by_key: dict[tuple[str, Optional[str]], list[HornClause]] = {}
+    for c in program.clauses:
+        by_key.setdefault(head_key(c.head), []).append(c)
+    atoms = [atom_key(target, {})]
+    if atoms[0] is None:
+        return None
+    index, bodies = {atoms[0]: 0}, []
+    for pred, args in atoms:  # the list grows as the walk goes
+        first = terms[args[0]][0] if args else None
+        for c in by_key.get((pred, first), []) + (by_key.get((pred, None), []) if first else []):
+            env: dict[str, int] = {}
+            if all(map(_match, repeat(terms), c.head.args, args, repeat(env))):
+                break
+        else:
+            break  # no instance: the target is in no model
+        body = [atom_key(b, env) for b in c.body]
+        if None in body:
+            return None
+        for key in body:
+            if index.setdefault(key, len(atoms)) == len(atoms):
+                atoms.append(key)
+        bodies.append(tuple(index[key] for key in body))
+    greatest = len(bodies) == len(atoms)
+    g = _Grounding(list(range(len(bodies))), bodies, {}, len(bodies))
+    return Closure(atoms, terms, greatest, greatest and _propagate(g, False, {})[0][0] == 1)
+
+
+# ---------------------------------------------------------------------------
 # Greatest-model membership certificates
 # ---------------------------------------------------------------------------
 
@@ -494,10 +638,18 @@ class Certificate(Value, compared=4):
     optimistic operator.  `frontier` lists the out-of-base body atoms the
     support leans on; when it is empty the certificate is a post-fixed point
     of the true operator and hence a sound witness of greatest-model
-    membership.  The counters are those of the optimistic gfp."""
+    membership.  The counters are those of the optimistic gfp, or, when the
+    target's closure gave the support, 0 base atoms, one instance per
+    support atom and 0 rounds."""
 
     __slots__ = ("target", "support", "frontier", "depth", "base_atoms", "instances", "rounds")
     _defaults = {"base_atoms": 0, "instances": 0, "rounds": 0}
+
+    @property
+    def judge(self) -> str:
+        """"closure" when the target's closure gave the certificate, which
+        builds no base, else "base"."""
+        return "base" if self.base_atoms else "closure"
 
     @property
     def exact(self) -> bool:
@@ -520,11 +672,21 @@ def certify_gfp(
     The signature is extended with the target's own symbols, so targets may
     mention constants that the program never writes down.  Returns None when
     no support exists within the bound; that is not a proof of absence.
+    When the target's closure stays within the depth, it gives the answer
+    the base would give, and no base is built.
     """
     if atom_vars(target):
         raise ValueError("certificate targets must be ground atoms")
-    sig = program.signature.merged(signature_of([target]))
-    base = herbrand_base(sig, search_depth, extra_constants, max_atoms)
+    sig = _checked(
+        program.signature.merged(signature_of([target])), search_depth, extra_constants, max_atoms
+    )
+    closed = closure(program, target, search_depth)
+    if closed is not None:
+        if not closed.greatest:
+            return None
+        support = closed.support()
+        return Certificate(target, support, frozenset(), search_depth, instances=len(support))
+    base = herbrand_base(sig, search_depth, max_atoms=max_atoms)
     if target not in base.atoms:
         return None
     g = _ground_program(program, base)
@@ -621,6 +783,14 @@ def valid(
     join with the base.
     """
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
+    sig = _checked(sig, depth, (), max_atoms)
+    if formula.is_atomic and not atom_vars(formula.head):
+        closed = closure(program, formula.head, depth)
+        if closed is not None:
+            if closed.least if semantics is Semantics.IND else closed.greatest:
+                return ValidityVerdict(Verdict.VALID, None, semantics, depth)
+            note = f"instance {closed.texts()[0]} fails at depth {depth}"
+            return ValidityVerdict(Verdict.INVALID, {}, semantics, depth, note=note)
     base = herbrand_base(sig, depth, max_atoms=max_atoms)
     g = _ground_program(program, base)
     greatest = semantics is Semantics.COIND

@@ -12,13 +12,19 @@ The one-step consequence operator as the definition states it: `tp_step`
 fires every instance whose body the interpretation holds.  The tests re-apply
 it to check the fixpoints, certificates and monotonicity that the oracle
 computes by counter propagation.
+
+The closure judge as plain recursion over `terms.match` and `apply_atom`:
+`closure_judge` decides a ground atom's membership in the greatest and the
+least model, and its least-model stage, from the graph of the clause
+instances it reaches.  `tests/test_closure.py` holds it against the engine
+and against `cohorn.herbrand.closure`.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product, repeat
-from typing import Iterator
+from typing import Iterator, Optional
 
 from cohorn.herbrand import (
     AtomSet,
@@ -28,6 +34,7 @@ from cohorn.herbrand import (
     _Grounding,
     _ground_program,
 )
+from cohorn import terms
 from cohorn.terms import Atom, Program, Term, Var, apply_atom
 
 
@@ -104,3 +111,56 @@ def tp_monotone_check(
     if not i.atoms <= j.atoms:
         raise ValueError("monotonicity check requires i.atoms <= j.atoms")
     return tp_step(program, i, policy).atoms <= tp_step(program, j, policy).atoms
+
+
+class ClosureTooLarge(Exception):
+    """The closure holds more atoms than the judge was allowed to visit."""
+
+
+def closure_graph(program: Program, atom: Atom, limit: int) -> dict[Atom, Optional[tuple[Atom, ...]]]:
+    """The closure of the ground atom `atom` as a graph, found by plain
+    recursion: each atom it reaches maps to the body of the one clause
+    instance whose head matches it, or to None when no clause head
+    matches.  Raises ClosureTooLarge past `limit` atoms."""
+    graph: dict[Atom, Optional[tuple[Atom, ...]]] = {}
+
+    def visit(a: Atom) -> None:
+        if a in graph:
+            return
+        if len(graph) == limit:
+            raise ClosureTooLarge(a)
+        bodies = [
+            tuple(apply_atom(s, b) for b in c.body)
+            for c in program.clauses
+            if (s := terms.match(c.head, a)) is not None
+        ]
+        assert len(bodies) <= 1, "axiom heads overlap"
+        graph[a] = bodies[0] if bodies else None
+        for b in graph[a] or ():
+            visit(b)
+
+    visit(atom)
+    return graph
+
+
+def closure_judge(program: Program, atom: Atom, limit: int) -> tuple[bool, Optional[int], int]:
+    """(whether `atom` is in the greatest model, its stage in the least
+    model or None when it is not in it, the number of atoms in its
+    closure), read off `closure_graph`.  An atom with an instance whose body
+    is empty has stage 1, and any other atom of the least model one more
+    than the highest stage in its body; an atom on, or above, a cycle has
+    none."""
+    graph = closure_graph(program, atom, limit)
+    stages: dict[Atom, Optional[int]] = {}
+
+    def stage(a: Atom) -> Optional[int]:
+        if a not in stages:
+            stages[a] = None  # open: a cycle back to `a` finds no stage
+            body = graph[a]
+            if body is not None:
+                below = [stage(b) for b in body]
+                if None not in below:
+                    stages[a] = 1 + max(below, default=0)
+        return stages[a]
+
+    return all(body is not None for body in graph.values()), stage(atom), len(graph)

@@ -548,13 +548,18 @@ class TestOracleCounters:
         assert m == Interpretation(m.atoms, m.base)
 
     def test_certificate_counters(self):
-        src = load("evenodd")
-        cert = certify_gfp(src.program, parse_atom("eq(evenList(int))"), 3)
-        model = gfp_bounded(src.program, 3, Policy.OPTIMISTIC)
+        # D(z,z)'s closure leaves the depth: the base route's optimistic gfp.
+        src = load("p11")
+        cert = certify_gfp(src.program, parse_atom("D(z,z)"), 6)
+        model = gfp_bounded(src.program, 6, Policy.OPTIMISTIC)
         assert (cert.base_atoms, cert.instances, cert.rounds) == (
             model.base_atoms, model.instances, model.rounds,
         )
         assert cert.instances > 0
+        # eq(evenList(int))'s closure closes: no base, an instance per support atom.
+        cert = certify_gfp(load("evenodd").program, parse_atom("eq(evenList(int))"), 3)
+        assert (cert.base_atoms, cert.instances, cert.rounds) == (0, 3, 0)
+        assert len(cert.support) == 3
 
 
 # ---------------------------------------------------------------------------
