@@ -129,6 +129,15 @@ def _term_id(t: Term, env: dict[str, int], node_id) -> Optional[int]:
     return ids[0]
 
 
+def _texts(terms: Iterable[tuple[str, tuple[int, ...]]]) -> list[str]:
+    """The text of each term (functor, child ids), as `str` prints it,
+    built from its children's texts: a child's id is below its parent's."""
+    names: list[str] = []
+    for functor, children in terms:
+        names.append(f"{functor}({','.join([names[c] for c in children])})" if children else functor)
+    return names
+
+
 def _match(terms, p: Term, t: int, env: dict[str, int]) -> bool:
     """Whether `p` matches term t, where `terms[t]` is (functor, child
     ids); binds the ids of p's variables in `env`."""
@@ -284,9 +293,7 @@ class AtomSet(Set):
         `Atom`s: each universe term is rendered once, from its children's
         texts (a child's id is below its parent's, as the universe is in
         depth order), and only the members' argument tuples are joined."""
-        names: list[str] = []
-        for functor, children in self.base.terms:
-            names.append(f"{functor}({','.join([names[c] for c in children])})" if children else functor)
+        names = _texts(self.base.terms)
         for pred, (arity, lo) in self.base.offsets.items():
             args = product(names, repeat=arity)
             if self.mask is not None:
@@ -549,9 +556,7 @@ class Closure(Value):
 
     def texts(self) -> list[str]:
         """The atoms as `str` prints them, each term rendered once."""
-        names: list[str] = []
-        for functor, children in self.terms:
-            names.append(f"{functor}({','.join([names[c] for c in children])})" if children else functor)
+        names = _texts(self.terms)
         return [f"{p}({','.join([names[a] for a in args])})" if args else p for p, args in self.atoms]
 
     def support(self) -> _Listed:
