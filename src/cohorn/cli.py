@@ -452,21 +452,16 @@ def _cmd_certify(src: SourceProgram, args) -> int:
     cert = herbrand.certify_gfp(
         src.program, atom, args.depth, extra_constants=args.const, max_atoms=args.max_atoms
     )
-    if cert:
-        judge = cert.judge
-    else:  # no certificate: from the closure iff it stays within the depth
-        judge = "base" if herbrand.closure(src.program, atom, args.depth) is None else "closure"
     report = {
         "command": "certify",
         "program": args.program,
         "atom": args.atom,
         "depth": args.depth,
-        "judge": judge,
         "found": cert is not None,
         "exact": cert.exact if cert else None,
         "stats": _oracle_stats(cert) if cert else None,
         "support": list(cert.support.texts()) if cert else [],
-        "frontier": [str(a) for a in cert.sorted_frontier()] if cert else [],
+        "frontier": list(cert.frontier.texts()) if cert else [],
         "exit_code": EX_OK if cert else EX_REJECTED,
     }
 
@@ -481,7 +476,7 @@ def _cmd_certify(src: SourceProgram, args) -> int:
             lines += _block(title, report["frontier"])
         return lines
 
-    rows = ("command", "program", "atom", "depth", "judge", certificate_lines)
+    rows = ("command", "program", "atom", "depth", certificate_lines)
     return _emit(report, rows, args.json)
 
 

@@ -266,9 +266,13 @@ class _Search:
         # Lemmas, then the checker's axiom index: the option order, and a
         # lemma's 1-based position is its number in the trace.
         self.entries = env.lemmas + tuple(env.axioms.values())
-        self.by_pred: dict[str, list[EnvEntry]] = {}
-        for e in self.entries:
-            self.by_pred.setdefault(e.formula.head.predicate, []).append(e)
+        # Per predicate, the arities of its heads; per head_key, the option
+        # positions of its entries.
+        self.arities: dict[str, set[int]] = {}
+        self.by_head: dict[tuple[str, Optional[str]], list[int]] = {}
+        for k, e in enumerate(self.entries):
+            self.arities.setdefault(e.formula.head.predicate, set()).add(len(e.formula.head.args))
+            self.by_head.setdefault(head_key(e.formula.head), []).append(k)
         # (head_key, arity) of a goal -> its static candidates; see _static.
         self.by_key: dict[tuple, tuple[EnvEntry, ...]] = {}
         self.mode = mode
@@ -321,10 +325,10 @@ class _Search:
         found = self.by_key.get(key)
         if found is None:
             (pred, functor), arity = key
-            entries = self.by_pred.get(pred, ())
-            if all(len(e.formula.head.args) == arity for e in entries):
-                entries = [e for e in entries if head_key(e.formula.head)[1] in (None, functor)]
-            found = self.by_key[key] = tuple(entries)
+            ks = self.by_head.get((pred, functor), []) + (self.by_head.get((pred, None), []) if functor else [])
+            if self.arities.get(pred, {arity}) != {arity}:
+                ks = [k for k, e in enumerate(self.entries) if e.formula.head.predicate == pred]
+            found = self.by_key[key] = tuple(self.entries[k] for k in sorted(ks))
         return found
 
     def _nu_wrap(

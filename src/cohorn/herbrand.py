@@ -47,11 +47,16 @@ one round per base atom and that last one, so `max_atoms` is the only
 budget.  Results are byte masks over the ids, printed in id order with
 no sort.
 
-A ground atom's own question needs no base when its closure stays within
-the depth: `certify_gfp`, and `valid` of a ground atomic formula, walk the
-one clause instance per atom that the non-overlap rule allows, interning
-only the terms they meet, in O(closure * clause body) after the same
-signature and budget checks; the answer equals the base's.
+A ground atom's own question needs no base: its membership in either
+model depends only on the atoms it reaches through clause bodies.
+`certify_gfp`, and `valid` of a ground atomic formula, ground just those
+atoms (`_reach`), numbered from the target and interning only the terms they
+meet, after the same signature and budget checks.  A body atom with a term
+beyond the depth is an out-of-base atom of its instance, as in a base's
+grounding, and is not walked.  The walk costs O(reached instances * clause
+body), plus matching each reached atom against the clause heads of its
+predicate and first functor; the same fixpoints and support then run on it,
+so the answer equals the base's.
 """
 
 from __future__ import annotations
@@ -162,9 +167,6 @@ class HerbrandBase(Value, compared=3, shown=3):
     def atoms(self) -> AtomSet:
         return AtomSet(self, None)
 
-    def sorted_atoms(self) -> tuple[Atom, ...]:
-        return tuple(self.atoms)
-
     def atom_id(self, atom: Atom, env: Optional[dict[str, int]] = None) -> Optional[int]:
         """The id of `atom`, its variables read through `env`, or None when
         that atom lies outside the base."""
@@ -178,9 +180,6 @@ class HerbrandBase(Value, compared=3, shown=3):
                 return None
             k = k * n + t
         return lo + k
-
-    def _match(self, p: Term, t: int, env: dict[str, int]) -> bool:
-        return _match(self.terms, p, t, env)
 
     def join(self, head: Atom) -> tuple[list[int], list[tuple[int, ...]]]:
         """The ids of the base atoms that `head` matches, in id order, and
@@ -208,7 +207,7 @@ class HerbrandBase(Value, compared=3, shown=3):
             if here:
                 for t in range(n):
                     bound: dict[str, int] = {}
-                    if self._match(p, t, bound):
+                    if _match(self.terms, p, t, bound):
                         key = tuple(bound[v] for v in old)
                         column.setdefault(key, []).append((t, tuple(bound[v] for v in new)))
             elif (t := _term_id(p, {}, self.intern.get)) is not None:
@@ -308,10 +307,6 @@ class AtomSet(Set):
         return frozenset(atoms)
 
 
-def _ordered(atoms: AbstractSet[Atom]) -> tuple[Atom, ...]:
-    return tuple(atoms) if isinstance(atoms, AtomSet) else tuple(sorted(atoms, key=atom_sort_key))
-
-
 def bounded_size(signature: Signature, depth: int, cap: int) -> int:
     """The number of atoms or universe terms of the depth-`depth` base,
     whichever is larger, or cap + 1 if that exceeds `cap`.
@@ -343,6 +338,8 @@ def _checked(
         raise BaseTooLargeError(
             f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
         )
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     return sig
 
 
@@ -377,7 +374,8 @@ class Interpretation(Value, compared=2):
     _defaults = {"base_atoms": 0, "instances": 0, "rounds": 0}
 
     def sorted_atoms(self) -> tuple[Atom, ...]:
-        return _ordered(self.atoms)
+        atoms = self.atoms
+        return tuple(atoms) if isinstance(atoms, AtomSet) else tuple(sorted(atoms, key=atom_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +384,14 @@ class Interpretation(Value, compared=2):
 
 
 class _Grounding(Value):
-    """Clause instances with an in-base head, over a base of `size` atoms.
+    """Clause instances with an in-base head, over `size` atoms: a whole
+    base's (`_ground_program`) or those a ground atom reaches (`_reach`).
     Instance i has head id `heads[i]`, in-base body ids `bodies[i]`, in body
-    order, and, if it has any, out-of-base body atoms `outside[i]`.
-    Instances come clause by clause, each clause's in head id order (the
-    order of its head join), and each clause has at most one instance per
-    head (the head binds every variable), so one head's instances are in
-    clause order.  The indexes over the instances are built on first use,
-    once per grounding, however many fixpoints and certificates read it."""
+    order, and, if it has any, out-of-base body atoms `outside[i]`.  Each
+    clause has at most one instance per head (the head binds every
+    variable), and one head's instances are in clause order.  The indexes
+    over the instances are built on first use, once per grounding, however
+    many fixpoints and certificates read it."""
 
     __slots__ = ("heads", "bodies", "outside", "size", "_watchers", "_by_head")
 
@@ -525,15 +523,84 @@ def gfp_bounded(
 
 
 # ---------------------------------------------------------------------------
-# Closures of ground atoms
+# The atoms a ground atom reaches
 # ---------------------------------------------------------------------------
+
+
+_Key = tuple[str, tuple[int, ...]]
+
+
+def _reach(
+    program: Program, target: Atom, depth: int
+) -> Optional[tuple[_Grounding, list[_Key], list[_Key]]]:
+    """The grounding of the atoms that the ground atom `target` reaches
+    through clause bodies, numbered from the target, which is atom 0; with
+    it the atoms, as (predicate, argument term ids), and the term table of
+    (functor, child ids), each child first.  None when the target lies
+    outside the base.
+
+    Each reached atom gets every clause instance whose head it is, in clause
+    order; the head binds every variable, so the body is ground.  A body
+    atom with a term deeper than `depth` is an out-of-base atom of its
+    instance, and is not walked.  The reached atoms are closed under the
+    bodies of their instances, so their fixpoints are the base's."""
+    terms: list[_Key] = []
+    intern: dict[_Key, int] = {}
+    depths: list[int] = []
+
+    def node_id(node: _Key) -> int:
+        k = intern.get(node)
+        if k is None:
+            k = intern[node] = len(terms)
+            terms.append(node)
+            depths.append(1 + max([depths[c] for c in node[1]], default=0))
+        return k
+
+    def atom_key(a: Atom, env: dict[str, int]) -> _Key:
+        args = tuple(env[t.name] if isinstance(t, Var) else _term_id(t, env, node_id) for t in a.args)
+        return a.predicate, args
+
+    by_key: dict[tuple[str, Optional[str]], list[int]] = {}
+    for k, c in enumerate(program.clauses):
+        by_key.setdefault(head_key(c.head), []).append(k)
+    atoms = [atom_key(target, {})]
+    if any(depths[t] > depth for t in atoms[0][1]):
+        return None
+    index = {atoms[0]: 0}
+    # (predicate, first functor) -> the numbers of the clauses whose heads
+    # may match such an atom, in clause order.
+    tried: dict[tuple[str, Optional[str]], list[int]] = {}
+    heads: list[int] = []
+    bodies: list[tuple[int, ...]] = []
+    outside: dict[int, tuple[_Key, ...]] = {}
+    for a, (pred, args) in enumerate(atoms):  # the list grows as the walk goes
+        key = (pred, terms[args[0]][0] if args else None)
+        if key not in tried:
+            tried[key] = sorted(by_key.get(key, []) + (by_key.get((pred, None), []) if key[1] else []))
+        for k in tried[key]:
+            c, env = program.clauses[k], {}
+            if not all(map(_match, repeat(terms), c.head.args, args, repeat(env))):
+                continue
+            body, out = [], []
+            for b in map(atom_key, c.body, repeat(env)):
+                if any(depths[t] > depth for t in b[1]):
+                    out.append(b)
+                    continue
+                if index.setdefault(b, len(atoms)) == len(atoms):
+                    atoms.append(b)
+                body.append(index[b])
+            if out:
+                outside[len(heads)] = tuple(out)
+            heads.append(a)
+            bodies.append(tuple(body))
+    return _Grounding(heads, bodies, outside, len(atoms)), atoms, terms
 
 
 class _Listed(frozenset):
     """A frozenset of atoms that iterates, and lists its `texts`, in the
     order given, as an `AtomSet` does in id order."""
 
-    def __new__(cls, atoms: list[Atom], texts: Iterable[str] = ()):
+    def __new__(cls, atoms: list[Atom], texts: Iterable[str]):
         self = super().__new__(cls, atoms)
         self.order, self.names = tuple(atoms), tuple(texts)
         return self
@@ -545,92 +612,27 @@ class _Listed(frozenset):
         return iter(self.names)
 
 
-class Closure(Value):
-    """The atoms a ground atom reaches through the bodies of its clause
-    instances, itself first: `atoms[i]` is (predicate, argument term ids),
-    and `terms[k]` is (functor, child ids), each child before its parent.
-    `greatest` and `least` say whether the first atom is in the greatest
-    and in the least model."""
-
-    __slots__ = ("atoms", "terms", "greatest", "least")
-
-    def texts(self) -> list[str]:
-        """The atoms as `str` prints them, each term rendered once."""
-        names = _texts(self.terms)
-        return [f"{p}({','.join([names[a] for a in args])})" if args else p for p, args in self.atoms]
-
-    def support(self) -> _Listed:
-        """The atoms as a set listed in `atom_sort_key` order.  Terms are
-        ranked depth by depth, so no sort key nests."""
-        terms, depths, apps, rank = self.terms, [], [], {}
-        for functor, children in terms:
-            depths.append(1 + max([depths[c] for c in children], default=0))
-            apps.append(App(functor, tuple(apps[c] for c in children)))
-            hash(apps[-1])  # from the children's cached hashes: no recursion
-        for _, level in groupby(sorted(range(len(terms)), key=depths.__getitem__), depths.__getitem__):
-            for k in sorted(level, key=lambda k: (terms[k][0], [rank[c] for c in terms[k][1]])):
-                rank[k] = len(rank)
-        keys = [(p, [rank[a] for a in args]) for p, args in self.atoms]
-        rows = sorted(zip(keys, self.atoms, self.texts()))
-        atoms = [Atom(p, tuple(apps[a] for a in args)) for _, (p, args), _ in rows]
-        return _Listed(atoms, [text for *_, text in rows])
-
-
-def closure(program: Program, target: Atom, depth: int) -> Optional[Closure]:
-    """The closure of the ground atom `target`, or None when an atom of it
-    has a term deeper than `depth` or the program has lemma clauses.
-
-    Axiom heads do not overlap and bind every variable of their clause, so
-    a ground atom matches at most one clause, and that instance's body is
-    ground: the closure is a finite AND-graph.  The target is in the
-    greatest model iff every atom of it has an instance, so the walk stops
-    at the first that has none, and in the least iff, moreover, the least
-    fixpoint of those instances holds it, which is when the graph is
-    acyclic.  Terms are interned as they are met, with their depths, and
-    walked on explicit stacks, as the base walks them."""
-    if program.axiom_count < len(program.clauses):
-        return None
-    terms: list[tuple[str, tuple[int, ...]]] = []
-    intern: dict[tuple[str, tuple[int, ...]], int] = {}
+def _listed(terms: list[_Key], *groups: list[_Key]) -> list[_Listed]:
+    """Each group of atoms (predicate, argument term ids) as a set listed in
+    `atom_sort_key` order.  Terms are ranked depth by depth, so no sort key
+    nests, and built bottom up, each hashed from its children's cached
+    hashes, so neither a text nor a hash recurses."""
     depths: list[int] = []
-
-    def node_id(node: tuple[str, tuple[int, ...]]) -> Optional[int]:
-        k = intern.get(node)
-        if k is None and (d := 1 + max([depths[c] for c in node[1]], default=0)) <= depth:
-            k = intern[node] = len(terms)
-            terms.append(node)
-            depths.append(d)
-        return k
-
-    def atom_key(a: Atom, env: dict[str, int]) -> Optional[tuple[str, tuple[int, ...]]]:
-        args = tuple(env[t.name] if isinstance(t, Var) else _term_id(t, env, node_id) for t in a.args)
-        return None if None in args else (a.predicate, args)
-
-    by_key: dict[tuple[str, Optional[str]], list[HornClause]] = {}
-    for c in program.clauses:
-        by_key.setdefault(head_key(c.head), []).append(c)
-    atoms = [atom_key(target, {})]
-    if atoms[0] is None:
-        return None
-    index, bodies = {atoms[0]: 0}, []
-    for pred, args in atoms:  # the list grows as the walk goes
-        first = terms[args[0]][0] if args else None
-        for c in by_key.get((pred, first), []) + (by_key.get((pred, None), []) if first else []):
-            env: dict[str, int] = {}
-            if all(map(_match, repeat(terms), c.head.args, args, repeat(env))):
-                break
-        else:
-            break  # no instance: the target is in no model
-        body = [atom_key(b, env) for b in c.body]
-        if None in body:
-            return None
-        for key in body:
-            if index.setdefault(key, len(atoms)) == len(atoms):
-                atoms.append(key)
-        bodies.append(tuple(index[key] for key in body))
-    greatest = len(bodies) == len(atoms)
-    g = _Grounding(list(range(len(bodies))), bodies, {}, len(bodies))
-    return Closure(atoms, terms, greatest, greatest and _propagate(g, False, {})[0][0] == 1)
+    apps: list[App] = []
+    rank: dict[int, int] = {}
+    for functor, children in terms:
+        depths.append(1 + max([depths[c] for c in children], default=0))
+        apps.append(App(functor, tuple(apps[c] for c in children)))
+        hash(apps[-1])
+    for _, level in groupby(sorted(range(len(terms)), key=depths.__getitem__), depths.__getitem__):
+        for k in sorted(level, key=lambda k: (terms[k][0], [rank[c] for c in terms[k][1]])):
+            rank[k] = len(rank)
+    names, out = _texts(terms), []
+    for atoms in groups:
+        atoms = sorted(atoms, key=lambda a: (a[0], [rank[t] for t in a[1]]))
+        texts = [f"{p}({','.join([names[t] for t in args])})" if args else p for p, args in atoms]
+        out.append(_Listed([Atom(p, tuple(apps[t] for t in args)) for p, args in atoms], texts))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,25 +645,16 @@ class Certificate(Value, compared=4):
     optimistic operator.  `frontier` lists the out-of-base body atoms the
     support leans on; when it is empty the certificate is a post-fixed point
     of the true operator and hence a sound witness of greatest-model
-    membership.  The counters are those of the optimistic gfp, or, when the
-    target's closure gave the support, 0 base atoms, one instance per
-    support atom and 0 rounds."""
+    membership.  Both are listed in `atom_sort_key` order, with their
+    `texts`.  The counters are those of the optimistic gfp of the atoms the
+    target reaches: the atoms, their instances and the rounds."""
 
     __slots__ = ("target", "support", "frontier", "depth", "base_atoms", "instances", "rounds")
     _defaults = {"base_atoms": 0, "instances": 0, "rounds": 0}
 
     @property
-    def judge(self) -> str:
-        """"closure" when the target's closure gave the certificate, which
-        builds no base, else "base"."""
-        return "base" if self.base_atoms else "closure"
-
-    @property
     def exact(self) -> bool:
         return not self.frontier
-
-    def sorted_frontier(self) -> tuple[Atom, ...]:
-        return _ordered(self.frontier)
 
 
 def certify_gfp(
@@ -677,39 +670,27 @@ def certify_gfp(
     The signature is extended with the target's own symbols, so targets may
     mention constants that the program never writes down.  Returns None when
     no support exists within the bound; that is not a proof of absence.
-    When the target's closure stays within the depth, it gives the answer
-    the base would give, and no base is built.
+    Only the atoms the target reaches are grounded: no base is built.
     """
     if atom_vars(target):
         raise ValueError("certificate targets must be ground atoms")
-    sig = _checked(
-        program.signature.merged(signature_of([target])), search_depth, extra_constants, max_atoms
-    )
-    closed = closure(program, target, search_depth)
-    if closed is not None:
-        if not closed.greatest:
-            return None
-        support = closed.support()
-        return Certificate(target, support, frozenset(), search_depth, instances=len(support))
-    base = herbrand_base(sig, search_depth, max_atoms=max_atoms)
-    if target not in base.atoms:
+    _checked(program.signature.merged(signature_of([target])), search_depth, extra_constants, max_atoms)
+    reached = _reach(program, target, search_depth)
+    if reached is None:
         return None
-    g = _ground_program(program, base)
-    model = _fixpoint(g, base, True, Policy.OPTIMISTIC)
-    live = base.mask(model.atoms)
-    k = base.atom_id(target)
-    if not live[k]:
+    g, atoms, terms = reached
+    live, rounds = _propagate(g, True, {})
+    if not live[0]:
         return None
-    support, frontier = _support(g, base, live, (k,))
+    support, frontier = _support(g, live, (0,))
+    members = [atoms[a] for a in compress(range(g.size), support)]
     return Certificate(
-        target, AtomSet(base, bytes(support)), frozenset(frontier), base.depth,
-        base_atoms=model.base_atoms, instances=model.instances, rounds=model.rounds,
+        target, *_listed(terms, members, list(frontier)), search_depth,
+        base_atoms=g.size, instances=len(g.heads), rounds=rounds,
     )
 
 
-def _support(
-    g: _Grounding, base: HerbrandBase, live: bytes, roots: Iterable[int]
-) -> tuple[bytearray, set[Atom]]:
+def _support(g: _Grounding, live: bytes, roots: Iterable[int]) -> tuple[bytearray, set]:
     """The support of `roots`, members of the optimistic gfp of `g` whose
     mask is `live`, and the out-of-base atoms it leans on.
 
@@ -718,8 +699,8 @@ def _support(
     Each member is visited once, so the cost is linear in the instances of
     the support's atoms.  The support is then re-validated on its own
     (`_check_post_fixed`), which makes it a witness for every atom in it."""
-    support = bytearray(base.size)
-    frontier: set[Atom] = set()
+    support = bytearray(g.size)
+    frontier = set()
     by_head, bodies, outside = g.by_head, g.bodies, g.outside
     stack = list(roots)
     while stack:
@@ -731,7 +712,7 @@ def _support(
             if all(live[b] for b in bodies[i]):
                 break
         else:  # cannot happen for members of the optimistic gfp
-            raise CertificateInvariantError(f"no supporting instance for {base.sorted_atoms()[a]}")
+            raise CertificateInvariantError(f"no supporting instance for atom {a} of the grounding")
         frontier.update(outside.get(i, ()))
         stack.extend(b for b in bodies[i] if not support[b])
     _check_post_fixed(g, support)
@@ -757,6 +738,10 @@ class Verdict(Enum):
     VALID = "VALID"
     INVALID = "INVALID"
     UNKNOWN = "UNKNOWN"
+
+
+_NO_GROUNDING = "no grounding of the formula fits inside the bounded base"
+_UNDECIDED = "some instance is boundary-uncertain at this depth"
 
 
 class ValidityVerdict(Value):
@@ -789,16 +774,22 @@ def valid(
     """
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
     sig = _checked(sig, depth, (), max_atoms)
+    greatest = semantics is Semantics.COIND
     if formula.is_atomic and not atom_vars(formula.head):
-        closed = closure(program, formula.head, depth)
-        if closed is not None:
-            if closed.least if semantics is Semantics.IND else closed.greatest:
-                return ValidityVerdict(Verdict.VALID, None, semantics, depth)
-            note = f"instance {closed.texts()[0]} fails at depth {depth}"
-            return ValidityVerdict(Verdict.INVALID, {}, semantics, depth, note=note)
+        reached = _reach(program, formula.head, depth)
+        if reached is None:
+            return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_NO_GROUNDING)
+        g, atoms, terms = reached
+        # Atom 0 is the formula; the optimistic fixpoint differs only where
+        # an instance leans on an out-of-base atom.
+        if _propagate(g, greatest, g.outside)[0][0]:
+            return ValidityVerdict(Verdict.VALID, None, semantics, depth)
+        if g.outside and _propagate(g, greatest, {})[0][0]:
+            return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_UNDECIDED)
+        note = f"instance {next(_listed(terms, atoms[:1])[0].texts())} fails at depth {depth}"
+        return ValidityVerdict(Verdict.INVALID, {}, semantics, depth, note=note)
     base = herbrand_base(sig, depth, max_atoms=max_atoms)
     g = _ground_program(program, base)
-    greatest = semantics is Semantics.COIND
     sure, maybe = (
         base.mask(_fixpoint(g, base, greatest, policy).atoms)
         for policy in (Policy.PESSIMISTIC, Policy.OPTIMISTIC)
@@ -832,15 +823,9 @@ def valid(
                 note=f"instance {next(AtomSet(base, bytes(only)).texts())} fails at depth {depth}",
             )
     if checked == 0:
-        return ValidityVerdict(
-            Verdict.UNKNOWN, None, semantics, depth,
-            note="no grounding of the formula fits inside the bounded base",
-        )
+        return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_NO_GROUNDING)
     if undecided:
-        return ValidityVerdict(
-            Verdict.UNKNOWN, None, semantics, depth,
-            note="some instance is boundary-uncertain at this depth",
-        )
+        return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_UNDECIDED)
     return ValidityVerdict(Verdict.VALID, None, semantics, depth)
 
 
@@ -890,7 +875,7 @@ def preserves_model(
         # for the members.  One support per program, checked once, certifies
         # all of its members: a union of post-fixed points is one.
         for g, live, members in zip(grounds, (old, new), (gone, came)):
-            _support(g, base, live, compress(range(base.size), members))
+            _support(g, live, compress(range(base.size), members))
         certs = [(a, True, False) for a in removed] + [(a, False, True) for a in added]
     return ModelComparison(
         preserved=not removed and not added,

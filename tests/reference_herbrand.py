@@ -13,11 +13,17 @@ fires every instance whose body the interpretation holds.  The tests re-apply
 it to check the fixpoints, certificates and monotonicity that the oracle
 computes by counter propagation.
 
+The base route for a ground atom, as `certify_gfp` and `valid` took it
+before they grounded only the atoms the atom reaches: `certify_by_base` and
+`valid_by_base` build the whole depth-bounded base, ground the program over
+it and read the atom off its fixpoints.  `tests/test_closure.py` compares
+them with `cohorn.herbrand`.
+
 The closure judge as plain recursion over `terms.match` and `apply_atom`:
 `closure_judge` decides a ground atom's membership in the greatest and the
 least model, and its least-model stage, from the graph of the clause
 instances it reaches.  `tests/test_closure.py` holds it against the engine
-and against `cohorn.herbrand.closure`.
+and against `cohorn.herbrand.valid`.
 """
 
 from __future__ import annotations
@@ -28,14 +34,22 @@ from typing import Iterator, Optional
 
 from cohorn.herbrand import (
     AtomSet,
+    Certificate,
     HerbrandBase,
     Interpretation,
     Policy,
+    Semantics,
+    ValidityVerdict,
+    Verdict,
+    _checked,
     _Grounding,
     _ground_program,
+    _propagate,
+    _support,
+    herbrand_base,
 )
 from cohorn import terms
-from cohorn.terms import Atom, Program, Term, Var, apply_atom
+from cohorn.terms import DEFAULT_MAX_ATOMS, Atom, Program, Term, Var, apply_atom, atom_vars, signature_of
 
 
 def match(base: HerbrandBase, p: Term, t: int, env: dict[str, int]) -> bool:
@@ -111,6 +125,62 @@ def tp_monotone_check(
     if not i.atoms <= j.atoms:
         raise ValueError("monotonicity check requires i.atoms <= j.atoms")
     return tp_step(program, i, policy).atoms <= tp_step(program, j, policy).atoms
+
+
+def _base_of(program: Program, atom: Atom, depth: int, extra_constants, max_atoms) -> HerbrandBase:
+    sig = program.signature.merged(signature_of([atom]))
+    return herbrand_base(_checked(sig, depth, extra_constants, max_atoms), depth, max_atoms=max_atoms)
+
+
+def certify_by_base(
+    program: Program,
+    target: Atom,
+    depth: int,
+    *,
+    extra_constants=(),
+    max_atoms: int = DEFAULT_MAX_ATOMS,
+) -> Optional[Certificate]:
+    """The support of `target` in the optimistic gfp of the whole base,
+    with the base's counters; its support is an `AtomSet` and its frontier
+    a plain frozenset of `Atom`s."""
+    if atom_vars(target):
+        raise ValueError("certificate targets must be ground atoms")
+    base = _base_of(program, target, depth, extra_constants, max_atoms)
+    k = base.atom_id(target)
+    if k is None:
+        return None
+    g = _ground_program(program, base)
+    live, rounds = _propagate(g, True, {})
+    if not live[k]:
+        return None
+    support, frontier = _support(g, live, (k,))
+    return Certificate(
+        target, AtomSet(base, bytes(support)), frozenset(frontier), depth,
+        base_atoms=base.size, instances=len(g.heads), rounds=rounds,
+    )
+
+
+def valid_by_base(
+    program: Program, atom: Atom, semantics: Semantics, depth: int, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> ValidityVerdict:
+    """`valid` of the ground atomic formula `atom` on the whole base: a
+    formula with no variable and no body has one grounding, the atom, if
+    the base holds it; VALID when the pessimistic fixpoint holds it,
+    UNKNOWN when only the optimistic one does, else INVALID."""
+    base = _base_of(program, atom, depth, (), max_atoms)
+    k = base.atom_id(atom)
+    if k is None:
+        note = "no grounding of the formula fits inside the bounded base"
+        return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=note)
+    g = _ground_program(program, base)
+    greatest = semantics is Semantics.COIND
+    sure, maybe = (_propagate(g, greatest, mute)[0][k] for mute in (g.outside, {}))
+    if sure:
+        return ValidityVerdict(Verdict.VALID, None, semantics, depth)
+    if maybe:
+        note = "some instance is boundary-uncertain at this depth"
+        return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=note)
+    return ValidityVerdict(Verdict.INVALID, {}, semantics, depth, note=f"instance {atom} fails at depth {depth}")
 
 
 class ClosureTooLarge(Exception):

@@ -341,19 +341,36 @@ class TestCertifyCommand:
         assert code == 0
         assert "exact post-fixed point" in out
 
+    def test_deep_frontier(self, tmp_path):
+        """At depth 1,000, p(z) reaches p(s^i(z)) for i < 1,000 and leans on
+        p(s^1000(z)), a 3,004-character atom: listed, printed and written as
+        JSON without recursion."""
+        prog = tmp_path / "down.hc"
+        prog.write_text("k1 : p(s(X)) => p(X).\n")
+        argv = ["certify", str(prog), "--atom", "p(z)", "--depth", "1000"]
+        deep = "p(" + "s(" * 1000 + "z" + ")" * 1001
+        code, out, _ = run(argv)
+        assert code == 0 and "support (1000):\n  p(z)\n  p(s(z))\n" in out
+        assert out.endswith(f"frontier (1), assumed present beyond the bound:\n  {deep}\n")
+        code, out, _ = run(argv + ["--json"])
+        report = json.loads(out)
+        assert (code, len(report["support"]), report["frontier"]) == (0, 1000, [deep])
+        assert report["stats"] == {"base_atoms": 1000, "instances": 1000, "rounds": 1}
+
     def test_oracle_stats(self):
-        # D(z,z)'s closure leaves the depth: the counters of the optimistic gfp.
+        # The optimistic gfp of the atoms D(z,z) reaches: the six
+        # D(s^i(z),s^j(z)) with i + j <= 2, one instance each.
         argv = ["certify", hc("p11"), "--atom", "D(z,z)", "--depth", "3"]
         _, out, _ = run(argv)
-        assert "judge: base\n" in out and "stats: base_atoms=9 instances=9 rounds=1" in out
+        assert "stats: base_atoms=6 instances=6 rounds=1" in out
         _, out, _ = run(argv + ["--json"])
-        assert json.loads(out)["stats"] == {"base_atoms": 9, "instances": 9, "rounds": 1}
-        # eq(evenList(int))'s closure closes: no base, an instance per support atom.
+        assert json.loads(out)["stats"] == {"base_atoms": 6, "instances": 6, "rounds": 1}
+        # eq(evenList(int)) reaches three atoms, all in its support.
         argv = ["certify", hc("evenodd"), "--atom", "eq(evenList(int))", "--depth", "3"]
         _, out, _ = run(argv)
-        assert "judge: closure\n" in out and "stats: base_atoms=0 instances=3 rounds=0" in out
+        assert "stats: base_atoms=3 instances=3 rounds=1" in out
         report = json.loads(run(argv + ["--json"])[1])
-        assert report["stats"] == {"base_atoms": 0, "instances": 3, "rounds": 0}
+        assert report["stats"] == {"base_atoms": 3, "instances": 3, "rounds": 1}
         assert len(report["support"]) == 3
         _, out, _ = run(["certify", hc("loop"), "--atom", "p(g)", "--depth", "5", "--json"])
         assert json.loads(out)["stats"] is None
@@ -363,29 +380,23 @@ class TestOracleStatsPinned:
     """The `stats` of the corpus `model` calls at depth 3 (least, greatest
     pessimistic, greatest optimistic) and of a `certify` call on the last
     atom, in string order, of each optimistic model: (base_atoms,
-    instances, rounds) of the base route, which the call takes when the
-    atom's closure leaves the depth and, when it does not, takes with the
-    closure patched to leave it; then the closure's own, or None when the
-    closure leaves the depth."""
+    instances, rounds) of the optimistic gfp of the atoms it reaches."""
 
     STATS = {
-        "bush": ([(3, 3, 2), (3, 3, 3), (3, 3, 1)], ("eq(int)", (3, 3, 1), (0, 1, 0))),
+        "bush": ([(3, 3, 2), (3, 3, 3), (3, 3, 1)], ("eq(int)", (1, 1, 1))),
         "chain": ([(3, 2, 1), (3, 2, 4), (3, 2, 4)], None),
         "empty": ([(0, 0, 1), (0, 0, 1), (0, 0, 1)], None),
-        "evenodd": ([(7, 7, 2), (7, 7, 1), (7, 7, 1)], ("eq(oddList(oddList(int)))", (7, 7, 1), (0, 5, 0))),
+        "evenodd": ([(7, 7, 2), (7, 7, 1), (7, 7, 1)], ("eq(oddList(oddList(int)))", (5, 5, 1))),
         "loop": ([(0, 0, 1), (0, 0, 1), (0, 0, 1)], None),
-        "p11": ([(9, 9, 1), (9, 9, 7), (9, 9, 1)], ("D(z,z)", (9, 9, 1), None)),
-        "p6": ([(3, 3, 2), (3, 3, 1), (3, 3, 1)], ("A(g)", (3, 3, 1), (0, 1, 0))),
-        "p7": ([(2, 2, 2), (2, 2, 1), (2, 2, 1)], ("B(f)", (2, 2, 1), (0, 1, 0))),
-        "pair": ([(5, 5, 4), (5, 5, 1), (5, 5, 1)],
-                 ("eq(pair(pair(int,int),pair(int,int)))", (5, 5, 1), (0, 3, 0))),
+        "p11": ([(9, 9, 1), (9, 9, 7), (9, 9, 1)], ("D(z,z)", (6, 6, 1))),
+        "p6": ([(3, 3, 2), (3, 3, 1), (3, 3, 1)], ("A(g)", (1, 1, 1))),
+        "p7": ([(2, 2, 2), (2, 2, 1), (2, 2, 1)], ("B(f)", (1, 1, 1))),
+        "pair": ([(5, 5, 4), (5, 5, 1), (5, 5, 1)], ("eq(pair(pair(int,int),pair(int,int)))", (3, 3, 1))),
     }
 
-    def test_corpus(self, monkeypatch):
+    def test_corpus(self):
         """The least model is pessimistic whatever --policy says, so least
         with --policy opt reports what least with --policy pess does."""
-        from cohorn import herbrand
-
         variants = (("least", "pess"), ("greatest", "pess"), ("greatest", "opt"), ("least", "opt"))
         for name, (models, cert) in self.STATS.items():
             for (semantics, policy), want in zip(variants, models + models[:1]):
@@ -396,15 +407,9 @@ class TestOracleStatsPinned:
                     assert report["policy"] == "pessimistic", name
                     assert report["note"].endswith("absent (pessimistic)"), name
             if cert:
-                atom, base, closure = cert
+                atom, want = cert
                 argv = ["certify", hc(name), "--atom", atom, "--depth", "3", "--json"]
-                report = json.loads(run(argv)[1])
-                want = ("base", base) if closure is None else ("closure", closure)
-                assert (report["judge"], tuple(report["stats"].values())) == want, name
-                with monkeypatch.context() as patched:
-                    patched.setattr(herbrand, "closure", lambda *args: None)
-                    report = json.loads(run(argv)[1])
-                assert (report["judge"], tuple(report["stats"].values())) == ("base", base), name
+                assert tuple(json.loads(run(argv)[1])["stats"].values()) == want, name
 
 
 class TestVerifySoundness:
@@ -436,8 +441,8 @@ class TestVerifySoundness:
             "stats", "atoms", "exit_code",
         ]
         assert list(reports["certify"]) == [
-            "command", "program", "atom", "depth", "judge", "found", "exact", "stats", "support",
-            "frontier", "exit_code",
+            "command", "program", "atom", "depth", "found", "exact", "stats", "support", "frontier",
+            "exit_code",
         ]
 
     def test_not_proved_is_not_a_violation(self):

@@ -1,16 +1,18 @@
-"""The closure route of the oracle against its base route and the engine.
+"""Ground atoms judged from the atoms they reach, against the base route
+and the engine.
 
-`herbrand.closure` answers a ground atom from the finite AND-graph it
-reaches through its clause instances, and `certify_gfp` and `valid` take
-that route first when the graph stays within the depth bound.  Here:
+`certify_gfp`, and `valid` of a ground atomic formula, ground only the
+atoms the target reaches through clause bodies (`herbrand._reach`) and
+never build a Herbrand base.  Here:
 
-  * a differential: on seeded random programs and ground atoms, each
-    caller answers exactly as it does with the closure forced to fall
-    back to the base (patched to report that it left the depth);
+  * a differential: on seeded random programs, with and without a lemma
+    clause, and ground atoms, each answers exactly as the base route does
+    (`reference_herbrand.certify_by_base` and `valid_by_base`);
   * the completeness bridge: an independent judge written as plain
-    recursion (`reference_herbrand.closure_judge`) against the engine, on
-    seeded programs and on generated chains and cycles;
-  * the route pins: which calls build a base, and which need none.
+    recursion (`reference_herbrand.closure_judge`) against the engine and
+    the reached grounding's fixpoints, on seeded programs and on generated
+    chains and cycles;
+  * the no-base pins: which calls build a base, and which need none.
 """
 
 from __future__ import annotations
@@ -19,17 +21,18 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from cohorn import App, Atom, engine, herbrand, parse_program
 from cohorn.herbrand import Semantics, Verdict
-from cohorn.syntax import parse_atom
-from cohorn.terms import fact
-from helpers import load, random_program
-from reference_herbrand import ClosureTooLarge, closure_judge
+from cohorn.syntax import parse_atom, parse_formula
+from cohorn.terms import atom_sort_key, fact
+from helpers import load, random_clause, random_program
+from reference_herbrand import ClosureTooLarge, certify_by_base, closure_judge, valid_by_base
 from test_cli import hc, run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def nat_term(n: int, top: str = "z") -> App:
@@ -52,57 +55,72 @@ def ground_atoms(rng: random.Random, program) -> list[Atom]:
     return out
 
 
-def answers(program, atom: Atom, depth: int) -> tuple:
-    """What `certify_gfp` and `valid` in both semantics answer, or the type
-    of the error they raise."""
+def listed(atoms) -> tuple[list, list]:
+    """A certificate's support or frontier: its atoms and their texts, in
+    the order it lists them."""
+    return list(atoms), list(atoms.texts())
+
+
+def by_sort_key(atoms) -> tuple[list, list]:
+    """A plain set of atoms as `listed` should list it: in `atom_sort_key`
+    order, with the texts `str` gives."""
+    atoms = sorted(atoms, key=atom_sort_key)
+    return atoms, [str(a) for a in atoms]
+
+
+def answers(program, atom: Atom, depth: int, certify, valid, frontier=listed) -> tuple:
+    """What `certify` and `valid` in both semantics answer, or the type of
+    the error they raise."""
     out = []
     try:
-        cert = herbrand.certify_gfp(program, atom, depth)
-        out.append(cert and (
-            list(cert.support), list(cert.support.texts()), cert.sorted_frontier(), cert.exact
-        ))
+        cert = certify(program, atom, depth)
+        out.append(cert and (listed(cert.support), frontier(cert.frontier), cert.exact))
     except Exception as err:  # compared by type below
         out.append(type(err))
     for semantics in Semantics:
         try:
-            v = herbrand.valid(program, fact(atom), semantics, depth)
+            v = valid(program, atom, semantics, depth)
             out.append((v.status, v.note, v.counterexample))
         except Exception as err:
             out.append(type(err))
     return tuple(out)
 
 
-def left_the_depth(*args):
-    return None
+def valid_atom(program, atom: Atom, semantics: Semantics, depth: int):
+    return herbrand.valid(program, fact(atom), semantics, depth)
 
 
 class TestDifferential:
-    def test_closure_answers_as_the_base_does(self):
-        """9,600 cases.  Where no call of a case closed, all three callers
-        took the base route, which is the forced run itself, so only the
-        cases where a closure answered are run again with it forced."""
-        rng = random.Random(7)
-        real = herbrand.closure
-        cases = closed = 0
-        for _ in range(600):
-            program = random_program(rng)
+    def test_reached_grounding_answers_as_the_base_does(self, monkeypatch):
+        """9,600 cases of seeded programs, then 4,800 of every other one
+        extended with a lemma clause, whose head may overlap an axiom's."""
+        rng, lemmas = random.Random(7), random.Random(8)
+        programs = [random_program(rng) for _ in range(600)]
+        programs += [p.extended(random_clause(lemmas)) for p in programs[::2]]
+        seen = Counter()
+        real = herbrand._reach
+
+        def spy(*args):
+            grounding = real(*args)
+            if grounding is not None:
+                g = grounding[0]
+                seen["overlap"] += len(set(g.heads)) < len(g.heads)
+                seen["outside"] += bool(g.outside)
+            return grounding
+
+        monkeypatch.setattr(herbrand, "_reach", spy)
+        for program in programs:
             for atom in ground_atoms(rng, program):
                 for depth in range(1, 5):
-                    judged = []
-
-                    def spy(*args):
-                        judged.append(real(*args))
-                        return judged[-1]
-
-                    with mock.patch.object(herbrand, "closure", spy):
-                        got = answers(program, atom, depth)
-                    cases += 1
-                    if any(c is not None for c in judged):
-                        closed += 1
-                        with mock.patch.object(herbrand, "closure", left_the_depth):
-                            assert got == answers(program, atom, depth), (program, atom, depth)
-        assert cases == 9600
-        assert closed > 4000
+                    got = answers(program, atom, depth, herbrand.certify_gfp, valid_atom)
+                    want = answers(program, atom, depth, certify_by_base, valid_by_base, by_sort_key)
+                    assert got == want, (program, atom, depth)
+                    cert = got[0] if isinstance(got[0], tuple) else None
+                    seen["cases"] += 1
+                    seen["certificates"] += cert is not None
+                    seen["frontiers"] += cert is not None and bool(cert[1][0])
+        assert seen["cases"] == 14_400, seen
+        assert min(seen["overlap"], seen["frontiers"]) > 200 and seen["certificates"] > 1000, seen
 
 
 def families(n: int):
@@ -118,16 +136,18 @@ def families(n: int):
 
 
 class TestCompletenessBridge:
-    """On a closure that closes, the engine is complete: coinductive
-    resolution at depth |closure| + 2 proves the atom iff it is in the
-    greatest model, and inductive resolution proves it at depth h and not at
-    h - 1, where h is its least-model stage.  The oracle's own closure
-    agrees with the judge."""
+    """On a finite closure, the engine is complete: coinductive resolution
+    at depth |closure| + 2 proves the atom iff it is in the greatest model,
+    and inductive resolution proves it at depth h and not at h - 1, where h
+    is its least-model stage.  The fixpoints of the oracle's grounding of
+    the atoms it reaches agree with the judge."""
 
     def bridge(self, program, atom, limit) -> tuple[bool, bool]:
         gfp, stage, size = closure_judge(program, atom, limit)
-        closed = herbrand.closure(program, atom, 10**6)
-        assert (closed.greatest, closed.least) == (gfp, stage is not None), atom
+        g, _, _ = herbrand._reach(program, atom, 10**6)
+        assert (g.size, g.outside) == (size, {}), atom
+        in_model = [herbrand._propagate(g, greatest, {})[0][0] == 1 for greatest in (True, False)]
+        assert in_model == [gfp, stage is not None], atom
         coind = engine.resolve(program, engine.Query(fact(atom), engine.Mode.COINDUCTIVE, size + 2))
         assert (coind.outcome is engine.Outcome.PROVED) == gfp, atom
         if stage is not None:
@@ -163,10 +183,21 @@ class TestCompletenessBridge:
         nat = parse_program("k1 : p(X) => p(f(X)).\nk2 : => p(z).\n").program
         assert self.bridge(nat, Atom("p", (nat_term(79),)), 1000) == (True, True)
 
+    def test_valid_reads_the_same_fixpoints(self):
+        """Within the depth, `valid` of a ground atom is VALID exactly for
+        the members of the model of its semantics."""
+        for n in (3, 50):
+            for name, text, goal in families(n):
+                program, atom = parse_program(text).program, parse_atom(goal)
+                gfp, stage, _ = closure_judge(program, atom, 1000)
+                for semantics, member in ((Semantics.COIND, gfp), (Semantics.IND, stage is not None)):
+                    v = herbrand.valid(program, fact(atom), semantics, 1)
+                    assert (v.status is Verdict.VALID) == member, (name, n, semantics)
+
 
 @pytest.fixture(scope="module")
 def long_chain(tmp_path_factory):
-    """`TestLongChain`'s program: k0 : => p(c0) and k_i : p(c_(i-1)) => p(c_i)
+    """`TestNoBase`'s program: k0 : => p(c0) and k_i : p(c_(i-1)) => p(c_i)
     for i up to 10,001."""
     path = tmp_path_factory.mktemp("chain") / "chain.hc"
     steps = "".join(f"k{i} : p(c{i - 1}) => p(c{i}).\n" for i in range(1, 10_002))
@@ -187,7 +218,7 @@ def no_base(monkeypatch):
     monkeypatch.setattr(herbrand, "herbrand_base", refuse)
 
 
-class TestRoutes:
+class TestNoBase:
     def test_long_chain_is_judged_without_a_base_or_recursion(self, long_chain, no_base):
         program = parse_program(long_chain.read_text()).program
         goal = fact(parse_atom("p(c10001)"))
@@ -195,8 +226,8 @@ class TestRoutes:
             assert herbrand.valid(program, goal, semantics, 1).status is Verdict.VALID
         code, out, _ = run(["certify", str(long_chain), "--atom", "p(c10001)", "--depth", "1", "--json"])
         report = json.loads(out)
-        assert (code, report["judge"], report["exact"]) == (0, "closure", True)
-        assert report["stats"] == {"base_atoms": 0, "instances": 10_002, "rounds": 0}
+        assert (code, report["exact"]) == (0, True)
+        assert report["stats"] == {"base_atoms": 10_002, "instances": 10_002, "rounds": 1}
         assert len(report["support"]) == 10_002
         for mode in ("ind", "coind"):
             code, out, _ = run(
@@ -204,11 +235,11 @@ class TestRoutes:
             )
             assert code == 0 and "base depth 1): VALID\nsoundness: ok\n" in out, mode
 
-    def test_closing_atoms_build_no_base(self, no_base):
+    def test_corpus_atoms_build_no_base(self, no_base):
         code, out, _ = run(["certify", hc("evenodd"), "--atom", "eq(evenList(int))", "--depth", "3"])
-        assert code == 0 and "judge: closure\n" in out and "exact post-fixed point" in out
+        assert code == 0 and "exact post-fixed point" in out
         code, out, _ = run(["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3", "--const", "c"])
-        assert code == 1 and "judge: closure\nresult: no certificate within bound\n" in out
+        assert code == 1 and "depth: 3\nresult: no certificate within bound\n" in out
         # The inductive search exhausts on the cyclic evenodd goal: no verdict.
         for name, query, mode, verdict in (
             ("evenodd", "eq(evenList(int))", "coind", "VALID"),
@@ -219,22 +250,51 @@ class TestRoutes:
             code, out, _ = run(argv)
             assert code == 0 and "soundness: ok" in out
             assert (f"): {verdict}\n" in out) if verdict else "oracle" not in out
-        # A closed closure that is not in the model: INVALID, from the closure.
+        # A reached grounding whose target is in no model: INVALID.
         src = load("evenodd")
         v = herbrand.valid(src.program, fact(parse_atom("eq(evenList(int))")), Semantics.IND, 2)
         assert (v.status, v.counterexample, v.note) == (
             Verdict.INVALID, {}, "instance eq(evenList(int)) fails at depth 2"
         )
+        # p(z) leans on p(s(s(z))), beyond depth 2: boundary-uncertain.
+        down = parse_program("k1 : p(s(X)) => p(X).\n").program
+        v = herbrand.valid(down, fact(parse_atom("p(z)")), Semantics.COIND, 2)
+        assert (v.status, v.note) == (Verdict.UNKNOWN, "some instance is boundary-uncertain at this depth")
 
-    @pytest.mark.parametrize("argv", [
-        ["certify", "tests/golden/oracle.hc", "--atom", "s(c)", "--depth", "4"],
-        ["certify", "programs/p11.hc", "--atom", "D(z,z)", "--depth", "7"],
-        ["verify-soundness", "programs/pair.hc", "--query", "eq(pair(int,int))", "--mode", "ind",
-         "--lemma", "eq(X) => eq(pair(X,X))", "--base-depth", "2"],
-    ])
-    def test_these_still_build_a_base(self, argv, no_base, monkeypatch):
-        """The s chain and p11's D(z,z) leave the depth, and a registered
-        lemma makes heads overlap."""
-        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    @pytest.mark.parametrize("golden", ["17-certify", "27-certify", "28-certify"])
+    def test_goldens_build_no_base(self, golden, no_base, monkeypatch):
+        """p11's D(z,z) at depth 7, an exact certificate and the s chain,
+        which leans on an atom beyond the depth, print their goldens."""
+        monkeypatch.chdir(ROOT)
+        index = json.loads((ROOT / "tests" / "golden" / "index.json").read_text(encoding="utf-8"))
+        for suffix in (".txt", ".json"):
+            argv = index[golden + suffix]["argv"]
+            want = (ROOT / "tests" / "golden" / (golden + suffix)).read_text(encoding="utf-8")
+            assert run(argv)[:2] == (0, want), argv
+
+    def test_a_lemma_run_builds_no_base(self, no_base, monkeypatch):
+        """The oracle judges the query in the program extended with the
+        registered lemma, whose head overlaps an axiom's: the reached atoms
+        get every instance."""
+        programs = []
+        reach = herbrand._reach
+
+        def spy(program, *args):
+            programs.append(program)
+            return reach(program, *args)
+
+        monkeypatch.setattr(herbrand, "_reach", spy)
+        argv = ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind",
+                "--lemma", "eq(X) => eq(pair(X,X))", "--base-depth", "2"]
+        code, out, _ = run(argv)
+        assert code == 0 and "oracle (inductive, base depth 2): VALID\nsoundness: ok\n" in out
+        assert [len(p.clauses) - p.axiom_count for p in programs] == [1]
+
+    def test_model_and_open_formulas_still_build_a_base(self, no_base):
+        program = load("pair").program
         with pytest.raises(BaseBuilt):
-            run(argv)
+            run(["model", hc("pair"), "--semantics", "least", "--depth", "2"])
+        with pytest.raises(BaseBuilt):
+            herbrand.valid(program, parse_formula("eq(X) => eq(pair(X,X))"), Semantics.IND, 2)
+        with pytest.raises(BaseBuilt):
+            herbrand.valid(program, fact(parse_atom("eq(X)")), Semantics.IND, 2)

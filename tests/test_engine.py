@@ -490,6 +490,20 @@ class TestHeadIndex:
         search = engine._Search(lemma_env, Mode.INDUCTIVE, 4, [])
         assert search._static(parse_atom("eq(int)")) == search.entries
 
+    def test_head_keys_are_computed_once_per_entry_and_goal(self, monkeypatch):
+        """The chain k_i : p(c_(i-1)) => p(c_i) gives each goal its own head
+        key.  Each entry's key is read once per search and each goal's once
+        per visit, not the whole predicate's once per new goal key."""
+        n = 300
+        calls = []
+        key = engine.head_key
+        monkeypatch.setattr(engine, "head_key", lambda *args: calls.append(args) or key(*args))
+        text = "k0 : => p(c0).\n" + "".join(f"k{i} : p(c{i - 1}) => p(c{i}).\n" for i in range(1, n + 1))
+        program = parse_program(text).program
+        result = resolve(program, Query(parse_formula(f"p(c{n})"), Mode.INDUCTIVE, n + 2))
+        assert result.outcome is Outcome.PROVED
+        assert len(calls) < 4 * (n + 1)
+
     def test_embedding_scan_only_under_auto_lemma(self, monkeypatch):
         calls = []
         embeds = engine._embeds

@@ -181,12 +181,6 @@ SAMPLES = {
         "_Grounding(heads=[0, 1], bodies=[(), (0,)], outside={}, size=2)",
         False,
     ),
-    "Closure": (
-        lambda: herbrand.closure(program(), Atom("p", (App("f", (App("c"),)),)), 2),
-        "Closure(atoms=[('p', (1,)), ('p', (0,))], terms=[('c', ()), ('f', (0,))], "
-        "greatest=True, least=True)",
-        False,
-    ),
     "Certificate": (
         lambda: herbrand.Certificate(PC, frozenset({PC}), frozenset(), 2, 3, 1, 1),
         f"Certificate(target={PC_TEXT}, support=frozenset({{{PC_TEXT}}}), frontier=frozenset(), "
