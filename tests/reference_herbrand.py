@@ -23,7 +23,7 @@ The closure judge as plain recursion over `terms.match` and `apply_atom`:
 `closure_judge` decides a ground atom's membership in the greatest and the
 least model, and its least-model stage, from the graph of the clause
 instances it reaches.  `tests/test_closure.py` holds it against the engine
-and against `cohorn.herbrand.valid`.
+and against the fixpoints of `cohorn.herbrand._reach`'s grounding.
 """
 
 from __future__ import annotations
