@@ -770,7 +770,8 @@ def valid(
     formula's variables; groundings the bound cannot decide yield UNKNOWN,
     as do formulas with no grounding inside the base.  Only the body-only
     variables range over the universe; the rest come from the head's
-    join with the base.
+    join with the base.  A ground atomic formula is read off the fixpoints
+    of the atoms it reaches (`_reach`), with no base built.
     """
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
     sig = _checked(sig, depth, (), max_atoms)
