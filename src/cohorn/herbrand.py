@@ -51,7 +51,8 @@ A ground atom's own question needs no base: its membership in either
 model depends only on the atoms it reaches through clause bodies.
 `certify_gfp`, and `valid` of a ground atomic formula, ground just those
 atoms (`_reach`), numbered from the target and interning only the terms they
-meet, after the same signature and budget checks.  A body atom with a term
+meet, after the same signature checks; `max_atoms` bounds the atoms and
+terms the walk interns, not the base it never builds.  A body atom with a term
 beyond the depth is an out-of-base atom of its instance, as in a base's
 grounding, and is not walked.  The walk costs O(reached instances * clause
 body), plus matching each reached atom against the clause heads of its
@@ -328,21 +329,6 @@ def bounded_size(signature: Signature, depth: int, cap: int) -> int:
     return min(max(u, atoms), top)
 
 
-def _checked(
-    signature: Signature, depth: int, extra_constants: Iterable[str], max_atoms: int
-) -> Signature:
-    """The signature of the depth-`depth` base, after the checks that
-    building it makes first: the extra constants, and the budget."""
-    sig = signature.with_constants(extra_constants)
-    if bounded_size(sig, depth, max_atoms) > max_atoms:
-        raise BaseTooLargeError(
-            f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
-        )
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return sig
-
-
 def herbrand_base(
     signature: Signature,
     depth: int,
@@ -351,7 +337,13 @@ def herbrand_base(
 ) -> HerbrandBase:
     """The depth-bounded base; `BaseTooLargeError`, before anything is
     enumerated, when it would hold more than `max_atoms` atoms or terms."""
-    sig = _checked(signature, depth, extra_constants, max_atoms)
+    sig = signature.with_constants(extra_constants)
+    if bounded_size(sig, depth, max_atoms) > max_atoms:
+        raise BaseTooLargeError(
+            f"the Herbrand base at depth {depth} has more than {max_atoms} atoms or terms"
+        )
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     universe = tuple(enumerate_ground_terms(sig, depth))
     ids = {t: k for k, t in enumerate(universe)}
     terms = tuple((t.functor, tuple(ids[a] for a in t.args)) for t in universe)
@@ -531,19 +523,22 @@ _Key = tuple[str, tuple[int, ...]]
 
 
 def _reach(
-    program: Program, target: Atom, depth: int
+    program: Program, target: Atom, depth: int, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> Optional[tuple[_Grounding, list[_Key], list[_Key]]]:
     """The grounding of the atoms that the ground atom `target` reaches
     through clause bodies, numbered from the target, which is atom 0; with
     it the atoms, as (predicate, argument term ids), and the term table of
     (functor, child ids), each child first.  None when the target lies
-    outside the base.
+    outside the base.  `BaseTooLargeError` as soon as the walk has interned
+    more than `max_atoms` atoms or terms.
 
     Each reached atom gets every clause instance whose head it is, in clause
     order; the head binds every variable, so the body is ground.  A body
     atom with a term deeper than `depth` is an out-of-base atom of its
     instance, and is not walked.  The reached atoms are closed under the
     bodies of their instances, so their fixpoints are the base's."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     terms: list[_Key] = []
     intern: dict[_Key, int] = {}
     depths: list[int] = []
@@ -551,6 +546,8 @@ def _reach(
     def node_id(node: _Key) -> int:
         k = intern.get(node)
         if k is None:
+            if len(terms) == max_atoms:
+                raise _walk_too_large(depth, max_atoms)
             k = intern[node] = len(terms)
             terms.append(node)
             depths.append(1 + max([depths[c] for c in node[1]], default=0))
@@ -574,6 +571,8 @@ def _reach(
     bodies: list[tuple[int, ...]] = []
     outside: dict[int, tuple[_Key, ...]] = {}
     for a, (pred, args) in enumerate(atoms):  # the list grows as the walk goes
+        if a == max_atoms:  # every listed atom is walked in turn
+            raise _walk_too_large(depth, max_atoms)
         key = (pred, terms[args[0]][0] if args else None)
         if key not in tried:
             tried[key] = sorted(by_key.get(key, []) + (by_key.get((pred, None), []) if key[1] else []))
@@ -594,6 +593,12 @@ def _reach(
             heads.append(a)
             bodies.append(tuple(body))
     return _Grounding(heads, bodies, outside, len(atoms)), atoms, terms
+
+
+def _walk_too_large(depth: int, max_atoms: int) -> BaseTooLargeError:
+    return BaseTooLargeError(
+        f"the atoms reached at depth {depth} hold more than {max_atoms} atoms or terms"
+    )
 
 
 class _Listed(frozenset):
@@ -670,12 +675,14 @@ def certify_gfp(
     The signature is extended with the target's own symbols, so targets may
     mention constants that the program never writes down.  Returns None when
     no support exists within the bound; that is not a proof of absence.
-    Only the atoms the target reaches are grounded: no base is built.
+    Only the atoms the target reaches are grounded: no base is built, and
+    `max_atoms` bounds the atoms and terms that walk interns.
     """
     if atom_vars(target):
         raise ValueError("certificate targets must be ground atoms")
-    _checked(program.signature.merged(signature_of([target])), search_depth, extra_constants, max_atoms)
-    reached = _reach(program, target, search_depth)
+    # A base would first refuse a symbol clash and a bad extra constant.
+    program.signature.merged(signature_of([target])).with_constants(extra_constants)
+    reached = _reach(program, target, search_depth, max_atoms)
     if reached is None:
         return None
     g, atoms, terms = reached
@@ -771,13 +778,13 @@ def valid(
     as do formulas with no grounding inside the base.  Only the body-only
     variables range over the universe; the rest come from the head's
     join with the base.  A ground atomic formula is read off the fixpoints
-    of the atoms it reaches (`_reach`), with no base built.
+    of the atoms it reaches (`_reach`), with no base built; `max_atoms`
+    then bounds the atoms and terms of that walk, not the base.
     """
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
-    sig = _checked(sig, depth, (), max_atoms)
     greatest = semantics is Semantics.COIND
     if formula.is_atomic and not atom_vars(formula.head):
-        reached = _reach(program, formula.head, depth)
+        reached = _reach(program, formula.head, depth, max_atoms)
         if reached is None:
             return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_NO_GROUNDING)
         g, atoms, terms = reached

@@ -56,6 +56,9 @@ class ConstSym(Value):
     __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):  # one per clause at every load
+        _setattr(self, "name", name)
+
 
 @_fields_only
 class ProofVar(Value):
@@ -341,9 +344,7 @@ def env_for_program(program: Program, names: Optional[Sequence[str]] = None) -> 
         names = [f"k{i + 1}" for i in range(len(program.clauses))]
     if len(names) != len(program.clauses) or len(set(names)) != len(names):
         raise ValueError("one distinct name per clause is required")
-    return AxiomEnv(
-        tuple(EnvEntry(ConstSym(n), c) for n, c in zip(names, program.clauses))
-    )
+    return AxiomEnv(tuple(map(EnvEntry, map(ConstSym, names), program.clauses)))
 
 
 # ---------------------------------------------------------------------------

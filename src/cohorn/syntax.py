@@ -17,9 +17,11 @@ Cost model: one `findall` of the `_TOKEN` regex, run in C, turns the text
 into a list of token strings, with `""` at the end of input.  The parsers
 walk that list by index; terms nest on an explicit stack, so a term costs
 no Python call beyond the constructors, and proof terms nest on
-`proofs.walk`.  Source positions are computed only when a `ParseError` is
-raised: `_tokenize` re-scans the text with the same regex and counts lines
-and columns up to the offending token.
+`proofs.walk`.  One parse builds one `Var` or constant `App` per distinct
+name, so a leaf costs a dict lookup, and the loaded `Program` is validated
+in one walk over its atoms.  Source positions are computed only when a
+`ParseError` is raised: `_tokenize` re-scans the text with the same regex
+and counts lines and columns up to the offending token.
 """
 
 from __future__ import annotations
@@ -102,11 +104,19 @@ def _expected(toks: list[str], i: int, what: str) -> _Fail:
 
 # -- terms and atoms ---------------------------------------------------------
 # Each rule takes the tokens and a start index and returns the value and the
-# index after it.  `name[0].isupper()` is `terms.is_variable_name`, inlined.
+# index after it.  `leaves` maps each variable and constant name met so far
+# to its one `Var` or `App`; it lives for one parse, which builds one object
+# per leaf name.  `name[0].isupper()` is `terms.is_variable_name`, inlined.
 
 
-def _args(toks: list[str], i: int) -> tuple[tuple, int]:
-    """`term {"," term} ")"` from `toks[i]`, nested terms on an explicit stack."""
+def _atom(toks: list[str], i: int, leaves: dict) -> tuple[Atom, int]:
+    """`pred` or `pred "(" term {"," term} ")"`, nested terms on an explicit stack."""
+    predicate = toks[i]
+    if predicate in _SYMBOLS:
+        raise _expected(toks, i, "a predicate")
+    if toks[i + 1] != "(":
+        return Atom(predicate), i + 1
+    i += 2
     stack: list[tuple[str, list]] = []
     args: list = []
     while True:
@@ -120,44 +130,37 @@ def _args(toks: list[str], i: int) -> tuple[tuple, int]:
             args = []
             i += 2
             continue
-        args.append(Var(name) if name[0].isupper() else App(name))
+        leaf = leaves.get(name)
+        if leaf is None:
+            leaf = leaves[name] = Var(name) if name[0].isupper() else App(name)
+        args.append(leaf)
         i += 1
         while toks[i] != ",":
             if toks[i] != ")":
                 raise _expected(toks, i, "')'")
             i += 1
             if not stack:
-                return tuple(args), i
+                return Atom(predicate, tuple(args)), i
             functor, outer = stack.pop()
             outer.append(App(functor, tuple(args)))
             args = outer
         i += 1
 
 
-def _atom(toks: list[str], i: int) -> tuple[Atom, int]:
-    predicate = toks[i]
-    if predicate in _SYMBOLS:
-        raise _expected(toks, i, "a predicate")
-    if toks[i + 1] != "(":
-        return Atom(predicate), i + 1
-    args, i = _args(toks, i + 2)
-    return Atom(predicate, args), i
-
-
-def _formula(toks: list[str], i: int, query: bool) -> tuple[HornClause, int]:
+def _formula(toks: list[str], i: int, query: bool, leaves: dict) -> tuple[HornClause, int]:
     """`[atom {"," atom}] "=>" atom`; a query may also be a bare atom."""
     body: list[Atom] = []
     if toks[i] != "=>":
-        atom, i = _atom(toks, i)
+        atom, i = _atom(toks, i, leaves)
         if query and toks[i] != "," and toks[i] != "=>":
             return HornClause((), atom), i
         body.append(atom)
         while toks[i] == ",":
-            atom, i = _atom(toks, i + 1)
+            atom, i = _atom(toks, i + 1, leaves)
             body.append(atom)
         if toks[i] != "=>":
             raise _expected(toks, i, "'=>'")
-    head, i = _atom(toks, i + 1)
+    head, i = _atom(toks, i + 1, leaves)
     return HornClause(tuple(body), head), i
 
 
@@ -241,13 +244,14 @@ class SourceProgram(Value, compared=2):
 def _clauses(toks: list[str], i: int) -> tuple[tuple[dict[str, int], list[HornClause]], int]:
     by_name: dict[str, int] = {}  # in source order
     clauses: list[HornClause] = []
+    leaves: dict = {}
     while toks[i]:
         name = toks[i]
         if name in _SYMBOLS:
             raise _expected(toks, i, "a clause name")
         if toks[i + 1] != ":":
             raise _expected(toks, i + 1, "':'")
-        clause, end = _formula(toks, i + 2, False)
+        clause, end = _formula(toks, i + 2, False, leaves)
         if toks[end] != ".":
             raise _expected(toks, end, "'.'")
         if name in by_name:
@@ -278,11 +282,11 @@ def parse_program(text: str) -> SourceProgram:
 
 
 def parse_formula(text: str) -> HornClause:
-    return _whole(lambda toks, i: _formula(toks, i, True), text)
+    return _whole(lambda toks, i: _formula(toks, i, True, {}), text)
 
 
 def parse_atom(text: str) -> Atom:
-    return _whole(_atom, text)
+    return _whole(lambda toks, i: _atom(toks, i, {}), text)
 
 
 def parse_proof(text: str) -> ProofTerm:

@@ -10,10 +10,10 @@ variables when they occur in term position.  Predicate names may use any
 case (the classic counterexample programs use A, B, D as predicates).
 
 Every class here is an immutable `Value` and every operation is a pure
-function, so values can be shared freely across threads.  App fills its
-hash, sort-key and rendered-string caches on first use, Atom its hash
-cache; each write stores the value any thread would compute, so the sharing
-stays safe.
+function, so values can be shared freely across threads.  A cache slot is
+unset until first use: App then fills its hash, sort-key and
+rendered-string caches, Atom its hash cache; each write stores the value
+any thread would compute, so the sharing stays safe.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ DEFAULT_MAX_ATOMS = 100_000
 
 
 class BaseTooLargeError(Exception):
-    """The bounded base would hold more atoms, or universe terms, than the
-    budget allows."""
+    """The bounded base would hold, or the atoms a ground atom reaches do
+    hold, more atoms or terms than the budget allows."""
 
 
 class CertificateInvariantError(Exception):
@@ -97,9 +97,10 @@ class Value:
 
     A subclass lists its slots in `__slots__`: first its fields, then its
     caches, whose names start with `_`.  `__init__` takes the fields,
-    positionally or by keyword, with defaults from `_defaults`, and sets the
-    caches to None; a cache is filled later through `object.__setattr__`,
-    by hand or by a `_lazy` property.
+    positionally or by keyword, with defaults from `_defaults`, and sets
+    only them: a cache stays unset, so reading it raises AttributeError,
+    until it is filled through `object.__setattr__`, by hand or by a
+    `_lazy` property.
     The first `compared` fields (all by default) make up `==` and the hash,
     and the first `shown` fields (all by default) the `repr`, which reads as
     a dataclass's.  Pickles and copies call the class on the fields, so they
@@ -115,16 +116,15 @@ class Value:
         if cls.__slots__[:len(fields)] != fields:
             raise TypeError(f"{cls.__name__}: the fields must precede the caches")
         cls._fields = fields
-        cls._nones = (None,) * (len(cls.__slots__) - len(fields))  # the caches' values
-        # The slots' own setters, which skip the frozen `__setattr__`.
-        cls._setters = tuple(vars(cls)[n].__set__ for n in cls.__slots__)
+        # The fields' own setters, which skip the frozen `__setattr__`.
+        cls._setters = tuple(vars(cls)[n].__set__ for n in fields)
         cls._key = attrgetter(*fields[:compared])
         cls._shown = fields[:shown]
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = self._arguments(args, kwargs)
-        for set_slot, value in zip(self._setters, args + self._nones):
+        for set_slot, value in zip(self._setters, args):
             set_slot(self, value)
 
     @classmethod
@@ -173,11 +173,12 @@ def _lazy(build):
     slot = "_" + build.__name__
 
     def get(self):
-        value = getattr(self, slot)
-        if value is None:
+        try:
+            return getattr(self, slot)
+        except AttributeError:
             value = build(self)
             _setattr(self, slot, value)
-        return value
+            return value
 
     return property(get, doc=build.__doc__)
 
@@ -210,25 +211,24 @@ class App(Value):
     def __init__(self, functor: str, args: tuple["Term", ...] = ()):
         _setattr(self, "functor", functor)
         _setattr(self, "args", args)
-        _setattr(self, "_hash", None)
-        _setattr(self, "_sort_key", None)
-        _setattr(self, "_str", None)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.functor, self.args))
             _setattr(self, "_hash", h)
-        return h
+            return h
 
     def __str__(self) -> str:
-        s = self._str
-        if s is None:
+        try:
+            return self._str
+        except AttributeError:
             s = self.functor
             if self.args:
                 s = f"{s}({','.join(str(a) for a in self.args)})"
             _setattr(self, "_str", s)
-        return s
+            return s
 
 
 Term = Var | App
@@ -240,14 +240,14 @@ class Atom(Value):
     def __init__(self, predicate: str, args: tuple[Term, ...] = ()):
         _setattr(self, "predicate", predicate)
         _setattr(self, "args", args)
-        _setattr(self, "_hash", None)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.predicate, self.args))
             _setattr(self, "_hash", h)
-        return h
+            return h
 
     def __str__(self) -> str:
         if not self.args:
@@ -342,12 +342,13 @@ def term_sort_key(t: Term):
     """Deterministic order: depth first, then name, then arguments."""
     if isinstance(t, Var):
         return (1, t.name, ())
-    key = t._sort_key
-    if key is None:
+    try:
+        return t._sort_key
+    except AttributeError:
         args = tuple(term_sort_key(a) for a in t.args)
         key = (1 + max((k[0] for k in args), default=0), t.functor, args)
         _setattr(t, "_sort_key", key)
-    return key
+        return key
 
 
 def atom_sort_key(a: Atom):
@@ -500,7 +501,7 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
     for pred, ks in by_pred.items():
         position[pred] = min(
             range(len(heads[ks[0]].args)),
-            key=lambda p: sum(isinstance(heads[k].args[p], Var) for k in ks),
+            key=lambda p: sum([isinstance(heads[k].args[p], Var) for k in ks]),
             default=0,
         )
     keys = [head_key(h, position[h.predicate]) for h in heads]
@@ -519,8 +520,12 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
     for i, (pred, functor) in enumerate(keys):
         if functor is None:
             later = by_pred[pred]
+        elif (pred, None) in by_key:
+            later = sorted(by_key[pred, functor] + by_key[pred, None])
         else:
-            later = sorted(by_key[pred, functor] + by_key.get((pred, None), []))
+            later = by_key[pred, functor]
+            if len(later) == 1:
+                continue  # head i alone has its functor, and no head a variable
         for j in later[bisect_right(later, i):]:
             if unifiable(apart(i), apart(j)):
                 return i, j
@@ -560,14 +565,17 @@ def _clash(kind: str, name: str, first: int, second: int) -> SignatureError:
     return SignatureError(f"{kind} {name} used with arities {first} and {second}")
 
 
-def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int]) -> None:
-    """Add the predicate of `a` to `preds` and its functors to `funcs`, in
-    pre-order, raising on the first arity clash; as in `_vars`, only the
-    arguments of compound terms are walked on a stack."""
+def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int], names: list[str]) -> None:
+    """Add the predicate of `a` to `preds`, its functors to `funcs` and the
+    variable names `names` lacks to `names`, in pre-order, raising on the
+    first arity clash; as in `_vars`, only the arguments of compound terms
+    are walked on a stack."""
     if preds.setdefault(a.predicate, len(a.args)) != len(a.args):
         raise _clash("predicate", a.predicate, preds[a.predicate], len(a.args))
     for t in a.args:
         if isinstance(t, Var):
+            if t.name not in names:
+                names.append(t.name)
             continue
         if funcs.setdefault(t.functor, len(t.args)) != len(t.args):
             raise _clash("functor", t.functor, funcs[t.functor], len(t.args))
@@ -575,6 +583,8 @@ def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int]) -> None
         while stack:
             for t in stack[-1]:
                 if isinstance(t, Var):
+                    if t.name not in names:
+                        names.append(t.name)
                     continue
                 if funcs.setdefault(t.functor, len(t.args)) != len(t.args):
                     raise _clash("functor", t.functor, funcs[t.functor], len(t.args))
@@ -591,7 +601,7 @@ def signature_of(atoms: Iterable[Atom]) -> Signature:
     funcs: dict[str, int] = {}
     preds: dict[str, int] = {}
     for a in atoms:
-        _collect_atom(a, funcs, preds)
+        _collect_atom(a, funcs, preds, [])
     return Signature(funcs, preds)
 
 
@@ -609,17 +619,24 @@ class Program(Value):
 
     def __init__(self, clauses: tuple[HornClause, ...], axiom_count: int = -1):
         super().__init__(clauses, len(clauses) if axiom_count < 0 else axiom_count)
-        atoms = [a for c in clauses for a in (c.head, *c.body)]
-        _setattr(self, "_signature", signature_of(atoms))
+        # One walk over the atoms: an arity clash anywhere is raised before
+        # the first clause with existential variables.
+        funcs: dict[str, int] = {}
+        preds: dict[str, int] = {}
+        existential = None
         for c in clauses:
-            # atom_vars appends only names not yet listed, so the names past
-            # the head's are the body's unbound ones, each once.
-            names = atom_vars(c.head)
+            # Only names not yet listed are added, so the names past the
+            # head's are the body's unbound ones, each once.
+            names: list[str] = []
+            _collect_atom(c.head, funcs, preds, names)
             bound = len(names)
             for b in c.body:
-                atom_vars(b, names)
-            if len(names) > bound:
-                raise ExistentialVariableError(c, names[bound:])
+                _collect_atom(b, funcs, preds, names)
+            if len(names) > bound and existential is None:
+                existential = ExistentialVariableError(c, names[bound:])
+        if existential is not None:
+            raise existential
+        _setattr(self, "_signature", Signature(funcs, preds))
         axioms = self.clauses[: self.axiom_count]
         pair = _first_overlap([c.head for c in axioms])
         if pair is not None:

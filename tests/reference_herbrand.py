@@ -41,7 +41,6 @@ from cohorn.herbrand import (
     Semantics,
     ValidityVerdict,
     Verdict,
-    _checked,
     _Grounding,
     _ground_program,
     _propagate,
@@ -129,7 +128,7 @@ def tp_monotone_check(
 
 def _base_of(program: Program, atom: Atom, depth: int, extra_constants, max_atoms) -> HerbrandBase:
     sig = program.signature.merged(signature_of([atom]))
-    return herbrand_base(_checked(sig, depth, extra_constants, max_atoms), depth, max_atoms=max_atoms)
+    return herbrand_base(sig, depth, extra_constants, max_atoms)
 
 
 def certify_by_base(

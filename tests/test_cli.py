@@ -622,35 +622,57 @@ class TestErrorChannels:
 
 
 class TestBaseBudget:
-    """`--max-atoms` bounds the Herbrand base of `model`, `certify` and
-    `verify-soundness`; an oversized base is a usage error, found before
-    anything is enumerated."""
+    """`--max-atoms` bounds the Herbrand base of `model` and of a non-ground
+    `verify-soundness`, found before anything is enumerated; `certify`, and
+    `verify-soundness` of a ground atom, build no base, and the budget
+    bounds the atoms and terms their walk interns instead."""
 
     USAGE = "usage error: the Herbrand base at depth {} has more than {} atoms or terms; " \
         "raise --max-atoms or lower the depth\n"
+    REACHED = "usage error: the atoms reached at depth {} hold more than {} atoms or terms; " \
+        "raise --max-atoms or lower the depth\n"
+    # Four atoms over four terms at any depth from 4 on; the base at depth 6
+    # holds about 4.4e12 terms.
+    DEEP = "eq(pair(pair(int,int),pair(int,pair(int,int))))"
 
-    def test_runaway_certificate_returns_at_once(self):
-        # About 4.4e12 universe terms at depth 6; this call used to run for minutes.
-        argv = ["certify", hc("pair"), "--atom", "eq(pair(int,int))", "--depth", "6", "--const", "c"]
+    def test_runaway_certificate_returns_at_once(self, tmp_path):
+        # p(z) reaches p(s^i(z)) for every i below the depth, interning one
+        # more term: at depth 1,000 that is 1,000 atoms over 1,001 terms, and
+        # at depth 10^9 the walk would run for hours.
+        prog = tmp_path / "down.hc"
+        prog.write_text("k1 : p(s(X)) => p(X).\n")
+        argv = ["certify", str(prog), "--atom", "p(z)", "--depth"]
         start = time.perf_counter()
-        code, out, err = run(argv)
+        code, out, err = run(argv + ["1000000000", "--max-atoms", "10000"])
         assert time.perf_counter() - start < 1.0
-        assert (code, out, err) == (64, "", self.USAGE.format(6, 100000))
+        assert (code, out, err) == (64, "", self.REACHED.format(1000000000, 10000))
+        assert run(argv + ["1000", "--max-atoms", "1001"])[0] == 0
+        assert run(argv + ["1000", "--max-atoms", "1000"]) == (64, "", self.REACHED.format(1000, 1000))
+
+    def test_a_ground_atom_is_judged_past_the_base_budget(self):
+        for depth in ("5", "6", "12"):
+            code, out, _ = run(["certify", hc("pair"), "--atom", self.DEEP, "--depth", depth, "--json"])
+            assert code == 0, depth
+            assert json.loads(out)["stats"] == {"base_atoms": 4, "instances": 4, "rounds": 1}, depth
+        code, out, _ = run(["verify-soundness", hc("pair"), "--query", self.DEEP, "--mode", "ind",
+                            "--base-depth", "6"])
+        assert code == 0 and "oracle (inductive, base depth 6): VALID" in out
 
     def test_huge_depth_saturates(self):
         argv = ["model", hc("pair"), "--semantics", "greatest", "--depth", "1000000000"]
         assert run(argv) == (64, "", self.USAGE.format(1000000000, 100000))
 
     def test_budget_is_inclusive(self):
-        # pair at depth 3: five terms, five eq atoms.
-        for command in (
-            ["model", hc("pair"), "--semantics", "least", "--depth", "3"],
-            ["certify", hc("pair"), "--atom", "eq(pair(int,int))", "--depth", "3"],
-            ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind",
-             "--base-depth", "3"],
+        # pair's base at depth 3: five terms, five eq atoms; DEEP's walk at
+        # depth 6: four atoms over four terms.
+        for command, n, usage in (
+            (["model", hc("pair"), "--semantics", "least", "--depth", "3"], 5, self.USAGE.format(3, 4)),
+            (["certify", hc("pair"), "--atom", self.DEEP, "--depth", "6"], 4, self.REACHED.format(6, 3)),
+            (["verify-soundness", hc("pair"), "--query", self.DEEP, "--mode", "ind", "--base-depth", "6"],
+             4, self.REACHED.format(6, 3)),
         ):
-            assert run(command + ["--max-atoms", "5"])[0] == 0, command
-            assert run(command + ["--max-atoms", "4"]) == (64, "", self.USAGE.format(3, 4)), command
+            assert run(command + ["--max-atoms", str(n)])[0] == 0, command
+            assert run(command + ["--max-atoms", str(n - 1)]) == (64, "", usage), command
 
     def test_deep_unary_universe(self, tmp_path):
         """A unary chain 2,000 terms deep, inside the budget, is built layer

@@ -20,6 +20,7 @@ from cohorn import (
     SignatureError,
     Var,
     format_proof,
+    parse_atom,
     parse_formula,
     parse_proof,
     parse_program,
@@ -366,9 +367,57 @@ class TestConstantNames:
         assert is_constant_name(text) == (parsed == Atom("p", (App(text),)))
 
 
+class TestLeafSharing:
+    """One parse builds one `Var` or constant `App` per distinct name; the
+    table that holds them lives for that parse only."""
+
+    TEXT = "k1 : eq(X), eq(Y) => eq(pair(X,Y)).\nk2 : => eq(int).\nk3 : eq(X) => eq(f(X,int,g(int)))."
+
+    def leaves(self, src: SourceProgram) -> dict:
+        found: dict = {}
+        for c in src.program.clauses:
+            stack = [t for a in (c.head, *c.body) for t in a.args]
+            while stack:
+                t = stack.pop()
+                if isinstance(t, Var) or not t.args:
+                    found.setdefault(str(t), set()).add(id(t))
+                else:
+                    stack.extend(t.args)
+        return found
+
+    def test_equal_leaves_are_one_object_within_and_across_clauses(self):
+        src = parse_program(self.TEXT)
+        k1, k3 = src.program.clauses[0], src.program.clauses[2]
+        assert k1.body[0].args[0] is k1.head.args[0].args[0]  # X within k1
+        assert k3.body[0].args[0] is k1.body[0].args[0]  # X across clauses
+        leaves = self.leaves(src)
+        assert sorted(leaves) == ["X", "Y", "int"]
+        assert all(len(ids) == 1 for ids in leaves.values())
+
+    def test_compound_terms_and_formulas_are_not_shared(self):
+        src = parse_program("k1 : => p(f(c)).\nk2 : => q(f(c)).")
+        a, b = (c.head.args[0] for c in src.program.clauses)
+        assert a == b and a is not b
+        assert a.args[0] is b.args[0]
+        goal = parse_formula("p(X), q(X) => r(X)")
+        assert goal.body[0].args[0] is goal.head.args[0]
+
+    def test_two_parses_share_no_leaf(self):
+        one, two = parse_program(self.TEXT), parse_program(self.TEXT)
+        assert one == two
+        ids_one = set().union(*self.leaves(one).values())
+        ids_two = set().union(*self.leaves(two).values())
+        assert not ids_one & ids_two
+        assert parse_atom("p(X, c)").args[0] is not parse_atom("p(X, c)").args[0]
+        # No table outlives a parse: no module-level dict holds a term.
+        tables = [v for v in vars(syntax).values() if isinstance(v, dict)]
+        assert not any(isinstance(t, (Var, App)) for table in tables for t in table.values())
+
+
 class TestParseCost:
     def test_call_events_per_token(self):
-        """A 120-clause two-parameter instance program costs at most 2 Python calls a token."""
+        """A 120-clause two-parameter instance program costs at most one
+        Python call a token, parsing and validation together."""
         text = "k0 : => eq(c).\n" + "".join(
             f"k{i} : eq(X), eq(Y) => eq(t{i}(X,Y)).\n" for i in range(1, 121)
         )
@@ -384,4 +433,4 @@ class TestParseCost:
         finally:
             sys.setprofile(None)
         assert len(src.names) == 121
-        assert calls <= 2 * len(_tokenize(text))
+        assert calls <= len(_tokenize(text))

@@ -253,11 +253,12 @@ class TestCachedHashes:
     def test_pickle_drops_the_cache(self):
         term = App("f", (App("c"), App("g", (App("c"), App("d")))))
         a = Atom("q", (term, App("c")))
+        assert not hasattr(a, "_hash") and not hasattr(term, "_hash")  # unset until first use
         hash(a)  # fill the caches of the atom and its terms
         restored = pickle.loads(pickle.dumps(a))
-        assert a._hash is not None and term._hash is not None
-        assert restored._hash is None
-        assert restored.args[0]._hash is None
+        assert hasattr(a, "_hash") and hasattr(term, "_hash")
+        assert not hasattr(restored, "_hash")
+        assert not hasattr(restored.args[0], "_hash")
         fresh = {Atom("q", (App("f", (App("c"), App("g", (App("c"), App("d"))))), App("c")))}
         assert restored in fresh
         assert restored.args[0] in {App("f", (App("c"), App("g", (App("c"), App("d")))))}
@@ -280,12 +281,13 @@ class TestCachedHashes:
 
     def test_rendered_string_cache_stays_out_of_pickles_and_copies(self):
         term = App("f", (App("c"), App("g", (Var("X"), App("d")))))
+        assert not hasattr(term, "_str")
         assert str(term) == "f(c,g(X,d))"
-        assert term._str is not None and term.args[1]._str is not None
-        assert copy.copy(term)._str is None  # a shallow copy shares the args
+        assert term._str == "f(c,g(X,d))" and term.args[1]._str == "g(X,d)"
+        assert not hasattr(copy.copy(term), "_str")  # a shallow copy shares the args
         for restored in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
-            assert restored._str is None
-            assert restored.args[1]._str is None
+            assert not hasattr(restored, "_str")
+            assert not hasattr(restored.args[1], "_str")
             assert restored == term and str(restored) == "f(c,g(X,d))"
 
     def test_shared_subterm_renders_once(self):
