@@ -166,7 +166,6 @@ def _add_flags(p: _Parser, command: str) -> _Parser:
     elif command == "certify":
         p.add_argument("--atom", required=True, help="ground atom")
         p.add_argument("--depth", type=_positive_int, default=6)
-        p.add_argument("--const", action="append", default=[])
     else:  # verify-soundness
         p.add_argument("--query", required=True)
         p.add_argument("--mode", required=True, choices=sorted(_MODES))
@@ -449,9 +448,7 @@ def _cmd_certify(src: SourceProgram, args) -> int:
     from . import herbrand
 
     atom = parse_atom(args.atom)
-    cert = herbrand.certify_gfp(
-        src.program, atom, args.depth, extra_constants=args.const, max_atoms=args.max_atoms
-    )
+    cert = herbrand.certify_gfp(src.program, atom, args.depth, max_atoms=args.max_atoms)
     report = {
         "command": "certify",
         "program": args.program,

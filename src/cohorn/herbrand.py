@@ -47,26 +47,25 @@ one round per base atom and that last one, so `max_atoms` is the only
 budget.  Results are byte masks over the ids, printed in id order with
 no sort.
 
-A ground atom's own question needs no base: its membership in either
-model depends only on the atoms it reaches through clause bodies.
-`certify_gfp`, and `valid` of a ground atomic formula, ground just those
-atoms (`_reach`), numbered from the target and interning only the terms they
-meet, after the same signature checks; `max_atoms` bounds the atoms and
-terms the walk interns, not the base it never builds.  A body atom with a term
-beyond the depth is an out-of-base atom of its instance, as in a base's
-grounding, and is not walked.  The walk costs O(reached instances * clause
-body), plus matching each reached atom against the clause heads of its
-predicate and first functor; the same fixpoints and support then run on it,
-so the answer equals the base's.
+A question with no variables needs no base: the membership of its atoms
+in either model depends only on the atoms they reach through clause
+bodies.  `certify_gfp`, and `valid` of a formula without variables, ground
+just those atoms (`_reach`), interning only the terms they meet, after the
+same signature checks; `max_atoms` bounds that walk, not a base.  A body
+atom with a term beyond the depth is an out-of-base atom of its instance,
+as in a base's grounding, and is not walked.  The walk costs O(reached
+instances * clause body), plus matching each reached atom against the
+clause heads of its predicate and first functor; the same fixpoints and
+support then run on it, so the answer equals the base's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 from enum import Enum
-from itertools import compress, groupby, product, repeat
+from itertools import compress, groupby, islice, product, repeat
 from operator import gt
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .terms import (
     DEFAULT_MAX_ATOMS,
@@ -168,15 +167,15 @@ class HerbrandBase(Value, compared=3, shown=3):
     def atoms(self) -> AtomSet:
         return AtomSet(self, None)
 
-    def atom_id(self, atom: Atom, env: Optional[dict[str, int]] = None) -> Optional[int]:
-        """The id of `atom`, its variables read through `env`, or None when
-        that atom lies outside the base."""
+    def atom_id(self, atom: Atom) -> Optional[int]:
+        """The id of `atom`, or None when it is not a ground atom of the
+        base."""
         arity, lo = self.offsets.get(atom.predicate, (-1, 0))
         if arity != len(atom.args):
             return None
-        k, n, env = 0, len(self.universe), env or {}
+        k, n = 0, len(self.universe)
         for arg in atom.args:
-            t = env.get(arg.name) if isinstance(arg, Var) else _term_id(arg, env, self.intern.get)
+            t = _term_id(arg, {}, self.intern.get)
             if t is None:
                 return None
             k = k * n + t
@@ -425,7 +424,11 @@ def _ground_program(program: Program, base: HerbrandBase) -> _Grounding:
     return g
 
 
-def _fixpoint(g: _Grounding, base: HerbrandBase, greatest: bool, policy: Policy) -> Interpretation:
+def _fixpoint(
+    program: Program, depth: int, greatest: bool, policy: Policy, extra_constants: Iterable[str], max_atoms: int
+) -> Interpretation:
+    base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
+    g = _ground_program(program, base)
     # Under the pessimistic policy an instance with an out-of-base body atom
     # never fires.
     current, rounds = _propagate(g, greatest, g.outside if policy is Policy.PESSIMISTIC else {})
@@ -495,9 +498,7 @@ def lfp(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Least fixed point of the bounded operator, iterated up from empty."""
-    base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
-    g = _ground_program(program, base)
-    return _fixpoint(g, base, False, Policy.PESSIMISTIC)
+    return _fixpoint(program, depth, False, Policy.PESSIMISTIC, extra_constants, max_atoms)
 
 
 def gfp_bounded(
@@ -509,9 +510,7 @@ def gfp_bounded(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Greatest fixed point of the bounded operator, iterated down from full."""
-    base = herbrand_base(program.signature, depth, extra_constants, max_atoms)
-    g = _ground_program(program, base)
-    return _fixpoint(g, base, True, policy)
+    return _fixpoint(program, depth, True, policy, extra_constants, max_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +522,14 @@ _Key = tuple[str, tuple[int, ...]]
 
 
 def _reach(
-    program: Program, target: Atom, depth: int, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> Optional[tuple[_Grounding, list[_Key], list[_Key]]]:
-    """The grounding of the atoms that the ground atom `target` reaches
-    through clause bodies, numbered from the target, which is atom 0; with
-    it the atoms, as (predicate, argument term ids), and the term table of
-    (functor, child ids), each child first.  None when the target lies
-    outside the base.  `BaseTooLargeError` as soon as the walk has interned
-    more than `max_atoms` atoms or terms.
+    program: Program, roots: Sequence[Atom], depth: int, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> Optional[tuple[_Grounding, list[int], list[_Key], list[_Key]]]:
+    """The grounding of the atoms that the ground atoms `roots` reach
+    through clause bodies, with each root's id, the atoms as (predicate,
+    argument term ids) and the term table of (functor, child ids), each
+    child first.  The roots are numbered first, in order, a repeated root
+    once.  None when a root lies outside the base; `BaseTooLargeError` as
+    soon as the walk has interned more than `max_atoms` atoms or terms.
 
     Each reached atom gets every clause instance whose head it is, in clause
     order; the head binds every variable, so the body is ground.  A body
@@ -557,13 +556,15 @@ def _reach(
         args = tuple(env[t.name] if isinstance(t, Var) else _term_id(t, env, node_id) for t in a.args)
         return a.predicate, args
 
+    keys = [atom_key(root, {}) for root in roots]
+    if any(depths[t] > depth for _, args in keys for t in args):
+        return None
+    index: dict[_Key, int] = {}
+    ids = [index.setdefault(key, len(index)) for key in keys]
+    atoms = list(index)
     by_key: dict[tuple[str, Optional[str]], list[int]] = {}
     for k, c in enumerate(program.clauses):
         by_key.setdefault(head_key(c.head), []).append(k)
-    atoms = [atom_key(target, {})]
-    if any(depths[t] > depth for t in atoms[0][1]):
-        return None
-    index = {atoms[0]: 0}
     # (predicate, first functor) -> the numbers of the clauses whose heads
     # may match such an atom, in clause order.
     tried: dict[tuple[str, Optional[str]], list[int]] = {}
@@ -592,7 +593,7 @@ def _reach(
                 outside[len(heads)] = tuple(out)
             heads.append(a)
             bodies.append(tuple(body))
-    return _Grounding(heads, bodies, outside, len(atoms)), atoms, terms
+    return _Grounding(heads, bodies, outside, len(atoms)), ids, atoms, terms
 
 
 def _walk_too_large(depth: int, max_atoms: int) -> BaseTooLargeError:
@@ -667,7 +668,6 @@ def certify_gfp(
     target: Atom,
     search_depth: int,
     *,
-    extra_constants: Iterable[str] = (),
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Optional[Certificate]:
     """Search for a finite support set witnessing membership of `target`.
@@ -680,12 +680,12 @@ def certify_gfp(
     """
     if atom_vars(target):
         raise ValueError("certificate targets must be ground atoms")
-    # A base would first refuse a symbol clash and a bad extra constant.
-    program.signature.merged(signature_of([target])).with_constants(extra_constants)
-    reached = _reach(program, target, search_depth, max_atoms)
+    # A base would first refuse a symbol clash.
+    program.signature.merged(signature_of([target]))
+    reached = _reach(program, [target], search_depth, max_atoms)
     if reached is None:
         return None
-    g, atoms, terms = reached
+    g, _, atoms, terms = reached
     live, rounds = _propagate(g, True, {})
     if not live[0]:
         return None
@@ -775,66 +775,70 @@ def valid(
     is reported only for a definitive counterexample (bodies surely in,
     head surely out), the first in `product(universe, ...)` order over the
     formula's variables; groundings the bound cannot decide yield UNKNOWN,
-    as do formulas with no grounding inside the base.  Only the body-only
-    variables range over the universe; the rest come from the head's
-    join with the base.  A ground atomic formula is read off the fixpoints
-    of the atoms it reaches (`_reach`), with no base built; `max_atoms`
-    then bounds the atoms and terms of that walk, not the base.
+    as do formulas with no grounding inside the base.
+
+    A formula without variables is read off the fixpoints of the atoms it
+    reaches (`_reach`), with no base built, and `max_atoms` bounds that
+    walk; one with variables is grounded over the base (`_groundings`).
     """
     sig = program.signature.merged(signature_of([formula.head, *formula.body]))
-    greatest = semantics is Semantics.COIND
-    if formula.is_atomic and not atom_vars(formula.head):
-        reached = _reach(program, formula.head, depth, max_atoms)
-        if reached is None:
-            return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_NO_GROUNDING)
-        g, atoms, terms = reached
-        # Atom 0 is the formula; the optimistic fixpoint differs only where
-        # an instance leans on an out-of-base atom.
-        if _propagate(g, greatest, g.outside)[0][0]:
-            return ValidityVerdict(Verdict.VALID, None, semantics, depth)
-        if g.outside and _propagate(g, greatest, {})[0][0]:
-            return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_UNDECIDED)
-        note = f"instance {next(_listed(terms, atoms[:1])[0].texts())} fails at depth {depth}"
-        return ValidityVerdict(Verdict.INVALID, {}, semantics, depth, note=note)
-    base = herbrand_base(sig, depth, max_atoms=max_atoms)
-    g = _ground_program(program, base)
-    sure, maybe = (
-        base.mask(_fixpoint(g, base, greatest, policy).atoms)
-        for policy in (Policy.PESSIMISTIC, Policy.OPTIMISTIC)
-    )
     names = clause_vars(formula)
-    bound = len(atom_vars(formula.head))
-    # The head's matches, ordered by its variables' ids, each extended over
-    # the body-only variables: the groundings in `product` order.
-    head_ids, envs = base.join(formula.head)
-    heads = sorted(zip(envs, head_ids))
-    checked = 0
-    undecided = False
-    for ids, head in heads:
-        for rest in product(range(len(base.universe)), repeat=len(names) - bound):
-            env = dict(zip(names, ids + rest))
-            body = [base.atom_id(b, env) for b in formula.body]
-            if None in body:
-                continue
-            checked += 1
-            if not all(maybe[b] for b in body) or sure[head]:
-                continue  # a premise surely fails, or the head surely holds
-            if not all(sure[b] for b in body) or maybe[head]:
-                undecided = True
-                continue
-            s = {v: base.universe[t] for v, t in env.items()}
-            # The instance's text comes from its id, so a deep one needs no recursion.
-            only = bytearray(base.size)
-            only[head] = 1
-            return ValidityVerdict(
-                Verdict.INVALID, s, semantics, depth,
-                note=f"instance {next(AtomSet(base, bytes(only)).texts())} fails at depth {depth}",
-            )
+    if names:
+        base = herbrand_base(sig, depth, max_atoms=max_atoms)
+        g = _ground_program(program, base)
+        rows: Iterable[tuple[tuple[int, ...], int, tuple[int, ...]]] = _groundings(base, formula, names)
+        universe = base.universe
+        def text(head: int) -> str:  # from the id, so a deep atom needs no recursion
+            return next(AtomSet(base, bytes(head) + b"\x01" + bytes(base.size - head - 1)).texts())
+    else:
+        reached = _reach(program, [formula.head, *formula.body], depth, max_atoms)
+        # A root beyond the depth leaves the formula no grounding.
+        g, roots, atoms, terms = reached or (_Grounding([], [], {}, 0), [], [], [])
+        rows = [((), roots[0], tuple(roots[1:]))] if reached else []
+        universe = ()  # no variable takes a term
+        def text(head: int) -> str:
+            return next(_listed(terms, [atoms[head]])[0].texts())
+
+    greatest = semantics is Semantics.COIND
+    sure = _propagate(g, greatest, g.outside)[0]
+    # Without out-of-base atoms the optimistic fixpoint is the pessimistic one.
+    maybe = _propagate(g, greatest, {})[0] if g.outside else sure
+    checked, undecided = 0, False
+    for ids, head, body in rows:
+        checked += 1
+        if not all(maybe[b] for b in body) or sure[head]:
+            continue  # a premise surely fails, or the head surely holds
+        if not all(sure[b] for b in body) or maybe[head]:
+            undecided = True
+            continue
+        return ValidityVerdict(
+            Verdict.INVALID, {v: universe[t] for v, t in zip(names, ids)}, semantics, depth,
+            note=f"instance {text(head)} fails at depth {depth}",
+        )
     if checked == 0:
         return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_NO_GROUNDING)
     if undecided:
         return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_UNDECIDED)
     return ValidityVerdict(Verdict.VALID, None, semantics, depth)
+
+
+def _groundings(
+    base: HerbrandBase, formula: HornClause, names: list[str]
+) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The groundings of `formula` inside the base as (ids of `names`, its
+    variables, head id, body ids), in `product(universe, ...)` order: the
+    head's `join` rows sorted by their variables' ids, each extended over
+    the body-only variables.  Body ids are read by `ids_under`, one slice of
+    |universe| groundings at a time, so stopping early grounds one slice."""
+    n = len(base.universe)
+    head_ids, envs = base.join(formula.head)
+    rows = ((env + more, head) for env, head in sorted(zip(envs, head_ids))
+            for more in product(range(n), repeat=len(names) - len(env)))
+    while chunk := list(islice(rows, max(n, 1))):
+        columns = [base.ids_under(b, names, [env for env, _ in chunk]) for b in formula.body]
+        for (env, head), body in zip(chunk, zip(*columns) if columns else repeat(())):
+            if None not in body:
+                yield env, head, body
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +874,9 @@ def preserves_model(
     extended = program.extended(formula)
     base = herbrand_base(extended.signature, depth)
     greatest = semantics is Semantics.COIND
-    policy = Policy.OPTIMISTIC if greatest else Policy.PESSIMISTIC
     grounds = (_ground_program(program, base), _ground_program(extended, base))
-    models = [_fixpoint(g, base, greatest, policy) for g in grounds]
-    old, new = (base.mask(m.atoms) for m in models)
+    # The optimistic greatest model, or the pessimistic least one.
+    old, new = (_propagate(g, greatest, {} if greatest else g.outside)[0] for g in grounds)
     gone, came = bytes(map(gt, old, new)), bytes(map(gt, new, old))
     removed, added = tuple(AtomSet(base, gone)), tuple(AtomSet(base, came))
     certs: list[tuple[Atom, bool, bool]] = []

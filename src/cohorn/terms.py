@@ -293,34 +293,13 @@ def format_formula(clause: HornClause, unicode: bool = False) -> str:
 
 def term_vars(t: Term, out: Optional[list[str]] = None) -> list[str]:
     """Variable names in first-occurrence order."""
-    return _vars((t,), [] if out is None else out)
+    return atom_vars(Atom("", (t,)), out)
 
 
 def atom_vars(a: Atom, out: Optional[list[str]] = None) -> list[str]:
-    return _vars(a.args, [] if out is None else out)
-
-
-def _vars(terms: Iterable[Term], out: list[str]) -> list[str]:
-    """Append to `out` the variable names of `terms` it lacks, in
-    first-occurrence order.  Below each compound term the walk runs on an
-    explicit stack of argument iterators; the terms themselves, mostly
-    variables, are read in place, which keeps a load as fast as recursion."""
-    for t in terms:
-        if isinstance(t, Var):
-            if t.name not in out:
-                out.append(t.name)
-            continue
-        stack = [iter(t.args)]
-        while stack:
-            for t in stack[-1]:
-                if isinstance(t, Var):
-                    if t.name not in out:
-                        out.append(t.name)
-                elif t.args:
-                    stack.append(iter(t.args))
-                    break
-            else:
-                stack.pop()
+    """Append to `out` the variable names of `a` it lacks, in first-occurrence order."""
+    out = [] if out is None else out
+    _collect_atom(a, {}, {}, out)
     return out
 
 
@@ -568,8 +547,8 @@ def _clash(kind: str, name: str, first: int, second: int) -> SignatureError:
 def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int], names: list[str]) -> None:
     """Add the predicate of `a` to `preds`, its functors to `funcs` and the
     variable names `names` lacks to `names`, in pre-order, raising on the
-    first arity clash; as in `_vars`, only the arguments of compound terms
-    are walked on a stack."""
+    first arity clash.  Only the arguments of compound terms are walked on
+    a stack, so a load stays as fast as recursion."""
     if preds.setdefault(a.predicate, len(a.args)) != len(a.args):
         raise _clash("predicate", a.predicate, preds[a.predicate], len(a.args))
     for t in a.args:

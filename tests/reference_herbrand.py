@@ -3,7 +3,7 @@
 The grounding as it was before the column join: `matches` filters each
 argument position's column of universe ids, then matches the whole head
 again for every combination of the filtered columns.  `ground_program`
-looks each body atom of each instance up through a dict env.
+builds each body atom of each instance with `apply_atom` and looks it up.
 `tests/test_herbrand.py` checks that `cohorn.herbrand._ground_program`
 returns the same `_Grounding`, in the same instance order, on random, corpus
 and benchmark-shaped inputs.
@@ -76,12 +76,11 @@ def ground_program(program: Program, base: HerbrandBase) -> _Grounding:
     g = _Grounding([], [], {}, base.size)
     for clause in program.clauses:
         for head, env in matches(base, clause.head):
-            body = [base.atom_id(b, env) for b in clause.body]
+            terms = {v: base.universe[t] for v, t in env.items()}
+            atoms = [apply_atom(terms, b) for b in clause.body]
+            body = [base.atom_id(b) for b in atoms]
             if None in body:
-                terms = {v: base.universe[t] for v, t in env.items()}
-                g.outside[len(g.heads)] = tuple(
-                    apply_atom(terms, b) for b, k in zip(clause.body, body) if k is None
-                )
+                g.outside[len(g.heads)] = tuple(b for b, k in zip(atoms, body) if k is None)
                 body = [k for k in body if k is not None]
             g.heads.append(head)
             g.bodies.append(tuple(body))

@@ -527,10 +527,7 @@ class TestErrorChannels:
         assert "overlap" in err
 
     @pytest.mark.parametrize("const", ["", "X", "f(a)", "a b"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["model", "--semantics", "greatest", "--depth", "1"], ["certify", "--atom", "eq(c)", "--depth", "1"]],
-    )
+    @pytest.mark.parametrize("argv", [["model", "--semantics", "greatest", "--depth", "1"]])
     def test_const_must_be_a_term_constant(self, tmp_path, argv, const):
         """An empty name, a variable, a compound term or two names is no
         constant of the universe."""
@@ -790,6 +787,7 @@ MALFORMED = [
     ["certify", P, "--atom", "eq(int)", "--depth", "-1"],
     [*VERIFY[:-1], "0"],
     [*MODEL, "--max-atoms", "0"],
+    ["certify", P, "--atom", "eq(int)", "--const", "c"],
 ]
 
 # Argvs that parse: repeated appends and flags in odd places.
@@ -797,7 +795,6 @@ EDGE = [
     [*RESOLVE, "--lemma", "eq(int)", "--lemma", "eq(X) => eq(pair(X,X))"],
     ["check", P, "--proof", "k2", "--formula", "eq(int)", "--lemma", "eq(int)", "--lemma", "eq(int)"],
     [*MODEL, "--const", "c", "--const", "d", "--const", "c"],
-    ["certify", P, "--atom", "eq(int)", "--const", "c", "--const", "d"],
     [*VERIFY, "--lemma", "eq(int)", "--lemma", "eq(int)"],
     ["resolve", "--json", "--query", "eq(int)", P, "--mode", "ind", "--depth", "3", "--json"],
     ["model", "--depth=2", P, "--semantics=greatest", "--policy=opt"],
@@ -948,6 +945,8 @@ class TestHeadIndexBoundaries:
                 ["verify-soundness", "--query", "eq(f(c,c)), eq(f(c)) => eq(int)", "--mode", "ind", "--base-depth", "2"],
                 "functor f used with arities 2 and 1",
             ),
+            # A target with a variable and a clash: the clash is reported.
+            (["certify", "--atom", "eq(pair(pair(X,int),pair(int)))"], "functor pair used with arities 2 and 1"),
         ],
     )
     def test_clash_with_the_program_text(self, argv, message):
@@ -998,7 +997,7 @@ CORPUS_REPORTS = [
     ["model", hc("pair"), "--semantics", "least", "--depth", "3"],
     ["model", hc("evenodd"), "--semantics", "greatest", "--depth", "3", "--policy", "opt"],
     ["certify", hc("p11"), "--atom", "D(z,z)", "--depth", "7"],
-    ["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3", "--const", "c"],
+    ["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3"],
     ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind", "--base-depth", "2"],
     ["verify-soundness", hc("evenodd"), "--query", "eq(evenList(int))", "--mode", "coind", "--base-depth", "2"],
 ] + [

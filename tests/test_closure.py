@@ -1,9 +1,9 @@
 """Ground atoms judged from the atoms they reach, against the base route
 and the engine.
 
-`certify_gfp`, and `valid` of a ground atomic formula, ground only the
-atoms the target reaches through clause bodies (`herbrand._reach`) and
-never build a Herbrand base.  Here:
+`certify_gfp`, and `valid` of a formula without variables, ground only
+the atoms the question reaches through clause bodies (`herbrand._reach`)
+and never build a Herbrand base.  Here:
 
   * a differential: on seeded random programs, with and without a lemma
     clause, and ground atoms, each answers exactly as the base route does
@@ -145,7 +145,7 @@ class TestCompletenessBridge:
 
     def bridge(self, program, atom, limit) -> tuple[bool, bool]:
         gfp, stage, size = closure_judge(program, atom, limit)
-        g, _, _ = herbrand._reach(program, atom, 10**6)
+        g, *_ = herbrand._reach(program, [atom], 10**6)
         assert (g.size, g.outside) == (size, {}), atom
         in_model = [herbrand._propagate(g, greatest, {})[0][0] == 1 for greatest in (True, False)]
         assert in_model == [gfp, stage is not None], atom
@@ -228,7 +228,7 @@ class TestRoutes:
     def test_closing_atoms_build_no_base(self, no_base):
         code, out, _ = run(["certify", hc("evenodd"), "--atom", "eq(evenList(int))", "--depth", "3"])
         assert code == 0 and "exact post-fixed point" in out
-        code, out, _ = run(["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3", "--const", "c"])
+        code, out, _ = run(["certify", hc("loop"), "--atom", "p(f(c))", "--depth", "3"])
         assert code == 1 and "depth: 3\nresult: no certificate within bound\n" in out
         # The inductive search exhausts on the cyclic evenodd goal: no verdict.
         for name, query, mode, verdict in (
@@ -250,6 +250,34 @@ class TestRoutes:
         down = parse_program("k1 : p(s(X)) => p(X).\n").program
         v = herbrand.valid(down, fact(parse_atom("p(z)")), Semantics.COIND, 2)
         assert (v.status, v.note) == (Verdict.UNKNOWN, "some instance is boundary-uncertain at this depth")
+
+    def test_ground_horn_formulas_build_no_base(self, no_base, tmp_path):
+        """A Horn formula without variables is judged from the atoms its
+        head and body reach.  The base of the 5,000-functor program at depth
+        3 is far past --max-atoms; the walk holds three atoms."""
+        wide = tmp_path / "wide.hc"
+        clauses = "".join(f"k{i} : eq(X), eq(Y) => eq(t{i}(X,Y)).\n" for i in range(1, 5001))
+        wide.write_text("k0 : => eq(c).\n" + clauses)
+        query = "eq(c) => eq(t17(c,t4999(c,c)))"
+        code, out, _ = run(["verify-soundness", str(wide), "--query", query, "--mode", "ind", "--base-depth", "3"])
+        assert code == 0 and "oracle (inductive, base depth 3): VALID\nsoundness: ok\n" in out
+        code, out, _ = run(["verify-soundness", hc("chain"), "--query", "A => C", "--mode", "ind", "--base-depth", "1"])
+        assert code == 0 and "oracle (inductive, base depth 1): VALID\nsoundness: ok\n" in out
+        # A repeated atom is numbered once; a root beyond the depth leaves
+        # no grounding; a body that surely holds and a head that surely
+        # fails make a counterexample with no variable in it.
+        evenodd = load("evenodd").program
+        for text, semantics, depth, want in (
+            ("eq(int) => eq(int)", Semantics.IND, 1, (Verdict.VALID, None, "")),
+            ("eq(int) => eq(evenList(evenList(int)))", Semantics.COIND, 1, (
+                Verdict.UNKNOWN, None, "no grounding of the formula fits inside the bounded base"
+            )),
+            ("eq(int) => eq(evenList(int))", Semantics.IND, 2, (
+                Verdict.INVALID, {}, "instance eq(evenList(int)) fails at depth 2"
+            )),
+        ):
+            v = herbrand.valid(evenodd, parse_formula(text), semantics, depth)
+            assert (v.status, v.counterexample, v.note) == want, text
 
     @pytest.mark.parametrize("argv", [
         ["certify", "tests/golden/oracle.hc", "--atom", "s(c)", "--depth", "4"],

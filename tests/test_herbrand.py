@@ -742,6 +742,30 @@ class TestGroundingsAgainstEnumeration:
                     verdicts[v.status] += 1
         assert min(verdicts.values()) >= 50, verdicts
 
+    def test_ground_horn_formulas_match_enumeration(self):
+        """Horn formulas without variables, judged from the atoms they
+        reach, against the whole base's verdict: repeated atoms, atoms
+        beyond the depth and atoms no clause defines included."""
+        rng = random.Random(77)
+        # c to f(f(f(c))), of depths 1 to 4, under p and q and under r,
+        # which no clause defines.
+        nats = [App("c")]
+        while len(nats) < 4:
+            nats.append(App("f", (nats[-1],)))
+        pool = [Atom(p, (t,)) for p in "pqr" for t in nats]
+        verdicts = Counter()
+        for k, program in enumerate(seeded_programs(78, 300)):
+            depth = 3 + k % 2
+            for _ in range(4):
+                body = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+                formula = HornClause(body, rng.choice(pool + list(body)))
+                for semantics in Semantics:
+                    v = valid(program, formula, semantics, depth)
+                    want = reference_valid(program, formula, semantics, depth)
+                    assert (v.status, v.counterexample, v.note) == want, (k, str(formula))
+                    verdicts[v.status] += 1
+        assert min(verdicts[v] for v in Verdict) >= 50, verdicts
+
     def test_preserves_model_matches_enumeration(self):
         rng = random.Random(75)
         changed = 0
@@ -771,26 +795,49 @@ class TestGroundingsAgainstEnumeration:
 
     def test_first_counterexample_ends_the_search(self, monkeypatch):
         # q has no clauses, so the first grounding, X = Y = Z = int, is a
-        # counterexample; none of the other 26^3 - 1 groundings is visited.
+        # counterexample; only the first slice of |universe| = 26
+        # groundings is grounded, none of the other 26^3 - 26.
         src = load("pair")
         formula = parse_formula("eq(X), eq(Y), eq(Z) => q(X)")
-        looked_up = []
-        atom_id = HerbrandBase.atom_id
+        rows = []
+        ids_under = HerbrandBase.ids_under
 
-        def counting(base, atom, env=None):
-            if any(atom is b for b in formula.body):
-                looked_up.append(dict(env))
-            return atom_id(base, atom, env)
+        def counting(base, atom, names, envs):
+            rows.append(len(envs))
+            return ids_under(base, atom, names, envs)
 
-        monkeypatch.setattr(HerbrandBase, "atom_id", counting)
+        monkeypatch.setattr(HerbrandBase, "ids_under", counting)
         v = valid(src.program, formula, Semantics.COIND, 4)
         assert v.status is Verdict.INVALID
         assert {x: str(t) for x, t in v.counterexample.items()} == {"X": "int", "Y": "int", "Z": "int"}
-        assert looked_up == [{"X": 0, "Y": 0, "Z": 0}] * 3
+        # k1's body over its 25 instances, then the formula's body over one slice.
+        assert rows == [25, 25, 26, 26, 26]
         monkeypatch.undo()
         assert (v.status, v.counterexample, v.note) == reference_valid(
             src.program, formula, Semantics.COIND, 4
         )
+
+    def test_body_only_variables_ground_by_slices(self, monkeypatch):
+        # 26^3 = 17,576 groundings, all valid: 676 slices of 26, three body
+        # atoms each, read as ids with no atom lookup.
+        src = load("pair")
+        formula = parse_formula("eq(X), eq(Y), eq(Z) => eq(X)")
+        rows, looked_up = Counter(), []
+        ids_under = HerbrandBase.ids_under
+
+        def counting(base, atom, names, envs):
+            rows[len(envs)] += 1
+            return ids_under(base, atom, names, envs)
+
+        monkeypatch.setattr(HerbrandBase, "ids_under", counting)
+        monkeypatch.setattr(HerbrandBase, "atom_id", lambda *args: looked_up.append(args))
+        verdicts = [valid(src.program, formula, semantics, 4) for semantics in Semantics]
+        monkeypatch.undo()
+        assert looked_up == []
+        assert rows == {25: 2 * 2, 26: 2 * 3 * 676}
+        for semantics, v in zip(Semantics, verdicts):
+            assert v.status is Verdict.VALID
+            assert (v.status, v.counterexample, v.note) == reference_valid(src.program, formula, semantics, 4)
 
     def test_three_variable_formula_on_pair(self):
         src = load("pair")

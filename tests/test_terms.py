@@ -405,8 +405,9 @@ class TestStackWalks:
 
     def test_first_clash_in_pre_order(self):
         # Pre-order meets g/2 before g/1; breadth-first order would not.
-        with pytest.raises(SignatureError, match="functor g used with arities 2 and 1"):
-            signature_of([atom("p(f(g(c,c)), g(c))")])
+        for walk in (lambda a: signature_of([a]), atom_vars):
+            with pytest.raises(SignatureError, match="functor g used with arities 2 and 1"):
+                walk(atom("p(f(g(c,c)), g(c))"))
 
     def test_deep_terms(self):
         n = 5000
