@@ -64,7 +64,6 @@ from .terms import (
     Var,
     apply_atom,
     apply_term,
-    enumerate_ground_terms,
     fact,
     match,
     unifiable,

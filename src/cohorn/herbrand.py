@@ -23,29 +23,29 @@ Guarantees, relative to the true models:
     membership in the bounded optimistic model only.
 
 Cost model.  Atoms are dense integer ids, never built up front: ground
-terms are numbered in `term_sort_key` order and interned as (functor, child
-ids) -> id, and an atom's id is its predicate's offset plus its argument ids
-read as a mixed-radix number, so id order is `atom_sort_key` order and a
-base costs O(|universe|) to set up; `max_atoms` bounds it, checked from the
-universe-size recurrence before anything is enumerated.  Grounding is a
-column join on the head: each argument pattern with variables is matched
-once against every universe term, O(|universe| * head arguments) matches
-per clause, a ground argument is looked up by its id, and the columns are
-joined in id order on the variables they share.  Since clauses have no
-existential variables the head grounds the whole clause,
-one instance per (clause, head).  A body atom's ids are then slot
-arithmetic over the instances' variable ids, O(instances * body); only a
-compound argument with variables goes through the intern table per
-instance.  A miss means the atom lies beyond the base, and only such atoms
-become `Atom` objects.  The fixpoints propagate counters over the ids in the
-style of Dowling and Gallier's linear-time Horn satisfiability: the least
-fixed point counts, per instance, the body atoms still missing, and the
-greatest counts, per head, the instances still alive.  Each counter moves
-at most once per body atom, so a fixpoint costs O(instances * body) on top
-of the grounding.  A fixpoint runs until a round changes nothing, at most
-one round per base atom and that last one, so `max_atoms` is the only
-budget.  Results are byte masks over the ids, printed in id order with
-no sort.
+terms are numbered by depth, then functor, then arguments, in a table of
+(functor, child ids) interned back to ids, and become `App`s only when
+`universe` is read; an atom's id is its predicate's offset plus its
+argument ids read as a mixed-radix number.  A base costs O(|universe|) to
+set up; `max_atoms` bounds it, checked from the universe-size recurrence
+before anything is enumerated.  Grounding is a column join on the head:
+each argument pattern with variables is matched once against every
+universe term, O(|universe| * head arguments) matches per clause, a ground
+argument is looked up by its id, and the columns are joined in id order on
+the variables they share.  Since clauses have no existential variables the
+head grounds the whole clause, one instance per (clause, head).  A body
+atom's ids are then slot arithmetic over the instances' variable ids,
+O(instances * body); only a compound argument with variables goes through
+the intern table per instance.  A miss means the atom lies beyond the
+base, and only such atoms become `Atom` objects (their terms read
+`universe`).  The fixpoints propagate counters over the ids in the style
+of Dowling and Gallier's linear-time Horn satisfiability: the least fixed
+point counts, per instance, the body atoms still missing, and the greatest
+counts, per head, the instances still alive.  Each counter moves at most
+once per body atom, so a fixpoint costs O(instances * body) on top of the
+grounding.  A fixpoint runs until a round changes nothing, at most one
+round per base atom and that last one, so `max_atoms` is the only budget.
+Results are byte masks over the ids, printed in id order with no sort.
 
 A question with no variables needs no base: the membership of its atoms
 in either model depends only on the atoms they reach through clause
@@ -81,10 +81,8 @@ from .terms import (
     Var,
     _lazy,
     apply_atom,
-    atom_sort_key,
     atom_vars,
     clause_vars,
-    enumerate_ground_terms,
     head_key,
     signature_of,
     term_vars,
@@ -143,6 +141,16 @@ def _texts(terms: Iterable[tuple[str, tuple[int, ...]]]) -> list[str]:
     return names
 
 
+def _apps(terms: Iterable[tuple[str, tuple[int, ...]]]) -> list[App]:
+    """Each term (functor, child ids) as an `App`, built bottom up and
+    hashed from its children's cached hashes, so no hash recurses."""
+    apps: list[App] = []
+    for functor, children in terms:
+        apps.append(App(functor, tuple([apps[c] for c in children])))
+        hash(apps[-1])
+    return apps
+
+
 def _match(terms, p: Term, t: int, env: dict[str, int]) -> bool:
     """Whether `p` matches term t, where `terms[t]` is (functor, child
     ids); binds the ids of p's variables in `env`."""
@@ -152,16 +160,22 @@ def _match(terms, p: Term, t: int, env: dict[str, int]) -> bool:
     return functor == p.functor and all(map(_match, repeat(terms), p.args, children, repeat(env)))
 
 
-class HerbrandBase(Value, compared=3, shown=3):
+class HerbrandBase(Value, compared=2, shown=2):
     """The ground atoms whose terms have depth <= `depth`, numbered densely.
 
-    Term k is `universe[k]`, with (functor, child ids) `terms[k]`, and
-    `intern` maps those back to k.  `offsets` maps each predicate, in name
-    order, to (arity, first atom id); p(t1..tn) is p's first id plus the ids
-    of t1..tn read as a number in base |universe|.  There are `size` atoms;
-    `atoms` is the set of them all."""
+    Term k is (functor, child ids) `terms[k]`, numbered by depth, then
+    functor, then arguments, and `intern` maps those back to k.  `offsets`
+    maps each predicate, in name order, to (arity, first atom id);
+    p(t1..tn) is p's first id plus the ids of t1..tn read as a number in
+    base |universe|.  There are `size` atoms; `atoms` is the set of them
+    all.  The rest is a function of the signature and depth, the `==` key."""
 
-    __slots__ = ("signature", "depth", "universe", "terms", "intern", "offsets", "size", "_atoms")
+    __slots__ = ("signature", "depth", "terms", "intern", "offsets", "size", "_universe", "_atoms")
+
+    @_lazy
+    def universe(self) -> tuple[App, ...]:
+        """Term k as an `App`, built on first read."""
+        return tuple(_apps(self.terms))
 
     @_lazy
     def atoms(self) -> AtomSet:
@@ -173,7 +187,7 @@ class HerbrandBase(Value, compared=3, shown=3):
         arity, lo = self.offsets.get(atom.predicate, (-1, 0))
         if arity != len(atom.args):
             return None
-        k, n = 0, len(self.universe)
+        k, n = 0, len(self.terms)
         for arg in atom.args:
             t = _term_id(arg, {}, self.intern.get)
             if t is None:
@@ -193,7 +207,7 @@ class HerbrandBase(Value, compared=3, shown=3):
         arity, lo = self.offsets.get(head.predicate, (-1, 0))
         if arity != len(head.args):
             return [], []
-        n = len(self.universe)
+        n = len(self.terms)
         names: list[str] = []
         # (id without the offset, ids of `names`) per partial match.
         rows: list[tuple[int, tuple[int, ...]]] = [(0, ())]
@@ -228,7 +242,7 @@ class HerbrandBase(Value, compared=3, shown=3):
         arity, lo = self.offsets.get(atom.predicate, (-1, 0))
         if arity != len(atom.args):
             return [None] * len(envs)
-        n = len(self.universe)
+        n = len(self.terms)
         ids: list = [lo] * len(envs)
         compound = []
         for j, arg in enumerate(atom.args):
@@ -252,20 +266,10 @@ class HerbrandBase(Value, compared=3, shown=3):
                 ]
         return ids
 
-    def mask(self, atoms: AbstractSet[Atom]) -> bytes:
-        """A byte per base id, 1 for the members of `atoms`."""
-        if isinstance(atoms, AtomSet) and atoms.base is self:
-            return atoms.mask or b"\x01" * self.size
-        out = bytearray(self.size)
-        for k in map(self.atom_id, atoms):
-            if k is not None:
-                out[k] = 1
-        return bytes(out)
-
 
 class AtomSet(Set):
     """An immutable set of base atoms: a byte per base id (None for the
-    whole base), iterated in id order, which is `atom_sort_key` order.  It
+    whole base), iterated in id order: by predicate, then arguments.  It
     equals, and hashes like, the frozenset of the same atoms."""
 
     def __init__(self, base: HerbrandBase, mask: Optional[bytes]):
@@ -279,12 +283,18 @@ class AtomSet(Set):
         k = self.base.atom_id(atom) if isinstance(atom, Atom) else None
         return k is not None and (self.mask is None or self.mask[k] == 1)
 
-    def __iter__(self) -> Iterator[Atom]:
-        universe = self.base.universe
+    def _rows(self, terms: Sequence) -> Iterator[tuple[str, int, Iterator[tuple]]]:
+        """Per predicate, in id order: its name, its arity and the members'
+        argument tuples, term k read as `terms[k]`, in id order."""
+        n = len(self.base.terms)
         for pred, (arity, lo) in self.base.offsets.items():
-            args = product(universe, repeat=arity)
+            args = product(terms, repeat=arity)
             if self.mask is not None:
-                args = compress(args, self.mask[lo:lo + len(universe) ** arity])
+                args = compress(args, self.mask[lo:lo + n ** arity])
+            yield pred, arity, args
+
+    def __iter__(self) -> Iterator[Atom]:
+        for pred, _, args in self._rows(self.base.universe):
             yield from map(Atom, repeat(pred), args)
 
     def texts(self) -> Iterator[str]:
@@ -292,11 +302,7 @@ class AtomSet(Set):
         `Atom`s: each universe term is rendered once, from its children's
         texts (a child's id is below its parent's, as the universe is in
         depth order), and only the members' argument tuples are joined."""
-        names = _texts(self.base.terms)
-        for pred, (arity, lo) in self.base.offsets.items():
-            args = product(names, repeat=arity)
-            if self.mask is not None:
-                args = compress(args, self.mask[lo:lo + len(names) ** arity])
+        for pred, arity, args in self._rows(_texts(self.base.terms)):
             # A 0-ary predicate's text has no `{}`, so it prints bare.
             yield from map(f"{pred}({{}})".format if arity else pred.format, map(",".join, args))
 
@@ -335,7 +341,9 @@ def herbrand_base(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> HerbrandBase:
     """The depth-bounded base; `BaseTooLargeError`, before anything is
-    enumerated, when it would hold more than `max_atoms` atoms or terms."""
+    enumerated, when it would hold more than `max_atoms` atoms or terms.
+    Depth 1 holds the constants; each functor builds depth d from the
+    shallower ids (`_args_with_fresh`), so each layer costs its own size."""
     sig = signature.with_constants(extra_constants)
     if bounded_size(sig, depth, max_atoms) > max_atoms:
         raise BaseTooLargeError(
@@ -343,15 +351,34 @@ def herbrand_base(
         )
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    universe = tuple(enumerate_ground_terms(sig, depth))
-    ids = {t: k for k, t in enumerate(universe)}
-    terms = tuple((t.functor, tuple(ids[a] for a in t.args)) for t in universe)
+    funcs = sorted(sig.functions.items())
+    terms = [(name, ()) for name, arity in funcs if not arity]
+    start = 0
+    for _ in range(depth - 1):
+        end = len(terms)
+        terms += [(name, args) for name, arity in funcs if arity for args in _args_with_fresh(start, end, arity)]
+        if len(terms) == end:
+            break
+        start = end
     offsets, size = {}, 0
     for pred in sorted(sig.predicates):
         offsets[pred] = (sig.predicates[pred], size)
-        size += len(universe) ** sig.predicates[pred]
+        size += len(terms) ** sig.predicates[pred]
     intern = {node: k for k, node in enumerate(terms)}
-    return HerbrandBase(sig, depth, universe, terms, intern, offsets, size)
+    return HerbrandBase(sig, depth, tuple(terms), intern, offsets, size)
+
+
+def _args_with_fresh(start: int, end: int, arity: int) -> list[tuple[int, ...]]:
+    """The tuples of `product(range(end), repeat=arity)` that hold at least
+    one id of range(start, end), in that product's order: those led by an
+    earlier id and followed by such a tuple, then those led by an id of
+    range(start, end), which come later in that order."""
+    if arity == 1:
+        return [(t,) for t in range(start, end)]
+    tails = _args_with_fresh(start, end, arity - 1)
+    return [(t, *tail) for t in range(start) for tail in tails] + [
+        (t, *tail) for t in range(start, end) for tail in product(range(end), repeat=arity - 1)
+    ]
 
 
 class Interpretation(Value, compared=2):
@@ -363,10 +390,6 @@ class Interpretation(Value, compared=2):
 
     __slots__ = ("atoms", "base", "base_atoms", "instances", "rounds")
     _defaults = {"base_atoms": 0, "instances": 0, "rounds": 0}
-
-    def sorted_atoms(self) -> tuple[Atom, ...]:
-        atoms = self.atoms
-        return tuple(atoms) if isinstance(atoms, AtomSet) else tuple(sorted(atoms, key=atom_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +642,16 @@ class _Listed(frozenset):
 
 
 def _listed(terms: list[_Key], *groups: list[_Key]) -> list[_Listed]:
-    """Each group of atoms (predicate, argument term ids) as a set listed in
-    `atom_sort_key` order.  Terms are ranked depth by depth, so no sort key
-    nests, and built bottom up, each hashed from its children's cached
-    hashes, so neither a text nor a hash recurses."""
+    """Each group of atoms (predicate, argument term ids) as a set listed as
+    a base numbers it: by predicate, then arguments, each term by depth,
+    then functor, then arguments.  Terms are ranked depth by depth, so no
+    sort key nests, and built by `_apps`, so neither a text nor a hash
+    recurses."""
     depths: list[int] = []
-    apps: list[App] = []
     rank: dict[int, int] = {}
     for functor, children in terms:
         depths.append(1 + max([depths[c] for c in children], default=0))
-        apps.append(App(functor, tuple(apps[c] for c in children)))
-        hash(apps[-1])
+    apps = _apps(terms)
     for _, level in groupby(sorted(range(len(terms)), key=depths.__getitem__), depths.__getitem__):
         for k in sorted(level, key=lambda k: (terms[k][0], [rank[c] for c in terms[k][1]])):
             rank[k] = len(rank)
@@ -651,7 +673,7 @@ class Certificate(Value, compared=4):
     optimistic operator.  `frontier` lists the out-of-base body atoms the
     support leans on; when it is empty the certificate is a post-fixed point
     of the true operator and hence a sound witness of greatest-model
-    membership.  Both are listed in `atom_sort_key` order, with their
+    membership.  Both are listed as a base numbers atoms, with their
     `texts`.  The counters are those of the optimistic gfp of the atoms the
     target reaches: the atoms, their instances and the rounds."""
 
@@ -787,17 +809,17 @@ def valid(
         base = herbrand_base(sig, depth, max_atoms=max_atoms)
         g = _ground_program(program, base)
         rows: Iterable[tuple[tuple[int, ...], int, tuple[int, ...]]] = _groundings(base, formula, names)
-        universe = base.universe
-        def text(head: int) -> str:  # from the id, so a deep atom needs no recursion
-            return next(AtomSet(base, bytes(head) + b"\x01" + bytes(base.size - head - 1)).texts())
+        def instance(ids: tuple[int, ...], head: int) -> tuple[dict, str]:
+            # The text from the id, so a deep atom needs no recursion.
+            text = next(AtomSet(base, bytes(head) + b"\x01" + bytes(base.size - head - 1)).texts())
+            return {v: base.universe[t] for v, t in zip(names, ids)}, text
     else:
         reached = _reach(program, [formula.head, *formula.body], depth, max_atoms)
         # A root beyond the depth leaves the formula no grounding.
         g, roots, atoms, terms = reached or (_Grounding([], [], {}, 0), [], [], [])
         rows = [((), roots[0], tuple(roots[1:]))] if reached else []
-        universe = ()  # no variable takes a term
-        def text(head: int) -> str:
-            return next(_listed(terms, [atoms[head]])[0].texts())
+        def instance(ids: tuple[int, ...], head: int) -> tuple[dict, str]:
+            return {}, next(_listed(terms, [atoms[head]])[0].texts())  # no variable takes a term
 
     greatest = semantics is Semantics.COIND
     sure = _propagate(g, greatest, g.outside)[0]
@@ -811,9 +833,9 @@ def valid(
         if not all(sure[b] for b in body) or maybe[head]:
             undecided = True
             continue
+        counterexample, text = instance(ids, head)
         return ValidityVerdict(
-            Verdict.INVALID, {v: universe[t] for v, t in zip(names, ids)}, semantics, depth,
-            note=f"instance {text(head)} fails at depth {depth}",
+            Verdict.INVALID, counterexample, semantics, depth, note=f"instance {text} fails at depth {depth}"
         )
     if checked == 0:
         return ValidityVerdict(Verdict.UNKNOWN, None, semantics, depth, note=_NO_GROUNDING)
@@ -830,7 +852,7 @@ def _groundings(
     head's `join` rows sorted by their variables' ids, each extended over
     the body-only variables.  Body ids are read by `ids_under`, one slice of
     |universe| groundings at a time, so stopping early grounds one slice."""
-    n = len(base.universe)
+    n = len(base.terms)
     head_ids, envs = base.join(formula.head)
     rows = ((env + more, head) for env, head in sorted(zip(envs, head_ids))
             for more in product(range(n), repeat=len(names) - len(env)))
@@ -852,9 +874,6 @@ class ModelComparison(Value):
     # program, found in the extended one) per differing atom.
     __slots__ = ("preserved", "semantics", "depth", "removed", "added", "certificates")
     _defaults = {"certificates": ()}
-
-    def difference(self) -> tuple[Atom, ...]:
-        return tuple(sorted(set(self.removed) | set(self.added), key=atom_sort_key))
 
 
 def preserves_model(

@@ -11,15 +11,14 @@ case (the classic counterexample programs use A, B, D as predicates).
 
 Every class here is an immutable `Value` and every operation is a pure
 function, so values can be shared freely across threads.  A cache slot is
-unset until first use: App then fills its hash, sort-key and
-rendered-string caches, Atom its hash cache; each write stores the value
-any thread would compute, so the sharing stays safe.
+unset until first use: App then fills its hash and rendered-string caches,
+Atom its hash cache; each write stores the value any thread would compute,
+so the sharing stays safe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice, product
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -206,7 +205,7 @@ class Var(Value):
 
 
 class App(Value):
-    __slots__ = ("functor", "args", "_hash", "_sort_key", "_str")  # term_sort_key fills _sort_key
+    __slots__ = ("functor", "args", "_hash", "_str")
 
     def __init__(self, functor: str, args: tuple["Term", ...] = ()):
         _setattr(self, "functor", functor)
@@ -315,23 +314,6 @@ def subterms(t: Term) -> Iterator[Term]:
     if isinstance(t, App):
         for a in t.args:
             yield from subterms(a)
-
-
-def term_sort_key(t: Term):
-    """Deterministic order: depth first, then name, then arguments."""
-    if isinstance(t, Var):
-        return (1, t.name, ())
-    try:
-        return t._sort_key
-    except AttributeError:
-        args = tuple(term_sort_key(a) for a in t.args)
-        key = (1 + max((k[0] for k in args), default=0), t.functor, args)
-        _setattr(t, "_sort_key", key)
-        return key
-
-
-def atom_sort_key(a: Atom):
-    return (a.predicate, tuple(term_sort_key(t) for t in a.args))
 
 
 # ---------------------------------------------------------------------------
@@ -629,49 +611,3 @@ class Program(Value):
     def extended(self, *clauses: HornClause) -> "Program":
         """Add clauses exempt from the overlap restriction."""
         return Program(self.clauses + tuple(clauses), self.axiom_count)
-
-
-# ---------------------------------------------------------------------------
-# Ground enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_ground_terms(sig: Signature, depth: int) -> list[Term]:
-    """All ground terms of depth <= depth, ordered by depth, functor, args;
-    none when the signature has no constants.
-
-    The terms of depth k are built from those of depth k-1: each functor
-    takes the argument tuples of `product(shallower, repeat=arity)` with at
-    least one argument of depth k-1, in that product's order, so each layer
-    costs its own size."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    funcs = sorted(sig.functions.items())
-    layer: list[Term] = [App(n) for n, a in funcs if a == 0]
-    result: list[Term] = list(layer)
-    for _ in range(2, depth + 1):
-        start = len(result) - len(layer)
-        layer = [
-            App(name, args)
-            for name, arity in funcs
-            if arity
-            for args in _args_with_fresh(result, start, arity)
-        ]
-        if not layer:
-            break
-        result.extend(layer)
-    return result
-
-
-def _args_with_fresh(terms: list[Term], start: int, arity: int) -> list[tuple[Term, ...]]:
-    """The tuples of `product(terms, repeat=arity)` that hold at least one
-    term of `terms[start:]`, in that product's order: those led by an
-    earlier term and followed by such a tuple, then those led by a term of
-    `terms[start:]`, which come later in that order."""
-    fresh = terms[start:]
-    if arity == 1:
-        return [(t,) for t in fresh]
-    tails = _args_with_fresh(terms, start, arity - 1)
-    return [(t, *tail) for t in islice(terms, start) for tail in tails] + [
-        (t, *tail) for t in fresh for tail in product(terms, repeat=arity - 1)
-    ]

@@ -108,7 +108,11 @@ def tp_step(
 ) -> Interpretation:
     """One application of the bounded one-step consequence operator."""
     base = interp.base
-    produced = _step(_ground_program(program, base), base.mask(interp.atoms), policy)
+    mask = bytearray(base.size)
+    for k in map(base.atom_id, interp.atoms):
+        if k is not None:
+            mask[k] = 1
+    produced = _step(_ground_program(program, base), mask, policy)
     return Interpretation(AtomSet(base, bytes(produced)), base)
 
 

@@ -3,8 +3,12 @@
 `enumerate_ground_terms` is the universe enumeration as it was before
 layer-by-layer building.  Layer k rescans `product(result, repeat=arity)`
 over every term built so far and keeps the tuples with an argument of depth
-k - 1.  `tests/test_terms.py` checks that `cohorn.terms.enumerate_ground_terms`
-returns the same list, in the same order.
+k - 1.  `tests/test_terms.py` checks that a base's `universe` is the same
+list, in the same order.
+
+`term_sort_key` and `atom_sort_key` state that order as a sort key: depth,
+then functor, then arguments; atoms by predicate, then arguments.  The
+oracle numbers terms and atoms in it, and lists sets of atoms in it.
 
 `ground_instances` instantiates a clause's variables over a universe in
 every way; the oracle's head-driven grounding is tested against it.
@@ -18,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, Sequence
 
-from cohorn.terms import App, HornClause, Signature, Subst, Term, Var, apply_atom, apply_term, clause_vars
+from cohorn.terms import App, Atom, HornClause, Signature, Subst, Term, Var, apply_atom, apply_term, clause_vars
 
 
 def term_depth(t: Term) -> int:
@@ -38,6 +42,17 @@ def compose(s: Mapping[str, Term], t: Mapping[str, Term]) -> Subst:
         if v not in t and not (isinstance(term, Var) and term.name == v):
             out[v] = term
     return out
+
+
+def term_sort_key(t: Term):
+    if isinstance(t, Var):
+        return (1, t.name, ())
+    args = tuple(term_sort_key(a) for a in t.args)
+    return (1 + max((k[0] for k in args), default=0), t.functor, args)
+
+
+def atom_sort_key(a: Atom):
+    return (a.predicate, tuple(term_sort_key(t) for t in a.args))
 
 
 def enumerate_ground_terms(sig: Signature, depth: int) -> list[Term]:

@@ -27,9 +27,10 @@ import pytest
 from cohorn import App, Atom, engine, herbrand, parse_program
 from cohorn.herbrand import Semantics, Verdict
 from cohorn.syntax import parse_atom, parse_formula
-from cohorn.terms import atom_sort_key, fact
+from cohorn.terms import fact
 from helpers import load, random_clause, random_program
 from reference_herbrand import ClosureTooLarge, certify_by_base, closure_judge, valid_by_base
+from reference_terms import atom_sort_key
 from test_cli import hc, run
 
 ROOT = Path(__file__).resolve().parent.parent

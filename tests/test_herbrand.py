@@ -41,23 +41,24 @@ from cohorn.terms import (
     Signature,
     Var,
     apply_atom,
-    atom_sort_key,
     atom_vars,
     clause_vars,
-    enumerate_ground_terms,
     signature_of,
-    term_sort_key,
 )
 
 import reference_herbrand
 from reference_herbrand import empty_interpretation, full_interpretation, tp_monotone_check, tp_step
-from reference_terms import apply_clause, ground_instances
+from reference_terms import (
+    apply_clause,
+    atom_sort_key,
+    enumerate_ground_terms,
+    ground_instances,
+    term_sort_key,
+)
 from helpers import load, program_queries, random_clause, random_program
 
 
 def atoms(interp_or_set):
-    from cohorn.terms import atom_sort_key
-
     source = getattr(interp_or_set, "atoms", interp_or_set)
     return [str(a) for a in sorted(source, key=atom_sort_key)]
 
@@ -185,7 +186,9 @@ class TestCertificates:
         assert atoms(cert.support) == ["p(c)", "q(c)", "r(c)"]
         base = herbrand_base(src.program.signature, 1)
         g = _ground_program(src.program, base)
-        support = bytearray(base.mask(cert.support))
+        support = bytearray(base.size)
+        for a in cert.support:
+            support[base.atom_id(a)] = 1
         _check_post_fixed(g, support)
         support[base.atom_id(parse_atom("q(c)"))] = 0
         with pytest.raises(CertificateInvariantError, match="not a post-fixed point"):
@@ -302,7 +305,7 @@ class TestPreservesModel:
         src = parse_program_text("k1 : A => B.")
         cmp = preserves_model(src.program, parse_formula("A => A"), Semantics.COIND, 1)
         assert not cmp.preserved
-        assert [str(a) for a in cmp.difference()] == ["A", "B"]
+        assert [str(a) for a in cmp.removed + cmp.added] == ["A", "B"]
         # the difference atoms certify in the extended program only
         for atom, before, after in cmp.certificates:
             assert not before and after
@@ -643,10 +646,44 @@ class TestBaseIds:
     def test_interpretations_print_in_id_order(self):
         src = load("pair")
         m = gfp_bounded(src.program, 3, Policy.OPTIMISTIC)
-        want = sorted(m.atoms, key=atom_sort_key)
-        assert list(m.sorted_atoms()) == want
-        # A hand-built interpretation prints the same way.
-        assert list(Interpretation(frozenset(m.atoms), m.base).sorted_atoms()) == want
+        assert list(m.atoms) == sorted(m.atoms, key=atom_sort_key)
+
+
+class TestLazyUniverse:
+    """A base holds term ids only, and builds its `universe` of `App`s when
+    an atom beyond it or a counterexample needs one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The bases that the oracle builds, each holding no `App` when built."""
+        bases = []
+
+        def build(*args, **kwargs):
+            base = herbrand_base(*args, **kwargs)
+            assert not hasattr(base, "_universe")
+            bases.append(base)
+            return base
+
+        monkeypatch.setattr(herbrand, "herbrand_base", build)
+        return bases
+
+    def test_a_model_without_out_of_base_atoms_builds_no_term(self, built):
+        m = lfp(load("pair").program, 5)
+        assert len(m.atoms) == 677 and len(list(m.atoms.texts())) == 677
+        assert built == [m.base] and not hasattr(m.base, "_universe")
+
+    def test_out_of_base_atoms_build_the_universe(self, built):
+        m = gfp_bounded(parse_program_text(_CYCLE).program, 2, Policy.OPTIMISTIC)
+        assert built == [m.base] and m.base._universe == (App("c"), App("f", (App("c"), App("c"))))
+
+    def test_only_an_invalid_verdict_builds_the_universe(self, built):
+        program = load("pair").program
+        v = valid(program, parse_formula("eq(X), eq(Y) => eq(pair(Y,X))"), Semantics.IND, 3)
+        assert v.status is Verdict.VALID
+        assert not hasattr(built[0], "_universe")
+        v = valid(program, parse_formula("eq(X) => r(X)"), Semantics.IND, 3)
+        assert (v.status, v.counterexample) == (Verdict.INVALID, {"X": App("int")})
+        assert hasattr(built[1], "_universe")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from cohorn import (
     Var,
     apply_atom,
     apply_term,
-    enumerate_ground_terms,
     fact,
     match,
     parse_formula,
@@ -30,13 +29,18 @@ from cohorn import (
     unifiable,
 )
 from cohorn import terms
-from cohorn.herbrand import bounded_size
+from cohorn.herbrand import bounded_size, herbrand_base
 from cohorn.terms import atom_vars, head_key, signature_of, term_vars
 
 import reference_terms
 from reference_terms import compose, ground_instances, term_depth
 from helpers import load, random_atom, random_heads, random_subst, random_term
 from reference_syntax import clause_named
+
+
+def enumerate_ground_terms(sig: Signature, depth: int) -> list:
+    """The ground terms of depth <= `depth`, as a base numbers them."""
+    return list(herbrand_base(sig, depth, max_atoms=10**6).universe)
 
 
 def atom(text: str) -> Atom:
