@@ -265,14 +265,16 @@ class _Search:
     ):
         # Lemmas, then the checker's axiom index: the option order, and a
         # lemma's 1-based position is its number in the trace.
-        self.entries = env.lemmas + tuple(env.axioms.values())
+        lemmas = env.lemmas
+        self.entries = lemmas + tuple(env.axioms.values())
+        keys = tuple([head_key(e.formula.head) for e in lemmas]) + env.axiom_keys
         # Per predicate, the arities of its heads; per head_key, the option
         # positions of its entries.
         self.arities: dict[str, set[int]] = {}
         self.by_head: dict[tuple[str, Optional[str]], list[int]] = {}
-        for k, e in enumerate(self.entries):
-            self.arities.setdefault(e.formula.head.predicate, set()).add(len(e.formula.head.args))
-            self.by_head.setdefault(head_key(e.formula.head), []).append(k)
+        for k, (e, key) in enumerate(zip(self.entries, keys)):
+            self.arities.setdefault(key[0], set()).add(len(e.formula.head.args))
+            self.by_head.setdefault(key, []).append(k)
         # (head_key, arity) of a goal -> its static candidates; see _static.
         self.by_key: dict[tuple, tuple[EnvEntry, ...]] = {}
         self.mode = mode

@@ -83,7 +83,6 @@ from .terms import (
     apply_atom,
     atom_vars,
     clause_vars,
-    head_key,
     signature_of,
     term_vars,
 )
@@ -294,6 +293,8 @@ class AtomSet(Set):
             yield pred, arity, args
 
     def __iter__(self) -> Iterator[Atom]:
+        if self.mask is not None and 1 not in self.mask:
+            return  # no member, so no need of the universe's terms
         for pred, _, args in self._rows(self.base.universe):
             yield from map(Atom, repeat(pred), args)
 
@@ -586,8 +587,8 @@ def _reach(
     ids = [index.setdefault(key, len(index)) for key in keys]
     atoms = list(index)
     by_key: dict[tuple[str, Optional[str]], list[int]] = {}
-    for k, c in enumerate(program.clauses):
-        by_key.setdefault(head_key(c.head), []).append(k)
+    for k, key in enumerate(program.head_keys):
+        by_key.setdefault(key, []).append(k)
     # (predicate, first functor) -> the numbers of the clauses whose heads
     # may match such an atom, in clause order.
     tried: dict[tuple[str, Optional[str]], list[int]] = {}

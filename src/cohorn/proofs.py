@@ -36,6 +36,7 @@ from .terms import (
     fact,
     format_formula,
     format_subst,
+    head_key,
     match,
 )
 
@@ -47,7 +48,9 @@ from .terms import (
 # Proof terms are dataclasses as well as `Value`s, because the benchmark's
 # tracer (bench/tracer.py) finds their sub-terms with `dataclasses.fields`.
 # The decorator only records the fields: `Value` supplies the methods, so no
-# code is generated.
+# code is generated.  Proof terms, judgements and derivations are built by
+# the hundred per search and check, so each sets its slots in an `__init__`
+# of its own, as terms do.
 _fields_only = dataclass(init=False, repr=False, eq=False)
 
 
@@ -56,7 +59,7 @@ class ConstSym(Value):
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str):  # one per clause at every load
+    def __init__(self, name: str):
         _setattr(self, "name", name)
 
 
@@ -65,12 +68,19 @@ class ProofVar(Value):
     __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+
 
 @_fields_only
 class Apply(Value):
     __slots__ = ("fun", "arg")
     fun: ProofTerm
     arg: ProofTerm
+
+    def __init__(self, fun: ProofTerm, arg: ProofTerm):
+        _setattr(self, "fun", fun)
+        _setattr(self, "arg", arg)
 
 
 @_fields_only
@@ -82,7 +92,8 @@ class Lambda(Value):
     def __init__(self, binders: tuple[str, ...], body: ProofTerm):
         if not binders:
             raise ValueError("Lambda requires at least one binder")
-        super().__init__(binders, body)
+        _setattr(self, "binders", binders)
+        _setattr(self, "body", body)
 
 
 @_fields_only
@@ -90,6 +101,10 @@ class Nu(Value):
     __slots__ = ("binder", "body")
     binder: str
     body: ProofTerm
+
+    def __init__(self, binder: str, body: ProofTerm):
+        _setattr(self, "binder", binder)
+        _setattr(self, "body", body)
 
 
 ProofTerm = ConstSym | ProofVar | Apply | Lambda | Nu
@@ -290,9 +305,11 @@ def bind(hyps: Optional[tuple], *entries: EnvEntry) -> Optional[tuple]:
 
 class AxiomEnv(Value):
     """Axioms and lemmas in `entries`, the path's hypotheses in the `bind`
-    chain `hyps`; a binder adds a link and shares the rest, caches included."""
+    chain `hyps`; a binder adds a link and shares the rest, the axiom and
+    lemma indexes included.  Only the search reads `axiom_keys`, and it runs
+    on no binder's env."""
 
-    __slots__ = ("entries", "hyps", "_axioms", "_lemmas")
+    __slots__ = ("entries", "hyps", "_axioms", "_lemmas", "_axiom_keys")
     _defaults = {"entries": (), "hyps": None}
 
     def extended(self, *hyps: EnvEntry) -> "AxiomEnv":
@@ -309,6 +326,11 @@ class AxiomEnv(Value):
             if isinstance(e.evidence, ConstSym):
                 index.setdefault(e.evidence.name, e)
         return index
+
+    @_lazy
+    def axiom_keys(self) -> tuple[tuple[str, Optional[str]], ...]:
+        """The `head_key` of each entry of `axioms`, in its order."""
+        return tuple([head_key(e.formula.head) for e in self.axioms.values()])
 
     @_lazy
     def lemmas(self) -> tuple[EnvEntry, ...]:
@@ -335,7 +357,11 @@ class AxiomEnv(Value):
             raise ValueError("lemma evidence must be a compound proof term")
         if free_proof_vars(evidence):
             raise ValueError("lemma evidence must be a closed proof term")
-        return AxiomEnv(self.entries + (EnvEntry(evidence, formula),), self.hyps)
+        env = AxiomEnv(self.entries + (EnvEntry(evidence, formula),), self.hyps)
+        # A lemma is no constant: the axiom index and its keys stay the same.
+        _setattr(env, "_axioms", self.axioms)
+        _setattr(env, "_axiom_keys", self.axiom_keys)
+        return env
 
 
 def env_for_program(program: Program, names: Optional[Sequence[str]] = None) -> AxiomEnv:
@@ -344,7 +370,10 @@ def env_for_program(program: Program, names: Optional[Sequence[str]] = None) -> 
         names = [f"k{i + 1}" for i in range(len(program.clauses))]
     if len(names) != len(program.clauses) or len(set(names)) != len(names):
         raise ValueError("one distinct name per clause is required")
-    return AxiomEnv(tuple(map(EnvEntry, map(ConstSym, names), program.clauses)))
+    env = AxiomEnv(tuple(map(EnvEntry, map(ConstSym, names), program.clauses)))
+    # The names are distinct, so `axioms` lists every clause, in order.
+    _setattr(env, "_axiom_keys", program.head_keys)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +391,20 @@ class Rule(Enum):
 class Judgement(Value):
     __slots__ = ("env", "evidence", "formula")
 
+    def __init__(self, env: AxiomEnv, evidence: ProofTerm, formula: HornClause):
+        _setattr(self, "env", env)
+        _setattr(self, "evidence", evidence)
+        _setattr(self, "formula", formula)
+
 
 class Derivation(Value):
     __slots__ = ("rule", "judgement", "matcher", "children")  # matcher: None unless Lp-m
+
+    def __init__(self, rule: Rule, judgement: Judgement, matcher: Optional[dict], children: tuple):
+        _setattr(self, "rule", rule)
+        _setattr(self, "judgement", judgement)
+        _setattr(self, "matcher", matcher)
+        _setattr(self, "children", children)
 
     @property
     def formula(self) -> HornClause:

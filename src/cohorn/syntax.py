@@ -13,15 +13,21 @@ Proof terms: application is juxtaposition and associates left,
 `\\b1 b2 -> e` binds lambda variables, `nu a. e` binds a corecursion
 variable, parentheses group.  `nu` is reserved.
 
-Cost model: one `findall` of the `_TOKEN` regex, run in C, turns the text
-into a list of token strings, with `""` at the end of input.  The parsers
-walk that list by index; terms nest on an explicit stack, so a term costs
-no Python call beyond the constructors, and proof terms nest on
-`proofs.walk`.  One parse builds one `Var` or constant `App` per distinct
-name, so a leaf costs a dict lookup, and the loaded `Program` is validated
-in one walk over its atoms.  Source positions are computed only when a
-`ParseError` is raised: `_tokenize` re-scans the text with the same regex
-and counts lines and columns up to the offending token.
+Cost model: string methods, run in C, turn the text into a list of token
+strings, with `""` at the end of input: one `re.sub` blanks the `%`
+comments if there are any, a chain of `str.replace` puts spaces around the
+eight symbols, and `str.split` cuts the result at whitespace.  Each distinct
+token is then checked to be a symbol or an ASCII name; only text with some
+other token (an unexpected character, or a non-ASCII name) is scanned by
+`_tokenize`, which raises at the first unexpected character or else gives
+the same tokens.  The parsers walk the list by index; terms nest on an
+explicit stack, so a term costs no Python call beyond the constructors, and
+proof terms nest on `proofs.walk`.  One parse builds one `Var` or constant
+`App` per distinct name, so a leaf costs a dict lookup, and the loaded
+`Program` is validated in one walk over its atoms.  Source positions are
+computed only when a `ParseError` is raised: `_tokenize` re-scans the text
+with the `_TOKEN` regex and counts lines and columns up to the offending
+token.
 """
 
 from __future__ import annotations
@@ -54,17 +60,20 @@ class ProgramLoadError(Exception):
     """A parsed program violates a load-time restriction."""
 
 
-# Whitespace and `%` comments, then a token in group 1 or else one unexpected
-# character (`findall` gives "").  `\s` is `str.isspace` and `\w` is `isalnum`
-# or `_`; `[^\W\d]` also admits `²` and `Ⅳ`, which `_tokenize` rejects as not
-# `isalpha`.  The text is scanned with "\n\0" appended: the newline ends a
-# trailing comment and the unexpected `\0` marks the end of input.
+# `_tokenize`'s scanner, for positions and for text that `_split` cannot read:
+# whitespace and `%` comments, then a token in group 1 or else one unexpected
+# character (group 1 is None).  `\s` is `str.isspace`, the characters that
+# `str.split` splits at, and `\w` is `isalnum` or `_`; `[^\W\d]` also admits
+# `²` and `Ⅳ`, which `_tokenize` rejects as not `isalpha`.  The text is
+# scanned with "\n\0" appended: the newline ends a trailing comment and the
+# unexpected `\0` marks the end of input.
 _TOKEN = re.compile(r"\s*(?:%[^\n]*\s*)*(?:(=>|->|[:,().\\]|[^\W\d][\w']*)|[^\s%])")
 _END = "\n\0"
 
 _KINDS = {"=>": "arrow", "->": "to", ":": "colon", ",": "comma", "(": "lparen", ")": "rparen",
           ".": "dot", "\\": "lambda"}
 _SYMBOLS = frozenset(_KINDS) | {""}  # every token that is not a name
+_COMMENT = re.compile(r"%[^\n]*")
 
 
 class _Tok(Value):
@@ -213,13 +222,30 @@ def _proof(i: int, ctx: tuple[list[str], Counter]):
             return make_apply(parts[0], parts[1:]), i
 
 
+def _split(text: str) -> list[str]:
+    """The token texts, `""` last; raises at the first unexpected character."""
+    spaced = _COMMENT.sub(" ", text) if "%" in text else text
+    # `str.translate` with a dict would pad in one call, but ten times slower.
+    toks = (
+        spaced.replace("=>", " => ").replace("->", " -> ").replace(":", " : ")
+        .replace(",", " , ").replace("(", " ( ").replace(")", " ) ")
+        .replace(".", " . ").replace("\\", " \\ ").split()
+    )
+    toks.append("")
+    # An ASCII name is an identifier once its primes are gone.  Any other
+    # token holds an unexpected character or is a non-ASCII name, which
+    # `_tokenize` reads as the `_TOKEN` regex does.
+    for tok in set(toks):
+        if tok not in _SYMBOLS and (
+            tok[0] == "'" or not tok.replace("'", "").isidentifier() or not tok.isascii()
+        ):
+            return [t.text for t in _tokenize(text)]
+    return toks
+
+
 def _whole(rule, text: str):
     """Run `rule(toks, 0)` over the whole text and turn a `_Fail` into a ParseError."""
-    toks = _TOKEN.findall(text + _END)
-    # An unexpected character, or non-ASCII text, where a name may start with
-    # a non-letter: `_tokenize` raises at the first unexpected character.
-    if toks.index("") < len(toks) - 1 or not text.isascii():
-        _tokenize(text)
+    toks = _split(text)
     try:
         value, i = rule(toks, 0)
         if toks[i]:

@@ -444,16 +444,19 @@ def head_key(atom: Atom, position: int = 0) -> tuple[str, Optional[str]]:
     return atom.predicate, atom.args[position].functor
 
 
-def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
+def _first_overlap(
+    heads: Sequence[Atom], keys: Sequence[tuple[str, Optional[str]]]
+) -> Optional[tuple[int, int]]:
     """The least pair (i, j), i < j, of unifiable heads, or None.
 
-    The heads must agree on every arity.  Each predicate is keyed on the
-    argument position where the fewest of its heads have a variable (the
-    lowest such position on a tie).  Head i is tried against the later heads
-    of its predicate that may unify with it by that key: all of them when
-    head i has a variable there, else those with its functor or a variable
-    there.  So the cost is near-linear when, at some argument position, the
-    heads have distinct principal functors.
+    `keys` holds each head's `head_key` at argument 0.  The heads must agree
+    on every arity.  Each predicate is keyed on the argument position where
+    the fewest of its heads have a variable (the lowest such position on a
+    tie).  Head i is tried against the later heads of its predicate that
+    may unify with it by that key: all of them when head i has a variable
+    there, else those with its functor or a variable there.  So the cost is
+    near-linear when, at some argument position, the heads have distinct
+    principal functors.
     """
     by_pred: dict[str, list[int]] = {}
     for k, h in enumerate(heads):
@@ -465,7 +468,7 @@ def _first_overlap(heads: Sequence[Atom]) -> Optional[tuple[int, int]]:
             key=lambda p: sum([isinstance(heads[k].args[p], Var) for k in ks]),
             default=0,
         )
-    keys = [head_key(h, position[h.predicate]) for h in heads]
+    keys = [head_key(h, p) if (p := position[h.predicate]) else key for h, key in zip(heads, keys)]
     by_key: dict[tuple[str, Optional[str]], list[int]] = {}
     for k, key in enumerate(keys):
         by_key.setdefault(key, []).append(k)
@@ -576,7 +579,7 @@ class Program(Value):
     existential variables.
     """
 
-    __slots__ = ("clauses", "axiom_count", "_signature")
+    __slots__ = ("clauses", "axiom_count", "_signature", "_head_keys")
 
     def __init__(self, clauses: tuple[HornClause, ...], axiom_count: int = -1):
         super().__init__(clauses, len(clauses) if axiom_count < 0 else axiom_count)
@@ -598,15 +601,23 @@ class Program(Value):
         if existential is not None:
             raise existential
         _setattr(self, "_signature", Signature(funcs, preds))
-        axioms = self.clauses[: self.axiom_count]
-        pair = _first_overlap([c.head for c in axioms])
+        heads = [c.head for c in clauses]
+        _setattr(self, "_head_keys", tuple([head_key(h) for h in heads]))
+        count = self.axiom_count
+        pair = _first_overlap(heads[:count], self._head_keys[:count])
         if pair is not None:
             i, j = pair
-            raise OverlapError(i, j, axioms[i], axioms[j])
+            raise OverlapError(i, j, clauses[i], clauses[j])
 
     @property
     def signature(self) -> Signature:
         return self._signature
+
+    @property
+    def head_keys(self) -> tuple[tuple[str, Optional[str]], ...]:
+        """Each clause head's `head_key` at argument 0, computed once at
+        load for the overlap check, the search and the oracle."""
+        return self._head_keys
 
     def extended(self, *clauses: HornClause) -> "Program":
         """Add clauses exempt from the overlap restriction."""

@@ -30,6 +30,7 @@ from cohorn import (
     register_lemma,
     resolve,
 )
+from cohorn import proofs, terms
 from cohorn.proofs import Apply, ConstSym
 from cohorn.terms import HornClause, atom_vars
 
@@ -503,6 +504,32 @@ class TestHeadIndex:
         result = resolve(program, Query(parse_formula(f"p(c{n})"), Mode.INDUCTIVE, n + 2))
         assert result.outcome is Outcome.PROVED
         assert len(calls) < 4 * (n + 1)
+
+    def test_each_axiom_head_is_keyed_once_per_load_and_resolve(self, monkeypatch):
+        """The load keys every head at argument 0 for the overlap check; the
+        environment and the search take those keys from the program."""
+        keyed = []
+        for module in (terms, proofs, engine):
+            real = module.head_key
+            monkeypatch.setattr(
+                module, "head_key", lambda atom, *rest, real=real: keyed.append(atom) or real(atom, *rest)
+            )
+        n = 40
+        text = "k0 : => eq(c).\n" + "".join(f"k{i} : eq(X), eq(Y) => eq(t{i}(X,Y)).\n" for i in range(1, n + 1))
+        src = parse_program(text)
+        result = resolve(src.program, Query(parse_formula("eq(t7(c,t3(c,c)))"), Mode.EXTENDED), src.names)
+        assert result.outcome is Outcome.PROVED
+        heads = {id(c.head) for c in src.program.clauses}
+        assert sorted(id(a) for a in keyed if id(a) in heads) == sorted(heads)
+        # With a lemma, the search keys the lemma's head and keeps the axioms' keys.
+        keyed.clear()
+        lemma = parse_formula("eq(X) => eq(t7(c,X))")
+        lemma_env = env_for_program(src.program, src.names).add_lemma(
+            Apply(ConstSym("k7"), ConstSym("k0")), lemma
+        )
+        search = engine._Search(lemma_env, Mode.EXTENDED, 4, [])
+        assert keyed == [lemma.head] and search.entries[0] is lemma_env.lemmas[0]
+        assert search.by_head[("eq", "t7")] == [0, 8]
 
     def test_embedding_scan_only_under_auto_lemma(self, monkeypatch):
         calls = []

@@ -301,6 +301,17 @@ class TestPreservesModel:
         cmp = preserves_model(src.program, parse_formula("A => C"), Semantics.IND, 1)
         assert cmp.preserved
 
+    def test_no_difference_builds_no_universe(self, monkeypatch):
+        """Where no atom differs, the base's terms are never built as `App`s."""
+        bases = []
+        build = herbrand.herbrand_base
+        monkeypatch.setattr(herbrand, "herbrand_base", lambda *args: bases.append(build(*args)) or bases[-1])
+        cmp = preserves_model(load("pair").program, parse_formula("eq(X) => eq(pair(X,X))"), Semantics.IND, 4)
+        assert cmp.preserved and cmp.removed == cmp.added == ()
+        assert len(bases) == 1 and not hasattr(bases[0], "_universe")
+        assert list(AtomSet(bases[0], bytes(bases[0].size))) == []
+        assert not hasattr(bases[0], "_universe")
+
     def test_identity_breaks_coinductive_model(self):
         src = parse_program_text("k1 : A => B.")
         cmp = preserves_model(src.program, parse_formula("A => A"), Semantics.COIND, 1)

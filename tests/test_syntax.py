@@ -252,12 +252,15 @@ ENTRY_POINTS = ("parse_program", "parse_formula", "parse_atom", "parse_proof")
 
 # Every character class the scanner treats specially: letters that are and
 # are not `str.isalpha` (`²` and `Ⅳ` are `isalnum` only), whitespace that is
-# not a newline, comment and arrow starts, and characters no token takes.
-ALPHABET = "kqXY_abnu0123'éª²Ⅳ \t\n\r\x0b\xa0\u2028%=->:,().\\#"
+# not a newline (`\x1c`, `\x1f`, `\x85` and `\u3000` are whitespace to
+# `str.split` and `\s` alike), comment and arrow starts, and characters no
+# token takes (`\ufeff` is no whitespace).
+ALPHABET = "kqXY_abnu0123'éª²Ⅳ \t\n\r\x0b\xa0\u2028\x1c\x1f\x85\u3000%=->:,().\\#$\ufeff"
 FRAGMENTS = (
     "k1", "k2", "eq", "X", "Y", "f", "int", "nu", "a", "_b", "b'", "é", "²", "Ⅳ", "0",
-    " ", "\n", "\t", "\r", "\x0b", "\xa0", "\u2028", ":", " : ", "=>", "->", "=", "-",
-    ",", "(", ")", ".", "\\", "%", "% c", "#",
+    " ", "\n", "\t", "\r", "\r\n", "\x0b", "\xa0", "\u2028", "\x1c", "\x1f", "\x85",
+    "\u3000", ":", " : ", "=>", "->", "=", "-", ",", "(", ")", ".", "\\", "%", "% c", "#",
+    "$", "\ufeff",
 )
 
 
@@ -301,6 +304,9 @@ class TestAgainstReference:
             "k1 : => eq(int % c", "k1 : => eq(int\r\x0b\xa0\u2028", "k1 : => A.\nk1 : => B(",
             "k1 : => eq(int)\n% only a comment", "\\nu -> k1", "nu nu. k1", "\\a nu -> k1",
             "(k1", "k1 )", "p(X(a))", "k1 # => =", "", "% c", "\n\n  ",
+            "k1 : => eq(int).\r\nk2 : => eq(c).\r\n", "k1 : => eq(int). % end",
+            "k1 : => eq(int).\r\n% end", "k1 : => eq(int)\r\n% end", "eq(\u3000c\x85)",
+            "eq(c\ufeff)", "k1 : => eq($).",
         ):
             assert_same_as_reference(text)
         with pytest.raises(ParseError) as err:
@@ -347,6 +353,39 @@ class TestAgainstReference:
             for query in program_queries(rng, program):
                 assert_same_as_reference(format_formula(query))
             assert_same_as_reference(format_proof(random_proof(rng, 4, ())))
+
+
+class TestSplitRoute:
+    """`_whole` reads ASCII text with string methods alone: `_tokenize`
+    runs only for a text with an unexpected character or a non-ASCII name."""
+
+    def count_tokenize(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return _tokenize(text)
+
+        monkeypatch.setattr(syntax, "_tokenize", counted)
+        return calls
+
+    def test_corpus_programs_queries_and_proofs_skip_tokenize(self, monkeypatch):
+        from test_cli import CORPUS_REPORTS, run
+
+        calls = self.count_tokenize(monkeypatch)
+        for path in sorted(PROGRAMS_DIR.glob("*.hc")):
+            assert path.read_text().isascii()
+            parse_program(path.read_text())
+        for argv in CORPUS_REPORTS:
+            assert run(argv)[0] in (0, 1, 2), argv
+        assert calls == []
+
+    def test_other_texts_take_tokenize(self, monkeypatch):
+        calls = self.count_tokenize(monkeypatch)
+        assert parse_atom("eq(é)") == Atom("eq", (App("é"),))
+        with pytest.raises(ParseError):
+            parse_atom("eq($)")
+        assert calls == ["eq(é)", "eq($)"]
 
 
 class TestConstantNames:

@@ -43,7 +43,7 @@ from cohorn import (
     parse_program,
     syntax,
 )
-from cohorn.proofs import make_apply
+from cohorn.proofs import Derivation, Rule, make_apply
 from cohorn.terms import Value
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,7 +100,8 @@ SAMPLES = {
         "rigid=True)",
         True,
     ),
-    "AxiomEnv": (env, ENV_TEXT, True),
+    # `env_for_program` fills the axioms' head keys from the program.
+    "AxiomEnv": (lambda: AxiomEnv(env().entries), ENV_TEXT, True),
     "Judgement": (
         lambda: Judgement(AxiomEnv(), ConstSym("k1"), parse_formula("p(c)")),
         "Judgement(env=AxiomEnv(entries=(), hyps=None), evidence=ConstSym(name='k1'), "
@@ -201,16 +202,16 @@ SAMPLES = {
     ),
 }
 
-# How to fill each class's caches.  Program's `_signature` is derived in
-# `__init__`, not filled later, so it is no cache.
+# How to fill each class's caches.  Program's `_signature` and `_head_keys`
+# are derived in `__init__`, not filled later, so they are no caches.
 FILL = {
     "App": lambda t: (hash(t), str(t)),
     "Atom": hash,
-    "AxiomEnv": lambda e: (e.axiom("k1"), e.lemmas),
+    "AxiomEnv": lambda e: (e.axiom("k1"), e.lemmas, e.axiom_keys),
     "HerbrandBase": lambda b: (b.universe, b.atoms),
     "_Grounding": lambda g: (g.watchers, g.by_head),
 }
-DERIVED = {"Program": ("_signature",)}
+DERIVED = {"Program": ("_signature", "_head_keys")}
 
 
 def caches(value) -> tuple[str, ...]:
@@ -303,6 +304,34 @@ class TestArguments:
             Query(parse_formula("p(c)"), Mode.INDUCTIVE, depth_limit=0)
         with pytest.raises(ValueError):
             Lambda((), ConstSym("k1"))
+
+    def test_proof_records_take_their_fields_by_position_or_keyword(self):
+        """The proof terms, judgements and derivations set their slots in an
+        `__init__` of their own; it reads its fields as `Value.__init__` does."""
+        k1, a = ConstSym("k1"), ProofVar("a")
+        judgement = Judgement(AxiomEnv(), k1, parse_formula("p(c)"))
+        built = {
+            ProofVar: (ProofVar("a"), ProofVar(name="a")),
+            Apply: (Apply(k1, a), Apply(fun=k1, arg=a)),
+            Lambda: (Lambda(("b",), a), Lambda(binders=("b",), body=a)),
+            Nu: (Nu("a", k1), Nu(body=k1, binder="a")),
+            Judgement: (judgement, Judgement(formula=judgement.formula, evidence=k1, env=AxiomEnv())),
+            Derivation: (
+                Derivation(Rule.LP_M, judgement, {}, ()),
+                Derivation(rule=Rule.LP_M, judgement=judgement, matcher={}, children=()),
+            ),
+        }
+        for cls, (positional, keyword) in built.items():
+            assert "__init__" in vars(cls), cls
+            assert positional == keyword and repr(positional) == repr(keyword)
+            assert tuple(getattr(positional, n) for n in cls._fields) == positional.__reduce__()[1]
+            with pytest.raises(TypeError):
+                cls()
+            with pytest.raises(TypeError):
+                cls(*positional.__reduce__()[1], None)
+        assert [f.name for f in dataclasses.fields(Apply(k1, a))] == ["fun", "arg"]
+        assert [f.name for f in dataclasses.fields(Nu("a", k1))] == ["binder", "body"]
+        assert [f.name for f in dataclasses.fields(a)] == ["name"]
 
     def test_uncompared_fields(self):
         """An interpretation's counters, a base's tables and a source
