@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 # The oracle, `herbrand`, is imported by the three commands that use it, so
@@ -97,9 +97,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# The flags several commands share, declared once.  A parent parser only
-# holds declarations, which each command's parser copies, so these are built
-# once per process rather than on every call.
+# The flags several commands share.  A parent parser only holds
+# declarations, which `_flags` copies into each command's flags.
 _COMMON = argparse.ArgumentParser(add_help=False)
 _COMMON.add_argument("program", help="program file (.hc)")
 _COMMON.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -128,22 +127,32 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     """The parser of one `cohorn` call: with `command`, that command's parser
     alone, `cohorn <command>`, which parses the arguments after the command;
     otherwise the full parser, with every command and its flags (help, a
-    typo, an option first, no arguments).  The full parser hands the
-    arguments after a command to that command's subparser, which
-    `_add_flags` builds as it builds the parser alone, so parses, help texts
-    and usage errors agree either way."""
+    typo, an option first, no arguments).  Either way a command's flags are
+    copied from `_flags(command)`, so parses, help texts and usage errors
+    agree, and the call's parser itself only adds `-h`."""
     if command in _SPECS:
-        p = _Parser(prog=f"cohorn {command}", parents=_SPECS[command][1])
+        p = _Parser(prog=f"cohorn {command}", parents=[_flags(command)])
         p.set_defaults(command=command)
-        return _add_flags(p, command)
+        return p
     parser = _Parser(prog="cohorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, parents) in _SPECS.items():
-        _add_flags(sub.add_parser(name, parents=parents, help=help), name)
+    for name, (help, _) in _SPECS.items():
+        sub.add_parser(name, parents=[_flags(name)], help=help)
     return parser
 
 
-def _add_flags(p: _Parser, command: str) -> _Parser:
+@cache
+def _flags(command: str) -> argparse.ArgumentParser:
+    """Every flag of `command`, declared once per process, on first use; a
+    call's parser copies the declarations through `parents=`.  The copied
+    `Action`s, and the `default=[]` lists of `--lemma` and `--const`, are
+    thus shared by every call: argparse's append action copies that list
+    before it appends, and no command may mutate `args.lemma` or
+    `args.const`."""
+    return _add_flags(argparse.ArgumentParser(add_help=False, parents=_SPECS[command][1]), command)
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     """`p` with the flags of `command` that its parent parsers lack."""
     if command == "resolve":
         p.add_argument("--query", required=True, help="atomic or Horn formula")

@@ -856,7 +856,11 @@ class TestPerCommandParser:
 
     def test_one_argument_parser_per_named_call(self, monkeypatch):
         """A named command constructs one `ArgumentParser`; any other first
-        argument builds the full parser, with one subparser per command."""
+        argument builds the full parser, with one subparser per command.
+        Each command's flags are declared before counting: that parser is
+        built once per process."""
+        for name in cohorn.cli._SPECS:
+            cohorn.cli._flags(name)
         inits = []
         init = argparse.ArgumentParser.__init__
 
@@ -880,8 +884,38 @@ class TestPerCommandParser:
             assert run(argv)[0] == 64, argv
             assert [p.prog for p in inits] == ["cohorn"] + [f"cohorn {c}" for c in cohorn.cli._COMMANDS], argv
 
+    def test_flags_are_declared_once_per_process(self, built, monkeypatch):
+        """After a warm call per command, a named call declares only its
+        own `-h/--help`; every other flag is the same `Action` object in
+        every call's parser."""
+        check = ["check", P, "--proof", "k2", "--formula", "eq(int)"]
+        argvs = (RESOLVE, check, MODEL, ["certify", P, "--atom", "eq(int)"], VERIFY)
+        for argv in argvs:
+            with pytest.raises(_Stop):
+                run(argv)
+        declared = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(container, *args, **kwargs):
+            declared.append(args)
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        for argv in argvs:
+            built.clear()
+            for _ in range(2):
+                declared.clear()
+                with pytest.raises(_Stop):
+                    run(argv)
+                assert declared == [("-h", "--help")], argv
+            first, second = built
+            assert len(first._actions) == len(second._actions) > 1, argv
+            for a, b in zip(first._actions, second._actions):
+                assert (a is b) == (a.dest != "help"), (argv, a.dest)
+
     def test_no_state_across_calls(self, monkeypatch):
         """A `--lemma` or `--const` of one call is absent from the next,
+        also when a full-parser call parses one between two named calls;
         the flags' `default=[]` lists stay empty, and no parser outlives
         its call."""
         parsers, seen = [], []
@@ -891,28 +925,40 @@ class TestPerCommandParser:
             return parsers[-1]
 
         monkeypatch.setattr("cohorn.cli._build_parser", build)
-        for name in ("resolve", "model"):
+        for name in ("resolve", "check", "model", "verify-soundness"):
             command = cohorn.cli._COMMANDS[name]
             monkeypatch.setitem(
                 cohorn.cli._COMMANDS, name, lambda src, args, command=command: seen.append(args) or command(src, args)
             )
         resolve = ["resolve", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind"]
+        check = ["check", hc("pair"), "--proof", "k2", "--formula", "eq(int)"]
+        verify = ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind", "--base-depth", "2"]
         model = ["model", hc("loop"), "--semantics", "least", "--depth", "2"]
-        for argv in (resolve + ["--lemma", "eq(int)"], resolve, model + ["--const", "c"], model):
+        assert run(resolve + ["--lemma", "eq(int)"])[0] == 0
+        assert run(["--json", *resolve, "--lemma", "eq(int)"])[0] == 64
+        assert run(resolve)[0] == 0
+        for argv in (
+            check + ["--lemma", "eq(X) => eq(pair(X,X))"], check,
+            verify + ["--lemma", "eq(int)"], verify,
+            model + ["--const", "c"], model,
+        ):
             assert run(argv)[0] == 0, argv
-        assert [args.lemma for args in seen[:2]] == [["eq(int)"], []]
-        assert [args.const for args in seen[2:]] == [["c"], []]
+        assert [args.lemma for args in seen[:6]] == [["eq(int)"], [], ["eq(X) => eq(pair(X,X))"], [], ["eq(int)"], []]
+        assert [args.const for args in seen[6:]] == [["c"], []]
+        full = parsers.pop(1)
+        assert full.prog == "cohorn"
+        (sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
         defaults = [
             action.default
-            for parser in parsers
+            for parser in parsers + list(sub.choices.values())
             for action in parser._actions
             if action.dest in ("lemma", "const")
         ]
-        assert defaults == [[]] * 4
-        refs = list(map(weakref.ref, parsers))
-        del parsers[:], seen[:], defaults
+        assert defaults == [[]] * 12
+        refs = list(map(weakref.ref, parsers + [full]))
+        del parsers[:], seen[:], defaults, full, sub
         gc.collect()
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 9
 
 
 class TestHeadIndexBoundaries:
