@@ -2,8 +2,10 @@
 
 Matching-only resolution never instantiates a goal, so the subgoals produced
 by a clause step are fixed the moment the head matches; conjuncts are solved
-independently and no bindings flow between them.  The search is a plain
-depth-bounded DFS over one environment of `proofs.EnvEntry` values, the
+independently and no bindings flow between them.  The search is a
+depth-bounded DFS that runs as `proofs.walk` steps on a heap stack, the
+driver of the checker and the renderers, so proof depth has no recursion
+limit.  It works over one environment of `proofs.EnvEntry` values, the
 checker's own: the axioms and registered lemmata of the `AxiomEnv` that the
 result is re-checked against, plus the hypotheses of the current path, bound
 on a `proofs.bind` chain as the checker binds them under Lam (rigid
@@ -51,6 +53,12 @@ those of the untabled search; only the trace is shorter.
 
 A single run is single-threaded and fully deterministic (including its
 trace); distinct runs may share Program and AxiomEnv values freely.
+
+An exception raised in a step (an arity clash in `match`, a failed
+invariant) propagates out of `walk` without closing the steps waiting
+below it, so their `finally` restores of the path state run only when the
+generators are collected.  The `_Search` that raised is thrown away, and
+nothing reads its state again.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ from .proofs import (
     free_proof_vars,  # unused here; the benchmark tracer counts calls through it
     is_hnf,
     make_apply,
+    walk,
 )
 from .terms import (
     App,
@@ -363,7 +372,7 @@ class _Search:
 
     def solve_query(self, goal: HornClause) -> tuple[Optional[ProofTerm], bool]:
         if goal.is_atomic:
-            return self.solve_atomic(goal.head, 0)[:2]
+            return walk(goal.head, (0, (), True), self.solve_atomic, frozenset())[:2]
         if self.mode is Mode.COINDUCTIVE:
             self.note("note", 0, goal, "", "no rule derives a Horn formula in coinductive mode")
             return None, False
@@ -379,9 +388,8 @@ class _Search:
         try:
             # The body goal registers no candidate of its own: cycle closure
             # at the root is the job of the Horn hypothesis.
-            ev, exhausted, free = self.solve_atomic(
-                goal.head, 0, (alpha,) if alpha else (), candidate=False
-            )
+            ctx = (0, (alpha,) if alpha else (), False)
+            ev, exhausted, free = walk(goal.head, ctx, self.solve_atomic, frozenset())
         finally:
             self.hyps = outer
         if ev is None:
@@ -390,15 +398,12 @@ class _Search:
 
     # -- atomic goals ----------------------------------------------------------
 
-    def solve_atomic(
-        self,
-        goal: Atom,
-        depth: int,
-        intro: tuple[str, ...] = (),
-        candidate: bool = True,
-    ) -> tuple[Optional[ProofTerm], bool, frozenset[str]]:
-        """The goal's evidence (None if not found), whether a branch was
-        cut, and the evidence's free proof variables."""
+    def solve_atomic(self, goal: Atom, ctx: tuple[int, tuple[str, ...], bool]):
+        """A `walk` step for `goal` under `ctx`: its depth, the nu-names it
+        arms when an axiom expands it, and whether it adds a candidate of
+        its own.  Returns the goal's evidence (None if not found), whether a
+        branch was cut, and the evidence's free proof variables."""
+        depth, intro, candidate = ctx
         below = self.hyps
         tabled = candidate and not self.auto_lemma
         if tabled:
@@ -427,7 +432,7 @@ class _Search:
                     break
             self.goal_stack.append(goal)
         try:
-            ev, exhausted, free = self._options(goal, depth, intro)
+            ev, exhausted, free = yield from self._options(goal, depth, intro)
         finally:
             if self.auto_lemma:
                 self.goal_stack.pop()
@@ -439,9 +444,10 @@ class _Search:
         self._oldest_match = min(oldest, self._oldest_match)
         return ev, exhausted, free
 
-    def _options(
-        self, goal: Atom, depth: int, intro: tuple[str, ...]
-    ) -> tuple[Optional[ProofTerm], bool, frozenset[str]]:
+    def _options(self, goal: Atom, depth: int, intro: tuple[str, ...]):
+        """Try the goal's candidates in option order, solving each one's
+        body atoms left to right as `walk` children; the first candidate
+        whose every body atom is solved gives the goal's evidence."""
         exhausted = False
         matched_any = False
         axiom_matched = False
@@ -474,37 +480,27 @@ class _Search:
             # An axiom step arms the nu-hyps this goal introduced.
             arm = intro if is_axiom else ()
             self.armed.update(arm)
+            evs: list[ProofTerm] = []
+            free = _NO_NAMES
             try:
-                evs, exh, free = self.solve_conj(
-                    [apply_atom(s, b) for b in entry.formula.body], depth + 1
-                )
+                for b in entry.formula.body:
+                    sub, exh, names = yield apply_atom(s, b), (depth + 1, (), True), self.solve_atomic
+                    exhausted |= exh
+                    if sub is None:
+                        break  # a failed conjunct ends this candidate
+                    evs.append(sub)
+                    if names:
+                        free = free | names
+                else:
+                    # Lemma evidence is closed: it checked with no hypotheses.
+                    if isinstance(ev, ProofVar):
+                        free = free | {ev.name}
+                    return make_apply(ev, evs), exhausted, free
             finally:
                 self.armed.difference_update(arm)
-            exhausted |= exh
-            if evs is not None:
-                # Lemma evidence is closed: it checked with no hypotheses.
-                if isinstance(ev, ProofVar):
-                    free = free | {ev.name}
-                return make_apply(ev, evs), exhausted, free
         if not matched_any:
             self.note("dead-end", depth, goal)
         return None, exhausted, _NO_NAMES
-
-    def solve_conj(
-        self, goals: Sequence[Atom], depth: int
-    ) -> tuple[Optional[list[ProofTerm]], bool, frozenset[str]]:
-        evs: list[ProofTerm] = []
-        exhausted = False
-        free = _NO_NAMES
-        for g in goals:
-            ev, exh, names = self.solve_atomic(g, depth)
-            exhausted |= exh
-            if ev is None:
-                return None, exhausted, _NO_NAMES
-            evs.append(ev)
-            if names:
-                free = free | names
-        return evs, exhausted, free
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ repeated subgoal, and `check` then shares the subgoal's derivation.  `walk`,
 which runs every traversal here on an explicit stack, visits each distinct
 node once per context, keyed by object identity, so a walk's cost follows
 the DAG, not the tree it unfolds to.  Checking and rendering keep values
-only for the nodes reached by more than one edge (`shared_nodes`).
+only for the nodes reached by more than one edge (`shared_nodes`).  `walk`
+also drives the engine's search, whose goals it keeps no value for: the
+search tables its subgoals in its own memo.
 """
 
 from __future__ import annotations

@@ -54,20 +54,15 @@ def json_depth(value) -> int:
     return 0
 
 
-def run_process(argv, recursion_limit=None, **kwargs) -> subprocess.CompletedProcess:
+def run_process(argv, **kwargs) -> subprocess.CompletedProcess:
     """`python -m cohorn.cli` in a fresh interpreter, with no test-runner
-    frames on the stack, and with the default recursion limit unless one
-    is given.  Keyword arguments go to `subprocess.run`; by default it
-    captures stdout and stderr as text."""
+    frames on the stack and the default recursion limit.  Keyword
+    arguments go to `subprocess.run`; by default it captures stdout and
+    stderr as text."""
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-    if recursion_limit is None:
-        command = [sys.executable, "-m", "cohorn.cli", *argv]
-    else:
-        code = f"import sys; sys.setrecursionlimit({recursion_limit}); from cohorn.cli import main; main()"
-        command = [sys.executable, "-c", code, *argv]
     kwargs = {"capture_output": True, "text": True, **kwargs}
-    return subprocess.run(command, env=env, **kwargs)
+    return subprocess.run([sys.executable, "-m", "cohorn.cli", *argv], env=env, **kwargs)
 
 
 class TestResolveCommand:
@@ -563,16 +558,15 @@ class TestErrorChannels:
         assert (proc.returncode, proc.stderr) == (74, "")
 
     def test_deep_derivation_json(self, tmp_path):
-        """A 1,000-step chain proves, and its JSON report holds one flat
-        node per step, so the stdlib reads it at the default recursion
-        limit.  The search itself still recurses once per step, so the
-        child process that resolves it runs under a raised limit."""
+        """A 1,000-step chain proves at the default recursion limit, and
+        its JSON report holds one flat node per step, so the stdlib reads
+        it at that limit too."""
         n = 1000
         prog = tmp_path / "chain.hc"
         lines = ["k0 : => a0."] + [f"k{i} : a{i - 1} => a{i}." for i in range(1, n + 1)]
         prog.write_text("\n".join(lines) + "\n")
         argv = ["resolve", str(prog), "--query", f"a{n}", "--mode", "ind", "--depth", str(n + 1), "--json"]
-        proc = run_process(argv, recursion_limit=20000)
+        proc = run_process(argv)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["outcome"] == "PROVED"
@@ -580,6 +574,34 @@ class TestErrorChannels:
         nodes = report["derivation"]
         assert len(nodes) == n + 1
         assert [node["children"] for node in nodes] == [[i + 1] for i in range(n)] + [[]]
+
+    def test_deep_search(self, tmp_path):
+        """The search runs on a heap stack: a 1,500-step chain resolves in
+        every mode, as text and as JSON, and `check` accepts each proof;
+        the coinductive 500-cycle closes through all 500 clauses."""
+        n = 1500
+        chain = tmp_path / "chain.hc"
+        chain.write_text("".join(["k0 : => a0.\n"] + [f"k{i} : a{i - 1} => a{i}.\n" for i in range(1, n + 1)]))
+        for mode in ("ind", "coind", "ext"):
+            argv = ["resolve", str(chain), "--query", f"a{n}", "--mode", mode, "--depth", str(n + 1)]
+            text = run_process(argv)
+            assert (text.returncode, text.stderr) == (0, ""), (mode, text.stderr)
+            assert "outcome: PROVED" in text.stdout
+            proc = run_process(argv + ["--json"])
+            assert (proc.returncode, proc.stderr) == (0, ""), (mode, proc.stderr)
+            proof = json.loads(proc.stdout)["proof"]
+            assert proof.count("k") == n + 1
+            checked = run_process(["check", str(chain), "--formula", f"a{n}", "--proof", proof, "--json"])
+            assert checked.returncode == 0, (mode, checked.stderr)
+            assert json.loads(checked.stdout)["valid"] is True
+        m = 500
+        cycle = tmp_path / "cycle.hc"
+        cycle.write_text("".join(f"k{i} : a{i + 1} => a{i}.\n" for i in range(m)) + f"k{m} : a0 => a{m}.\n")
+        proc = run_process(["resolve", str(cycle), "--query", "a0", "--mode", "coind", "--depth", str(m + 2), "--json"])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["outcome"] == "PROVED"
+        assert report["proof"].startswith("nu a1. k0 (k1 (") and report["proof"].count("k") == m + 1
 
     def test_deep_check(self, tmp_path):
         """A 1,000-step chain proof checks as text, with --unicode and as
@@ -999,6 +1021,19 @@ class TestHeadIndexBoundaries:
         """The first clash of a query or `--atom` with the program, or
         within itself, read left to right."""
         assert run([argv[0], hc("pair"), *argv[1:]]) == (65, "", f"input error: {message}\n")
+
+    def test_clash_below_the_root_exits_65(self, tmp_path):
+        """A clash met by a subgoal ends the run while the steps above it
+        are still waiting: the same one-line input error in every mode,
+        with and without --auto-lemma, and the next run is unaffected."""
+        prog = tmp_path / "clash.hc"
+        prog.write_text("k1 : q(X) => p(X).\nk2 : => q(f(a)).\n")
+        for mode in ("ind", "coind", "ext"):
+            for extra in ([], ["--auto-lemma"]):
+                argv = ["resolve", str(prog), "--query", "p(f(a,b))", "--mode", mode, *extra]
+                assert run(argv) == (65, "", "input error: functor f used with arities 1 and 2\n"), argv
+                code, out, _ = run(argv[:3] + ["p(f(a))"] + argv[4:])
+                assert code == 0 and "outcome: PROVED" in out, argv
 
     def test_variable_goal_fails(self):
         code, out, _ = self.resolve("eq(X)")

@@ -193,12 +193,13 @@ class TestDifferential:
 
     def test_carried_free_variables_are_those_of_the_evidence(self, monkeypatch):
         """Each solved subgoal carries its evidence's free proof variables,
-        memo hits included, so a nu-wrap walks no body."""
+        memo hits included, so a nu-wrap walks no body.  The search step is
+        a generator that `walk` drives, so the wrapper is one too."""
         solve_atomic = engine._Search.solve_atomic
         solved = []
 
         def checked(self, *args, **kwargs):
-            ev, exhausted, free = solve_atomic(self, *args, **kwargs)
+            ev, exhausted, free = yield from solve_atomic(self, *args, **kwargs)
             if ev is not None:
                 assert free == free_proof_vars(ev), format_proof(ev)
                 solved.append(bool(free))
