@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from functools import cache, partial
 from typing import Optional, Sequence
 
@@ -32,7 +33,6 @@ from .proofs import (
     ProofTerm,
     check,
     env_for_program,
-    format_derivation,
     format_proof,
 )
 from .syntax import (
@@ -263,8 +263,27 @@ def _block(title: str, items, unicode: bool = False) -> list[str]:
     return [f"{title}:", *(f"  {_text_value(x, unicode)}" for x in items)]
 
 
-def _derivation_lines(d, unicode: bool) -> list[str]:
-    return [] if d is None else ["derivation:", format_derivation(d, indent=1)]
+def _derivation_lines(d: Derivation, unicode: bool) -> list[str]:
+    """The derivation as text: a line per visit of its JSON nodes from node
+    0, children two spaces in.  A node met more than once opens its first
+    line with `#k= `, k its index, and prints as `#k#` after that.  A line
+    deeper than 32 levels keeps the 32-level indent and opens with `[depth] `."""
+    nodes = _derivation_json(d)
+    shared = Counter(c for node in nodes for c in node["children"])
+    lines, fresh, stack = ["derivation:"], 0, [(0, 0)]
+    while stack:
+        k, depth = stack.pop()
+        lead = "  " * (depth + 1) if depth <= 32 else f"{'  ' * 33}[{depth}] "
+        if k < fresh:  # nodes are numbered in first-visit order
+            lines.append(f"{lead}#{k}#")
+            continue
+        fresh, node = k + 1, nodes[k]
+        label = f"#{k}= {node['rule']}" if shared[k] > 1 else node["rule"]
+        if node["matcher"] is not None:
+            label += f" [{node['entry']} {format_subst(node['matcher'])}]"
+        lines.append(f"{lead}{label} {node['formula']}")
+        stack += [(c, depth + 1) for c in reversed(node["children"])]
+    return lines
 
 
 def _lemma_lines(records, unicode: bool) -> list[str]:
@@ -361,7 +380,7 @@ def _cmd_resolve(src: SourceProgram, args) -> int:
     rows = (
         "command", "program", "query", "mode", ("depth limit", "depth"), "outcome",
         partial(_lemma_lines, result.lemmas), ("auto-lemma", "auto_lemma"), "proof",
-        partial(_derivation_lines, result.derivation),
+        result.derivation and partial(_derivation_lines, result.derivation),
         args.trace and partial(_block, "trace", result.trace), ("cut goals", "cut_goals"), "seconds",
     )
     return _emit(report, rows, args.json, args.unicode)
@@ -411,7 +430,7 @@ def _cmd_check(src: SourceProgram, args) -> int:
 
     rows = (
         "command", "program", "formula", "proof", partial(_lemma_lines, lemmas),
-        result_lines, partial(_derivation_lines, derivation),
+        result_lines, derivation and partial(_derivation_lines, derivation),
     )
     return _emit(report, rows, args.json, args.unicode)
 

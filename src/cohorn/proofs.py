@@ -12,13 +12,13 @@ matchers against a fixed clause head are unique, so for a given judgement the
 derivation (or the rejection) is unique.
 
 Proof terms and derivations may be DAGs: the search shares the evidence of a
-repeated subgoal, and `check` then shares the subgoal's derivation.  `walk`,
-which runs every traversal here on an explicit stack, visits each distinct
-node once per context, keyed by object identity, so a walk's cost follows
-the DAG, not the tree it unfolds to.  Checking and rendering keep values
-only for the nodes reached by more than one edge (`shared_nodes`).  `walk`
-also drives the engine's search, whose goals it keeps no value for: the
-search tables its subgoals in its own memo.
+repeated subgoal, and `check` then shares the subgoal's derivation, which
+the CLI lists as one node per distinct node.  `walk`, which runs every
+traversal here on an explicit stack, visits each distinct node once per
+context, keyed by object identity, so a walk's cost follows the DAG.
+Checking and proof rendering keep values only for the nodes reached by more
+than one edge (`shared_nodes`).  `walk` also drives the engine's search,
+whose goals it keeps no value for: the search tables its own subgoals.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .terms import (
     apply_atom,
     fact,
     format_formula,
-    format_subst,
     head_key,
     match,
 )
@@ -626,18 +625,3 @@ def check(env: AxiomEnv, evidence: ProofTerm, formula: HornClause) -> Derivation
     formula, and its derivation is shared too.
     """
     return walk(*_goal(env, evidence, formula, None), shared_nodes(evidence, proof_children))
-
-
-def format_derivation(d: Derivation, indent: int = 0) -> str:
-    # A node's value is its list of lines, so the text is joined once.
-    def lines(d: Derivation, indent: int):
-        label = d.rule.value
-        if d.matcher is not None:
-            sig = format_subst(d.matcher) if d.matcher else "{}"
-            label = f"{label} [{d.entry_name} {sig}]"
-        out = [f"{'  ' * indent}{label} {format_formula(d.judgement.formula)}"]
-        for c in d.children:
-            out += yield c, indent + 1, lines
-        return out
-
-    return "\n".join(walk(d, indent, lines, shared_nodes(d, lambda n: n.children)))

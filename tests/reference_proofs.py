@@ -7,7 +7,10 @@ binder names.  `check_derivation` validates a derivation node by node
 against its rule, and `admissibility_view` re-expresses a Nu'-rooted
 derivation as Nu over a zero-binder Lam, the shape the paper uses to show
 that Nu' is admissible.  They recurse, so they suit the small terms of the
-tests, not deep ones.
+tests, not deep ones.  `format_derivation` prints a derivation as the tree
+it unfolds to, two spaces per level: `tests/test_tabling.py` unfolds the
+`#k#` references of a text report's derivation and compares the result
+with it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from cohorn.proofs import (
     Rule,
     check,
     is_hnf,
+    shared_nodes,
+    walk,
 )
+from cohorn.terms import format_formula, format_subst
 
 
 def _normalize(e: ProofTerm, env: dict[str, str], counter: list[int]) -> ProofTerm:
@@ -117,3 +123,21 @@ def admissibility_view(d: Derivation) -> Derivation:
     inner = d.children[0]
     lam = Derivation(Rule.LAM, inner.judgement, None, (inner,))
     return Derivation(Rule.NU, d.judgement, None, (lam,))
+
+
+def format_derivation(d: Derivation, indent: int = 0) -> str:
+    """The derivation as the tree it unfolds to, a line per node visit, each
+    child two spaces under its parent, starting `indent` levels in."""
+
+    # A node's value is its list of lines, so the text is joined once.
+    def lines(d: Derivation, indent: int):
+        label = d.rule.value
+        if d.matcher is not None:
+            sig = format_subst(d.matcher) if d.matcher else "{}"
+            label = f"{label} [{d.entry_name} {sig}]"
+        out = [f"{'  ' * indent}{label} {format_formula(d.judgement.formula)}"]
+        for c in d.children:
+            out += yield c, indent + 1, lines
+        return out
+
+    return "\n".join(walk(d, indent, lines, shared_nodes(d, lambda n: n.children)))

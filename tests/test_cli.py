@@ -24,11 +24,11 @@ from cohorn import engine
 from cohorn.cli import _UsageError, _build_parser, _cut_goals, cli
 from cohorn.engine import Outcome, SearchResult, TraceEvent
 from cohorn.proofs import Lambda, Nu, check, env_for_program, format_proof, spine
-from cohorn.syntax import parse_proof
+from cohorn.syntax import parse_formula, parse_program, parse_proof
 
 import reference_cli
 from helpers import PROGRAMS_DIR
-from test_tabling import propositional_runs, random_program_runs
+from test_tabling import assert_text_unfolds_to_tree, diamond, propositional_runs, random_program_runs
 
 
 def hc(name: str) -> str:
@@ -1186,11 +1186,14 @@ def _reachable(d) -> set:
 class TestFlatDerivation:
     """A JSON derivation is one node per distinct derivation node, and the
     tree it unfolds to, with each node's evidence read off the report's
-    proof, is the nested derivation that `reference_cli` builds."""
+    proof, is the nested derivation that `reference_cli` builds.  The text
+    derivation lists the same nodes, and with its `#k#` references unfolded
+    it is the tree text of `reference_proofs.format_derivation`."""
 
     def assert_flat(self, nodes, proof: str, derivation) -> None:
         assert len(nodes) == len(_reachable(derivation))
         assert nested_from_flat(nodes, proof) == reference_cli.derivation_json(derivation)
+        assert_text_unfolds_to_tree(derivation)
 
     def test_corpus_reports(self, monkeypatch):
         reports = []
@@ -1233,3 +1236,67 @@ class TestFlatDerivation:
                     seen[node["rule"]] += 1
                     seen["lemma steps"] += node["entry"] == "lemma"
         assert min(seen.values()) >= 80, seen
+
+    @pytest.mark.parametrize("mode", list(engine.Mode))
+    def test_diamonds(self, mode):
+        for n in range(1, 11):
+            src = diamond(n)
+            query = engine.Query(parse_formula(f"eq(c{n})"), mode, n + 1)
+            result = engine.resolve(src.program, query, names=src.names)
+            self.assert_flat(cohorn.cli._derivation_json(result.derivation), format_proof(result.evidence),
+                             result.derivation)
+
+    def test_shared_nodes_past_32_levels(self):
+        """a40 uses a39 twice, a_i uses a_(i-1) for i from 2 to 39, and a1
+        uses a0 twice: the lines deeper than 32 levels stop indenting and
+        name their depth, and each shared node lists once."""
+        n = 40
+        lines = ["k0 : => a0.", "k1 : a0, a0 => a1."] + [f"k{i} : a{i - 1} => a{i}." for i in range(2, n)]
+        src = parse_program("\n".join(lines + [f"k{n} : a{n - 1}, a{n - 1} => a{n}."]))
+        query = engine.Query(parse_formula(f"a{n}"), engine.Mode.INDUCTIVE, n + 1)
+        result = engine.resolve(src.program, query, names=src.names)
+        text = cohorn.cli._derivation_lines(result.derivation, False)
+        assert len(text) == n + 4
+        assert text[2] == f"    #1= Lp-m [k{n - 1} {{}}] a{n - 1}"
+        assert text[33:35] == ["  " * 33 + "Lp-m [k8 {}] a8", "  " * 33 + "[33] Lp-m [k7 {}] a7"]
+        assert text[-3:] == ["  " * 33 + "[40] #40= Lp-m [k0 {}] a0", "  " * 33 + "[40] #40#", "    #1#"]
+        self.assert_flat(cohorn.cli._derivation_json(result.derivation), format_proof(result.evidence),
+                         result.derivation)
+
+
+class TestTextReportSize:
+    """The text derivation lists each distinct node once and indents at
+    most 32 levels, so a text report is smaller than its JSON report even
+    on a deep or widely shared derivation."""
+
+    def sizes(self, argv) -> tuple[int, int]:
+        code, text, err = run(argv)
+        assert (code, err) == (0, "")
+        code, report, err = run(argv + ["--json"])
+        assert (code, err) == (0, "")
+        return len(text.encode()), len(report.encode())
+
+    def test_check_under_4001_nested_binders(self, tmp_path):
+        n = 4000
+        program = tmp_path / "cycle.hc"
+        program.write_text("".join(f"k{i} : a{i + 1} => a{i}.\n" for i in range(n)) + f"k{n} : a0 => a{n}.\n")
+        proof = "".join(f"nu x{i}. k{i} (" for i in range(n + 1)) + "x0" + ")" * (n + 1)
+        text, report = self.sizes(["check", str(program), "--proof", proof, "--formula", "a0"])
+        assert text < report and text < 1_000_000, (text, report)
+
+    def test_chain_2000(self, tmp_path):
+        n = 2000
+        program = tmp_path / "chain.hc"
+        program.write_text("k0 : => a0.\n" + "".join(f"k{i} : a{i - 1} => a{i}.\n" for i in range(1, n + 1)))
+        text, report = self.sizes(["resolve", str(program), "--query", f"a{n}", "--mode", "ind",
+                                   "--depth", str(n + 1)])
+        assert text < report, (text, report)
+
+    def test_diamond_14(self, tmp_path):
+        n = 14
+        program = tmp_path / "diamond.hc"
+        program.write_text("k0 : => eq(c0).\n" + "".join(
+            f"k{i} : eq(c{i - 1}), eq(c{i - 1}) => eq(c{i}).\n" for i in range(1, n + 1)))
+        text, report = self.sizes(["resolve", str(program), "--query", f"eq(c{n})", "--mode", "ind",
+                                   "--depth", str(n + 1)])
+        assert text < report, (text, report)

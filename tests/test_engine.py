@@ -95,6 +95,19 @@ class TestGoldenProofs:
         assert_proof(result, "(nu a. \\b -> k2 b (a (a b))) k1")
         assert result.auto_lemma == parse_formula("eq(X1) => eq(bush(X1))")
 
+    def test_lemma_searches_feed_auto_lemma_triggers(self):
+        """At depth 2 the query's own search meets no goal that embeds an
+        ancestor.  The given lemma's search, which fails, meets
+        eq(bush(bush(X))) under eq(bush(X)), and that trigger proposes the
+        auto-lemma."""
+        query = "eq(bush(bush(bush(int))))"
+        assert run("bush", query, Mode.EXTENDED, depth=2, auto=True).auto_lemma is None
+        result = run("bush", query, Mode.EXTENDED, depth=2, lemmas=["eq(X) => eq(bush(X))"], auto=True)
+        assert result.auto_lemma == parse_formula("eq(X1) => eq(bush(X1))")
+        assert not result.lemmas[0].registered
+        note = "auto-lemma proposed from ancestor eq(bush(X)): eq(X1) => eq(bush(X1))"
+        assert ("note", 0, "eq(bush(bush(X)))", "", note) in events(result)
+
     def test_chain_horn_query(self):
         assert_proof(run("chain", "A => C", Mode.INDUCTIVE), "\\a -> k2 (k1 a)")
 

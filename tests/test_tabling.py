@@ -6,9 +6,11 @@ stores.
 """
 
 import random
+import re
 
 import pytest
 
+import cohorn.cli
 from cohorn import (
     Atom,
     CheckError,
@@ -32,13 +34,13 @@ from cohorn.proofs import (
     Lambda,
     Nu,
     ProofVar,
-    format_derivation,
     proof_children,
     shared_nodes,
 )
 from cohorn.terms import HornClause, fact
 
 from helpers import program_queries, random_program
+from reference_proofs import format_derivation
 
 
 class _NeverStores(dict):
@@ -88,6 +90,68 @@ def unshared(e):
     if isinstance(e, Nu):
         return Nu(e.binder, unshared(e.body))
     return type(e)(e.name)
+
+
+def unfolded_text(d) -> str:
+    """The tree text that the text report's derivation lines of `d` stand
+    for: each `#k#` line replaced by node k's lines, re-indented, with the
+    `#k= ` labels and `[depth] ` prefixes dropped and every line indented
+    two spaces per level.  Asserts that the i-th line that is no reference
+    is node i of the JSON node list, labelled `#i= ` exactly when a later
+    `#i#` line names it, and that only a line more than 32 levels deep
+    stops indenting and names its depth."""
+    nodes = cohorn.cli._derivation_json(d)
+    lines = cohorn.cli._derivation_lines(d, False)
+    assert lines[0] == "derivation:"
+    rows = []
+    for line in lines[1:]:
+        body = line.lstrip(" ")
+        spaces = len(line) - len(body)
+        assert spaces % 2 == 0 and 2 <= spaces <= 66, line
+        depth = spaces // 2 - 1
+        deep = re.match(r"\[(\d+)\] ", body)
+        if deep:
+            assert depth == 32 < int(deep[1]), line
+            depth, body = int(deep[1]), body[deep.end():]
+        rows.append([depth, body])
+    first = {}  # node index -> the rows of its first listing
+    labelled, named = set(), set()
+    for r, (depth, body) in enumerate(rows):
+        ref = re.fullmatch(r"#(\d+)#", body)
+        if ref:
+            assert int(ref[1]) in first, body
+            named.add(int(ref[1]))
+            continue
+        k = len(first)
+        label = re.match(r"#(\d+)= ", body)
+        if label:
+            assert int(label[1]) == k, body
+            labelled.add(k)
+            rows[r][1] = body = body[label.end():]
+        assert body.startswith(nodes[k]["rule"] + " ") and body.endswith(" " + nodes[k]["formula"]), body
+        end = r + 1
+        while end < len(rows) and rows[end][0] > depth:
+            end += 1
+        first[k] = (r, end)
+    assert len(first) == len(nodes) and labelled == named
+
+    out = []
+
+    def unfold(start: int, end: int, shift: int) -> None:
+        for depth, body in rows[start:end]:
+            ref = re.fullmatch(r"#(\d+)#", body)
+            if ref:
+                at, to = first[int(ref[1])]
+                unfold(at, to, depth + shift - rows[at][0])
+            else:
+                out.append("  " * (depth + shift + 1) + body)
+
+    unfold(0, len(rows), 0)
+    return "\n".join(out)
+
+
+def assert_text_unfolds_to_tree(d) -> None:
+    assert unfolded_text(d) == format_derivation(d, indent=1)
 
 
 def random_program_runs(rng, count):
@@ -273,7 +337,9 @@ class TestSharedTerms:
         assert tree == result.evidence and tree.arg is not tree.fun.arg
         tree_derivation = check(result.env, tree, result.derivation.formula)
         assert tree_derivation.children[0] is not tree_derivation.children[1]
-        assert format_derivation(tree_derivation, indent=1) == format_derivation(result.derivation, indent=1)
+        tree_text = format_derivation(tree_derivation, indent=1)
+        assert unfolded_text(result.derivation) == tree_text
+        assert cohorn.cli._derivation_lines(tree_derivation, False)[1:] == tree_text.split("\n")
         for unicode in (False, True):
             assert format_proof(tree, unicode) == format_proof(result.evidence, unicode)
 
