@@ -28,7 +28,8 @@ from cohorn.syntax import parse_formula, parse_program, parse_proof
 
 import reference_cli
 from helpers import PROGRAMS_DIR
-from test_tabling import assert_text_unfolds_to_tree, diamond, propositional_runs, random_program_runs
+from reference_proofs import format_derivation
+from test_tabling import diamond, propositional_runs, random_program_runs, unfolded_text
 
 
 def hc(name: str) -> str:
@@ -1193,7 +1194,7 @@ class TestFlatDerivation:
     def assert_flat(self, nodes, proof: str, derivation) -> None:
         assert len(nodes) == len(_reachable(derivation))
         assert nested_from_flat(nodes, proof) == reference_cli.derivation_json(derivation)
-        assert_text_unfolds_to_tree(derivation)
+        assert unfolded_text(derivation) == format_derivation(derivation, indent=1)
 
     def test_corpus_reports(self, monkeypatch):
         reports = []

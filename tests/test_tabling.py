@@ -150,10 +150,6 @@ def unfolded_text(d) -> str:
     return "\n".join(out)
 
 
-def assert_text_unfolds_to_tree(d) -> None:
-    assert unfolded_text(d) == format_derivation(d, indent=1)
-
-
 def random_program_runs(rng, count):
     """`random_program` goals in every mode at depth 4, with no lemma, a
     program clause as a Horn lemma or an atomic lemma, and with auto-lemma."""
