@@ -39,17 +39,20 @@ evidence, its exhausted flag, the number of nu-names its subtree used and
 the evidence's free proof variables, which every solved subgoal carries up
 so that a nu-wrap need not walk its body.
 A goal's result is stored only when it cannot depend on the path above it:
-auto-lemma is off (its triggers look at ancestors), no nu-hyp older than
-the goal's own candidate was matched anywhere in its subtree (guarded
-matches included, since arming depends on the path), and no nu-wrap was
-made there (so the evidence holds no fresh binder names).  A hit also needs
-the hypotheses under the goal to be the ones the entry was stored under
-(the same chain link object): another path may hold nu-hyps that match
-inside the subtree and change its result, so there the goal is solved
-afresh.  A hit advances the nu-name counter by the stored count, records
-one `reuse` event in place of the subtree, and returns the stored evidence
-object itself, so proofs of repeated subgoals are shared DAGs.  Results are
-those of the untabled search; only the trace is shorter.
+no nu-hyp older than the goal's own candidate was matched anywhere in its
+subtree (guarded matches included, since arming depends on the path), and
+no nu-wrap was made there (so the evidence holds no fresh binder names).
+A hit also needs the hypotheses under the goal to be the ones the entry was
+stored under (the same chain link object): another path may hold nu-hyps
+that match inside the subtree and change its result, so there the goal is
+solved afresh.  An auto-lemma trigger pairs a goal with an ancestor, so a
+hit also needs the same chain of goals above the goal, `(goal, parent)`
+links (None without auto-lemma): a reused subtree's triggers are those its
+first visit, earlier in DFS order, recorded.  A hit advances the nu-name
+counter by the stored count, records one `reuse` event in place of the
+subtree, and returns the stored evidence object itself, so proofs of
+repeated subgoals are shared DAGs.  Results are those of the untabled
+search; only the trace is shorter.
 
 A single run is single-threaded and fully deterministic (including its
 trace); distinct runs may share Program and AxiomEnv values freely.
@@ -294,11 +297,12 @@ class _Search:
         # rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
         self.hyps: Optional[tuple] = None
         self.armed: set[str] = set()
-        self.goal_stack: list[Atom] = []
+        # The goals above, as `(goal, parent)` links, under auto-lemma only.
+        self.above: Optional[tuple] = None
         self.triggers: list[tuple[Atom, Atom]] = []
         # (goal, depth) -> (evidence, exhausted, nu-names the subtree used,
-        # the hypothesis link under the goal, the evidence's free proof
-        # variables); see the module doc.
+        # the hypothesis link and the goal chain under the goal, the
+        # evidence's free proof variables); see the module doc.
         self.memo: dict[tuple[Atom, int], tuple] = {}
         # Least link count of a nu-hyp matched in the current subtree, and
         # the number of nu-wraps made so far: what decides a memo store.
@@ -404,12 +408,11 @@ class _Search:
         its own.  Returns the goal's evidence (None if not found), whether a
         branch was cut, and the evidence's free proof variables."""
         depth, intro, candidate = ctx
-        below = self.hyps
-        tabled = candidate and not self.auto_lemma
-        if tabled:
+        below, above = self.hyps, self.above
+        if candidate:
             hit = self.memo.get((goal, depth))
-            if hit is not None and hit[3] is below:
-                ev, exhausted, names, _, free = hit
+            if hit is not None and hit[3] is below and hit[4] is above:
+                ev, exhausted, names, _, _, free = hit
                 self._nu_names += names
                 if ev is not None:
                     outcome = Outcome.PROVED
@@ -426,21 +429,22 @@ class _Search:
             self.hyps = bind(below, EnvEntry(ProofVar(cand), fact(goal)))
             intro += (cand,)
         if self.auto_lemma:
-            for anc in reversed(self.goal_stack):
-                if _embeds(goal, anc):
-                    self.triggers.append((goal, anc))
-                    break
-            self.goal_stack.append(goal)
+            link = above
+            while link and not _embeds(goal, link[0]):
+                link = link[1]
+            if link:
+                self.triggers.append((goal, link[0]))
+            self.above = (goal, above)
         try:
             ev, exhausted, free = yield from self._options(goal, depth, intro)
         finally:
             if self.auto_lemma:
-                self.goal_stack.pop()
+                self.above = above
             self.hyps = below
         if ev is not None:
             ev, free = self._nu_wrap(cand, ev, free)
-        if tabled and self._oldest_match > mark and self._nu_wraps == wraps:
-            self.memo[goal, depth] = (ev, exhausted, self._nu_names - names, below, free)
+        if candidate and self._oldest_match > mark and self._nu_wraps == wraps:
+            self.memo[goal, depth] = (ev, exhausted, self._nu_names - names, below, above, free)
         self._oldest_match = min(oldest, self._oldest_match)
         return ev, exhausted, free
 
@@ -509,10 +513,7 @@ class _Search:
 
 
 def _attempt(
-    env: AxiomEnv,
-    query: Query,
-    lemma_formulas: Sequence[HornClause],
-    trace: list[TraceEvent],
+    env: AxiomEnv, query: Query, trace: list[TraceEvent]
 ) -> tuple[SearchResult, list[tuple[Atom, Atom]]]:
     records: list[LemmaRecord] = []
     triggers: list[tuple[Atom, Atom]] = []
@@ -528,7 +529,7 @@ def _attempt(
     ) -> tuple[SearchResult, list[tuple[Atom, Atom]]]:
         return SearchResult(outcome, ev, derivation, tuple(trace), env, tuple(records)), triggers
 
-    for lf in lemma_formulas:
+    for lf in query.lemmas:
         trace.append(TraceEvent("note", 0, str(lf), "", "proving lemma"))
         ev, outcome = search(lf)
         if ev is None:
@@ -565,11 +566,11 @@ def resolve(
     cannot be proved or registered aborts the whole query.  With
     `auto_lemma`, a failed search is retried once after proposing a lemma by
     anti-unification from the first goal/ancestor embedding seen in the
-    failed run.
+    failed run; the retry collects no triggers.
     """
     env0 = env_for_program(program, names)
     trace: list[TraceEvent] = []
-    result, triggers = _attempt(env0, query, query.lemmas, trace)
+    result, triggers = _attempt(env0, query, trace)
     if result.outcome is Outcome.PROVED or not query.auto_lemma:
         return result
     for goal_atom, ancestor in triggers:
@@ -585,7 +586,8 @@ def resolve(
                 f"auto-lemma proposed from ancestor {ancestor}: {format_formula(lemma)}",
             )
         ]
-        retried, _ = _attempt(env0, query, (lemma,) + query.lemmas, retry_trace)
+        retry = Query(query.goal, query.mode, query.depth_limit, (lemma,) + query.lemmas)
+        retried, _ = _attempt(env0, retry, retry_trace)
         return SearchResult(
             retried.outcome, retried.evidence, retried.derivation,
             result.trace + retried.trace, retried.env, retried.lemmas, lemma,

@@ -424,15 +424,6 @@ class Derivation(Value):
 
         return walk(self, None, rules)
 
-    def depth(self) -> int:
-        def go(d: Derivation, ctx: None):
-            deepest = 0
-            for c in d.children:
-                deepest = max(deepest, (yield c, None, go))
-            return deepest + 1
-
-        return walk(self, None, go)
-
     @property
     def entry_name(self) -> Optional[str]:
         """The entry an Lp-m node resolves with: its constant or variable

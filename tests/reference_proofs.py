@@ -10,7 +10,8 @@ that Nu' is admissible.  They recurse, so they suit the small terms of the
 tests, not deep ones.  `format_derivation` prints a derivation as the tree
 it unfolds to, two spaces per level: `tests/test_tabling.py` unfolds the
 `#k#` references of a text report's derivation and compares the result
-with it.
+with it.  `depth` counts the nodes on a derivation's longest path.  These
+two run on `proofs.walk`, so they take deep and shared derivations too.
 """
 
 from __future__ import annotations
@@ -141,3 +142,16 @@ def format_derivation(d: Derivation, indent: int = 0) -> str:
         return out
 
     return "\n".join(walk(d, indent, lines, shared_nodes(d, lambda n: n.children)))
+
+
+def depth(d: Derivation) -> int:
+    """The number of nodes on the longest root-to-leaf path of `d`; a shared
+    node is visited once."""
+
+    def go(d: Derivation, ctx: None):
+        deepest = 0
+        for c in d.children:
+            deepest = max(deepest, (yield c, None, go))
+        return deepest + 1
+
+    return walk(d, None, go)

@@ -34,7 +34,7 @@ from cohorn import (
 from cohorn.proofs import proof_children, shared_nodes, walk
 
 from helpers import load
-from reference_proofs import admissibility_view, check_derivation, normalize_binders
+from reference_proofs import admissibility_view, check_derivation, depth, normalize_binders
 
 
 def env_of(name: str) -> AxiomEnv:
@@ -85,7 +85,7 @@ class TestCheckAccepts:
 
         d = check(env_of("pair"), parse_proof("k1 k2 k2"), parse_formula("eq(pair(int,int))"))
         assert d.rule is Rule.LP_M
-        assert d.depth() == 2
+        assert depth(d) == 2
         assert d.matcher == {"X": App("int"), "Y": App("int")}
 
     def test_evenodd_nu_prime_root(self):
@@ -203,7 +203,7 @@ class TestEnvironmentDiscipline:
             checked = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert d.depth() == 2 * n + 3
+        assert depth(d) == 2 * n + 3
         assert parsed < 20e6 and checked < 40e6, (parsed, checked)
 
 
@@ -388,6 +388,7 @@ from cohorn import (
     Rule, alpha_equal, check, env_for_program, format_proof, free_proof_vars,
     parse_formula, parse_program, parse_proof,
 )
+from reference_proofs import depth
 
 n = 5000
 src = parse_program("k0 : => a0.\\n" + "".join(f"k{i} : a{i - 1} => a{i}.\\n" for i in range(1, n + 1)))
@@ -398,7 +399,7 @@ e = parse_proof(text)
 d = check(env_for_program(src.program, src.names), e, parse_formula(f"a{n}"))
 assert alpha_equal(parse_proof(format_proof(e)), e)
 assert free_proof_vars(e) == frozenset()
-assert d.depth() == n + 1
+assert depth(d) == n + 1
 assert d.rules_used() == {Rule.LP_M}
 """
 
@@ -407,7 +408,8 @@ def test_deep_proof_in_a_fresh_interpreter():
     """A 5,000-step chain proof parses, checks, prints, parses back and has
     its free variables, depth and rules taken at the default recursion
     limit.  `alpha_equal`, not `==`: dataclass equality recurses."""
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    tests_dir = Path(__file__).resolve().parent
+    path = [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", DEEP_PROOF], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,11 @@ trace; the untabled search is the same searcher with a memo that never
 stores.
 """
 
+import io
+import json
 import random
 import re
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -40,7 +43,7 @@ from cohorn.proofs import (
 from cohorn.terms import HornClause, fact
 
 from helpers import program_queries, random_program
-from reference_proofs import format_derivation
+from reference_proofs import depth, format_derivation
 
 
 class _NeverStores(dict):
@@ -66,11 +69,15 @@ def untabled(monkeypatch):
     return run
 
 
-def diamond(n: int):
+def diamond_source(n: int) -> str:
     """k_i : eq(c_{i-1}), eq(c_{i-1}) => eq(c_i), with k0 : => eq(c0)."""
     lines = ["k0 : => eq(c0)."]
     lines += [f"k{i} : eq(c{i - 1}), eq(c{i - 1}) => eq(c{i})." for i in range(1, n + 1)]
-    return parse_program("\n".join(lines))
+    return "\n".join(lines)
+
+
+def diamond(n: int):
+    return parse_program(diamond_source(n))
 
 
 def diamond_proof(n: int) -> str:
@@ -208,10 +215,10 @@ def outcome_or_error(search, program, query):
         return str(err)
 
 
-def compare(runs, untabled) -> tuple[int, dict]:
-    """Compare every run with the untabled search; count the runs and the
-    reuse events by mode."""
-    calls = 0
+def compare(runs, untabled) -> tuple[int, dict, int]:
+    """Compare every run with the untabled search; count the runs, the
+    reuse events by mode and the reuse events under auto-lemma."""
+    calls = auto_reuses = 0
     reuses = dict.fromkeys(Mode, 0)
     for program, query in runs:
         tabled = outcome_or_error(resolve, program, query)
@@ -222,20 +229,22 @@ def compare(runs, untabled) -> tuple[int, dict]:
             continue
         same_result(tabled, plain)
         assert not any(e.kind == "reuse" for e in plain.trace)
-        reuses[query.mode] += sum(e.kind == "reuse" for e in tabled.trace)
+        count = sum(e.kind == "reuse" for e in tabled.trace)
+        reuses[query.mode] += count
         if query.auto_lemma:
-            assert tabled == plain  # no memo under auto-lemma
-    return calls, reuses
+            auto_reuses += count
+    return calls, reuses, auto_reuses
 
 
 class TestDifferential:
     def test_random_programs_match_the_untabled_search(self, untabled):
-        calls, reuses = compare(random_program_runs(random.Random(5150), 60), untabled)
+        calls, reuses, auto_reuses = compare(random_program_runs(random.Random(5150), 60), untabled)
         assert calls > 3000 and reuses[Mode.INDUCTIVE] > 100, (calls, reuses)
         assert reuses[Mode.EXTENDED] > 50, reuses
+        assert auto_reuses > 250, auto_reuses
 
     def test_propositional_cycles_match_the_untabled_search(self, untabled):
-        calls, reuses = compare(propositional_runs(random.Random(5151), 120), untabled)
+        calls, reuses, _ = compare(propositional_runs(random.Random(5151), 120), untabled)
         assert calls > 2000 and min(reuses.values()) > 50, (calls, reuses)
 
     def test_a_path_whose_hypotheses_match_inside_the_subgoal_solves_it_afresh(self, untabled):
@@ -249,6 +258,21 @@ class TestDifferential:
         tabled = resolve(src.program, query, names=src.names)
         assert tabled.outcome is Outcome.PROVED
         assert format_proof(tabled.evidence) == "kq (nu a7. ky (kb kc) (kg a7))"
+        same_result(tabled, untabled(src.program, query, names=src.names))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_auto_lemma_reuses_a_subgoal_only_under_the_same_ancestors(self, mode, untabled):
+        # g(s(s(c))) at depth 2 is solved first under a, then under g(s(c)),
+        # which it embeds.  Inductive mode binds no hypothesis per goal, so
+        # only the chain of goals above tells the two apart; reusing the
+        # first result would skip the trigger and propose nothing.
+        src = parse_program(
+            "k0 : a, g(s(c)), z => start.\nk1 : g(s(s(c))) => a.\n"
+            "k2 : g(s(s(c))) => g(s(c)).\nk3 : => g(s(s(c)))."
+        )
+        query = Query(parse_formula("start"), mode, 8, auto_lemma=True)
+        tabled = resolve(src.program, query, names=src.names)
+        assert tabled.auto_lemma == parse_formula("g(X1) => g(s(X1))")
         same_result(tabled, untabled(src.program, query, names=src.names))
 
     def test_carried_free_variables_are_those_of_the_evidence(self, monkeypatch):
@@ -292,6 +316,31 @@ class TestDiamond:
                 assert d.children[0] is d.children[1]
                 d = d.children[0]
 
+    @pytest.mark.parametrize("mode", ["ind", "coind", "ext"])
+    def test_auto_lemma_changes_no_byte_of_a_proved_report(self, mode, tmp_path):
+        """A proved goal is never retried, and its search is tabled with or
+        without `--auto-lemma`: the reports are the same bytes, and the
+        trace holds the 11 `try` and 10 `reuse` events of the tabled DAG
+        and, in coinductive and extended mode, one `guarded` event per goal
+        for its own nu-hyp."""
+        path = tmp_path / "diamond.hc"
+        path.write_text(diamond_source(10))
+        for flags in ([], ["--json"], ["--trace"], ["--json", "--trace"]):
+            reports = []
+            for auto in ([], ["--auto-lemma"]):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cohorn.cli.cli(
+                        ["resolve", str(path), "--query", "eq(c10)", "--mode", mode, "--depth", "11"]
+                        + flags + auto
+                    )
+                reports.append((code, out.getvalue()))
+            assert reports[1] == reports[0] and reports[0][0] == 0
+            if flags == ["--json", "--trace"]:
+                trace = [e["kind"] for e in json.loads(reports[1][1])["trace"]]
+                guarded = 0 if mode == "ind" else 11
+                assert (trace.count("try"), trace.count("reuse"), len(trace)) == (11, 10, 21 + guarded)
+
     def test_one_below_the_limit_is_cut_once(self):
         src = diamond(12)
         result = resolve(src.program, Query(parse_formula("eq(c12)"), Mode.INDUCTIVE, 12), names=src.names)
@@ -305,7 +354,7 @@ class TestDiamond:
         result = resolve(src.program, Query(parse_formula("eq(c18)"), mode, 19), names=src.names)
         assert result.outcome is Outcome.PROVED
         assert len(result.trace) <= 3 * 19
-        assert result.derivation.depth() == 19
+        assert depth(result.derivation) == 19
         assert free_proof_vars(result.evidence) == frozenset()
 
 
@@ -375,5 +424,5 @@ class TestSharedTerms:
         for i in range(1, 61):
             e = Apply(Apply(ConstSym(f"k{i}"), e), e)
         d = check(env, e, parse_formula("eq(c60)"))
-        assert d.depth() == 61
+        assert depth(d) == 61
         assert {r.value for r in d.rules_used()} == {"Lp-m"}
