@@ -202,7 +202,7 @@ def _json_value(v):
         return format_formula(v)
     if isinstance(v, Derivation):
         return _derivation_json(v)
-    if isinstance(v, tuple):  # lemma records, trace events
+    if isinstance(v, (tuple, engine.Trace)):  # lemma records, trace events
         return [_json_value(x) for x in v]
     if isinstance(v, engine.LemmaRecord):
         return {
@@ -348,10 +348,16 @@ _CUT_GOALS_SHOWN = 10
 
 def _cut_goals(result: engine.SearchResult) -> Optional[list[str]]:
     """Why an EXHAUSTED search stopped: the distinct goals cut at the depth
-    limit, sorted, at most `_CUT_GOALS_SHOWN` of them; None otherwise."""
+    limit, sorted, at most `_CUT_GOALS_SHOWN` of them; None otherwise.  A
+    search's `Trace` formats its `cut` records alone."""
     if result.outcome is not engine.Outcome.EXHAUSTED:
         return None
-    return sorted({e.goal for e in result.trace if e.kind == "cut"})[:_CUT_GOALS_SHOWN]
+    trace = result.trace
+    if isinstance(trace, engine.Trace):
+        goals = trace.goals("cut")
+    else:
+        goals = {e.goal for e in trace if e.kind == "cut"}
+    return sorted(goals)[:_CUT_GOALS_SHOWN]
 
 
 def _cmd_resolve(src: SourceProgram, args) -> int:

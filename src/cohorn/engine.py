@@ -17,9 +17,15 @@ Every goal walks those entries in one fixed option order:
   3. axioms, source order (at most one can match, by non-overlap),
   4. rigid lambda-facts, oldest first.
 
-The static entries (lemmata and axioms) are looked up by `terms.head_key`,
-predicate and functor at argument 0, so a goal skips only the entries whose
-heads cannot match it; the path's hypotheses are walked in full.
+Every entry is looked up by `terms.head_key`, predicate and functor at
+argument 0, so a goal skips only the entries whose heads cannot match it:
+the static entries (lemmata and axioms) through an index built once per
+search, the path's hypotheses through an index beside the chain whose
+buckets are pushed where a hypothesis is bound and popped where the chain is
+restored (as a trail is undone on backtracking in Warren's abstract machine,
+1983).  An entry is skipped only where `match` would return None without
+raising: where a predicate's entries disagree with the goal on its arity,
+all of them are walked, so every arity clash still raises.
 
 A nu-hyp is usable only while its name is armed: the goal that introduced it
 has been expanded by an axiom step on the current path.  That is the
@@ -48,11 +54,16 @@ that match inside the subtree and change its result, so there the goal is
 solved afresh.  An auto-lemma trigger pairs a goal with an ancestor, so a
 hit also needs the same chain of goals above the goal, `(goal, parent)`
 links (None without auto-lemma): a reused subtree's triggers are those its
-first visit, earlier in DFS order, recorded.  A hit advances the nu-name
-counter by the stored count, records one `reuse` event in place of the
-subtree, and returns the stored evidence object itself, so proofs of
-repeated subgoals are shared DAGs.  Results are those of the untabled
-search; only the trace is shorter.
+first visit, earlier in DFS order, recorded.  A hit is answered where the
+subgoal is made, without a `walk` step: it advances the nu-name counter by
+the stored count, records one `reuse` event in place of the subtree, and
+returns the stored evidence object itself, so proofs of repeated subgoals
+are shared DAGs.  Results are those of the untabled search; only the trace
+is shorter.
+
+The search notes its trace as raw records, and `SearchResult.trace` formats
+them into `TraceEvent`s when first read: a run that reads no trace renders
+no goal, matcher or entry label.
 
 A single run is single-threaded and fully deterministic (including its
 trace); distinct runs may share Program and AxiomEnv values freely.
@@ -67,6 +78,7 @@ nothing reads its state again.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .proofs import (
@@ -168,13 +180,78 @@ class TraceEvent(Value):
         _setattr(self, "detail", detail)
 
 
+def _event(kind: str, depth: int, goal, entry, detail) -> TraceEvent:
+    """The `TraceEvent` of a raw trace record: `entry` is a label or the
+    `EnvEntry` of an axiom or hypothesis, `detail` a text or a `try`
+    record's matcher."""
+    if not isinstance(entry, str):
+        name = entry.evidence.name
+        if not isinstance(entry.evidence, ConstSym):
+            name = f"fact {name}" if entry.rigid else f"hyp {name}"
+        entry = name
+    if not isinstance(detail, str):
+        detail = format_subst(detail)
+    return TraceEvent(kind, depth, str(goal), entry, detail)
+
+
+class Trace:
+    """A search's trace events as a read-only sequence, kept as the raw
+    `(kind, depth, goal, entry, detail)` records the search noted and made
+    into `TraceEvent`s on first read, so a run that reads no trace formats
+    nothing for it.  Equality, hashing and `repr` go by the events, and a
+    trace equals the tuple of its events; a pickle or copy carries the
+    records, not the events."""
+
+    __slots__ = ("records", "_events")
+
+    def __init__(self, records: tuple):
+        self.records = records
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        try:
+            return self._events
+        except AttributeError:
+            self._events = tuple([_event(*r) for r in self.records])
+            return self._events
+
+    def goals(self, kind: str) -> set[str]:
+        """The text of the goals of the `kind` events, formatting no other
+        event."""
+        return {str(r[2]) for r in self.records if r[0] == kind}
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        return self.events[index]
+
+    def __iter__(self):
+        return iter(self.events)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            other = other.events
+        return self.events == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.events)
+
+    def __repr__(self) -> str:
+        return repr(self.events)
+
+    def __reduce__(self):
+        return Trace, (self.records,)
+
+
 class LemmaRecord(Value):
     __slots__ = ("formula", "evidence", "registered", "note")  # evidence: None if unproved
     _defaults = {"note": ""}
 
 
 class SearchResult(Value):
-    # evidence, derivation and auto_lemma are None unless found or proposed.
+    # evidence, derivation and auto_lemma are None unless found or proposed;
+    # trace is a `Trace`, or any tuple of `TraceEvent`s.
     __slots__ = ("outcome", "evidence", "derivation", "trace", "env", "lemmas", "auto_lemma")
     _defaults = {"lemmas": (), "auto_lemma": None}
 
@@ -264,6 +341,7 @@ def _embeds(goal: Atom, ancestor: Atom) -> bool:
 
 
 _NO_NAMES: frozenset[str] = frozenset()
+_COUNT = itemgetter(1)  # a `bind` link's count: its age on the chain
 
 
 class _Search:
@@ -272,7 +350,7 @@ class _Search:
         env: AxiomEnv,
         mode: Mode,
         limit: int,
-        trace: list[TraceEvent],
+        trace: list[tuple],
         auto_lemma: bool = False,
     ):
         # Lemmas, then the checker's axiom index: the option order, and a
@@ -291,11 +369,16 @@ class _Search:
         self.by_key: dict[tuple, tuple[EnvEntry, ...]] = {}
         self.mode = mode
         self.limit = limit
+        # Raw trace records; see `Trace`.
         self.trace = trace
         self.auto_lemma = auto_lemma
         # The path's hypotheses, a `proofs.bind` chain as in an AxiomEnv:
         # rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
+        # Beside it, its links by the head_key of their heads, oldest first,
+        # and per predicate the arities of every hypothesis bound so far.
         self.hyps: Optional[tuple] = None
+        self.hyp_index: dict[tuple[str, Optional[str]], list[tuple]] = {}
+        self.hyp_arities: dict[str, set[int]] = {}
         self.armed: set[str] = set()
         # The goals above, as `(goal, parent)` links, under auto-lemma only.
         self.above: Optional[tuple] = None
@@ -319,16 +402,23 @@ class _Search:
         self._fact_names += 1
         return f"b{self._fact_names}"
 
-    def note(self, kind: str, depth: int, goal, entry: str = "", detail: str = "") -> None:
-        self.trace.append(TraceEvent(kind, depth, str(goal), entry, detail))
+    def note(self, kind: str, depth: int, goal, entry="", detail="") -> None:
+        """Record a trace event raw; `_event` says what `entry` and `detail` hold."""
+        self.trace.append((kind, depth, goal, entry, detail))
 
-    def _label(self, entry: EnvEntry) -> str:
-        ev = entry.evidence
-        if isinstance(ev, ConstSym):
-            return ev.name
-        if isinstance(ev, ProofVar):
-            return f"fact {ev.name}" if entry.rigid else f"hyp {ev.name}"
+    def _lemma_label(self, entry: EnvEntry) -> str:
         return f"lemma[{next(i for i, e in enumerate(self.entries, 1) if e is entry)}]"
+
+    def _bind(self, entry: EnvEntry) -> list[tuple]:
+        """Bind `entry` on the path's hypotheses; the index bucket that now
+        ends with its link, which the binder pops where it restores `hyps`."""
+        head = entry.formula.head
+        key = head_key(head)
+        self.hyps = link = bind(self.hyps, entry)
+        bucket = self.hyp_index.setdefault(key, [])
+        bucket.append(link)
+        self.hyp_arities.setdefault(key[0], set()).add(len(head.args))
+        return bucket
 
     def _static(self, goal: Atom) -> tuple[EnvEntry, ...]:
         """The lemmas and axioms, in option order, whose heads may match
@@ -345,6 +435,30 @@ class _Search:
                 ks = [k for k, e in enumerate(self.entries) if e.formula.head.predicate == pred]
             found = self.by_key[key] = tuple(self.entries[k] for k in sorted(ks))
         return found
+
+    def _hypotheses(self, goal: Atom) -> Sequence[tuple]:
+        """The links of the path's hypotheses whose heads may match `goal`
+        by `head_key`, oldest first, left out as `_static` leaves entries
+        out: once a hypothesis of the goal's predicate has been bound at
+        another arity, the whole chain is walked."""
+        if self.hyps is None:
+            return ()
+        pred, functor = key = head_key(goal)
+        arities = self.hyp_arities.get(pred)
+        if arities is None:
+            return ()
+        if len(arities) > 1 or len(goal.args) not in arities:
+            links, link = [], self.hyps
+            while link:
+                links.append(link)
+                link = link[2]
+            links.reverse()
+            return links
+        exact = self.hyp_index.get(key, ())
+        loose = self.hyp_index.get((pred, None)) if functor is not None else None
+        if not loose:
+            return exact
+        return sorted(exact + loose, key=_COUNT) if exact else loose
 
     def _nu_wrap(
         self, binder: Optional[str], body: ProofTerm, free: frozenset[str]
@@ -363,14 +477,12 @@ class _Search:
         """The entries that may match `goal` as `bind` links, a lemma or axiom
         with count 0, in option order: nu-hyps, lemmas, axioms, lambda-facts."""
         nus, facts = [], []
-        link = self.hyps
-        while link:
+        for link in self._hypotheses(goal):
             (facts if link[0].rigid else nus).append(link)
-            link = link[2]
-        yield from reversed(nus)
+        yield from nus
         for e in self._static(goal):
             yield e, 0, None
-        yield from reversed(facts)
+        yield from facts
 
     # -- queries -------------------------------------------------------------
 
@@ -382,13 +494,13 @@ class _Search:
             return None, False
         binders = tuple(self.fresh_fact() for _ in goal.body)
         outer = self.hyps
-        self.hyps = bind(outer, *(
-            EnvEntry(ProofVar(b), fact(a), rigid=True) for b, a in zip(binders, goal.body)
-        ))
+        buckets = [
+            self._bind(EnvEntry(ProofVar(b), fact(a), rigid=True)) for b, a in zip(binders, goal.body)
+        ]
         alpha: Optional[str] = None
         if self.mode is Mode.EXTENDED:
             alpha = self.fresh_nu()
-            self.hyps = bind(self.hyps, EnvEntry(ProofVar(alpha), goal))
+            buckets.append(self._bind(EnvEntry(ProofVar(alpha), goal)))
         try:
             # The body goal registers no candidate of its own: cycle closure
             # at the root is the job of the Horn hypothesis.
@@ -396,37 +508,47 @@ class _Search:
             ev, exhausted, free = walk(goal.head, ctx, self.solve_atomic, frozenset())
         finally:
             self.hyps = outer
+            for bucket in buckets:
+                bucket.pop()
         if ev is None:
             return None, exhausted
         return self._nu_wrap(alpha, Lambda(binders, ev), free.difference(binders))[0], exhausted
 
     # -- atomic goals ----------------------------------------------------------
 
+    def _reuse(self, goal: Atom, depth: int) -> Optional[tuple]:
+        """What `solve_atomic` would return for a candidate `goal` at
+        `depth`, where the memo holds it for the current path; None
+        otherwise.  A hit advances the nu-name counter by the stored count
+        and records one `reuse` event."""
+        hit = self.memo.get((goal, depth))
+        if hit is None or hit[3] is not self.hyps or hit[4] is not self.above:
+            return None
+        ev, exhausted, names, _, _, free = hit
+        self._nu_names += names
+        if ev is not None:
+            outcome = Outcome.PROVED
+        else:
+            outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
+        self.note("reuse", depth, goal, "", outcome.value)
+        return ev, exhausted, free
+
     def solve_atomic(self, goal: Atom, ctx: tuple[int, tuple[str, ...], bool]):
         """A `walk` step for `goal` under `ctx`: its depth, the nu-names it
         arms when an axiom expands it, and whether it adds a candidate of
         its own.  Returns the goal's evidence (None if not found), whether a
-        branch was cut, and the evidence's free proof variables."""
+        branch was cut, and the evidence's free proof variables.  A
+        candidate goal is stored in the memo where the module doc says, and
+        a caller asks `_reuse` before it makes the step."""
         depth, intro, candidate = ctx
         below, above = self.hyps, self.above
-        if candidate:
-            hit = self.memo.get((goal, depth))
-            if hit is not None and hit[3] is below and hit[4] is above:
-                ev, exhausted, names, _, _, free = hit
-                self._nu_names += names
-                if ev is not None:
-                    outcome = Outcome.PROVED
-                else:
-                    outcome = Outcome.EXHAUSTED if exhausted else Outcome.FAILED
-                self.note("reuse", depth, goal, "", outcome.value)
-                return ev, exhausted, free
         mark = below[1] if below else 0
         names, wraps, oldest = self._nu_names, self._nu_wraps, self._oldest_match
         self._oldest_match = mark + 1  # the count the goal's own candidate gets
         cand: Optional[str] = None
         if candidate and self.mode is not Mode.INDUCTIVE:
             cand = self.fresh_nu()
-            self.hyps = bind(below, EnvEntry(ProofVar(cand), fact(goal)))
+            bucket = self._bind(EnvEntry(ProofVar(cand), fact(goal)))
             intro += (cand,)
         if self.auto_lemma:
             link = above
@@ -441,6 +563,8 @@ class _Search:
             if self.auto_lemma:
                 self.above = above
             self.hyps = below
+            if cand is not None:
+                bucket.pop()
         if ev is not None:
             ev, free = self._nu_wrap(cand, ev, free)
         if candidate and self._oldest_match > mark and self._nu_wraps == wraps:
@@ -450,8 +574,9 @@ class _Search:
 
     def _options(self, goal: Atom, depth: int, intro: tuple[str, ...]):
         """Try the goal's candidates in option order, solving each one's
-        body atoms left to right as `walk` children; the first candidate
-        whose every body atom is solved gives the goal's evidence."""
+        body atoms left to right, from the memo or as `walk` children; the
+        first candidate whose every body atom is solved gives the goal's
+        evidence."""
         exhausted = False
         matched_any = False
         axiom_matched = False
@@ -460,11 +585,12 @@ class _Search:
             if s is None:
                 continue
             ev = entry.evidence
-            if isinstance(ev, ProofVar) and not entry.rigid:
+            is_hyp = isinstance(ev, ProofVar)
+            if is_hyp and not entry.rigid:
                 self._oldest_match = min(self._oldest_match, count)
             if entry.rigid and s:
                 # Lambda hypotheses are monomorphic: literal uses only.
-                self.note("guarded", depth, goal, self._label(entry), "monomorphic")
+                self.note("guarded", depth, goal, entry, "monomorphic")
                 continue
             matched_any = True
             is_axiom = isinstance(ev, ConstSym)
@@ -472,15 +598,15 @@ class _Search:
                 if axiom_matched:
                     raise EngineInvariantError(f"goal {goal} matched by two axiom heads")
                 axiom_matched = True
-            elif isinstance(ev, ProofVar) and not entry.rigid and ev.name not in self.armed:
-                self.note("guarded", depth, goal, self._label(entry))
+            elif is_hyp and not entry.rigid and ev.name not in self.armed:
+                self.note("guarded", depth, goal, entry)
                 continue
-            label = self._label(entry)
+            label = entry if is_hyp or is_axiom else self._lemma_label(entry)
             if depth >= self.limit:
                 exhausted = True
                 self.note("cut", depth, goal, label)
                 continue
-            self.note("try", depth, goal, label, format_subst(s))
+            self.note("try", depth, goal, label, s)
             # An axiom step arms the nu-hyps this goal introduced.
             arm = intro if is_axiom else ()
             self.armed.update(arm)
@@ -488,7 +614,11 @@ class _Search:
             free = _NO_NAMES
             try:
                 for b in entry.formula.body:
-                    sub, exh, names = yield apply_atom(s, b), (depth + 1, (), True), self.solve_atomic
+                    subgoal = apply_atom(s, b)
+                    solved = self._reuse(subgoal, depth + 1)
+                    if solved is None:
+                        solved = yield subgoal, (depth + 1, (), True), self.solve_atomic
+                    sub, exh, names = solved
                     exhausted |= exh
                     if sub is None:
                         break  # a failed conjunct ends this candidate
@@ -497,7 +627,7 @@ class _Search:
                         free = free | names
                 else:
                     # Lemma evidence is closed: it checked with no hypotheses.
-                    if isinstance(ev, ProofVar):
+                    if is_hyp:
                         free = free | {ev.name}
                     return make_apply(ev, evs), exhausted, free
             finally:
@@ -513,7 +643,7 @@ class _Search:
 
 
 def _attempt(
-    env: AxiomEnv, query: Query, trace: list[TraceEvent]
+    env: AxiomEnv, query: Query, trace: list[tuple]
 ) -> tuple[SearchResult, list[tuple[Atom, Atom]]]:
     records: list[LemmaRecord] = []
     triggers: list[tuple[Atom, Atom]] = []
@@ -527,10 +657,10 @@ def _attempt(
     def finish(
         outcome: Outcome, ev: Optional[ProofTerm] = None, derivation: Optional[Derivation] = None
     ) -> tuple[SearchResult, list[tuple[Atom, Atom]]]:
-        return SearchResult(outcome, ev, derivation, tuple(trace), env, tuple(records)), triggers
+        return SearchResult(outcome, ev, derivation, Trace(tuple(trace)), env, tuple(records)), triggers
 
     for lf in query.lemmas:
-        trace.append(TraceEvent("note", 0, str(lf), "", "proving lemma"))
+        trace.append(("note", 0, lf, "", "proving lemma"))
         ev, outcome = search(lf)
         if ev is None:
             records.append(LemmaRecord(lf, None, False, "lemma not proved"))
@@ -569,27 +699,20 @@ def resolve(
     failed run; the retry collects no triggers.
     """
     env0 = env_for_program(program, names)
-    trace: list[TraceEvent] = []
-    result, triggers = _attempt(env0, query, trace)
+    result, triggers = _attempt(env0, query, [])
     if result.outcome is Outcome.PROVED or not query.auto_lemma:
         return result
     for goal_atom, ancestor in triggers:
         lemma = propose_lemma(goal_atom, ancestor)
         if lemma is None:
             continue
-        retry_trace: list[TraceEvent] = [
-            TraceEvent(
-                "note",
-                0,
-                str(goal_atom),
-                "",
-                f"auto-lemma proposed from ancestor {ancestor}: {format_formula(lemma)}",
-            )
-        ]
+        retry_trace = [(
+            "note", 0, goal_atom, "", f"auto-lemma proposed from ancestor {ancestor}: {format_formula(lemma)}"
+        )]
         retry = Query(query.goal, query.mode, query.depth_limit, (lemma,) + query.lemmas)
         retried, _ = _attempt(env0, retry, retry_trace)
         return SearchResult(
             retried.outcome, retried.evidence, retried.derivation,
-            result.trace + retried.trace, retried.env, retried.lemmas, lemma,
+            Trace(result.trace.records + retried.trace.records), retried.env, retried.lemmas, lemma,
         )
     return result

@@ -416,13 +416,17 @@ class Derivation(Value):
         return self.judgement.evidence
 
     def rules_used(self) -> frozenset[Rule]:
-        def rules(d: Derivation, ctx: None):
-            found = {d.rule}
-            for c in d.children:
-                found |= yield c, None, rules
-            return frozenset(found)
-
-        return walk(self, None, rules)
+        """The rules of the distinct nodes, each visited once."""
+        found: set[Rule] = set()
+        seen: set[int] = set()
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            if id(d) not in seen:
+                seen.add(id(d))
+                found.add(d.rule)
+                stack.extend(d.children)
+        return frozenset(found)
 
     @property
     def entry_name(self) -> Optional[str]:

@@ -332,7 +332,7 @@ def apply_term(s: Mapping[str, Term], t: Term) -> Term:
 
 
 def apply_atom(s: Mapping[str, Term], a: Atom) -> Atom:
-    if not a.args:
+    if not s or not a.args:
         return a
     return Atom(a.predicate, tuple(apply_term(s, t) for t in a.args))
 

@@ -1,6 +1,10 @@
 """Tests for proof search: modes, lemmas, negatives, and invariants."""
 
+import copy
+import io
+import pickle
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -31,6 +35,7 @@ from cohorn import (
     resolve,
 )
 from cohorn import proofs, terms
+from cohorn.cli import cli
 from cohorn.proofs import Apply, ConstSym
 from cohorn.terms import HornClause, atom_vars
 
@@ -482,11 +487,53 @@ class TestHeadIndex:
             assert [e for e in indexed if match(e.formula.head, goal) is not None] == matching
 
     def test_results_equal_the_unindexed_search(self, monkeypatch):
+        """Whole results, traces included, equal those of a search that
+        tries every lemma and axiom and walks the whole hypothesis chain."""
         runs = list(index_runs(random.Random(37)))
         indexed = [resolve(program, query) for program, query in runs]
-        monkeypatch.setattr(engine._Search, "_static", lambda self, goal: self.entries)
+        assert sum(len(r.trace) for r in indexed) > 3000
+
+        def full_walk(self, goal):
+            nus, facts, link = [], [], self.hyps
+            while link:
+                (facts if link[0].rigid else nus).append(link)
+                link = link[2]
+            yield from reversed(nus)
+            for e in self.entries:
+                yield e, 0, None
+            yield from reversed(facts)
+
+        monkeypatch.setattr(engine._Search, "_candidates", full_walk)
         for (program, query), expected in zip(runs, indexed):
             assert resolve(program, query) == expected
+
+    @pytest.mark.parametrize("mode, code", [("ind", 65), ("coind", 1), ("ext", 65)])
+    def test_a_clash_with_a_hypothesis_of_another_key_still_raises(self, mode, code, tmp_path):
+        """The lambda-fact p(a,b) has another head key than the subgoal
+        p(c), but matching it against p(c) raises: the predicate's arities
+        disagree, so the whole chain is walked.  Coinductive mode derives no
+        Horn formula, so no goal is tried."""
+        path = tmp_path / "clash.hc"
+        path.write_text("k1 : p(c) => q(c).\n")
+        argv = ["resolve", str(path), "--query", "p(a,b) => q(c)", "--mode", mode]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert cli(argv) == code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 65:
+            assert (out, err) == ("", "input error: predicate p used with arities 2 and 1\n")
+
+    def test_coinductive_chain_matches_at_most_two_entries_per_goal(self, monkeypatch):
+        """chain-2,000, k_i : a_(i-1) => a_i: each goal matches its axiom and
+        its own nu-hyp, not every nu-hyp on the path (2,005,002 calls)."""
+        n = 2000
+        calls = []
+        real = engine.match
+        monkeypatch.setattr(engine, "match", lambda *args: calls.append(1) or real(*args))
+        text = "k0 : => a0.\n" + "".join(f"k{i} : a{i - 1} => a{i}.\n" for i in range(1, n + 1))
+        query = Query(parse_formula(f"a{n}"), Mode.COINDUCTIVE, n + 2)
+        assert resolve(parse_program(text).program, query).outcome is Outcome.PROVED
+        assert len(calls) <= 2 * (n + 1)
 
     def test_arity_clashes_walk_the_whole_predicate(self):
         program = load("pair").program
@@ -552,3 +599,41 @@ class TestHeadIndex:
         assert plain.outcome is Outcome.EXHAUSTED and calls == []
         auto = run("bush", "eq(bush(int))", Mode.EXTENDED, depth=6, auto=True)
         assert auto.outcome is Outcome.PROVED and calls
+
+
+class TestLazyTrace:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_trace_never_read_is_never_formatted(self, mode, monkeypatch):
+        """Search notes raw records; no matcher is rendered and no
+        TraceEvent is built until `trace` is read."""
+        counts = {"format_subst": 0, "TraceEvent": 0}
+        real_subst, real_event = engine.format_subst, engine.TraceEvent
+
+        def format_subst(s):
+            counts["format_subst"] += 1
+            return real_subst(s)
+
+        def trace_event(*args):
+            counts["TraceEvent"] += 1
+            return real_event(*args)
+
+        monkeypatch.setattr(engine, "format_subst", format_subst)
+        monkeypatch.setattr(engine, "TraceEvent", trace_event)
+        for name, text in (("bush", "eq(bush(int))"), ("evenodd", "eq(evenList(int))")):
+            result = run(name, text, mode, depth=6, auto=True)
+            assert len(result.trace) > 5
+            assert counts == {"format_subst": 0, "TraceEvent": 0}
+        events = tuple(result.trace)
+        tries = sum(e.kind == "try" for e in events)
+        assert counts == {"format_subst": tries, "TraceEvent": len(events)} and tries
+        assert result.trace == events and counts["TraceEvent"] == len(events)
+
+    def test_pickles_copies_and_tuples_see_the_same_events(self):
+        result = run("bush", "eq(bush(int))", Mode.EXTENDED, depth=6, auto=True)
+        events = tuple(result.trace)
+        assert any(e.entry == "lemma[1]" for e in events)
+        for restored in (pickle.loads(pickle.dumps(result)), copy.copy(result), copy.deepcopy(result)):
+            assert restored == result and restored.trace == events and events == restored.trace
+            assert repr(restored) == repr(result)
+        assert hash(result.trace) == hash(events) and repr(result.trace) == repr(events)
+        assert result.trace != events[1:] and result.trace != list(events)

@@ -278,24 +278,39 @@ class TestDifferential:
     def test_carried_free_variables_are_those_of_the_evidence(self, monkeypatch):
         """Each solved subgoal carries its evidence's free proof variables,
         memo hits included, so a nu-wrap walks no body.  The search step is
-        a generator that `walk` drives, so the wrapper is one too."""
-        solve_atomic = engine._Search.solve_atomic
-        solved = []
+        a generator that `walk` drives, so its wrapper is one too; a memo
+        hit is answered by `_reuse`, with no step."""
+        solve_atomic, reuse = engine._Search.solve_atomic, engine._Search._reuse
+        solved, hits = [], []
 
-        def checked(self, *args, **kwargs):
-            ev, exhausted, free = yield from solve_atomic(self, *args, **kwargs)
+        def carried(found, kind):
+            ev, _, free = found
             if ev is not None:
                 assert free == free_proof_vars(ev), format_proof(ev)
                 solved.append(bool(free))
-            return ev, exhausted, free
+                hits.append(kind == "hit")
+
+        def checked(self, *args, **kwargs):
+            found = yield from solve_atomic(self, *args, **kwargs)
+            carried(found, "step")
+            return found
+
+        def checked_reuse(self, goal, depth):
+            found = reuse(self, goal, depth)
+            if found is not None:
+                carried(found, "hit")
+            return found
 
         monkeypatch.setattr(engine._Search, "solve_atomic", checked)
+        monkeypatch.setattr(engine._Search, "_reuse", checked_reuse)
         monkeypatch.setattr(engine, "free_proof_vars", None)
         runs = list(random_program_runs(random.Random(5152), 15))
         runs += list(propositional_runs(random.Random(5153), 20))
         for program, query in runs:
             resolve(program, query)
         assert len(solved) > 1000 and sum(solved) > 100, (len(solved), sum(solved))
+        hits_with_free = sum(f and h for f, h in zip(solved, hits))
+        assert sum(hits) > 100 and hits_with_free > 10, (sum(hits), hits_with_free)
 
 
 class TestDiamond:
