@@ -127,29 +127,31 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     """The parser of one `cohorn` call: with `command`, that command's parser
     alone, `cohorn <command>`, which parses the arguments after the command;
     otherwise the full parser, with every command and its flags (help, a
-    typo, an option first, no arguments).  Either way a command's flags are
-    copied from `_flags(command)`, so parses, help texts and usage errors
-    agree, and the call's parser itself only adds `-h`."""
+    typo, an option first, no arguments).  Either way a command's flags,
+    `-h` among them, are copied from `_flags(command)`, so parses, help
+    texts and usage errors agree, and a command's parser declares no flag
+    of its own."""
     if command in _SPECS:
-        p = _Parser(prog=f"cohorn {command}", parents=[_flags(command)])
+        p = _Parser(prog=f"cohorn {command}", parents=[_flags(command)], add_help=False)
         p.set_defaults(command=command)
         return p
     parser = _Parser(prog="cohorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help, _) in _SPECS.items():
-        sub.add_parser(name, parents=[_flags(name)], help=help)
+        sub.add_parser(name, parents=[_flags(name)], help=help, add_help=False)
     return parser
 
 
 @cache
 def _flags(command: str) -> argparse.ArgumentParser:
-    """Every flag of `command`, declared once per process, on first use; a
-    call's parser copies the declarations through `parents=`.  The copied
-    `Action`s, and the `default=[]` lists of `--lemma` and `--const`, are
-    thus shared by every call: argparse's append action copies that list
-    before it appends, and no command may mutate `args.lemma` or
-    `args.const`."""
-    return _add_flags(argparse.ArgumentParser(add_help=False, parents=_SPECS[command][1]), command)
+    """Every flag of `command`, `-h/--help` first, declared once per process,
+    on first use; a call's parser copies the declarations through
+    `parents=`.  The copied `Action`s, and the `default=[]` lists of
+    `--lemma` and `--const`, are thus shared by every call: argparse's
+    append action copies that list before it appends, and no command may
+    mutate `args.lemma` or `args.const`.  The help action prints the help
+    of the parser that parses, the call's own."""
+    return _add_flags(argparse.ArgumentParser(parents=_SPECS[command][1]), command)
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:

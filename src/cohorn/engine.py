@@ -342,6 +342,7 @@ def _embeds(goal: Atom, ancestor: Atom) -> bool:
 
 _NO_NAMES: frozenset[str] = frozenset()
 _COUNT = itemgetter(1)  # a `bind` link's count: its age on the chain
+_Key = tuple[str, Optional[str]]  # a `terms.head_key`
 
 
 class _Search:
@@ -361,7 +362,7 @@ class _Search:
         # Per predicate, the arities of its heads; per head_key, the option
         # positions of its entries.
         self.arities: dict[str, set[int]] = {}
-        self.by_head: dict[tuple[str, Optional[str]], list[int]] = {}
+        self.by_head: dict[_Key, list[int]] = {}
         for k, (e, key) in enumerate(zip(self.entries, keys)):
             self.arities.setdefault(key[0], set()).add(len(e.formula.head.args))
             self.by_head.setdefault(key, []).append(k)
@@ -377,7 +378,7 @@ class _Search:
         # Beside it, its links by the head_key of their heads, oldest first,
         # and per predicate the arities of every hypothesis bound so far.
         self.hyps: Optional[tuple] = None
-        self.hyp_index: dict[tuple[str, Optional[str]], list[tuple]] = {}
+        self.hyp_index: dict[_Key, list[tuple]] = {}
         self.hyp_arities: dict[str, set[int]] = {}
         self.armed: set[str] = set()
         # The goals above, as `(goal, parent)` links, under auto-lemma only.
@@ -409,41 +410,40 @@ class _Search:
     def _lemma_label(self, entry: EnvEntry) -> str:
         return f"lemma[{next(i for i, e in enumerate(self.entries, 1) if e is entry)}]"
 
-    def _bind(self, entry: EnvEntry) -> list[tuple]:
-        """Bind `entry` on the path's hypotheses; the index bucket that now
-        ends with its link, which the binder pops where it restores `hyps`."""
-        head = entry.formula.head
-        key = head_key(head)
+    def _bind(self, entry: EnvEntry, key: _Key) -> list[tuple]:
+        """Bind `entry`, whose head has the `head_key` `key`, on the path's
+        hypotheses; the index bucket that now ends with its link, which the
+        binder pops where it restores `hyps`."""
         self.hyps = link = bind(self.hyps, entry)
         bucket = self.hyp_index.setdefault(key, [])
         bucket.append(link)
-        self.hyp_arities.setdefault(key[0], set()).add(len(head.args))
+        self.hyp_arities.setdefault(key[0], set()).add(len(entry.formula.head.args))
         return bucket
 
-    def _static(self, goal: Atom) -> tuple[EnvEntry, ...]:
+    def _static(self, goal: Atom, key: _Key) -> tuple[EnvEntry, ...]:
         """The lemmas and axioms, in option order, whose heads may match
-        `goal` by `head_key`.  An entry is left out only where `match`
-        returns None without raising, so every arity clash still raises:
-        the predicate's whole list stands unless all its entries have the
-        goal's arity."""
-        key = (head_key(goal), len(goal.args))
-        found = self.by_key.get(key)
+        `goal`, whose `head_key` is `key`.  An entry is left out only where
+        `match` returns None without raising, so every arity clash still
+        raises: the predicate's whole list stands unless all its entries
+        have the goal's arity."""
+        arity = len(goal.args)
+        found = self.by_key.get((key, arity))
         if found is None:
-            (pred, functor), arity = key
-            ks = self.by_head.get((pred, functor), []) + (self.by_head.get((pred, None), []) if functor else [])
+            pred, functor = key
+            ks = self.by_head.get(key, []) + (self.by_head.get((pred, None), []) if functor else [])
             if self.arities.get(pred, {arity}) != {arity}:
                 ks = [k for k, e in enumerate(self.entries) if e.formula.head.predicate == pred]
-            found = self.by_key[key] = tuple(self.entries[k] for k in sorted(ks))
+            found = self.by_key[key, arity] = tuple(self.entries[k] for k in sorted(ks))
         return found
 
-    def _hypotheses(self, goal: Atom) -> Sequence[tuple]:
-        """The links of the path's hypotheses whose heads may match `goal`
-        by `head_key`, oldest first, left out as `_static` leaves entries
-        out: once a hypothesis of the goal's predicate has been bound at
-        another arity, the whole chain is walked."""
+    def _hypotheses(self, goal: Atom, key: _Key) -> Sequence[tuple]:
+        """The links of the path's hypotheses whose heads may match `goal`,
+        whose `head_key` is `key`, oldest first, left out as `_static`
+        leaves entries out: once a hypothesis of the goal's predicate has
+        been bound at another arity, the whole chain is walked."""
         if self.hyps is None:
             return ()
-        pred, functor = key = head_key(goal)
+        pred, functor = key
         arities = self.hyp_arities.get(pred)
         if arities is None:
             return ()
@@ -473,14 +473,15 @@ class _Search:
         self._nu_wraps += 1
         return Nu(binder, body), free - {binder}
 
-    def _candidates(self, goal: Atom):
-        """The entries that may match `goal` as `bind` links, a lemma or axiom
-        with count 0, in option order: nu-hyps, lemmas, axioms, lambda-facts."""
+    def _candidates(self, goal: Atom, key: _Key):
+        """The entries that may match `goal`, whose `head_key` is `key`, as
+        `bind` links, a lemma or axiom with count 0, in option order:
+        nu-hyps, lemmas, axioms, lambda-facts."""
         nus, facts = [], []
-        for link in self._hypotheses(goal):
+        for link in self._hypotheses(goal, key):
             (facts if link[0].rigid else nus).append(link)
         yield from nus
-        for e in self._static(goal):
+        for e in self._static(goal, key):
             yield e, 0, None
         yield from facts
 
@@ -495,12 +496,13 @@ class _Search:
         binders = tuple(self.fresh_fact() for _ in goal.body)
         outer = self.hyps
         buckets = [
-            self._bind(EnvEntry(ProofVar(b), fact(a), rigid=True)) for b, a in zip(binders, goal.body)
+            self._bind(EnvEntry(ProofVar(b), fact(a), rigid=True), head_key(a))
+            for b, a in zip(binders, goal.body)
         ]
         alpha: Optional[str] = None
         if self.mode is Mode.EXTENDED:
             alpha = self.fresh_nu()
-            buckets.append(self._bind(EnvEntry(ProofVar(alpha), goal)))
+            buckets.append(self._bind(EnvEntry(ProofVar(alpha), goal), head_key(goal.head)))
         try:
             # The body goal registers no candidate of its own: cycle closure
             # at the root is the job of the Horn hypothesis.
@@ -539,8 +541,11 @@ class _Search:
         its own.  Returns the goal's evidence (None if not found), whether a
         branch was cut, and the evidence's free proof variables.  A
         candidate goal is stored in the memo where the module doc says, and
-        a caller asks `_reuse` before it makes the step."""
+        a caller asks `_reuse` before it makes the step.  The goal's
+        `head_key` is computed here once, for its binding and its
+        candidates."""
         depth, intro, candidate = ctx
+        key = head_key(goal)
         below, above = self.hyps, self.above
         mark = below[1] if below else 0
         names, wraps, oldest = self._nu_names, self._nu_wraps, self._oldest_match
@@ -548,7 +553,7 @@ class _Search:
         cand: Optional[str] = None
         if candidate and self.mode is not Mode.INDUCTIVE:
             cand = self.fresh_nu()
-            bucket = self._bind(EnvEntry(ProofVar(cand), fact(goal)))
+            bucket = self._bind(EnvEntry(ProofVar(cand), fact(goal)), key)
             intro += (cand,)
         if self.auto_lemma:
             link = above
@@ -558,7 +563,7 @@ class _Search:
                 self.triggers.append((goal, link[0]))
             self.above = (goal, above)
         try:
-            ev, exhausted, free = yield from self._options(goal, depth, intro)
+            ev, exhausted, free = yield from self._options(goal, key, depth, intro)
         finally:
             if self.auto_lemma:
                 self.above = above
@@ -572,7 +577,7 @@ class _Search:
         self._oldest_match = min(oldest, self._oldest_match)
         return ev, exhausted, free
 
-    def _options(self, goal: Atom, depth: int, intro: tuple[str, ...]):
+    def _options(self, goal: Atom, key: _Key, depth: int, intro: tuple[str, ...]):
         """Try the goal's candidates in option order, solving each one's
         body atoms left to right, from the memo or as `walk` children; the
         first candidate whose every body atom is solved gives the goal's
@@ -580,7 +585,7 @@ class _Search:
         exhausted = False
         matched_any = False
         axiom_matched = False
-        for entry, count, _ in self._candidates(goal):
+        for entry, count, _ in self._candidates(goal, key):
             s = match(entry.formula.head, goal)
             if s is None:
                 continue

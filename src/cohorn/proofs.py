@@ -16,9 +16,11 @@ repeated subgoal, and `check` then shares the subgoal's derivation, which
 the CLI lists as one node per distinct node.  `walk`, which runs every
 traversal here on an explicit stack, visits each distinct node once per
 context, keyed by object identity, so a walk's cost follows the DAG.
-Checking and proof rendering keep values only for the nodes reached by more
-than one edge (`shared_nodes`).  `walk` also drives the engine's search,
-whose goals it keeps no value for: the search tables its own subgoals.
+Checking keeps the derivation of every (node, env, formula) it checks,
+which the result holds anyway; proof rendering keeps text only for the
+nodes reached by more than one edge (`shared_nodes`).  `walk` also drives
+the engine's search, whose goals it keeps no value for: the search tables
+its own subgoals.
 """
 
 from __future__ import annotations
@@ -340,13 +342,6 @@ class AxiomEnv(Value):
     def axiom(self, name: str) -> Optional[EnvEntry]:
         return self.axioms.get(name)
 
-    def hypothesis(self, name: str) -> Optional[EnvEntry]:
-        # Newest binding wins, so inner binders shadow outer ones.
-        link = self.hyps
-        while link and link[0].evidence.name != name:
-            link = link[2]
-        return link[0] if link else None
-
     def lemma_for(self, evidence: ProofTerm) -> Optional[EnvEntry]:
         for e in self.lemmas:
             if alpha_equal(e.evidence, evidence):
@@ -475,7 +470,7 @@ class CheckError(Exception):
 
 
 def _resolve_head(
-    env: AxiomEnv, head: ProofTerm, path: Optional[tuple], e: ProofTerm, f: HornClause
+    env: AxiomEnv, bound: dict, head: ProofTerm, path: Optional[tuple], e: ProofTerm, f: HornClause
 ) -> EnvEntry:
     if isinstance(head, ConstSym):
         entry = env.axiom(head.name)
@@ -485,12 +480,12 @@ def _resolve_head(
             )
         return entry
     if isinstance(head, ProofVar):
-        entry = env.hypothesis(head.name)
-        if entry is None:
+        entries = bound.get(head.name)
+        if not entries:
             raise CheckError(
                 CheckReason.UNBOUND_VAR, f"unbound proof variable {head.name}", path, e, f
             )
-        return entry
+        return entries[-1]
     entry = env.lemma_for(head)
     if entry is None:
         raise CheckError(
@@ -503,14 +498,19 @@ def _resolve_head(
     return entry
 
 
-def _goal(env: AxiomEnv, e: ProofTerm, f: HornClause, path: Optional[tuple]):
+def _goal(env: AxiomEnv, bound: dict, e: ProofTerm, f: HornClause, path: Optional[tuple]):
     """The `walk` triple that checks env |- e : f at `path`.  The context
     `(id(env), f)` keys the memo; a stored derivation holds its env, so the
-    id stays that of a live object."""
-    return e, (id(env), f), partial(_check, env, path)
+    id stays that of a live object.  `bound` maps each hypothesis name to
+    its bindings in `env`, innermost last: a binder pushes its hypotheses
+    there while its body is checked and pops them after, so a lookup reads
+    one list instead of walking `env.hyps`."""
+    return e, (id(env), f), partial(_check, env, bound, path)
 
 
-def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, HornClause]):
+def _check(
+    env: AxiomEnv, bound: dict, path: Optional[tuple], e: ProofTerm, goal: tuple[int, HornClause]
+):
     f = goal[1]
     # The engine uses an atomic lemma by its bare evidence, which may be a nu
     # term or an application; at an atomic goal that the lemma's head
@@ -519,7 +519,7 @@ def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, 
     # same term afresh at a goal the lemma does not match; it is read by its
     # shape there.
     lemma = None
-    if not f.body and not isinstance(e, (ConstSym, ProofVar)):
+    if not f.body and env.lemmas and not isinstance(e, (ConstSym, ProofVar)):
         lemma = next((
             entry for entry in env.lemmas
             if not entry.formula.body
@@ -533,7 +533,10 @@ def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, 
                 CheckReason.HNF_REQUIRED, "nu body is not in head normal form", path, e, f
             )
         hyp = EnvEntry(ProofVar(e.binder), f)
-        child = yield _goal(env.extended(hyp), e.body, f, (0, path))
+        entries = bound.setdefault(e.binder, [])
+        entries.append(hyp)
+        child = yield _goal(env.extended(hyp), bound, e.body, f, (0, path))
+        entries.pop()
         rule = Rule.NU if f.body else Rule.NU_PRIME
         return Derivation(rule, Judgement(env, e, f), None, (child,))
     if f.body:
@@ -550,7 +553,11 @@ def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, 
                 EnvEntry(ProofVar(b), fact(a), rigid=True)
                 for b, a in zip(e.binders, f.body)
             )
-            child = yield _goal(env.extended(*hyps), e.body, fact(f.head), (0, path))
+            for hyp in hyps:
+                bound.setdefault(hyp.evidence.name, []).append(hyp)
+            child = yield _goal(env.extended(*hyps), bound, e.body, fact(f.head), (0, path))
+            for hyp in hyps:
+                bound[hyp.evidence.name].pop()
             return Derivation(Rule.LAM, Judgement(env, e, f), None, (child,))
         raise CheckError(
             CheckReason.RULE_SHAPE,
@@ -570,7 +577,7 @@ def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, 
         )
     if lemma is None:
         head, args = spine(e)
-        entry = _resolve_head(env, head, path, e, f)
+        entry = _resolve_head(env, bound, head, path, e, f)
     else:
         entry, args = lemma, ()
     clause = entry.formula
@@ -602,7 +609,7 @@ def _check(env: AxiomEnv, path: Optional[tuple], e: ProofTerm, goal: tuple[int, 
         )
     children = []
     for i, (arg, b) in enumerate(zip(args, clause.body)):
-        children.append((yield _goal(env, arg, fact(apply_atom(sigma, b)), (i, path))))
+        children.append((yield _goal(env, bound, arg, fact(apply_atom(sigma, b)), (i, path))))
     return Derivation(Rule.LP_M, Judgement(env, e, f), sigma, tuple(children))
 
 
@@ -619,4 +626,11 @@ def check(env: AxiomEnv, evidence: ProofTerm, formula: HornClause) -> Derivation
     subterm shared within `evidence` is checked once per environment and
     formula, and its derivation is shared too.
     """
-    return walk(*_goal(env, evidence, formula, None), shared_nodes(evidence, proof_children))
+    # The innermost binding of each name in `env.hyps`; the binders of
+    # `evidence` push and pop theirs above it.
+    bound: dict[str, list[EnvEntry]] = {}
+    link = env.hyps
+    while link:
+        bound.setdefault(link[0].evidence.name, [link[0]])
+        link = link[2]
+    return walk(*_goal(env, bound, evidence, formula, None))

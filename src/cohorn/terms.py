@@ -370,8 +370,11 @@ def match(pattern: Atom, target: Atom) -> Optional[Subst]:
     """Matcher s with s(pattern) == target, or None.
 
     Only pattern variables are bound; failure is a normal result.  An arity
-    clash under a shared predicate or functor raises SignatureError.
+    clash under a shared predicate or functor raises SignatureError.  An
+    atom matches itself with the empty matcher, read off without a walk.
     """
+    if pattern is target:
+        return {}
     if pattern.predicate != target.predicate:
         return None
     if len(pattern.args) != len(target.args):

@@ -12,16 +12,22 @@ it unfolds to, two spaces per level: `tests/test_tabling.py` unfolds the
 `#k#` references of a text report's derivation and compares the result
 with it.  `depth` counts the nodes on a derivation's longest path.  These
 two run on `proofs.walk`, so they take deep and shared derivations too.
+`hypothesis` reads a name's binding off an env's hypothesis chain by
+walking it, as `check` once did.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from cohorn.proofs import (
     Apply,
+    AxiomEnv,
     CheckError,
     CheckReason,
     ConstSym,
     Derivation,
+    EnvEntry,
     Lambda,
     Nu,
     ProofTerm,
@@ -33,6 +39,14 @@ from cohorn.proofs import (
     walk,
 )
 from cohorn.terms import format_formula, format_subst
+
+
+def hypothesis(env: AxiomEnv, name: str) -> Optional[EnvEntry]:
+    """The innermost binding of `name` in `env.hyps`, None if unbound."""
+    link = env.hyps
+    while link and link[0].evidence.name != name:
+        link = link[2]
+    return link[0] if link else None
 
 
 def _normalize(e: ProofTerm, env: dict[str, str], counter: list[int]) -> ProofTerm:

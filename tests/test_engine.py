@@ -37,7 +37,7 @@ from cohorn import (
 from cohorn import proofs, terms
 from cohorn.cli import cli
 from cohorn.proofs import Apply, ConstSym
-from cohorn.terms import HornClause, atom_vars
+from cohorn.terms import HornClause, atom_vars, head_key
 
 from helpers import (
     load,
@@ -462,8 +462,8 @@ class TestHeadIndex:
         walks = []
         indexed_walk = engine._Search._candidates
 
-        def recording(self, goal):
-            links = list(indexed_walk(self, goal))
+        def recording(self, goal, key):
+            links = list(indexed_walk(self, goal, key))
             hyps, link = [], self.hyps  # the path's hypotheses, oldest first
             while link:
                 hyps.insert(0, link[0])
@@ -493,7 +493,7 @@ class TestHeadIndex:
         indexed = [resolve(program, query) for program, query in runs]
         assert sum(len(r.trace) for r in indexed) > 3000
 
-        def full_walk(self, goal):
+        def full_walk(self, goal, key):
             nus, facts, link = [], [], self.hyps
             while link:
                 (facts if link[0].rigid else nus).append(link)
@@ -539,17 +539,22 @@ class TestHeadIndex:
         program = load("pair").program
         env = env_for_program(program)
         search = engine._Search(env, Mode.INDUCTIVE, 4, [])
-        assert search._static(parse_atom("eq(int)")) == (env.entries[1],)
-        assert search._static(parse_atom("eq(int,int)")) == env.entries
-        assert search._static(parse_atom("eq")) == env.entries
-        assert search._static(parse_atom("ne(int)")) == ()
+
+        def static(text):
+            goal = parse_atom(text)
+            return search._static(goal, head_key(goal))
+
+        assert static("eq(int)") == (env.entries[1],)
+        assert static("eq(int,int)") == env.entries
+        assert static("eq") == env.entries
+        assert static("ne(int)") == ()
         for text in ("eq(int,int)", "eq", "eq(pair(int))"):
             with pytest.raises(SignatureError):
                 resolve(program, Query(parse_formula(text), Mode.INDUCTIVE))
         # A lemma of another arity: the entries disagree, so none is dropped.
         lemma_env = env.add_lemma(Apply(ConstSym("k2"), ConstSym("k2")), parse_formula("eq(int,int)"))
         search = engine._Search(lemma_env, Mode.INDUCTIVE, 4, [])
-        assert search._static(parse_atom("eq(int)")) == search.entries
+        assert static("eq(int)") == search.entries
 
     def test_head_keys_are_computed_once_per_entry_and_goal(self, monkeypatch):
         """The chain k_i : p(c_(i-1)) => p(c_i) gives each goal its own head
@@ -564,6 +569,25 @@ class TestHeadIndex:
         result = resolve(program, Query(parse_formula(f"p(c{n})"), Mode.INDUCTIVE, n + 2))
         assert result.outcome is Outcome.PROVED
         assert len(calls) < 4 * (n + 1)
+
+    def test_a_coinductive_goal_is_keyed_once_per_step(self, monkeypatch):
+        """diamond-n, k_i : eq(c_(i-1)), eq(c_(i-1)) => eq(c_i): each of the
+        n + 1 goal steps binds its own nu-hyp and collects its hypotheses
+        and axioms with one `head_key` (three, one per use, before)."""
+        n = 12
+        keyed, steps = [], []
+        key, step = engine.head_key, engine._Search.solve_atomic
+        monkeypatch.setattr(engine, "head_key", lambda *args: keyed.append(args) or key(*args))
+        monkeypatch.setattr(
+            engine._Search, "solve_atomic", lambda self, goal, ctx: steps.append(goal) or step(self, goal, ctx)
+        )
+        text = "k0 : => eq(c0).\n" + "".join(
+            f"k{i} : eq(c{i - 1}), eq(c{i - 1}) => eq(c{i}).\n" for i in range(1, n + 1)
+        )
+        query = Query(parse_formula(f"eq(c{n})"), Mode.COINDUCTIVE, n + 1)
+        assert resolve(parse_program(text).program, query).outcome is Outcome.PROVED
+        assert len(steps) == n + 1
+        assert keyed == [(goal,) for goal in steps]
 
     def test_each_axiom_head_is_keyed_once_per_load_and_resolve(self, monkeypatch):
         """The load keys every head at argument 0 for the overlap check; the

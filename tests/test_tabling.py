@@ -31,6 +31,7 @@ from cohorn import (
     parse_proof,
     resolve,
 )
+from cohorn import proofs
 from cohorn.proofs import (
     Apply,
     ConstSym,
@@ -431,6 +432,22 @@ class TestSharedTerms:
                 check(env, term, parse_formula("eq(f(c))"))
             errors.append((info.value.reason, info.value.path, str(info.value)))
         assert errors[0] == errors[1] and errors[0][1] == (0,)
+
+    def test_check_runs_one_step_per_distinct_subterm(self, monkeypatch):
+        """The proof of diamond-n has n + 1 distinct subterms: `check` runs
+        one `_check` step for each and no pass over the DAG beforehand."""
+        n = 12
+        src = diamond(n)
+        e = ConstSym("k0")
+        for i in range(1, n + 1):
+            e = Apply(Apply(ConstSym(f"k{i}"), e), e)
+        steps, scans = [], []
+        step, scan = proofs._check, proofs.shared_nodes
+        monkeypatch.setattr(proofs, "_check", lambda *args: steps.append(args) or step(*args))
+        monkeypatch.setattr(proofs, "shared_nodes", lambda *args: scans.append(args) or scan(*args))
+        d = check(env_for_program(src.program, src.names), e, parse_formula(f"eq(c{n})"))
+        assert depth(d) == n + 1
+        assert (len(steps), scans) == (n + 1, [])
 
     def test_rules_used_and_depth_visit_a_dag(self):
         src = diamond(60)

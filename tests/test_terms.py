@@ -56,6 +56,17 @@ class TestMatch:
     def test_identity(self):
         assert match(atom("eq(X)"), atom("eq(X)")) == {}
 
+    def test_an_atom_matches_itself_without_a_walk(self, monkeypatch):
+        """A coinductive goal is matched against its own nu-hyp, whose head
+        is the goal object itself: the empty matcher, with no term walked.
+        An equal atom that is another object is still walked."""
+        walked = []
+        real = terms._match_term
+        monkeypatch.setattr(terms, "_match_term", lambda *args: walked.append(args) or real(*args))
+        a = atom("p(X,f(Y,X))")
+        assert match(a, a) == {} and walked == []
+        assert match(a, atom("p(X,f(Y,X))")) == {} and walked
+
     def test_directional(self):
         """A constant pattern cannot match a variable target."""
         assert match(atom("A(g)"), atom("A(X)")) is None

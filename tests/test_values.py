@@ -46,7 +46,7 @@ from cohorn import (
 from cohorn.proofs import Derivation, Rule, make_apply
 from cohorn.terms import Value
 
-from reference_proofs import depth
+from reference_proofs import depth, hypothesis
 
 ROOT = Path(__file__).resolve().parent.parent
 TEXT = "k1 : => p(c).\nk2 : p(X) => p(f(X)).\n"
@@ -368,7 +368,7 @@ class TestAxiomIndex:
         inner = e.extended(EnvEntry(ProofVar("a"), parse_formula("p(c)")))
         assert inner._axioms is e._axioms
         assert inner.axiom("k2") is e.axiom("k2")
-        assert inner.hypothesis("a").formula == parse_formula("p(c)")
+        assert hypothesis(inner, "a").formula == parse_formula("p(c)")
         assert e.lemmas == ()
         with_lemma = e.add_lemma(Apply(ConstSym("k2"), ConstSym("k1")), parse_formula("p(f(c))"))
         assert len(with_lemma.lemmas) == 1 and with_lemma.axiom("k1") is e.axiom("k1")
@@ -381,8 +381,8 @@ class TestAxiomIndex:
         assert inner.entries is outer.entries
         assert inner.hyps[2] is outer.hyps and outer.hyps[2] is None
         assert (inner.hyps[1], outer.hyps[1]) == (2, 1)
-        assert inner.hypothesis("a") is outer.hypothesis("a")
-        assert inner.hypothesis("b").rigid and outer.hypothesis("b") is None
+        assert hypothesis(inner, "a") is hypothesis(outer, "a")
+        assert hypothesis(inner, "b").rigid and hypothesis(outer, "b") is None
 
     def test_chain_check_is_linear(self):
         """Each constant is looked up by name, not by a scan of the entries:
