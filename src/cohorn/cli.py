@@ -350,16 +350,11 @@ _CUT_GOALS_SHOWN = 10
 
 def _cut_goals(result: engine.SearchResult) -> Optional[list[str]]:
     """Why an EXHAUSTED search stopped: the distinct goals cut at the depth
-    limit, sorted, at most `_CUT_GOALS_SHOWN` of them; None otherwise.  A
+    limit, sorted, at most `_CUT_GOALS_SHOWN` of them; None otherwise.  The
     search's `Trace` formats its `cut` records alone."""
     if result.outcome is not engine.Outcome.EXHAUSTED:
         return None
-    trace = result.trace
-    if isinstance(trace, engine.Trace):
-        goals = trace.goals("cut")
-    else:
-        goals = {e.goal for e in trace if e.kind == "cut"}
-    return sorted(goals)[:_CUT_GOALS_SHOWN]
+    return sorted(result.trace.goals("cut"))[:_CUT_GOALS_SHOWN]
 
 
 def _cmd_resolve(src: SourceProgram, args) -> int:
@@ -397,10 +392,12 @@ def _cmd_resolve(src: SourceProgram, args) -> int:
 def _cmd_check(src: SourceProgram, args) -> int:
     proof = parse_proof(args.proof)
     formula = parse_formula(args.formula)
+    formulas = [parse_formula(text) for text in args.lemma]
+    # Refused before any lemma search or check, as `engine.resolve` refuses.
+    src.program.signature.merged([a for f in (formula, *formulas) for a in (f.head, *f.body)])
     env = env_for_program(src.program, src.names)
     lemmas = []
-    for text in args.lemma:
-        lf = parse_formula(text)
+    for text, lf in zip(args.lemma, formulas):
         q = engine.Query(goal=lf, mode=engine.Mode.EXTENDED, depth_limit=args.depth)
         sub = engine.resolve(src.program, q, names=src.names)
         if sub.outcome is not engine.Outcome.PROVED:

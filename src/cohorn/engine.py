@@ -23,9 +23,10 @@ the static entries (lemmata and axioms) through an index built once per
 search, the path's hypotheses through an index beside the chain whose
 buckets are pushed where a hypothesis is bound and popped where the chain is
 restored (as a trail is undone on backtracking in Warren's abstract machine,
-1983).  An entry is skipped only where `match` would return None without
-raising: where a predicate's entries disagree with the goal on its arity,
-all of them are walked, so every arity clash still raises.
+1983).  `resolve` refuses a query or lemma whose symbols clash in arity with
+the program's, or with each other, before any search, so every atom of a
+search fits one signature and every entry the index leaves out is one that
+`match` would reject without raising.
 
 A nu-hyp is usable only while its name is armed: the goal that introduced it
 has been expanded by an axiom step on the current path.  That is the
@@ -68,11 +69,10 @@ no goal, matcher or entry label.
 A single run is single-threaded and fully deterministic (including its
 trace); distinct runs may share Program and AxiomEnv values freely.
 
-An exception raised in a step (an arity clash in `match`, a failed
-invariant) propagates out of `walk` without closing the steps waiting
-below it, so their `finally` restores of the path state run only when the
-generators are collected.  The `_Search` that raised is thrown away, and
-nothing reads its state again.
+An exception raised in a step (a failed invariant) propagates out of `walk`
+without closing the steps waiting below it, so their `finally` restores of
+the path state run only when the generators are collected.  The `_Search`
+that raised is thrown away, and nothing reads its state again.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class LemmaRecord(Value):
 
 class SearchResult(Value):
     # evidence, derivation and auto_lemma are None unless found or proposed;
-    # trace is a `Trace`, or any tuple of `TraceEvent`s.
+    # trace is a `Trace`.
     __slots__ = ("outcome", "evidence", "derivation", "trace", "env", "lemmas", "auto_lemma")
     _defaults = {"lemmas": (), "auto_lemma": None}
 
@@ -359,15 +359,12 @@ class _Search:
         lemmas = env.lemmas
         self.entries = lemmas + tuple(env.axioms.values())
         keys = tuple([head_key(e.formula.head) for e in lemmas]) + env.axiom_keys
-        # Per predicate, the arities of its heads; per head_key, the option
-        # positions of its entries.
-        self.arities: dict[str, set[int]] = {}
+        # Per head_key, the option positions of its entries.
         self.by_head: dict[_Key, list[int]] = {}
-        for k, (e, key) in enumerate(zip(self.entries, keys)):
-            self.arities.setdefault(key[0], set()).add(len(e.formula.head.args))
+        for k, key in enumerate(keys):
             self.by_head.setdefault(key, []).append(k)
-        # (head_key, arity) of a goal -> its static candidates; see _static.
-        self.by_key: dict[tuple, tuple[EnvEntry, ...]] = {}
+        # The head_key of a goal -> its static candidates; see _static.
+        self.by_key: dict[_Key, tuple[EnvEntry, ...]] = {}
         self.mode = mode
         self.limit = limit
         # Raw trace records; see `Trace`.
@@ -375,11 +372,9 @@ class _Search:
         self.auto_lemma = auto_lemma
         # The path's hypotheses, a `proofs.bind` chain as in an AxiomEnv:
         # rigid lambda-facts under Lam, Horn or atomic nu-hyps under Nu.
-        # Beside it, its links by the head_key of their heads, oldest first,
-        # and per predicate the arities of every hypothesis bound so far.
+        # Beside it, its links by the head_key of their heads, oldest first.
         self.hyps: Optional[tuple] = None
         self.hyp_index: dict[_Key, list[tuple]] = {}
-        self.hyp_arities: dict[str, set[int]] = {}
         self.armed: set[str] = set()
         # The goals above, as `(goal, parent)` links, under auto-lemma only.
         self.above: Optional[tuple] = None
@@ -417,43 +412,24 @@ class _Search:
         self.hyps = link = bind(self.hyps, entry)
         bucket = self.hyp_index.setdefault(key, [])
         bucket.append(link)
-        self.hyp_arities.setdefault(key[0], set()).add(len(entry.formula.head.args))
         return bucket
 
-    def _static(self, goal: Atom, key: _Key) -> tuple[EnvEntry, ...]:
-        """The lemmas and axioms, in option order, whose heads may match
-        `goal`, whose `head_key` is `key`.  An entry is left out only where
-        `match` returns None without raising, so every arity clash still
-        raises: the predicate's whole list stands unless all its entries
-        have the goal's arity."""
-        arity = len(goal.args)
-        found = self.by_key.get((key, arity))
+    def _static(self, key: _Key) -> tuple[EnvEntry, ...]:
+        """The lemmas and axioms, in option order, whose heads may match a
+        goal whose `head_key` is `key`: those of its key, and those of its
+        predicate with a variable at argument 0."""
+        found = self.by_key.get(key)
         if found is None:
             pred, functor = key
             ks = self.by_head.get(key, []) + (self.by_head.get((pred, None), []) if functor else [])
-            if self.arities.get(pred, {arity}) != {arity}:
-                ks = [k for k, e in enumerate(self.entries) if e.formula.head.predicate == pred]
-            found = self.by_key[key, arity] = tuple(self.entries[k] for k in sorted(ks))
+            found = self.by_key[key] = tuple(self.entries[k] for k in sorted(ks))
         return found
 
-    def _hypotheses(self, goal: Atom, key: _Key) -> Sequence[tuple]:
-        """The links of the path's hypotheses whose heads may match `goal`,
-        whose `head_key` is `key`, oldest first, left out as `_static`
-        leaves entries out: once a hypothesis of the goal's predicate has
-        been bound at another arity, the whole chain is walked."""
-        if self.hyps is None:
-            return ()
+    def _hypotheses(self, key: _Key) -> Sequence[tuple]:
+        """The links of the path's hypotheses whose heads may match a goal
+        whose `head_key` is `key`, oldest first, chosen as `_static` chooses
+        entries."""
         pred, functor = key
-        arities = self.hyp_arities.get(pred)
-        if arities is None:
-            return ()
-        if len(arities) > 1 or len(goal.args) not in arities:
-            links, link = [], self.hyps
-            while link:
-                links.append(link)
-                link = link[2]
-            links.reverse()
-            return links
         exact = self.hyp_index.get(key, ())
         loose = self.hyp_index.get((pred, None)) if functor is not None else None
         if not loose:
@@ -473,15 +449,15 @@ class _Search:
         self._nu_wraps += 1
         return Nu(binder, body), free - {binder}
 
-    def _candidates(self, goal: Atom, key: _Key):
-        """The entries that may match `goal`, whose `head_key` is `key`, as
+    def _candidates(self, key: _Key):
+        """The entries that may match a goal whose `head_key` is `key`, as
         `bind` links, a lemma or axiom with count 0, in option order:
         nu-hyps, lemmas, axioms, lambda-facts."""
         nus, facts = [], []
-        for link in self._hypotheses(goal, key):
+        for link in self._hypotheses(key):
             (facts if link[0].rigid else nus).append(link)
         yield from nus
-        for e in self._static(goal, key):
+        for e in self._static(key):
             yield e, 0, None
         yield from facts
 
@@ -585,7 +561,7 @@ class _Search:
         exhausted = False
         matched_any = False
         axiom_matched = False
-        for entry, count, _ in self._candidates(goal, key):
+        for entry, count, _ in self._candidates(key):
             s = match(entry.formula.head, goal)
             if s is None:
                 continue
@@ -697,12 +673,16 @@ def resolve(
 ) -> SearchResult:
     """Run proof search; every PROVED result has been re-checked.
 
-    Lemma formulas are proved and registered first, in order; a lemma that
-    cannot be proved or registered aborts the whole query.  With
-    `auto_lemma`, a failed search is retried once after proposing a lemma by
+    A goal or lemma whose symbols clash in arity with the program's, or with
+    each other, raises SignatureError before any search: the first clash,
+    reading the goal, then the lemmas, each head before its body.  Lemma
+    formulas are proved and registered first, in order; a lemma that cannot
+    be proved or registered aborts the whole query.  With `auto_lemma`, a
+    failed search is retried once after proposing a lemma by
     anti-unification from the first goal/ancestor embedding seen in the
     failed run; the retry collects no triggers.
     """
+    program.signature.merged([a for f in (query.goal, *query.lemmas) for a in (f.head, *f.body)])
     env0 = env_for_program(program, names)
     result, triggers = _attempt(env0, query, [])
     if result.outcome is Outcome.PROVED or not query.auto_lemma:

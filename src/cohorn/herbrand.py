@@ -83,7 +83,6 @@ from .terms import (
     apply_atom,
     atom_vars,
     clause_vars,
-    signature_of,
     term_vars,
 )
 
@@ -704,7 +703,7 @@ def certify_gfp(
     if atom_vars(target):
         raise ValueError("certificate targets must be ground atoms")
     # A base would first refuse a symbol clash.
-    program.signature.merged(signature_of([target]))
+    program.signature.merged([target])
     reached = _reach(program, [target], search_depth, max_atoms)
     if reached is None:
         return None
@@ -804,7 +803,7 @@ def valid(
     reaches (`_reach`), with no base built, and `max_atoms` bounds that
     walk; one with variables is grounded over the base (`_groundings`).
     """
-    sig = program.signature.merged(signature_of([formula.head, *formula.body]))
+    sig = program.signature.merged([formula.head, *formula.body])
     names = clause_vars(formula)
     if names:
         base = herbrand_base(sig, depth, max_atoms=max_atoms)

@@ -507,15 +507,14 @@ def _first_overlap(
 class Signature(Value):
     __slots__ = ("functions", "predicates")  # Mapping[str, int] each
 
-    def merged(self, other: "Signature") -> "Signature":
+    def merged(self, atoms: Iterable[Atom]) -> "Signature":
+        """This signature with the functors and predicates of `atoms`; a
+        SignatureError names the first clash met, reading `atoms` in order,
+        the arity known before it first."""
         funcs = dict(self.functions)
         preds = dict(self.predicates)
-        for n, a in other.functions.items():
-            if funcs.setdefault(n, a) != a:
-                raise _clash("functor", n, funcs[n], a)
-        for n, a in other.predicates.items():
-            if preds.setdefault(n, a) != a:
-                raise _clash("predicate", n, preds[n], a)
+        for a in atoms:
+            _collect_atom(a, funcs, preds, [])
         return Signature(funcs, preds)
 
     def with_constants(self, names: Iterable[str]) -> "Signature":
@@ -563,13 +562,8 @@ def _collect_atom(a: Atom, funcs: dict[str, int], preds: dict[str, int], names: 
 
 
 def signature_of(atoms: Iterable[Atom]) -> Signature:
-    """The functors and predicates of `atoms` with their arities; a
-    SignatureError names the first clash met, reading `atoms` in order."""
-    funcs: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    for a in atoms:
-        _collect_atom(a, funcs, preds, [])
-    return Signature(funcs, preds)
+    """The functors and predicates of `atoms` with their arities."""
+    return Signature({}, {}).merged(atoms)
 
 
 class Program(Value):

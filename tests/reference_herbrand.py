@@ -48,7 +48,7 @@ from cohorn.herbrand import (
     herbrand_base,
 )
 from cohorn import terms
-from cohorn.terms import DEFAULT_MAX_ATOMS, Atom, Program, Term, Var, apply_atom, atom_vars, signature_of
+from cohorn.terms import DEFAULT_MAX_ATOMS, Atom, Program, Term, Var, apply_atom, atom_vars
 
 
 def match(base: HerbrandBase, p: Term, t: int, env: dict[str, int]) -> bool:
@@ -130,7 +130,7 @@ def tp_monotone_check(
 
 
 def _base_of(program: Program, atom: Atom, depth: int, extra_constants, max_atoms) -> HerbrandBase:
-    sig = program.signature.merged(signature_of([atom]))
+    sig = program.signature.merged([atom])
     return herbrand_base(sig, depth, extra_constants, max_atoms)
 
 

@@ -20,9 +20,9 @@ from pathlib import Path
 import pytest
 
 import cohorn.cli
-from cohorn import engine
+from cohorn import engine, proofs
 from cohorn.cli import _UsageError, _build_parser, _cut_goals, cli
-from cohorn.engine import Outcome, SearchResult, TraceEvent
+from cohorn.engine import Outcome, SearchResult
 from cohorn.proofs import Lambda, Nu, check, env_for_program, format_proof, spine
 from cohorn.syntax import parse_formula, parse_program, parse_proof
 
@@ -182,8 +182,8 @@ class TestResolveCommand:
             assert json.loads(out)["cut_goals"] is None
 
     def test_cut_goals_are_distinct_sorted_and_capped(self):
-        trace = tuple(TraceEvent("cut", 3, f"p(c{i % 12})", "k1") for i in range(30))
-        trace += (TraceEvent("try", 0, "a", "k0"),)
+        records = tuple(("cut", 3, f"p(c{i % 12})", "k1", "") for i in range(30))
+        trace = engine.Trace(records + (("try", 0, "a", "k0", ""),))
         assert _cut_goals(SearchResult(Outcome.EXHAUSTED, None, None, trace, None)) == sorted(
             f"p(c{i})" for i in range(12)
         )[:10]
@@ -986,7 +986,8 @@ class TestPerCommandParser:
 
 
 class TestHeadIndexBoundaries:
-    """Goals the head index must not filter: arity clashes still exit 65."""
+    """Arity clashes exit 65 before any search, and goals the head index
+    must not filter."""
 
     def resolve(self, query):
         return run(["resolve", hc("pair"), "--query", query, "--mode", "ind", "--json"])
@@ -1025,9 +1026,9 @@ class TestHeadIndexBoundaries:
         assert run([argv[0], hc("pair"), *argv[1:]]) == (65, "", f"input error: {message}\n")
 
     def test_clash_below_the_root_exits_65(self, tmp_path):
-        """A clash met by a subgoal ends the run while the steps above it
-        are still waiting: the same one-line input error in every mode,
-        with and without --auto-lemma, and the next run is unaffected."""
+        """A clash that a subgoal would meet is refused before the search:
+        the same one-line input error in every mode, with and without
+        --auto-lemma, and the next run is unaffected."""
         prog = tmp_path / "clash.hc"
         prog.write_text("k1 : q(X) => p(X).\nk2 : => q(f(a)).\n")
         for mode in ("ind", "coind", "ext"):
@@ -1036,6 +1037,46 @@ class TestHeadIndexBoundaries:
                 assert run(argv) == (65, "", "input error: functor f used with arities 1 and 2\n"), argv
                 code, out, _ = run(argv[:3] + ["p(f(a))"] + argv[4:])
                 assert code == 0 and "outcome: PROVED" in out, argv
+
+    CLASH_PROGRAMS = {
+        "missed": "k1 : => p(h(g(a))).\nk2 : q(X) => r(X).\nk3 : => s(f(a)).\n",
+        "horn": "k1 : p(c) => q(c).\n",
+    }
+
+    @pytest.mark.parametrize(
+        "name, argv, message",
+        [
+            ("missed", ["resolve", "--query", "p(h(g(a,b)))"], "functor g used with arities 1 and 2"),
+            # No search step compares f(a,b) with the program's f(a).
+            ("missed", ["resolve", "--query", "p(h(f(a,b)))"], "functor f used with arities 1 and 2"),
+            ("missed", ["verify-soundness", "--query", "p(h(f(a,b)))", "--base-depth", "2"],
+             "functor f used with arities 1 and 2"),
+            ("missed", ["check", "--proof", "k1", "--formula", "s(f(a,b))"], "functor f used with arities 1 and 2"),
+            ("missed", ["check", "--proof", "k3", "--formula", "s(f(a,b))"], "functor f used with arities 1 and 2"),
+            ("missed", ["check", "--proof", "k3", "--formula", "s(f(a))", "--lemma", "r(f(a,b)) => r(f(a,b))"],
+             "functor f used with arities 1 and 2"),
+            # Coinductive mode derives no Horn formula, so it tries no goal.
+            ("horn", ["resolve", "--query", "p(a,b) => q(c)"], "predicate p used with arities 1 and 2"),
+        ],
+    )
+    def test_a_clash_is_refused_before_any_search_or_check(self, name, argv, message, tmp_path, monkeypatch):
+        """The same one-line input error in every mode, with and without
+        --auto-lemma, whether or not a search or check would meet the
+        clash: no atom is ever matched."""
+        prog = tmp_path / "clash.hc"
+        prog.write_text(self.CLASH_PROGRAMS[name])
+        matched = []
+        for module in (engine, proofs):
+            real = module.match
+            monkeypatch.setattr(module, "match", lambda *args, real=real: matched.append(args) or real(*args))
+        command, *rest = argv
+        variants = [[]] if command == "check" else [
+            ["--mode", mode, *extra] for mode in ("ind", "coind", "ext") for extra in ([], ["--auto-lemma"])
+        ]
+        for extra in variants:
+            full = [command, str(prog), *rest, *extra]
+            assert run(full) == (65, "", f"input error: {message}\n"), full
+        assert matched == []
 
     def test_variable_goal_fails(self):
         code, out, _ = self.resolve("eq(X)")

@@ -12,7 +12,10 @@ and never build a Herbrand base.  Here:
     recursion (`reference_herbrand.closure_judge`) against the engine and
     the reached grounding's fixpoints, on seeded programs and on generated
     chains and cycles;
-  * the no-base pins: which calls build a base, and which need none.
+  * the no-base pins: which calls build a base, and which need none;
+  * a property test over the CLI: on the generated closures and a term
+    chain, a query refused for an arity clash is exactly one whose atoms
+    clash with the program's signature.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohorn import App, Atom, engine, herbrand, parse_program
+from cohorn import App, Atom, HornClause, SignatureError, engine, herbrand, parse_program
 from cohorn.herbrand import Semantics, Verdict
 from cohorn.syntax import parse_atom, parse_formula
-from cohorn.terms import fact
+from cohorn.terms import fact, format_formula
 from helpers import load, random_clause, random_program
 from reference_herbrand import ClosureTooLarge, certify_by_base, closure_judge, valid_by_base
 from reference_terms import atom_sort_key
@@ -325,3 +330,67 @@ class TestRoutes:
         monkeypatch.chdir(ROOT)
         with pytest.raises(BaseBuilt):
             run(argv)
+
+
+# The closures of one to three atoms, and a term chain over z and f.
+SHAPES = [text for n in (1, 2, 3) for _, text, _ in families(n) if text]
+SHAPES.append("k1 : p(X) => p(f(X)).\nk2 : => p(z).\n")
+SHAPE_PROGRAMS = [parse_program(text).program for text in SHAPES]
+
+
+@pytest.fixture(scope="module")
+def shape_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shapes")
+    paths = [root / f"shape{i}.hc" for i in range(len(SHAPES))]
+    for path, text in zip(paths, SHAPES):
+        path.write_text(text)
+    return paths
+
+
+@st.composite
+def shape_queries(draw):
+    """A shape's index and a query over its predicates and `r`, which no
+    clause defines, and over z, c and f: one arity in eight is wrong."""
+    index = draw(st.integers(0, len(SHAPES) - 1))
+    arities = dict(SHAPE_PROGRAMS[index].signature.predicates, r=1, z=0, c=0, f=1)
+
+    def arity(name):
+        usual = arities[name]
+        return usual if draw(st.integers(0, 7)) else draw(st.sampled_from([a for a in (0, 1, 2) if a != usual]))
+
+    def term(depth):
+        functor = draw(st.sampled_from("zcf"))
+        return App(functor, tuple(term(depth - 1) if depth else App("c") for _ in range(arity(functor))))
+
+    def atom():
+        pred = draw(st.sampled_from(sorted(arities.keys() - set("zcf"))))
+        return Atom(pred, tuple(term(2) for _ in range(arity(pred))))
+
+    body = tuple(atom() for _ in range(draw(st.integers(0, 2))))
+    return index, HornClause(body, atom())
+
+
+class TestArityClashes:
+    @given(shape_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_65_exactly_on_a_signature_clash(self, shape_paths, case):
+        """In every mode a query exits 65 with one input-error line exactly
+        when its atoms clash with the program's signature; otherwise the
+        search ends as PROVED, FAILED or EXHAUSTED, and a proof it finds
+        passes `check`."""
+        index, query = case
+        try:
+            SHAPE_PROGRAMS[index].signature.merged([query.head, *query.body])
+            clash = False
+        except SignatureError:
+            clash = True
+        path, text = str(shape_paths[index]), format_formula(query)
+        for mode in ("ind", "coind", "ext"):
+            code, out, err = run(["resolve", path, "--query", text, "--mode", mode, "--json"])
+            if clash:
+                assert (code, out) == (65, "") and err.startswith("input error: ") and err.count("\n") == 1
+                continue
+            assert code in (0, 1, 2), (mode, err)
+            if code == 0:
+                proof = json.loads(out)["proof"]
+                assert run(["check", path, "--proof", proof, "--formula", text])[0] == 0, (mode, proof)

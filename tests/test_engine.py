@@ -4,6 +4,7 @@ import copy
 import io
 import pickle
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -459,11 +460,17 @@ def index_runs(rng):
 
 class TestHeadIndex:
     def test_candidates_are_the_matching_full_walk(self, monkeypatch):
-        walks = []
-        indexed_walk = engine._Search._candidates
+        walks, goals = [], []
+        indexed_walk, options = engine._Search._candidates, engine._Search._options
 
-        def recording(self, goal, key):
-            links = list(indexed_walk(self, goal, key))
+        def goal_noting(self, goal, *args):
+            # `_options` asks for its goal's candidates before its first step.
+            goals.append(goal)
+            return options(self, goal, *args)
+
+        def recording(self, key):
+            goal = goals[-1]
+            links = list(indexed_walk(self, key))
             hyps, link = [], self.hyps  # the path's hypotheses, oldest first
             while link:
                 hyps.insert(0, link[0])
@@ -476,6 +483,7 @@ class TestHeadIndex:
             walks.append((goal, [e for e, _, _ in links], full))
             return iter(links)
 
+        monkeypatch.setattr(engine._Search, "_options", goal_noting)
         monkeypatch.setattr(engine._Search, "_candidates", recording)
         for program, query in index_runs(random.Random(31)):
             resolve(program, query)
@@ -493,7 +501,7 @@ class TestHeadIndex:
         indexed = [resolve(program, query) for program, query in runs]
         assert sum(len(r.trace) for r in indexed) > 3000
 
-        def full_walk(self, goal, key):
+        def full_walk(self, key):
             nus, facts, link = [], [], self.hyps
             while link:
                 (facts if link[0].rigid else nus).append(link)
@@ -507,21 +515,19 @@ class TestHeadIndex:
         for (program, query), expected in zip(runs, indexed):
             assert resolve(program, query) == expected
 
-    @pytest.mark.parametrize("mode, code", [("ind", 65), ("coind", 1), ("ext", 65)])
+    @pytest.mark.parametrize("mode, code", [("ind", 65), ("coind", 65), ("ext", 65)])
     def test_a_clash_with_a_hypothesis_of_another_key_still_raises(self, mode, code, tmp_path):
         """The lambda-fact p(a,b) has another head key than the subgoal
-        p(c), but matching it against p(c) raises: the predicate's arities
-        disagree, so the whole chain is walked.  Coinductive mode derives no
-        Horn formula, so no goal is tried."""
+        p(c), and its arity clashes with the program's p(c): the query is
+        refused before the search, in coinductive mode too, which derives
+        no Horn formula and so tries no goal."""
         path = tmp_path / "clash.hc"
         path.write_text("k1 : p(c) => q(c).\n")
         argv = ["resolve", str(path), "--query", "p(a,b) => q(c)", "--mode", mode]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             assert cli(argv) == code
-        out, err = out.getvalue(), err.getvalue()
-        if code == 65:
-            assert (out, err) == ("", "input error: predicate p used with arities 2 and 1\n")
+        assert (out.getvalue(), err.getvalue()) == ("", "input error: predicate p used with arities 1 and 2\n")
 
     def test_coinductive_chain_matches_at_most_two_entries_per_goal(self, monkeypatch):
         """chain-2,000, k_i : a_(i-1) => a_i: each goal matches its axiom and
@@ -535,26 +541,34 @@ class TestHeadIndex:
         assert resolve(parse_program(text).program, query).outcome is Outcome.PROVED
         assert len(calls) <= 2 * (n + 1)
 
-    def test_arity_clashes_walk_the_whole_predicate(self):
+    def test_arity_clashes_are_refused_before_the_search(self, monkeypatch):
+        """A goal or lemma that clashes with the program, or a lemma that
+        clashes with the goal, raises before any search, in every mode:
+        the first clash read goal first, head before body.  So the index
+        keys entries by head key alone."""
         program = load("pair").program
         env = env_for_program(program)
         search = engine._Search(env, Mode.INDUCTIVE, 4, [])
+        assert search._static(head_key(parse_atom("eq(int)"))) == (env.entries[1],)
+        assert search._static(head_key(parse_atom("ne(int)"))) == ()
 
-        def static(text):
-            goal = parse_atom(text)
-            return search._static(goal, head_key(goal))
+        def searched(*args):
+            raise AssertionError("a refused query was searched")
 
-        assert static("eq(int)") == (env.entries[1],)
-        assert static("eq(int,int)") == env.entries
-        assert static("eq") == env.entries
-        assert static("ne(int)") == ()
-        for text in ("eq(int,int)", "eq", "eq(pair(int))"):
-            with pytest.raises(SignatureError):
-                resolve(program, Query(parse_formula(text), Mode.INDUCTIVE))
-        # A lemma of another arity: the entries disagree, so none is dropped.
-        lemma_env = env.add_lemma(Apply(ConstSym("k2"), ConstSym("k2")), parse_formula("eq(int,int)"))
-        search = engine._Search(lemma_env, Mode.INDUCTIVE, 4, [])
-        assert static("eq(int)") == search.entries
+        monkeypatch.setattr(engine, "_attempt", searched)
+        for goal, lemmas, message in (
+            ("eq(int,int)", (), "predicate eq used with arities 1 and 2"),
+            ("eq", (), "predicate eq used with arities 1 and 0"),
+            ("eq(pair(int))", (), "functor pair used with arities 2 and 1"),
+            ("eq(int) => eq(int,int)", (), "predicate eq used with arities 1 and 2"),
+            ("eq(int)", ("eq(X) => eq(pair(X))",), "functor pair used with arities 2 and 1"),
+            ("ne(f(int))", ("ne(f(int,int))",), "functor f used with arities 1 and 2"),
+            ("ne(f(int,int))", ("ne(int) => ne(f(int))",), "functor f used with arities 2 and 1"),
+        ):
+            for mode in Mode:
+                query = Query(parse_formula(goal), mode, lemmas=tuple(map(parse_formula, lemmas)))
+                with pytest.raises(SignatureError, match=rf"^{re.escape(message)}$"):
+                    resolve(program, query)
 
     def test_head_keys_are_computed_once_per_entry_and_goal(self, monkeypatch):
         """The chain k_i : p(c_(i-1)) => p(c_i) gives each goal its own head

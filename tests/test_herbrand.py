@@ -43,7 +43,6 @@ from cohorn.terms import (
     apply_atom,
     atom_vars,
     clause_vars,
-    signature_of,
 )
 
 import reference_herbrand
@@ -705,7 +704,7 @@ class TestLazyUniverse:
 def reference_valid(program, formula, semantics, depth):
     """valid as first written: every grounding of universe^vars, in product
     order, against naively iterated fixpoints; (status, counterexample, note)."""
-    sig = program.signature.merged(signature_of([formula.head, *formula.body]))
+    sig = program.signature.merged([formula.head, *formula.body])
     base = herbrand_base(sig, depth)
     start = frozenset() if semantics is Semantics.IND else base.atoms
     sure, _ = naive_iterate(program, base, start, Policy.PESSIMISTIC)
