@@ -81,9 +81,17 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """Help was printed; the one argument is the call's exit code."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2)
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # argparse would sys.exit(status)
+        self._print_message(message, sys.stderr)  # prints nothing if None
+        raise _Exit(status)
 
 
 def _positive_int(text: str) -> int:
@@ -98,7 +106,7 @@ def _positive_int(text: str) -> int:
 
 
 # The flags several commands share.  A parent parser only holds
-# declarations, which `_flags` copies into each command's flags.
+# declarations, which `_build_parser` copies into each command's parser.
 _COMMON = argparse.ArgumentParser(add_help=False)
 _COMMON.add_argument("program", help="program file (.hc)")
 _COMMON.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -123,35 +131,24 @@ _SPECS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser of one `cohorn` call: with `command`, that command's parser
-    alone, `cohorn <command>`, which parses the arguments after the command;
-    otherwise the full parser, with every command and its flags (help, a
-    typo, an option first, no arguments).  Either way a command's flags,
-    `-h` among them, are copied from `_flags(command)`, so parses, help
-    texts and usage errors agree, and a command's parser declares no flag
-    of its own."""
+@cache
+def _build_parser(command: Optional[str]) -> _Parser:
+    """The parser of a `cohorn` call, built on first use and reused: with
+    `command`, `cohorn <command>` alone, which parses the arguments after
+    the command; otherwise the full parser (help, a typo, an option first,
+    no arguments).  Both declare a command's flags by `_add_flags`, so
+    parses, help texts and usage errors agree.  Every call shares the
+    `default=[]` lists of `--lemma` and `--const`, which argparse copies
+    before it appends: no command may mutate `args.lemma` or `args.const`."""
     if command in _SPECS:
-        p = _Parser(prog=f"cohorn {command}", parents=[_flags(command)], add_help=False)
+        p = _add_flags(_Parser(prog=f"cohorn {command}", parents=_SPECS[command][1]), command)
         p.set_defaults(command=command)
         return p
     parser = _Parser(prog="cohorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, _) in _SPECS.items():
-        sub.add_parser(name, parents=[_flags(name)], help=help, add_help=False)
+    for name, (help, parents) in _SPECS.items():
+        _add_flags(sub.add_parser(name, parents=parents, help=help), name)
     return parser
-
-
-@cache
-def _flags(command: str) -> argparse.ArgumentParser:
-    """Every flag of `command`, `-h/--help` first, declared once per process,
-    on first use; a call's parser copies the declarations through
-    `parents=`.  The copied `Action`s, and the `default=[]` lists of
-    `--lemma` and `--const`, are thus shared by every call: argparse's
-    append action copies that list before it appends, and no command may
-    mutate `args.lemma` or `args.const`.  The help action prints the help
-    of the parser that parses, the call's own."""
-    return _add_flags(argparse.ArgumentParser(parents=_SPECS[command][1]), command)
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
@@ -583,6 +580,8 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EX_USAGE
+    except _Exit as stop:
+        return stop.args[0]
     try:
         return _COMMANDS[args.command](_load_program(args.program), args)
     except BaseTooLargeError as err:

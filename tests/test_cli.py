@@ -1,7 +1,7 @@
 """Tests for the command-line driver: exit codes, reports, determinism."""
 
 import argparse
-import gc
+import copy
 import io
 import json
 import os
@@ -11,7 +11,6 @@ import shlex
 import subprocess
 import sys
 import time
-import weakref
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
@@ -825,15 +824,15 @@ EDGE = [
 
 
 class TestPerCommandParser:
-    """A call whose first argument names a command builds that command's
+    """A call whose first argument names a command uses that command's
     parser alone, `cohorn <command>`, and parses the arguments after the
-    command with it; any other call builds the full parser.  Every argv
+    command with it; any other call uses the full parser.  Every argv
     parses to the same namespace, or fails with the same usage error, as
     under the full parser."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The parsers `cli` builds, in call order; `cli` stops before it
+        """The parsers `cli` uses, in call order; `cli` stops before it
         loads the program."""
         parsers = []
 
@@ -852,7 +851,7 @@ class TestPerCommandParser:
         index = json.loads((PROGRAMS_DIR.parent / "tests" / "golden" / "index.json").read_text())
         argvs = [call["argv"] for call in index.values()] + readme_commands() + EDGE + MALFORMED
         assert len(MALFORMED) >= 20
-        full = _build_parser()
+        full = _build_parser(None)
         paths = Counter()
         for argv in argvs:
             built.clear()
@@ -878,12 +877,11 @@ class TestPerCommandParser:
         assert min(paths.values()) >= 5, paths
 
     def test_one_argument_parser_per_named_call(self, monkeypatch):
-        """A named command constructs one `ArgumentParser`; any other first
-        argument builds the full parser, with one subparser per command.
-        Each command's flags are declared before counting: that parser is
-        built once per process."""
-        for name in cohorn.cli._SPECS:
-            cohorn.cli._flags(name)
+        """A command's first named call constructs one `ArgumentParser`, its
+        own, and later calls construct none.  Any other first argument
+        uses the full parser, with one subparser per command, built once
+        per process."""
+        _build_parser.cache_clear()
         inits = []
         init = argparse.ArgumentParser.__init__
 
@@ -898,14 +896,18 @@ class TestPerCommandParser:
         monkeypatch.setattr("cohorn.cli._load_program", stop)
         check = ["check", P, "--proof", "k2", "--formula", "eq(int)"]
         for argv in (RESOLVE, check, MODEL, ["certify", P, "--atom", "eq(int)"], VERIFY):
+            for built in ([f"cohorn {argv[0]}"], [], []):
+                inits.clear()
+                with pytest.raises(_Stop):
+                    run(argv)
+                assert [p.prog for p in inits] == built, argv
+        full = ["cohorn"] + [f"cohorn {c}" for c in cohorn.cli._COMMANDS]
+        for argv, code, built in (
+            (["--json", *RESOLVE], 64, full), (["frobnicate"], 64, []), ([], 64, []), (["--help"], 0, []),
+        ):
             inits.clear()
-            with pytest.raises(_Stop):
-                run(argv)
-            assert [p.prog for p in inits] == [f"cohorn {argv[0]}"], argv
-        for argv in (["--json", *RESOLVE], ["frobnicate"], []):
-            inits.clear()
-            assert run(argv)[0] == 64, argv
-            assert [p.prog for p in inits] == ["cohorn"] + [f"cohorn {c}" for c in cohorn.cli._COMMANDS], argv
+            assert run(argv)[0] == code, argv
+            assert [p.prog for p in inits] == built, argv
 
     def test_flags_are_declared_once_per_process(self, built, monkeypatch):
         """After a warm call per command, a named call declares no flag:
@@ -939,9 +941,10 @@ class TestPerCommandParser:
 
     def test_no_state_across_calls(self, monkeypatch):
         """A `--lemma` or `--const` of one call is absent from the next,
-        also when a full-parser call parses one between two named calls;
-        the flags' `default=[]` lists stay empty, and no parser outlives
-        its call."""
+        also when a full-parser call parses one between two named calls.
+        Every call of a command gets the same parser, and usage errors,
+        help and appended flags leave every action's default as it was:
+        the flags' `default=[]` lists stay empty."""
         parsers, seen = [], []
 
         def build(command=None):
@@ -954,6 +957,11 @@ class TestPerCommandParser:
             monkeypatch.setitem(
                 cohorn.cli._COMMANDS, name, lambda src, args, command=command: seen.append(args) or command(src, args)
             )
+        full = _build_parser(None)
+        (sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+        every = [full, *sub.choices.values(), *map(_build_parser, cohorn.cli._SPECS)]
+        actions = [action for parser in every for action in parser._actions]
+        defaults = [(action.default, copy.deepcopy(action.default)) for action in actions]
         resolve = ["resolve", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind"]
         check = ["check", hc("pair"), "--proof", "k2", "--formula", "eq(int)"]
         verify = ["verify-soundness", hc("pair"), "--query", "eq(pair(int,int))", "--mode", "ind", "--base-depth", "2"]
@@ -961,6 +969,8 @@ class TestPerCommandParser:
         assert run(resolve + ["--lemma", "eq(int)"])[0] == 0
         assert run(["--json", *resolve, "--lemma", "eq(int)"])[0] == 64
         assert run(resolve)[0] == 0
+        assert run(["resolve", "--lemma", "eq(int)", "--help"])[0] == 0
+        assert run(["--help"])[0] == 0
         for argv in (
             check + ["--lemma", "eq(X) => eq(pair(X,X))"], check,
             verify + ["--lemma", "eq(int)"], verify,
@@ -969,20 +979,15 @@ class TestPerCommandParser:
             assert run(argv)[0] == 0, argv
         assert [args.lemma for args in seen[:6]] == [["eq(int)"], [], ["eq(X) => eq(pair(X,X))"], [], ["eq(int)"], []]
         assert [args.const for args in seen[6:]] == [["c"], []]
-        full = parsers.pop(1)
-        assert full.prog == "cohorn"
-        (sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
-        defaults = [
-            action.default
-            for parser in parsers + list(sub.choices.values())
-            for action in parser._actions
-            if action.dest in ("lemma", "const")
+        assert [p.prog.partition(" ")[2] for p in parsers] == [
+            "resolve", "", "resolve", "resolve", "",
+            *[name for name in ("check", "verify-soundness", "model") for _ in range(2)],
         ]
-        assert defaults == [[]] * 12
-        refs = list(map(weakref.ref, parsers + [full]))
-        del parsers[:], seen[:], defaults, full, sub
-        gc.collect()
-        assert [ref() for ref in refs] == [None] * 9
+        assert all(p is _build_parser(p.prog.partition(" ")[2] or None) for p in parsers)
+        for action, (default, snapshot) in zip(actions, defaults):
+            assert action.default is default and action.default == snapshot, action.dest
+        lists = [action.default for action in actions if action.dest in ("lemma", "const")]
+        assert lists == [[]] * 8
 
 
 class TestHeadIndexBoundaries:
